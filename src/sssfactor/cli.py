@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 starvation/failure, 2 usage errors.  Defaults for
 the shared knobs can be overridden with SSSFACTOR_* environment variables
-(e.g. SSSFACTOR_SEED=7, SSSFACTOR_THREADS=4), which is handy in CI.
+(e.g. SSSFACTOR_SEED=7), which is handy in CI.
 """
 
 import argparse
@@ -18,6 +18,7 @@ import time
 from .engine import (
     FactorResult,
     RunConfig,
+    RunStats,
     collect_relations,
     factor,
     prepare,
@@ -73,6 +74,7 @@ BENCH_SCHEMA = {
                     "wall_seconds": {"type": "number"},
                     "phase_seconds": {"type": "object"},
                     "success": {"type": "boolean"},
+                    "divisor": {"type": "string"},
                     "rounds": {"type": "integer"},
                     "candidates": {"type": "integer"},
                     "relations": {
@@ -110,7 +112,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
                         help="filter split ratio (sssf)")
     parser.add_argument("--delta", type=int, default=_env_int("delta", 5),
                         help="filter cutoff offset (sssf)")
-    parser.add_argument("--threads", type=int, default=_env_int("threads", 1))
     parser.add_argument("--seed", type=int, default=_env_int("seed", 0))
     parser.add_argument("--max-rounds", type=int, default=_env_int("max_rounds"))
     parser.add_argument("--no-partials", action="store_true",
@@ -128,7 +129,6 @@ def _config_from(args) -> RunConfig:
         rho=args.rho,
         delta=args.delta,
         seed=args.seed,
-        threads=args.threads,
         max_rounds=args.max_rounds,
         use_partials=not args.no_partials,
         exact_batch=args.exact_batch,
@@ -196,12 +196,19 @@ def _print_factors(result: FactorResult) -> None:
         print(f"unfactored residue: {result.residue}", file=sys.stderr)
 
 
+def _usage_error(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
 def cmd_factor(args) -> int:
-    config = _config_from(args)
     if args.number < 2:
-        print("n must be at least 2", file=sys.stderr)
-        return 2
-    result = factor(args.number, config)
+        return _usage_error("n must be at least 2")
+    try:
+        config = _config_from(args)
+        result = factor(args.number, config)
+    except ValueError as exc:
+        return _usage_error(f"cannot factor {args.number}: {exc}")
     if args.json:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -256,14 +263,21 @@ def _bench_factor_run(n: int, config: RunConfig) -> dict:
 
 
 def _bench_relations_run(n: int, config: RunConfig, budget: float) -> dict:
+    """Relations found within the budget; a divisor found on the way ends
+    the run early and is recorded as an unsuccessful run."""
+    stats = RunStats()
+    divisor = None
     t0 = time.perf_counter()
-    fb, sb, pre, ctx = prepare(n, config)
-    deadline = time.monotonic() + budget
-    _, stats = collect_relations(n, config, fb, sb, pre, ctx, deadline=deadline)
+    try:
+        fb, sb, pre, ctx = prepare(n, config)
+        deadline = time.monotonic() + budget
+        collect_relations(n, config, fb, sb, pre, ctx, deadline=deadline, stats=stats)
+    except FoundFactor as exc:
+        divisor = exc.divisor
     wall = time.perf_counter() - t0
-    return {
+    record = {
         "wall_seconds": wall,
-        "success": True,
+        "success": divisor is None,
         "rounds": stats.rounds,
         "candidates": stats.candidates,
         "phase_seconds": dict(stats.phase_seconds),
@@ -273,6 +287,9 @@ def _bench_relations_run(n: int, config: RunConfig, budget: float) -> dict:
             "combined": stats.combined,
         },
     }
+    if divisor is not None:
+        record["divisor"] = str(divisor)
+    return record
 
 
 def _summarize(runs: list[dict], mode: str) -> list[dict]:
@@ -306,51 +323,50 @@ def cmd_bench(args) -> int:
         digit_list = [int(d) for d in str(args.digits).split(",") if d]
         algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     except ValueError:
-        print("bad --digits value", file=sys.stderr)
-        return 2
+        return _usage_error("bad --digits value")
     if not digit_list or not algos:
-        print("need at least one digit count and one algorithm", file=sys.stderr)
-        return 2
+        return _usage_error("need at least one digit count and one algorithm")
     for a in algos:
         if a not in ("sss", "sssf", "qs"):
-            print(f"unknown algorithm {a!r}", file=sys.stderr)
-            return 2
+            return _usage_error(f"unknown algorithm {a!r}")
     if any(d < 8 for d in digit_list):
-        print("bench needs at least 8 digits (smaller inputs never reach "
-              "the relation search)", file=sys.stderr)
-        return 2
+        return _usage_error("bench needs at least 8 digits (smaller inputs never "
+                            "reach the relation search)")
 
-    base = _config_from(args)
     mode = "factor" if args.timeout_seconds is None else "relations"
     rng = random.Random(args.seed)
     runs = []
-    for digits in digit_list:
-        for index in range(args.count):
-            n, _, _ = generate_semiprime(digits, rng)
-            for algo in algos:
-                config = dataclasses.replace(base, algo=algo)
-                if mode == "factor":
-                    record = _bench_factor_run(n, config)
-                else:
-                    record = _bench_relations_run(n, config, args.timeout_seconds)
-                record.update(
-                    {
-                        "n": str(n),
-                        "digits": digits,
-                        "algo": algo,
-                        "seed": args.seed,
-                        "index": index,
-                        "config": _config_echo(config),
-                    }
-                )
-                runs.append(record)
-                rel = record["relations"]
-                print(
-                    f"{digits}d {algo:>4} n={n} "
-                    f"wall={record['wall_seconds']:.3f}s "
-                    f"fulls={rel['fulls']} partials={rel['partials']} "
-                    f"combined={rel['combined']}"
-                )
+    try:
+        base = _config_from(args)
+        for digits in digit_list:
+            for index in range(args.count):
+                n, _, _ = generate_semiprime(digits, rng)
+                for algo in algos:
+                    config = dataclasses.replace(base, algo=algo)
+                    if mode == "factor":
+                        record = _bench_factor_run(n, config)
+                    else:
+                        record = _bench_relations_run(n, config, args.timeout_seconds)
+                    record.update(
+                        {
+                            "n": str(n),
+                            "digits": digits,
+                            "algo": algo,
+                            "seed": args.seed,
+                            "index": index,
+                            "config": _config_echo(config),
+                        }
+                    )
+                    runs.append(record)
+                    rel = record["relations"]
+                    print(
+                        f"{digits}d {algo:>4} n={n} "
+                        f"wall={record['wall_seconds']:.3f}s "
+                        f"fulls={rel['fulls']} partials={rel['partials']} "
+                        f"combined={rel['combined']}"
+                    )
+    except ValueError as exc:
+        return _usage_error(f"bench: {exc}")
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -381,25 +397,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    config = _config_from(args)
-    if args.rounds is not None:
-        config = dataclasses.replace(config, max_rounds=args.rounds)
     if args.number < 2:
-        print("n must be at least 2", file=sys.stderr)
-        return 2
+        return _usage_error("n must be at least 2")
     try:
+        config = _config_from(args)
+        if args.rounds is not None:
+            config = dataclasses.replace(config, max_rounds=args.rounds)
         fb, sb, pre, ctx = prepare(args.number, config)
-    except ValueError as exc:
-        print(f"cannot collect relations for {args.n}: {exc}", file=sys.stderr)
-        return 2
-    except FoundFactor as exc:
-        print(f"small prime factor found during setup: {exc.divisor}",
-              file=sys.stderr)
-        return 1
-    try:
         store, _ = collect_relations(args.number, config, fb, sb, pre, ctx)
+    except ValueError as exc:
+        return _usage_error(f"cannot collect relations for {args.number}: {exc}")
     except FoundFactor as exc:
-        print(f"lucky divisor during collection: {exc.divisor}", file=sys.stderr)
+        print(f"divisor found while collecting relations: {exc.divisor}",
+              file=sys.stderr)
         return 1
     dump = store.fulls_csv()
     if args.out == "-":

@@ -7,7 +7,6 @@ divisors, recursing until everything left is a probable prime.
 """
 
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -54,9 +53,7 @@ class RunConfig:
     collision_threshold: int = 3
     use_partials: bool = True
     exact_batch: bool = False
-    min_batch: int = 0               # accumulate candidates up to this size
     seed: int = 0
-    threads: int = 1
     max_rounds: int | None = None
     sieve_length: int = 65536
     slack: int = 10                  # extra relations beyond |F| + 1
@@ -70,8 +67,6 @@ class RunConfig:
             raise ValueError("collision threshold must be at least 2")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
     def algo_for(self, n: int) -> str:
         if self.algo is not None:
@@ -161,10 +156,6 @@ class RelationShortfall(RuntimeError):
         self.stats = stats
 
 
-def _worker_rng(seed: int, scope, worker: int) -> random.Random:
-    return random.Random(f"{seed}:{scope}:{worker}")
-
-
 def prepare(n: int, config: RunConfig):
     """Precomputation for one composite: factor bases, CRT tables and the
     smoothness context (with a partition when the filtered variant runs).
@@ -191,11 +182,12 @@ def collect_relations(
     deadline: float | None = None,
     stats: RunStats | None = None,
 ) -> tuple[RelationStore, RunStats]:
-    """Run search workers until the store holds enough relations.
+    """Run search rounds until the store holds enough relations.
 
-    Stops on the relation target, config.max_rounds, or the deadline.  With
-    threads == 1 the relation stream is a deterministic function of the
-    seed.  May raise FoundFactor when a divisor appears along the way.
+    Stops on the relation target, config.max_rounds, or the deadline.  The
+    relation stream is a deterministic function of the seed; a deadline only
+    decides where it is cut.  May raise FoundFactor when a divisor appears
+    along the way.
     """
     algo = config.algo_for(n)
     if algo != "qs" and not fb.large_primes(sb.n):
@@ -230,13 +222,8 @@ def collect_relations(
             stats.rounds += intervals
             stats.candidates += candidates
             stats.partials += partials
-        elif config.threads <= 1:
-            _search_loop(
-                n, config, algo, fb, sb, pre, ctx, store, stats, deadline,
-                round_cap, worker=0,
-            )
         else:
-            _search_threads(
+            _search_loop(
                 n, config, algo, fb, sb, pre, ctx, store, stats, deadline, round_cap
             )
     finally:
@@ -245,74 +232,26 @@ def collect_relations(
     return store, stats
 
 
-def _round_options(config: RunConfig, algo: str) -> dict:
-    return {
-        "collision_threshold": config.collision_threshold,
-        "partial_multiplier": config.partial_bound_multiplier,
-        "filter_delta": config.delta if algo == "sssf" else None,
-        "min_batch": config.min_batch,
-        "exact_batch": config.exact_batch,
-    }
-
-
-def _search_loop(
-    n, config, algo, fb, sb, pre, ctx, store, stats, deadline, round_cap, worker
-):
+def _search_loop(n, config, algo, fb, sb, pre, ctx, store, stats, deadline, round_cap):
     k = min(config.k_for(algo), sb.n)
-    opts = _round_options(config, algo)
-    rng = _worker_rng(config.seed, n, worker)
+    filter_delta = config.delta if algo == "sssf" else None
+    rng = random.Random(f"{config.seed}:{n}:0")  # one stream per composite
     while not store.have_enough():
         if round_cap is not None and stats.rounds >= round_cap:
             break
         if deadline is not None and time.monotonic() >= deadline:
             break
-        result = search_round(n, fb, sb, pre, ctx, k, rng, store, **opts)
+        result = search_round(
+            n, fb, sb, pre, ctx, k, rng, store,
+            collision_threshold=config.collision_threshold,
+            partial_multiplier=config.partial_bound_multiplier,
+            filter_delta=filter_delta,
+            exact_batch=config.exact_batch,
+        )
         stats.rounds += 1
         stats.candidates += result.candidates
         stats.filtered += result.filtered
         stats.partials += result.partials
-
-
-def _search_threads(
-    n, config, algo, fb, sb, pre, ctx, store, stats, deadline, round_cap
-):
-    k = min(config.k_for(algo), sb.n)
-    opts = _round_options(config, algo)
-    stop = threading.Event()
-    lock = threading.Lock()
-    failures: list[BaseException] = []
-
-    def work(worker: int):
-        rng = _worker_rng(config.seed, n, worker)
-        try:
-            while not stop.is_set():
-                with lock:
-                    if store.have_enough():
-                        break
-                    if round_cap is not None and stats.rounds >= round_cap:
-                        break
-                    stats.rounds += 1
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                result = search_round(n, fb, sb, pre, ctx, k, rng, store, **opts)
-                with lock:
-                    stats.candidates += result.candidates
-                    stats.filtered += result.filtered
-                    stats.partials += result.partials
-        except BaseException as exc:  # propagated after join
-            failures.append(exc)
-            stop.set()
-
-    threads = [
-        threading.Thread(target=work, args=(w,), name=f"search-{w}")
-        for w in range(config.threads)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
 
 
 _MAX_SOLVE_CYCLES = 12

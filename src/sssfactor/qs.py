@@ -101,8 +101,6 @@ def run_sieve(
     early on the interval cap or deadline and lets the caller decide what
     starvation means.  May raise FoundFactor via the store.
     """
-    import time
-
     shift = isqrt_ceil(n)
     p_max = fb.p_max
     intervals = 0

@@ -9,7 +9,6 @@ certifies divisibility, it does not track which primes divide what.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .factorbase import FactorBase, poly_value
@@ -88,8 +87,7 @@ class RelationStore:
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
     combined on the second hit.  Every stored relation is re-verified
-    against its defining congruence.  Ingestion is serialized internally,
-    so concurrent search workers can share one store.
+    against its defining congruence.
     """
 
     def __init__(
@@ -111,7 +109,6 @@ class RelationStore:
         self.partials: dict[int, PartialRelation] = {}
         self.native_count = 0
         self.combined_count = 0
-        self._lock = threading.Lock()
 
     # -- ingestion ---------------------------------------------------------
 
@@ -125,30 +122,27 @@ class RelationStore:
             raise AssertionError(
                 f"batch reported {f_val} smooth but cofactor {cofactor} remains"
             )
-        with self._lock:
-            if cofactor == 1:
-                self._add_full(Relation(rel_x, sign, exps), combined=False)
-                return
-            if not self.use_partials:
-                return
-            if cofactor >= self.partial_bound:
-                return
-            g = math.gcd(cofactor, self.n)
-            if 1 < g < self.n:
-                raise FoundFactor(g)
-            self._combine(PartialRelation(rel_x, cofactor, sign, exps))
+        if cofactor == 1:
+            self._add_full(Relation(rel_x, sign, exps), combined=False)
+            return
+        if not self.use_partials:
+            return
+        if cofactor >= self.partial_bound:
+            return
+        g = math.gcd(cofactor, self.n)
+        if 1 < g < self.n:
+            raise FoundFactor(g)
+        self._combine(PartialRelation(rel_x, cofactor, sign, exps))
 
     def add_full(self, rel: Relation) -> None:
-        with self._lock:
-            self._add_full(rel, combined=False)
+        self._add_full(rel, combined=False)
 
     def add_partial_and_combine(self, prel: PartialRelation):
         """Store a partial, or emit the combined full relation when a
         partner with the same cofactor already exists."""
         if not 1 < prel.cofactor:
             raise ValueError("partial cofactor must exceed 1")
-        with self._lock:
-            return self._combine(prel)
+        return self._combine(prel)
 
     def _combine(self, prel: PartialRelation):
         other = self.partials.get(prel.cofactor)

@@ -118,15 +118,13 @@ def search_round(
     collision_threshold: int = 3,
     partial_multiplier: int = 128,
     filter_delta: int | None = None,
-    min_batch: int = 0,
     exact_batch: bool = False,
 ) -> RoundStats:
     """One full search round; emits relations through sink.ingest(x_bar, g).
 
     filter_delta switches the smoothness pass to the two-stage filter
-    (the context must then carry a partition).  min_batch > 0 accumulates
-    candidates across the k inner iterations until the batch is at least
-    that large (always flushing at the end of the round).
+    (the context must then carry a partition).  The candidates of each
+    variant are batch-tested together at the end of that variant's scans.
     """
     shift = isqrt_ceil(n)
     digits = len(str(n))
@@ -142,21 +140,35 @@ def search_round(
     x, _ = get_x(rep, sb, pre, fb.roots)
 
     fulls = partials = candidates = filtered = 0
-    pending: dict[int, int] = {}  # x_bar -> f(x_bar) / m_prime
-
-    def flush():
-        nonlocal fulls, partials, filtered
-        if not pending:
-            return
-        values = [abs(v) for v in pending.values()]
+    for i in indices:
+        x = swap_root(x, i, 1, modulus, pre)
+        transforms = root_transforms(x, inverses, fb.roots)
+        p_i = sb.primes[i]
+        batch: dict[int, int] = {}  # x_bar -> |f(x_bar) / m_prime|
+        # q = 1 scans the base pair (x, M) itself
+        for q in chain((1,), moduli):
+            if q != 1 and q == p_i:
+                continue
+            for hit in collision_scan(transforms, q, modulus, x, collision_threshold):
+                if hit.x_bar in batch:
+                    continue
+                f_val = poly_value(hit.x_bar, n, shift)
+                value, rem = divmod(f_val, hit.m_prime)
+                if rem:
+                    raise AssertionError("collision modulus does not divide f")
+                batch[hit.x_bar] = abs(value)
+        if not batch:
+            continue
+        candidates += len(batch)
+        keys = list(batch)
+        values = list(batch.values())
         if filter_delta is not None:
             pairs = smooth_filter(ctx, values, digits, filter_delta)
             filtered += len(values) - len(pairs)
-            keys = list(pending)
-            found = [(keys[i], g) for i, g in pairs]
+            found = [(keys[j], g) for j, g in pairs]
         else:
-            batch = smooth_batch_exact if exact_batch else smooth_batch
-            found = list(zip(pending, batch(ctx, values)))
+            test = smooth_batch_exact if exact_batch else smooth_batch
+            found = zip(keys, test(ctx, values))
         for x_bar, g in found:
             kind = classify(g, p_max, partial_multiplier)
             if kind is Smoothness.FULL:
@@ -165,28 +177,4 @@ def search_round(
             elif kind is Smoothness.PARTIAL:
                 sink.ingest(x_bar, g)
                 partials += 1
-        pending.clear()
-
-    for i in indices:
-        x = swap_root(x, i, 1, modulus, pre)
-        transforms = root_transforms(x, inverses, fb.roots)
-        p_i = sb.primes[i]
-        seen: set[int] = set()
-        # q = 1 scans the base pair (x, M) itself
-        for q in chain((1,), moduli):
-            if q != 1 and q == p_i:
-                continue
-            for hit in collision_scan(transforms, q, modulus, x, collision_threshold):
-                if hit.x_bar in seen or hit.x_bar in pending:
-                    continue
-                seen.add(hit.x_bar)
-                f_val = poly_value(hit.x_bar, n, shift)
-                value, rem = divmod(f_val, hit.m_prime)
-                if rem:
-                    raise AssertionError("collision modulus does not divide f")
-                candidates += 1
-                pending[hit.x_bar] = value
-        if len(pending) >= min_batch:
-            flush()
-    flush()
     return RoundStats(fulls, partials, candidates, filtered)

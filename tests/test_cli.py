@@ -46,6 +46,29 @@ def test_factor_usage_errors():
     assert main(["factor", "1"]) == 2
 
 
+USAGE_N = "4905772621454398733637869"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", USAGE_N, "--k", "0"],
+        ["factor", USAGE_N, "--rho", "1"],
+        ["relations", USAGE_N, "--k", "0"],
+        ["relations", USAGE_N, "--m", "3"],
+        ["relations", USAGE_N, "--n", "500"],
+    ],
+    ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500"],
+)
+def test_bad_config_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert USAGE_N in lines[0]  # names the number, not a flag value
+
+
 def test_factor_starvation_exit_code(capsys):
     n = 1299709 * 1299721
     assert main(["factor", str(n), "--max-rounds", "0"]) == 1
@@ -220,3 +243,34 @@ def test_bench_usage_errors(capsys):
     assert main(["bench", "--digits", "x"]) == 2
     assert main(["bench", "--digits", "12", "--algos", "bogus"]) == 2
     assert main(["bench", "--digits", "4"]) == 2
+
+
+def test_bench_relations_records_lucky_divisor(tmp_path, monkeypatch):
+    from sssfactor.numtheory import FoundFactor
+    from sssfactor.relations import RelationStore
+
+    real_ingest = RelationStore.ingest
+    fired = {"done": False}
+
+    def lucky(self, x_bar, residual):
+        if not fired["done"]:
+            fired["done"] = True
+            raise FoundFactor(1299709)
+        return real_ingest(self, x_bar, residual)
+
+    monkeypatch.setattr(RelationStore, "ingest", lucky)
+    out = tmp_path / "lucky"
+    code = main(
+        [
+            "bench", "--digits", "14", "--count", "2", "--algos", "sss",
+            "--timeout-seconds", "0.5", "--seed", "4", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "lucky.json").read_text())
+    jsonschema.validate(report, BENCH_SCHEMA)
+    first, second = report["runs"]  # the lucky run does not stop the bench
+    assert first["success"] is False
+    assert first["divisor"] == "1299709"
+    assert second["success"] is True
+    assert "divisor" not in second

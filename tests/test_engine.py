@@ -76,7 +76,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(collision_threshold=1)
     with pytest.raises(ValueError):
-        RunConfig(threads=0)
+        RunConfig(k=0)
 
 
 def test_table_override():
@@ -130,13 +130,6 @@ def test_partial_starvation_keeps_found_factors():
     assert not result.success
     assert result.factors == [(2, 2)]
     assert result.residue == n
-
-
-def test_threads_smoke():
-    n, p, q = generate_semiprime(22, random.Random(9))
-    result = factor(n, RunConfig(seed=1, threads=3))
-    assert result.success
-    assert result.factors == sorted([(p, 1), (q, 1)])
 
 
 def test_stats_have_phase_times():

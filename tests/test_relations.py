@@ -1,6 +1,5 @@
 import itertools
 import random
-import threading
 
 import pytest
 
@@ -156,24 +155,6 @@ def test_store_rejects_corrupt_relation():
     store, _ = small_store()
     with pytest.raises(ValueError):
         store.add_full(Relation(5, 0, (1,) * len(store.primes)))
-
-
-def test_store_concurrent_ingestion():
-    store, fb = small_store()
-    fulls, _ = find_relation_material(STORE_N, fb.primes, store.partial_bound)
-    chunks = [fulls[i::4] for i in range(4)]
-
-    def work(chunk):
-        for x_bar in chunk:
-            store.ingest(x_bar, 1)
-
-    threads = [threading.Thread(target=work, args=(c,)) for c in chunks]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert store.native_count == len(store.fulls)
-    assert len(store.fulls) == len({(x + store.shift) % STORE_N for x in fulls})
 
 
 def test_csv_dumps():

@@ -197,12 +197,6 @@ def test_search_round_exact_batch_matches_default_fulls():
     assert fulls_default <= fulls_exact
 
 
-def test_search_round_min_batch_same_relations():
-    _, finds_a = run_one_round(5)
-    _, finds_b = run_one_round(5, min_batch=10**9)  # single flush at round end
-    assert sorted(finds_a) == sorted(finds_b)
-
-
 def test_search_round_filter_path():
     fb, sb, pre, _ = toy_setup()
     ctx = build_context(fb.primes, split_ratio=4)
