@@ -186,8 +186,8 @@ def collect_relations(
 
     Stops on the relation target, config.max_rounds, or the deadline.  The
     relation stream is a deterministic function of the seed; a deadline only
-    decides where it is cut.  May raise FoundFactor when a divisor appears
-    along the way.
+    decides where it is cut.  The time spent is added to the "collect" phase
+    of stats.  May raise FoundFactor when a divisor appears along the way.
     """
     algo = config.algo_for(n)
     if algo != "qs" and not fb.large_primes(sb.n):
@@ -207,6 +207,7 @@ def collect_relations(
 
     native0, combined0 = store.native_count, store.combined_count
     round_cap = None if config.max_rounds is None else stats.rounds + config.max_rounds
+    t0 = time.perf_counter()
     try:
         if algo == "qs":
             intervals, candidates, partials = qs_mod.run_sieve(
@@ -229,6 +230,7 @@ def collect_relations(
     finally:
         stats.fulls += store.native_count - native0
         stats.combined += store.combined_count - combined0
+        stats.add_time("collect", time.perf_counter() - t0)
     return store, stats
 
 
@@ -275,13 +277,10 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
         use_partials=config.use_partials,
     )
     for _ in range(_MAX_SOLVE_CYCLES):
-        t0 = time.perf_counter()
         try:
             collect_relations(n, config, fb, sb, pre, ctx, store=store, stats=stats)
         except FoundFactor as exc:
             return exc.divisor
-        finally:
-            stats.add_time("collect", time.perf_counter() - t0)
         if not store.have_enough():
             raise RelationShortfall(n, stats)
 

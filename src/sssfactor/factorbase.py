@@ -4,10 +4,14 @@ The factor base keeps 2 plus every odd prime p among the first 2m primes
 with (N|p) = 1 (for the others f has no root, so they can never divide a
 candidate value).  Each kept odd prime carries the two roots of f mod p.
 The small factor base is the prefix of the first n odd primes; its
-products form the moduli of the subsum search.
+products form the moduli of the subsum search.  The odd primes and their
+roots are also kept as int64 arrays for the vectorized collision search,
+which needs every prime below 2**31 to keep its products inside int64.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .numtheory import (
     FoundFactor,
@@ -20,6 +24,7 @@ from .numtheory import (
 )
 
 __all__ = [
+    "MAX_PRIME",
     "FactorBase",
     "SmallFactorBase",
     "poly_value",
@@ -34,13 +39,37 @@ def poly_value(x: int, n: int, shift: int) -> int:
     return t * t - n
 
 
+# The collision search multiplies residues mod p in int64; with every prime
+# below 2**31 each such product, and each partial sum of them, stays below
+# 2**63 (see search.py).
+MAX_PRIME = 2**31
+
+
 @dataclass(frozen=True, eq=False)
 class FactorBase:
-    """Ordered factor base: primes[0] == 2, then odd primes with roots."""
+    """Ordered factor base: primes[0] == 2, then odd primes with roots.
+
+    odd_array and root_array hold the odd primes and their roots (shape
+    (2, len(odd_primes))) as int64, in the order of `primes`.
+    """
 
     primes: tuple[int, ...]
     roots: dict  # odd prime -> (s1, s2) with f(s) = 0 mod p
     m: int  # requested target size
+    odd_array: np.ndarray = field(init=False, repr=False)
+    root_array: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.primes[-1] >= MAX_PRIME:
+            raise ValueError(
+                f"factor-base prime {self.primes[-1]} is not below 2**31"
+            )
+        odd = self.primes[1:]
+        roots = [self.roots[p] for p in odd]
+        object.__setattr__(self, "odd_array", np.array(odd, dtype=np.int64))
+        object.__setattr__(
+            self, "root_array", np.array(roots, dtype=np.int64).reshape(-1, 2).T.copy()
+        )
 
     @property
     def odd_primes(self) -> tuple[int, ...]:
@@ -49,6 +78,10 @@ class FactorBase:
     def large_primes(self, n: int) -> tuple[int, ...]:
         """The odd primes beyond the first n (the collision primes)."""
         return self.primes[1 + n :]
+
+    def large_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """large_primes(n) and their roots as int64 arrays (views)."""
+        return self.odd_array[n:], self.root_array[:, n:]
 
     @property
     def p_max(self) -> int:

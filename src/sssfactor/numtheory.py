@@ -197,13 +197,19 @@ def _iroot(n: int, e: int) -> int:
 
 
 def is_perfect_power(n: int):
-    """Return (b, e) with b**e == n and e >= 2 maximal, or None."""
+    """Return (b, e) with b**e == n and e >= 2 maximal, or None.
+
+    Only prime exponents are tried: n = c**E is a perfect e-th power for
+    every prime e dividing E, and recursing on the base b = c**(E/e)
+    recovers the rest of the exponent.
+    """
     if n < 4:
         return None
-    for e in range(n.bit_length(), 1, -1):
+    for e in primes_below(n.bit_length() + 1):
         b = _iroot(n, e)
-        if b >= 2 and b ** e == n:
-            return b, e
+        if b ** e == n:
+            inner = is_perfect_power(b)
+            return (b, e) if inner is None else (inner[0], inner[1] * e)
     return None
 
 

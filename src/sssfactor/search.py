@@ -9,14 +9,26 @@ that f(x + alpha * m') gains three large prime divisors on top of the
 known smooth part m'.  Those candidates go to the batch smoothness test
 and the survivors are handed to the sink as full or partial relations.
 
+The search works on int64 numpy arrays over the large primes.  Once per
+round it builds the limb weights 2**(30 j) mod p and M^-1 mod p; once per
+variant it reduces x through its 30-bit limbs and maps both roots; once per
+rescaling q it forms the 4L offsets and counts them with np.bincount.
+Only the hits become Python ints again, for x_bar = x + alpha * m' and the
+exact division of f(x_bar) by m'.  Every product of two residues stays
+below 2**63 because the factor base keeps all primes below 2**31 (see
+factorbase.MAX_PRIME).  Hits come out in the order in which their offsets
+first appear, prime by prime, so the relation stream is the same as that
+of the per-prime Python loop the tests keep as an oracle.
+
 After the random index choice everything in a round is deterministic, so
 a fixed seed replays the exact relation stream.
 """
 
 import math
-from collections import Counter
 from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .crt import CrtPrecomp, get_x, swap_root
 from .factorbase import FactorBase, SmallFactorBase, poly_value
@@ -34,7 +46,9 @@ __all__ = [
     "CollisionHit",
     "RoundStats",
     "pick_indices",
-    "invert_M",
+    "RoundTable",
+    "Transforms",
+    "round_table",
     "root_transforms",
     "collision_scan",
     "search_round",
@@ -62,46 +76,108 @@ def pick_indices(k: int, n: int, rng) -> list[int]:
     return sorted(rng.sample(range(n), k))
 
 
-def invert_M(modulus: int, large_primes) -> dict[int, int]:
-    """M^-1 mod p for every large prime; these primes never divide M."""
-    return {p: pow(modulus, -1, p) for p in large_primes}
+_LIMB_BITS = 30
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# terms summed before a reduction: acc + 3 * 2**30 * 2**31 stays below 2**63
+_LIMBS_PER_SUM = 3
 
 
-def root_transforms(x: int, inverses: dict[int, int], roots: dict) -> list[tuple[int, int, int]]:
-    """(p, r1, r2) with r_k = (s_k - x) * M^-1 mod p, i.e. the residues of
-    the j for which p divides f(x + j*M)."""
-    out = []
-    for p, inv in inverses.items():
-        s1, s2 = roots[p]
-        out.append((p, (s1 - x) * inv % p, (s2 - x) * inv % p))
-    return out
+class RoundTable(NamedTuple):
+    """One round's large primes and what the round's modulus M fixes about
+    them, as int64 arrays over the L large primes."""
+
+    primes: np.ndarray    # (L,)
+    roots: np.ndarray     # (2, L): the roots s1, s2 of f mod p
+    weights: np.ndarray   # (J, L): 2**(30 j) mod p, J limbs cover 0 <= v < M
+    inverses: np.ndarray  # (L,): M^-1 mod p
+
+
+class Transforms(NamedTuple):
+    """r_k = (s_k - x) * M^-1 mod p for both roots of every large prime."""
+
+    primes: np.ndarray  # (L,)
+    r: np.ndarray       # (2, L)
+
+
+def _residues(value: int, weights: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """value mod p for every prime (0 <= value < 2**(30 J)), as the sum of
+    value's 30-bit limbs times the weights 2**(30 j) mod p."""
+    if value >> (_LIMB_BITS * len(weights)):
+        raise ValueError("value has more limbs than the weight table")
+    acc = np.zeros_like(primes)
+    for j in range(0, len(weights), _LIMBS_PER_SUM):
+        rows = weights[j : j + _LIMBS_PER_SUM]
+        limbs = [(value >> (_LIMB_BITS * (j + i))) & _LIMB_MASK for i in range(len(rows))]
+        acc = (acc + np.array(limbs, dtype=np.int64) @ rows) % primes
+    return acc
+
+
+def round_table(modulus: int, primes: np.ndarray, roots: np.ndarray) -> RoundTable:
+    """Limb weights and M^-1 mod p for one round's modulus.
+
+    The inverse is M^(p-2) mod p by square and multiply over the bits of
+    p - 2; the large primes never divide M.
+    """
+    limbs = -(-modulus.bit_length() // _LIMB_BITS)
+    weights = np.empty((limbs, len(primes)), dtype=np.int64)
+    weights[0] = 1
+    for j in range(1, limbs):
+        weights[j] = (weights[j - 1] << _LIMB_BITS) % primes
+    base = _residues(modulus, weights, primes)
+    exponent = primes - 2
+    inverses = np.ones_like(primes)
+    for _ in range(int(primes.max(initial=0)).bit_length()):
+        inverses = np.where(exponent & 1, inverses * base % primes, inverses)
+        base = base * base % primes
+        exponent >>= 1
+    return RoundTable(primes, roots, weights, inverses)
+
+
+def root_transforms(x: int, table: RoundTable) -> Transforms:
+    """r_k = (s_k - x) * M^-1 mod p, i.e. the residues of the j for which p
+    divides f(x + j*M), for both roots s_k of every large prime; |x| < M.
+
+    s_k - x stays unreduced in (-p, 2p); one reduction after the
+    multiplication suffices because 2p * p < 2**63 and numpy's % takes the
+    sign of p.
+    """
+    primes = table.primes
+    xr = _residues(abs(x), table.weights, primes)
+    diff = table.roots + xr if x < 0 else table.roots - xr
+    return Transforms(primes, diff * table.inverses % primes)
 
 
 def collision_scan(
-    transforms, q: int, modulus: int, x: int, threshold: int = 3
+    transforms: Transforms, q: int, modulus: int, x: int, threshold: int = 3
 ) -> list[CollisionHit]:
-    """Collision offsets for the pair (x, M/q).
+    """Collision offsets for the pair (x, M/q), in order of first occurrence.
 
     q * r_k mod p rescales the stored transforms to the modulus M/q with
     two multiplications per prime instead of an inversion; q = 1 scans the
     base pair itself.  Each large prime contributes its four offsets
     (alpha and alpha - p for both roots, pairwise distinct), so the count
     of an offset equals the number of distinct large primes dividing
-    f(x + alpha * m').
+    f(x + alpha * m').  Offsets are laid out prime by prime as
+    (a1, a1 - p, a2, a2 - p) and hits are listed by their first position
+    in that sequence, which fixes the candidate and relation order.
     """
     if modulus % q:
         raise ValueError(f"{q} does not divide the modulus")
     m_prime = modulus // q
-    offsets = []
-    extend = offsets.extend
-    for p, r1, r2 in transforms:
-        a1 = q * r1 % p
-        a2 = q * r2 % p
-        extend((a1, a1 - p, a2, a2 - p))
+    primes, r = transforms
+    a = (q * r % primes).T  # (L, 2)
+    offsets = np.empty((len(primes), 4), dtype=np.int64)
+    offsets[:, 0::2] = a
+    offsets[:, 1::2] = a - primes[:, None]
+    flat = offsets.ravel()
+    shifted = flat + int(primes.max(initial=0))
+    counts = np.bincount(shifted)[shifted]
+    where = np.flatnonzero(counts >= threshold)
+    # dict keeps each alpha at its first position
+    first = dict(zip(flat[where].tolist(), counts[where].tolist()))
     return [
         CollisionHit(alpha, count, x + alpha * m_prime, m_prime)
-        for alpha, count in Counter(offsets).items()
-        if count >= threshold
+        for alpha, count in first.items()
     ]
 
 
@@ -132,7 +208,7 @@ def search_round(
     indices = pick_indices(k, sb.n, rng)
     moduli = [sb.primes[i] for i in indices]
     modulus = math.prod(moduli)
-    inverses = invert_M(modulus, fb.large_primes(sb.n))
+    table = round_table(modulus, *fb.large_arrays(sb.n))
 
     rep = [0] * sb.n
     for i in indices:
@@ -142,7 +218,7 @@ def search_round(
     fulls = partials = candidates = filtered = 0
     for i in indices:
         x = swap_root(x, i, 1, modulus, pre)
-        transforms = root_transforms(x, inverses, fb.roots)
+        transforms = root_transforms(x, table)
         p_i = sb.primes[i]
         batch: dict[int, int] = {}  # x_bar -> |f(x_bar) / m_prime|
         # q = 1 scans the base pair (x, M) itself

@@ -21,7 +21,7 @@ from sssfactor.engine import RunConfig, collect_relations, factor, prepare
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.relations import Relation, solve_dependencies
-from sssfactor.search import collision_scan, invert_M, pick_indices, root_transforms
+from sssfactor.search import collision_scan, pick_indices, root_transforms, round_table
 from sssfactor.smoothness import build_context, smooth_batch, smooth_batch_exact
 
 
@@ -123,6 +123,7 @@ def test_c04_collision_soundness_and_completeness():
         assert len(fb.primes) <= 40 and sb.n <= 8
         pre = precompute(sb, fb.roots)
         large = fb.large_primes(sb.n)
+        primes, roots = fb.large_arrays(sb.n)
         shift = isqrt_ceil(n)
         p_max = max(large)
         rng = random.Random(44)
@@ -135,7 +136,7 @@ def test_c04_collision_soundness_and_completeness():
             for i in idx:
                 rep[i] = 1
             x, _ = get_x(rep, sb, pre, fb.roots)
-            transforms = root_transforms(x, invert_M(modulus, large), fb.roots)
+            transforms = root_transforms(x, round_table(modulus, primes, roots))
             for q in [1] + moduli:
                 m_prime = modulus // q
                 hits = collision_scan(transforms, q, modulus, x, 3)

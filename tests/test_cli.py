@@ -223,6 +223,8 @@ def test_bench_relation_count_mode(tmp_path):
     assert report["mode"] == "relations"
     run = report["runs"][0]
     assert run["relations"]["fulls"] + run["relations"]["partials"] > 0
+    # collect_relations times itself, so relation-count runs report it too
+    assert run["phase_seconds"]["collect"] > 0
 
 
 def test_bench_deterministic_inputs(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -134,10 +135,14 @@ def test_partial_starvation_keeps_found_factors():
 
 def test_stats_have_phase_times():
     n, _, _ = generate_semiprime(18, random.Random(10))
+    t0 = time.perf_counter()
     result = factor(n, RunConfig(seed=1))
+    wall = time.perf_counter() - t0
     for phase in ("precompute", "collect", "linalg"):
         assert phase in result.stats.phase_seconds
         assert result.stats.phase_seconds[phase] >= 0.0
+    # each phase is timed once: the phases cannot add up to more than the run
+    assert sum(result.stats.phase_seconds.values()) <= wall
 
 
 def test_no_partials_config():

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from sssfactor.factorbase import (
+    MAX_PRIME,
+    FactorBase,
     build_factor_bases,
     poly_value,
     table_sizes,
@@ -55,6 +57,10 @@ def test_build_8051_matches_legendre_oracle():
     assert list(sb.primes) == expected[1:5]
     assert sb.n == 4
     assert fb.large_primes(sb.n) == fb.primes[5:]
+    primes, roots = fb.large_arrays(sb.n)
+    assert primes.dtype == roots.dtype == "int64"
+    assert tuple(primes.tolist()) == fb.large_primes(sb.n)
+    assert list(zip(*roots.tolist())) == [fb.roots[p] for p in fb.large_primes(sb.n)]
 
 
 def test_roots_satisfy_polynomial_congruence():
@@ -98,3 +104,14 @@ def test_small_base_shrinks_when_few_primes_survive():
     fb, sb = build_factor_bases(n, 5, 100)
     assert sb.n == len(fb.primes) - 1
     assert sb.primes == fb.odd_primes
+
+
+def test_int64_guard_rejects_primes_from_2_pow_31():
+    # the collision search multiplies residues mod p in int64; from 2**31 on
+    # such products could overflow and silently lose hits
+    below = MAX_PRIME - 1  # 2**31 - 1 is prime
+    fb = FactorBase((2, below), {below: (1, 5)}, 1)
+    assert fb.odd_array.tolist() == [below]
+    p = 2**31 + 11  # prime
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)}, 2)

@@ -145,6 +145,9 @@ def test_is_perfect_power():
     assert is_perfect_power(2**64) == (2, 64)
     assert is_perfect_power(3**5 * 2) is None
     assert is_perfect_power((10**20 + 39) ** 2) == (10**20 + 39, 2)
+    assert is_perfect_power(2**210) == (2, 210)  # 210 = 2 * 3 * 5 * 7
+    assert is_perfect_power(6**35) == (6, 35)
+    assert is_perfect_power(2**61 - 1) is None
 
 
 def test_small_primes():

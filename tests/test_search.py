@@ -1,16 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import search_oracle as oracle
 
 from sssfactor.crt import get_x, precompute
 from sssfactor.factorbase import build_factor_bases, poly_value
-from sssfactor.numtheory import isqrt_ceil
+from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.search import (
     collision_scan,
-    invert_M,
     pick_indices,
     root_transforms,
+    round_table,
     search_round,
 )
 from sssfactor.smoothness import build_context
@@ -33,6 +37,11 @@ def toy_setup(m=20, small_n=6):
     return fb, sb, pre, ctx
 
 
+def one_prime(x, p, roots, modulus):
+    """root_transforms arguments for a single large prime."""
+    return x, round_table(modulus, np.array([p]), np.array(roots).reshape(2, 1))
+
+
 def test_pick_indices():
     rng = random.Random(0)
     assert pick_indices(5, 5, rng) == [0, 1, 2, 3, 4]
@@ -46,6 +55,12 @@ def test_pick_indices():
         pick_indices(0, 5, rng)
 
 
+def invert_M(modulus, primes):
+    """M^-1 mod p from the round table, keyed by p."""
+    table = round_table(modulus, np.array(primes), np.zeros((2, len(primes)), dtype=np.int64))
+    return dict(zip(primes, table.inverses.tolist()))
+
+
 def test_invert_M():
     inv = invert_M(15, [11, 13])
     assert inv[11] == 3  # 15 = 4 mod 11, 4 * 3 = 12 = 1
@@ -55,21 +70,21 @@ def test_invert_M():
 
 def test_root_transforms_example():
     # p = 11, roots 3 and 8, x = 2, M = 3 mod 11 so mu_p = 4
-    transforms = root_transforms(2, {11: 4}, {11: (3, 8)})
+    transforms = oracle.as_tuples(root_transforms(*one_prime(2, 11, (3, 8), 3)))
     assert transforms == [(11, 4, 2)]
     # j = 4: x + 4*M = 2 + 12 = 14 = 3 mod 11, the first root
     assert (2 + 4 * 3) % 11 == 3
 
 
 def test_root_transforms_zero_when_x_is_root():
-    transforms = root_transforms(3, {11: 4}, {11: (3, 8)})
+    transforms = oracle.as_tuples(root_transforms(*one_prime(3, 11, (3, 8), 3)))
     assert transforms[0][1] == 0
 
 
 def test_root_transforms_land_on_roots():
     fb, sb, pre, _ = toy_setup()
     rng = random.Random(21)
-    large = fb.large_primes(sb.n)
+    primes, roots = fb.large_arrays(sb.n)
     shift = isqrt_ceil(TOY_N)
     for _ in range(20):
         idx = pick_indices(3, sb.n, rng)
@@ -78,22 +93,23 @@ def test_root_transforms_land_on_roots():
         for i in idx:
             rep[i] = 1
         x, _ = get_x(rep, sb, pre, fb.roots)
-        inv = invert_M(modulus, large)
-        for p, r1, r2 in root_transforms(x, inv, fb.roots):
+        table = round_table(modulus, primes, roots)
+        for p, r1, r2 in oracle.as_tuples(root_transforms(x, table)):
             for r in (r1, r2):
                 assert poly_value(x + r * modulus, TOY_N, shift) % p == 0
 
 
 def test_collision_scan_counts_offsets():
     # three primes whose first root transform is 4: alpha = 4 occurs 3 times
-    transforms = [(11, 4, 7), (13, 4, 9), (17, 4, 11)]
+    transforms = oracle.as_arrays([(11, 4, 7), (13, 4, 9), (17, 4, 11)])
     hits = collision_scan(transforms, 1, 15, 100, threshold=3)
     assert len(hits) == 1
     alpha, count, x_bar, m_prime = hits[0]
     assert (alpha, count) == (4, 3)
     assert m_prime == 15 and x_bar == 100 + 4 * 15
     # distinct offsets everywhere: nothing reaches the threshold
-    assert collision_scan([(11, 1, 2), (13, 3, 4), (17, 5, 6)], 1, 15, 0) == []
+    distinct = oracle.as_arrays([(11, 1, 2), (13, 3, 4), (17, 5, 6)])
+    assert collision_scan(distinct, 1, 15, 0) == []
 
 
 def test_collision_scan_rejects_non_divisor():
@@ -119,6 +135,7 @@ def oracle_hits(n, shift, x, m_prime, large_primes, threshold):
 def test_collision_scan_matches_exhaustive_oracle():
     fb, sb, pre, _ = toy_setup()
     large = fb.large_primes(sb.n)
+    primes, roots = fb.large_arrays(sb.n)
     shift = isqrt_ceil(TOY_N)
     rng = random.Random(22)
     scans = 0
@@ -130,7 +147,7 @@ def test_collision_scan_matches_exhaustive_oracle():
         for i in idx:
             rep[i] = 1
         x, _ = get_x(rep, sb, pre, fb.roots)
-        transforms = root_transforms(x, invert_M(modulus, large), fb.roots)
+        transforms = root_transforms(x, round_table(modulus, primes, roots))
         for q in [1] + moduli:
             m_prime = modulus // q
             got = {h.alpha: h.count for h in collision_scan(transforms, q, modulus, x, 2)}
@@ -221,3 +238,111 @@ def test_search_round_filter_path():
                 while value % p == 0:
                     value //= p
             assert value == 1
+
+
+# -- the int64 array search against the pure-Python oracle ------------------
+
+# the 100-digit table row scans the first 200000 primes (p_max 2750159) and
+# its small base reaches about 479909
+ORACLE_PRIMES = primes_below(2_750_160)[1:]
+ORACLE_Q = ORACLE_PRIMES[: ORACLE_PRIMES.index(479_909) + 1]
+# the largest primes the int64 tables accept, for the overflow margins
+TOP_PRIMES = [p for p in range(2**31 - 1, 2**31 - 1000, -2) if is_probable_prime(p)]
+# built once: hypothesis labels a sampled_from strategy by its elements
+any_prime = st.sampled_from(ORACLE_PRIMES)
+any_q = st.sampled_from(ORACLE_Q)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Transforms with planted collisions: each root is either random or
+    placed so that q * r = alpha (mod p) for an alpha from a small pool."""
+    primes = draw(st.lists(
+        st.one_of(st.sampled_from(ORACLE_PRIMES[:30]), any_prime),
+        min_size=1, max_size=40, unique=True,
+    ))
+    q = draw(any_q)
+    pool = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for p in primes:
+        r = [
+            rng.randrange(p) if q % p == 0 or rng.random() < 0.3
+            else rng.choice(pool) * pow(q, -1, p) % p
+            for _ in range(2)
+        ]
+        rows.append((p, *r))
+    cofactor = draw(st.integers(1, 2**64))
+    x = draw(st.integers(-(2**80), 2**80))
+    return rows, q, q * cofactor, x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=scan_inputs(), threshold=st.sampled_from([2, 3]))
+def test_collision_scan_matches_oracle_in_order(case, threshold):
+    rows, q, modulus, x = case
+    expected = oracle.collision_scan(rows, q, modulus, x, threshold)
+    assert collision_scan(oracle.as_arrays(rows), q, modulus, x, threshold) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    primes=st.lists(
+        st.one_of(any_prime, st.sampled_from(TOP_PRIMES)), min_size=1, max_size=30, unique=True
+    ),
+    modulus=st.integers(1, 2**200),
+    data=st.data(),
+)
+def test_transforms_match_oracle(primes, modulus, data):
+    modulus = next(m for m in range(modulus, modulus + 10**6) if all(m % p for p in primes))
+    x = data.draw(st.integers(-(modulus // 2), modulus // 2))
+    roots = {p: (data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1)))
+             for p in primes}
+    root_array = np.array([roots[p] for p in primes], dtype=np.int64).T
+    table = round_table(modulus, np.array(primes, dtype=np.int64), root_array)
+    expected_inv = oracle.invert_M(modulus, primes)
+    assert table.inverses.tolist() == list(expected_inv.values())
+    got = root_transforms(x, table)
+    assert oracle.as_tuples(got) == oracle.root_transforms(x, expected_inv, roots)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_transforms_match_oracle_at_the_int64_margin(sign):
+    # primes just below 2**31 and an x whose 30-bit limbs are all at their
+    # maximum push every product and partial sum towards 2**63
+    modulus = next(m for m in range(2**241 - 1, 0, -2) if all(m % p for p in TOP_PRIMES))
+    x = sign * (modulus // 2)
+    roots = {p: (p - 1, p - 2) for p in TOP_PRIMES}
+    root_array = np.array([roots[p] for p in TOP_PRIMES], dtype=np.int64).T
+    table = round_table(modulus, np.array(TOP_PRIMES, dtype=np.int64), root_array)
+    inverses = oracle.invert_M(modulus, TOP_PRIMES)
+    assert table.inverses.tolist() == list(inverses.values())
+    got = root_transforms(x, table)
+    assert oracle.as_tuples(got) == oracle.root_transforms(x, inverses, roots)
+
+
+@pytest.mark.parametrize("n, k", [(TOY_N, 4), (2025187160651667522159602188240446426637, 6)])
+def test_array_search_matches_oracle_on_real_rounds(n, k):
+    from sssfactor.engine import RunConfig, prepare
+
+    fb, sb, pre, _ = prepare(n, RunConfig(m=20, n=6) if n == TOY_N else RunConfig())
+    primes, roots = fb.large_arrays(sb.n)
+    large = fb.large_primes(sb.n)
+    rng = random.Random(5)
+    for _ in range(3):
+        idx = pick_indices(k, sb.n, rng)
+        moduli = [sb.primes[i] for i in idx]
+        modulus = math.prod(moduli)
+        rep = [0] * sb.n
+        for i in idx:
+            rep[i] = 1
+        x, _ = get_x(rep, sb, pre, fb.roots)
+        inv = oracle.invert_M(modulus, large)
+        expected = oracle.root_transforms(x, inv, fb.roots)
+        transforms = root_transforms(x, round_table(modulus, primes, roots))
+        assert oracle.as_tuples(transforms) == expected
+        for q in [1] + moduli:
+            for threshold in (2, 3):
+                assert collision_scan(transforms, q, modulus, x, threshold) == (
+                    oracle.collision_scan(expected, q, modulus, x, threshold)
+                )
