@@ -117,7 +117,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--no-partials", action="store_true",
                         help="disable the large-prime variant")
     parser.add_argument("--exact-batch", action="store_true",
-                        help="use the exact (repeated-squaring) batch test")
+                        help="use the exact (repeated-squaring) batch test "
+                             "(plain sss only; qs and sssf ignore it)")
 
 
 def _config_from(args) -> RunConfig:

@@ -4,6 +4,8 @@ factor() strips trivial structure (even part, perfect powers, small prime
 hits from the base scan), runs the configured relation search on each
 remaining composite, solves for dependencies over GF(2) and extracts
 divisors, recursing until everything left is a probable prime.
+collect_relations() is the one collection loop: sss, sssf and qs differ
+only in what one round is.
 """
 
 import random
@@ -20,7 +22,7 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import search_round
+from .search import pick_indices, search_round
 from .smoothness import build_context
 
 __all__ = [
@@ -38,6 +40,13 @@ ALGORITHMS = ("sss", "sssf", "qs")
 # digit count from which the filtered variant is picked automatically
 _AUTO_FILTER_DIGITS = 75
 
+# least legal value of each integer knob (None still means "default");
+# max_rounds=0 asks for no collection at all
+_LOWER_BOUNDS = (
+    ("m", 1), ("n", 1), ("k", 1), ("rho", 2), ("partial_bound_multiplier", 1),
+    ("collision_threshold", 2), ("max_rounds", 0), ("slack", 0),
+)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,21 +61,18 @@ class RunConfig:
     partial_bound_multiplier: int = 128
     collision_threshold: int = 3
     use_partials: bool = True
-    exact_batch: bool = False
+    exact_batch: bool = False        # plain sss only; qs and sssf ignore it
     seed: int = 0
     max_rounds: int | None = None
-    sieve_length: int = 65536
     slack: int = 10                  # extra relations beyond |F| + 1
 
     def __post_init__(self):
         if self.algo is not None and self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.rho < 2:
-            raise ValueError("rho must be at least 2")
-        if self.collision_threshold < 2:
-            raise ValueError("collision threshold must be at least 2")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be positive")
+        for name, least in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def algo_for(self, n: int) -> str:
         if self.algo is not None:
@@ -182,18 +188,16 @@ def collect_relations(
     deadline: float | None = None,
     stats: RunStats | None = None,
 ) -> tuple[RelationStore, RunStats]:
-    """Run search rounds until the store holds enough relations.
+    """Run rounds (search rounds, or sieved intervals for qs) until the
+    store holds enough relations.
 
-    Stops on the relation target, config.max_rounds, or the deadline.  The
-    relation stream is a deterministic function of the seed; a deadline only
-    decides where it is cut.  The time spent is added to the "collect" phase
-    of stats.  May raise FoundFactor when a divisor appears along the way.
+    Stops on the relation target, config.max_rounds rounds of this call, or
+    the deadline.  Rounds are numbered from store.rounds, so a later call on
+    the same store continues the relation stream.  The stream is a
+    deterministic function of the seed; a deadline only decides where it is
+    cut.  The time spent is added to the "collect" phase of stats.  May
+    raise FoundFactor when a divisor appears along the way.
     """
-    algo = config.algo_for(n)
-    if algo != "qs" and not fb.large_primes(sb.n):
-        raise ValueError(
-            "small base covers the whole factor base; no collision primes left"
-        )
     if store is None:
         store = RelationStore(
             n,
@@ -205,28 +209,22 @@ def collect_relations(
     if stats is None:
         stats = RunStats()
 
+    run_round = _round_runner(n, config, fb, sb, pre, ctx, store)
     native0, combined0 = store.native_count, store.combined_count
-    round_cap = None if config.max_rounds is None else stats.rounds + config.max_rounds
+    round_cap = None if config.max_rounds is None else store.rounds + config.max_rounds
     t0 = time.perf_counter()
     try:
-        if algo == "qs":
-            intervals, candidates, partials = qs_mod.run_sieve(
-                n,
-                fb,
-                ctx,
-                store,
-                length=config.sieve_length,
-                partial_multiplier=config.partial_bound_multiplier,
-                max_intervals=config.max_rounds,
-                deadline=deadline,
-            )
-            stats.rounds += intervals
-            stats.candidates += candidates
-            stats.partials += partials
-        else:
-            _search_loop(
-                n, config, algo, fb, sb, pre, ctx, store, stats, deadline, round_cap
-            )
+        while not store.have_enough():
+            if round_cap is not None and store.rounds >= round_cap:
+                break
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            result = run_round(store.rounds)
+            store.rounds += 1
+            stats.rounds += 1
+            stats.candidates += result.candidates
+            stats.filtered += result.filtered
+            stats.partials += result.partials
     finally:
         stats.fulls += store.native_count - native0
         stats.combined += store.combined_count - combined0
@@ -234,26 +232,28 @@ def collect_relations(
     return store, stats
 
 
-def _search_loop(n, config, algo, fb, sb, pre, ctx, store, stats, deadline, round_cap):
-    k = min(config.k_for(algo), sb.n)
-    filter_delta = config.delta if algo == "sssf" else None
-    rng = random.Random(f"{config.seed}:{n}:0")  # one stream per composite
-    while not store.have_enough():
-        if round_cap is not None and stats.rounds >= round_cap:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        result = search_round(
-            n, fb, sb, pre, ctx, k, rng, store,
-            collision_threshold=config.collision_threshold,
-            partial_multiplier=config.partial_bound_multiplier,
-            filter_delta=filter_delta,
-            exact_batch=config.exact_batch,
+def _round_runner(n, config, fb, sb, pre, ctx, store):
+    """The function that runs round number i and returns its RoundStats."""
+    algo = config.algo_for(n)
+    if algo == "qs":
+        return lambda i: qs_mod.run_sieve(
+            n, fb, ctx, store, i, partial_multiplier=config.partial_bound_multiplier
         )
-        stats.rounds += 1
-        stats.candidates += result.candidates
-        stats.filtered += result.filtered
-        stats.partials += result.partials
+    if not fb.large_primes(sb.n):
+        raise ValueError(
+            "small base covers the whole factor base; no collision primes left"
+        )
+    k = min(config.k_for(algo), sb.n)
+    rng = random.Random(f"{config.seed}:{n}:0")  # one stream per composite
+    for _ in range(store.rounds):
+        pick_indices(k, sb.n, rng)  # the only draws a round makes
+    return lambda i: search_round(
+        n, fb, sb, pre, ctx, k, rng, store,
+        collision_threshold=config.collision_threshold,
+        partial_multiplier=config.partial_bound_multiplier,
+        filter_delta=config.delta if algo == "sssf" else None,
+        exact_batch=config.exact_batch,
+    )
 
 
 _MAX_SOLVE_CYCLES = 12
@@ -269,16 +269,12 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
     finally:
         stats.add_time("precompute", time.perf_counter() - t0)
 
-    store = RelationStore(
-        n,
-        fb,
-        slack=config.slack,
-        partial_multiplier=config.partial_bound_multiplier,
-        use_partials=config.use_partials,
-    )
+    store = None  # the first cycle builds it, later cycles continue it
     for _ in range(_MAX_SOLVE_CYCLES):
         try:
-            collect_relations(n, config, fb, sb, pre, ctx, store=store, stats=stats)
+            store, _ = collect_relations(
+                n, config, fb, sb, pre, ctx, store=store, stats=stats
+            )
         except FoundFactor as exc:
             return exc.divisor
         if not store.have_enough():

@@ -55,7 +55,6 @@ class FactorBase:
 
     primes: tuple[int, ...]
     roots: dict  # odd prime -> (s1, s2) with f(s) = 0 mod p
-    m: int  # requested target size
     odd_array: np.ndarray = field(init=False, repr=False)
     root_array: np.ndarray = field(init=False, repr=False)
 
@@ -161,6 +160,6 @@ def build_factor_bases(n: int, m: int, small_n: int):
         kept.append(p)
         roots[p] = (r1, r2)
     n_eff = min(small_n, len(kept) - 1)
-    fb = FactorBase(tuple(kept), roots, m)
+    fb = FactorBase(tuple(kept), roots)
     sb = SmallFactorBase(tuple(kept[1 : 1 + n_eff]), n_eff)
     return fb, sb

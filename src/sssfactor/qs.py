@@ -3,21 +3,23 @@
 Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(N)))**2 - N,
 sieved over widening intervals on both sides of 0, rounded base-2 prime
 logs in byte accumulators, prime squares up to the interval length
-sieved once.  Survivors go through the shared batch smoothness check and
-the shared relation store, so the comparison against the subsum search
-differs only in how candidates are generated.
+sieved once.  One interval is one round of the engine's collection loop,
+and survivors go through the shared batch smoothness check and the shared
+relation store, so the comparison against the subsum search differs only
+in how candidates are generated.
 """
-
-import time
 
 import numpy as np
 
 from .factorbase import FactorBase, poly_value
 from .numtheory import isqrt_ceil
 from .relations import RelationStore
+from .search import RoundStats
 from .smoothness import Smoothness, SmoothnessContext, classify, smooth_batch
 
 __all__ = ["sieve_interval", "sieve_threshold", "run_sieve", "qs_factor"]
+
+SIEVE_LENGTH = 65536
 
 
 def _ceil_log2(v: int) -> int:
@@ -89,42 +91,33 @@ def run_sieve(
     fb: FactorBase,
     ctx: SmoothnessContext,
     store: RelationStore,
+    index: int,
     *,
-    length: int = 65536,
     partial_multiplier: int = 128,
-    max_intervals: int | None = None,
-    deadline: float | None = None,
-) -> tuple[int, int, int]:
-    """Sieve intervals until the store has enough relations.
+) -> RoundStats:
+    """Sieve interval number index (0, -L, L, -2L, ... with L = SIEVE_LENGTH)
+    and ingest its full and partial relations into the store.
 
-    Returns (intervals_sieved, candidates_tested, partials_found); stops
-    early on the interval cap or deadline and lets the caller decide what
-    starvation means.  May raise FoundFactor via the store.
+    Returns the round's counts; candidates are the sieve survivors and
+    nothing is filtered.  May raise FoundFactor via the store.
     """
     shift = isqrt_ceil(n)
     p_max = fb.p_max
-    intervals = 0
-    candidates = 0
-    partials = 0
-    while not store.have_enough():
-        if max_intervals is not None and intervals >= max_intervals:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        start = _interval_start(intervals, length)
-        threshold = sieve_threshold(n, fb, start, length, partial_multiplier)
-        xs = sieve_interval(n, fb, start, length, threshold)
-        values = [abs(poly_value(x, n, shift)) for x in xs]
-        candidates += len(xs)
-        for x, g in zip(xs, smooth_batch(ctx, values)):
-            kind = classify(g, p_max, partial_multiplier)
-            if kind is Smoothness.REJECT:
-                continue
-            if kind is Smoothness.PARTIAL:
-                partials += 1
-            store.ingest(x, g)
-        intervals += 1
-    return intervals, candidates, partials
+    start = _interval_start(index, SIEVE_LENGTH)
+    threshold = sieve_threshold(n, fb, start, SIEVE_LENGTH, partial_multiplier)
+    xs = sieve_interval(n, fb, start, SIEVE_LENGTH, threshold)
+    values = [abs(poly_value(x, n, shift)) for x in xs]
+    fulls = partials = 0
+    for x, g in zip(xs, smooth_batch(ctx, values)):
+        kind = classify(g, p_max, partial_multiplier)
+        if kind is Smoothness.REJECT:
+            continue
+        if kind is Smoothness.FULL:
+            fulls += 1
+        else:
+            partials += 1
+        store.ingest(x, g)
+    return RoundStats(fulls, partials, len(xs), 0)
 
 
 def qs_factor(n: int, config=None):

@@ -87,7 +87,8 @@ class RelationStore:
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
     combined on the second hit.  Every stored relation is re-verified
-    against its defining congruence.
+    against its defining congruence.  `rounds` counts the collection rounds
+    that fed the store; collect_relations numbers its next round from it.
     """
 
     def __init__(
@@ -109,6 +110,7 @@ class RelationStore:
         self.partials: dict[int, PartialRelation] = {}
         self.native_count = 0
         self.combined_count = 0
+        self.rounds = 0
 
     # -- ingestion ---------------------------------------------------------
 

@@ -199,7 +199,8 @@ def search_round(
     """One full search round; emits relations through sink.ingest(x_bar, g).
 
     filter_delta switches the smoothness pass to the two-stage filter
-    (the context must then carry a partition).  The candidates of each
+    (the context must then carry a partition); exact_batch picks the exact
+    batch test for the unfiltered pass only.  The candidates of each
     variant are batch-tested together at the end of that variant's scans.
     """
     shift = isqrt_ceil(n)

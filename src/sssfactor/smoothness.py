@@ -72,22 +72,19 @@ def _boosted_power(p: int) -> int:
 @dataclass(frozen=True, eq=False)
 class SmoothnessContext:
     primes: tuple[int, ...]
-    tree: list  # product tree of the raw primes
-    eta: int    # boosted product
-    p_max: int
+    eta: int  # boosted product
     part_small: Optional["SmoothnessContext"] = None  # smallest primes (filter pass 1)
     part_large: Optional["SmoothnessContext"] = None  # the rest (filter pass 2)
 
 
 def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
-    """Precompute trees and the boosted product for a prime list.
+    """Precompute the boosted product for a prime list.
 
     With split_ratio r, the primes are additionally partitioned into the
     smallest len/r ones and the rest, each with its own context, for the
     two-pass filter.
     """
     primes = tuple(primes)
-    tree = product_tree(primes)
     eta = tree_root(product_tree([_boosted_power(p) for p in primes]))
     part_small = part_large = None
     if split_ratio is not None:
@@ -97,7 +94,7 @@ def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
         if cut < len(primes):
             part_small = build_context(primes[:cut])
             part_large = build_context(primes[cut:])
-    return SmoothnessContext(primes, tree, eta, primes[-1], part_small, part_large)
+    return SmoothnessContext(primes, eta, part_small, part_large)
 
 
 def smooth_batch(ctx: SmoothnessContext, candidates) -> list[int]:

@@ -48,6 +48,7 @@ def factor_and_verify(n, seed):
     return wall
 
 
+@pytest.mark.slow
 def test_c01_end_to_end_correctness():
     with criterion(1, "end-to-end factorization and growth trend"):
         rng = random.Random(30_35_40)
@@ -240,6 +241,7 @@ def test_c07_gf2_solver_matches_brute_force():
             assert bool(deps) == brute_force_has_dependency(rows)
 
 
+@pytest.mark.slow
 def test_c08_bench_trend_sss_vs_qs(tmp_path):
     with criterion(8, "35-digit bench: subsum search beats the sieve"):
         out = tmp_path / "bench35"
@@ -281,6 +283,7 @@ def test_c09_deterministic_replay():
         assert results[0].stats.counters() == results[1].stats.counters()
 
 
+@pytest.mark.slow
 def test_c10_filter_discards_most_candidates():
     with criterion(10, "50-digit filtered run discards >= 50% of candidates"):
         n, _, _ = generate_semiprime(50, random.Random(110))

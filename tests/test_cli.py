@@ -57,8 +57,12 @@ USAGE_N = "4905772621454398733637869"
         ["relations", USAGE_N, "--k", "0"],
         ["relations", USAGE_N, "--m", "3"],
         ["relations", USAGE_N, "--n", "500"],
+        ["factor", USAGE_N, "--max-rounds", "-1"],
+        ["factor", USAGE_N, "--n", "-3"],
+        ["relations", USAGE_N, "--rounds", "-1"],
     ],
-    ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500"],
+    ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500",
+         "factor-max-rounds-neg", "factor-n-neg", "relations-rounds-neg"],
 )
 def test_bad_config_is_a_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -78,6 +78,17 @@ def test_config_validation():
         RunConfig(collision_threshold=1)
     with pytest.raises(ValueError):
         RunConfig(k=0)
+    for field, value in (
+        ("max_rounds", -1),
+        ("slack", -1),
+        ("partial_bound_multiplier", 0),
+        ("m", 0),
+        ("n", -3),
+    ):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+    # the edges stay legal; max_rounds=0 is how a caller asks for no search
+    RunConfig(max_rounds=0, slack=0, partial_bound_multiplier=1, m=1, n=1)
 
 
 def test_table_override():
@@ -112,6 +123,36 @@ def test_collect_relations_reaches_target():
     assert stats.combined == store.combined_count
     assert stats.fulls + stats.combined == len(store.fulls)
     assert stats.rounds > 0
+
+
+@pytest.mark.parametrize(
+    "algo, n",
+    [
+        ("sss", 2025187160651667522159602188240446426637),
+        ("sssf", 10631269693415190522128026926094032979418574955981),
+        ("qs", 2025187160651667522159602188240446426637),
+    ],
+    ids=["sss-40d", "sssf-50d", "qs-40d"],
+)
+def test_collect_relations_resumes_the_stream(algo, n):
+    # 4 rounds and then 6 more into one store give the 10-round stream: the
+    # second call continues at round 4 instead of replaying rounds 0-3
+    def config(rounds):
+        return RunConfig(algo=algo, seed=7, max_rounds=rounds)
+
+    fb, sb, pre, ctx = prepare(n, config(10))
+    whole, whole_stats = collect_relations(n, config(10), fb, sb, pre, ctx)
+    split, split_stats = collect_relations(n, config(4), fb, sb, pre, ctx)
+    assert split_stats.rounds == 4
+    collect_relations(
+        n, config(6), fb, sb, pre, ctx, store=split, stats=split_stats
+    )
+    assert split_stats.counters() == whole_stats.counters()
+    assert (
+        split.fulls_csv() + split.partials_csv()
+        == whole.fulls_csv() + whole.partials_csv()
+    )
+    assert split.rounds == whole.rounds == 10
 
 
 def test_starvation_yields_residue_with_diagnostics():

@@ -110,8 +110,8 @@ def test_int64_guard_rejects_primes_from_2_pow_31():
     # the collision search multiplies residues mod p in int64; from 2**31 on
     # such products could overflow and silently lose hits
     below = MAX_PRIME - 1  # 2**31 - 1 is prime
-    fb = FactorBase((2, below), {below: (1, 5)}, 1)
+    fb = FactorBase((2, below), {below: (1, 5)})
     assert fb.odd_array.tolist() == [below]
     p = 2**31 + 11  # prime
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)}, 2)
+        FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)})

@@ -57,7 +57,12 @@ def test_eta_boosting():
             eta //= p
             e += 1
         assert p**e > ETA_MIN_POWER, p
-    assert tree_root(ctx.tree) == 2 * 3 * 5 * 7 * 65537
+    # and no prime outside the context divides it
+    rest = ctx.eta
+    for p in ctx.primes:
+        while rest % p == 0:
+            rest //= p
+    assert ctx.primes == (2, 3, 5, 7, 65537) and rest == 1
 
 
 def test_smooth_batch_examples():

@@ -37,6 +37,15 @@ CASES = [
          "fulls": 33, "partials": 279, "combined": 1},
         id="sssf-50d",
     ),
+    # pinned on the sieve's own interval loop, before collect_relations
+    # became the one loop for all three algorithms
+    pytest.param(
+        "qs", 2025187160651667522159602188240446426637, 10,
+        "e9b6b90f2b67f5a45ef75e9d2e10b600a0d10f48d5a99eabe06f515037cb1c29",
+        {"rounds": 10, "candidates": 158, "filtered": 0,
+         "fulls": 3, "partials": 76, "combined": 0},
+        id="qs-40d",
+    ),
 ]
 
 
