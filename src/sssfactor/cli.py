@@ -94,7 +94,35 @@ def _env(name: str, fallback=None):
 
 def _env_int(name: str, fallback=None):
     raw = _env(name)
-    return int(raw) if raw is not None else fallback
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        var = ENV_PREFIX + name.upper()
+        raise ValueError(f"{var} must be an integer, got {raw!r}") from None
+
+
+def _knob(args, name: str, fallback=None):
+    """The flag's value, else the SSSFACTOR_ variable's, else the fallback.
+
+    Variables are read here rather than as parser defaults, so a bad one is
+    a usage error of the command instead of a traceback while parsing.
+    """
+    value = getattr(args, name)
+    return _env_int(name, fallback) if value is None else value
+
+
+def _unwritable(path: str) -> str | None:
+    """Why no file can be written at path, or None when one can."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return f"cannot write {path}: it is a directory"
+    if not os.path.isdir(folder):
+        return f"cannot write {path}: no directory {folder}"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return f"cannot write {path}: permission denied"
+    return None
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -102,18 +130,17 @@ def _add_config_flags(parser: argparse.ArgumentParser):
         "--algo", choices=("sss", "sssf", "qs"), default=_env("algo"),
         help="relation search variant (default: sss, sssf from 75 digits)",
     )
-    parser.add_argument("--m", type=int, default=_env_int("m"),
+    parser.add_argument("--m", type=int,
                         help="factor-base target size (default: by digit count)")
-    parser.add_argument("--n", type=int, default=_env_int("n"),
+    parser.add_argument("--n", type=int,
                         help="small-base size (default: by digit count)")
-    parser.add_argument("--k", type=int, default=_env_int("k"),
+    parser.add_argument("--k", type=int,
                         help="primes per subsum modulus (default: 6, sssf 7)")
-    parser.add_argument("--rho", type=int, default=_env_int("rho", 10),
-                        help="filter split ratio (sssf)")
-    parser.add_argument("--delta", type=int, default=_env_int("delta", 5),
-                        help="filter cutoff offset (sssf)")
-    parser.add_argument("--seed", type=int, default=_env_int("seed", 0))
-    parser.add_argument("--max-rounds", type=int, default=_env_int("max_rounds"))
+    parser.add_argument("--rho", type=int, help="filter split ratio (sssf, default 10)")
+    parser.add_argument("--delta", type=int,
+                        help="filter cutoff offset (sssf, default 5)")
+    parser.add_argument("--seed", type=int, help="search seed (default 0)")
+    parser.add_argument("--max-rounds", type=int)
     parser.add_argument("--no-partials", action="store_true",
                         help="disable the large-prime variant")
     parser.add_argument("--exact-batch", action="store_true",
@@ -124,13 +151,13 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 def _config_from(args) -> RunConfig:
     return RunConfig(
         algo=args.algo,
-        m=args.m,
-        n=args.n,
-        k=args.k,
-        rho=args.rho,
-        delta=args.delta,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
+        m=_knob(args, "m"),
+        n=_knob(args, "n"),
+        k=_knob(args, "k"),
+        rho=_knob(args, "rho", 10),
+        delta=_knob(args, "delta", 5),
+        seed=_knob(args, "seed", 0),
+        max_rounds=_knob(args, "max_rounds"),
         use_partials=not args.no_partials,
         exact_batch=args.exact_batch,
     )
@@ -333,12 +360,24 @@ def cmd_bench(args) -> int:
     if any(d < 8 for d in digit_list):
         return _usage_error("bench needs at least 8 digits (smaller inputs never "
                             "reach the relation search)")
+    if args.count < 1:
+        return _usage_error(f"bench: --count must be at least 1, got {args.count}")
+    if args.timeout_seconds is not None and not args.timeout_seconds > 0:
+        return _usage_error(
+            f"bench: --timeout-seconds must be positive, got {args.timeout_seconds}"
+        )
+    json_path = args.out + ".json"
+    csv_path = args.out + ".csv"
+    for path in (json_path, csv_path):
+        problem = _unwritable(path)
+        if problem:
+            return _usage_error(f"bench: {problem}")
 
     mode = "factor" if args.timeout_seconds is None else "relations"
-    rng = random.Random(args.seed)
     runs = []
     try:
         base = _config_from(args)
+        rng = random.Random(base.seed)
         for digits in digit_list:
             for index in range(args.count):
                 n, _, _ = generate_semiprime(digits, rng)
@@ -353,7 +392,7 @@ def cmd_bench(args) -> int:
                             "n": str(n),
                             "digits": digits,
                             "algo": algo,
-                            "seed": args.seed,
+                            "seed": base.seed,
                             "index": index,
                             "config": _config_echo(config),
                         }
@@ -376,8 +415,6 @@ def cmd_bench(args) -> int:
         "timeout_seconds": args.timeout_seconds,
         "runs": runs,
     }
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
     with open(json_path, "w") as fh:
         json.dump(report, fh, indent=2)
     summary = _summarize(runs, mode)
@@ -400,6 +437,10 @@ def cmd_bench(args) -> int:
 def cmd_relations(args) -> int:
     if args.number < 2:
         return _usage_error("n must be at least 2")
+    for path in (args.out, args.partials_out):
+        problem = path not in (None, "-") and _unwritable(path)
+        if problem:
+            return _usage_error(f"cannot collect relations for {args.number}: {problem}")
     try:
         config = _config_from(args)
         if args.rounds is not None:

@@ -5,8 +5,11 @@ with (N|p) = 1 (for the others f has no root, so they can never divide a
 candidate value).  Each kept odd prime carries the two roots of f mod p.
 The small factor base is the prefix of the first n odd primes; its
 products form the moduli of the subsum search.  The odd primes and their
-roots are also kept as int64 arrays for the vectorized collision search,
-which needs every prime below 2**31 to keep its products inside int64.
+roots are also kept as int64 arrays for the vectorized collision search
+and root test, which need every prime below 2**31 to keep their products
+inside int64.  limb_weights() and residues() reduce one big integer
+modulo every prime of such an array; the search and the relation store
+share them.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,9 @@ __all__ = [
     "FactorBase",
     "SmallFactorBase",
     "poly_value",
+    "limb_count",
+    "limb_weights",
+    "residues",
     "table_sizes",
     "build_factor_bases",
 ]
@@ -39,10 +45,42 @@ def poly_value(x: int, n: int, shift: int) -> int:
     return t * t - n
 
 
-# The collision search multiplies residues mod p in int64; with every prime
-# below 2**31 each such product, and each partial sum of them, stays below
-# 2**63 (see search.py).
+# The collision search and the root test multiply residues mod p in int64;
+# with every prime below 2**31 each such product, and each partial sum of
+# them, stays below 2**63 (see residues() and search.py).
 MAX_PRIME = 2**31
+
+LIMB_BITS = 30
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+# terms summed before a reduction: acc + 3 * 2**30 * 2**31 stays below 2**63
+_LIMBS_PER_SUM = 3
+
+
+def limb_count(value: int) -> int:
+    """30-bit limbs that hold 0 <= value; at least one."""
+    return max(1, -(-value.bit_length() // LIMB_BITS))
+
+
+def limb_weights(primes: np.ndarray, limbs: int) -> np.ndarray:
+    """(limbs, L) int64 table of 2**(30 j) mod p for every prime."""
+    weights = np.empty((limbs, len(primes)), dtype=np.int64)
+    weights[0] = 1
+    for j in range(1, limbs):
+        weights[j] = (weights[j - 1] << LIMB_BITS) % primes
+    return weights
+
+
+def residues(value: int, weights: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """value mod p for every prime (0 <= value < 2**(30 J)), as the sum of
+    value's 30-bit limbs times the weights 2**(30 j) mod p."""
+    if value >> (LIMB_BITS * len(weights)):
+        raise ValueError("value has more limbs than the weight table")
+    acc = 0
+    for j in range(0, len(weights), _LIMBS_PER_SUM):
+        rows = weights[j : j + _LIMBS_PER_SUM]
+        limbs = [(value >> (LIMB_BITS * (j + i))) & _LIMB_MASK for i in range(len(rows))]
+        acc = (acc + np.array(limbs, dtype=np.int64) @ rows) % primes
+    return acc
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,43 +3,42 @@
 A full relation is a congruence a^2 = (-1)^sign * prod(p^e_p) mod N with
 every prime in the factor base.  A partial relation carries one extra
 cofactor r below the partial bound; two partials sharing r merge into the
-full relation (a1 * a2 * r^-1)^2 = y1 * y2 mod N.  Exponent vectors are
-recomputed by trial division when a find is ingested -- the search only
-certifies divisibility, it does not track which primes divide what.
+full relation (a1 * a2 * r^-1)^2 = y1 * y2 mod N.
+
+Exponents are stored sparse: a row is a tuple of (prime index, exponent)
+pairs, sorted by index, one pair per prime that divides the value.  They
+come from a root test: an odd prime p of the base divides f(x_bar) exactly
+when x_bar mod p is one of f's two roots mod p, so one vectorized residue
+computation over all odd primes names the divisors, and only those are
+divided out, with multiplicity.  The power of 2 is read off the low zero bits.  The CSV
+dumps still write dense rows, one column per prime.
 """
 
 import math
 from dataclasses import dataclass
 
-from .factorbase import FactorBase, poly_value
+from .factorbase import FactorBase, limb_count, limb_weights, poly_value, residues
 from .numtheory import FoundFactor, NotInvertibleError, isqrt_ceil, mod_inverse
 
 __all__ = [
-    "NotSmoothError",
     "Relation",
     "PartialRelation",
     "RelationStore",
-    "factor_over_base",
     "needed_count",
     "solve_dependencies",
     "assemble_square",
     "extract_factor",
 ]
 
-
-class NotSmoothError(ValueError):
-    """Trial division left a cofactor > 1; it rides along on the exception."""
-
-    def __init__(self, value: int, cofactor: int):
-        super().__init__(f"{value} is not smooth (cofactor {cofactor})")
-        self.cofactor = cofactor
+# (prime index, exponent) pairs, sorted by index, every exponent positive
+Exponents = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class Relation:
-    x: int                      # a with a^2 = (-1)^sign * prod p^e mod N
-    sign: int                   # exponent of -1 (0 or 1)
-    exponents: tuple[int, ...]  # aligned with the factor-base primes
+    x: int                # a with a^2 = (-1)^sign * prod p^e mod N
+    sign: int             # exponent of -1 (0 or 1)
+    exponents: Exponents  # indices into the factor-base primes
 
 
 @dataclass(frozen=True)
@@ -47,33 +46,7 @@ class PartialRelation:
     x: int
     cofactor: int
     sign: int
-    exponents: tuple[int, ...]
-
-
-def _trial_divide(value: int, primes) -> tuple[int, tuple[int, ...], int]:
-    """(sign, exponents, cofactor) of value over the prime list."""
-    if value == 0:
-        raise ValueError("cannot factor zero")
-    sign = 0
-    if value < 0:
-        sign = 1
-        value = -value
-    exps = [0] * len(primes)
-    for i, p in enumerate(primes):
-        while value % p == 0:
-            exps[i] += 1
-            value //= p
-        if value == 1:
-            break
-    return sign, tuple(exps), value
-
-
-def factor_over_base(value: int, primes) -> tuple[int, tuple[int, ...]]:
-    """Exponent vector of a fully smooth value; NotSmoothError otherwise."""
-    sign, exps, cofactor = _trial_divide(value, primes)
-    if cofactor != 1:
-        raise NotSmoothError(value, cofactor)
-    return sign, exps
+    exponents: Exponents
 
 
 def needed_count(primes, slack: int = 10) -> int:
@@ -103,6 +76,13 @@ class RelationStore:
         self.n = n
         self.primes = fb.primes
         self.shift = isqrt_ceil(n)
+        # root test tables over the odd primes; x_bar < 0 compares |x_bar|
+        # mod p against the negated roots
+        self._odd_array = fb.odd_array
+        self._odd_primes = fb.odd_primes
+        self._roots = fb.root_array
+        self._neg_roots = -fb.root_array % fb.odd_array
+        self._weights = limb_weights(fb.odd_array, 1)
         self.partial_bound = partial_multiplier * fb.p_max
         self.use_partials = use_partials
         self.target = needed_count(self.primes, slack)
@@ -114,15 +94,47 @@ class RelationStore:
 
     # -- ingestion ---------------------------------------------------------
 
+    def exponents_of(self, x_bar: int) -> tuple[int, Exponents, int]:
+        """(sign, exponents, cofactor) of f(x_bar) over the factor base.
+
+        The odd primes come from the root test on x_bar mod p, with as many
+        30-bit limbs as |x_bar| needs; only they are divided out.
+        """
+        value = poly_value(x_bar, self.n, self.shift)
+        if value == 0:
+            raise ValueError("cannot factor zero")
+        sign = int(value < 0)
+        value = abs(value)
+        exps = []
+        twos = (value & -value).bit_length() - 1
+        if twos:
+            exps.append((0, twos))
+            value >>= twos
+        size = abs(x_bar)
+        limbs = limb_count(size)
+        if limbs > len(self._weights):
+            self._weights = limb_weights(self._odd_array, limbs)
+        xr = residues(size, self._weights, self._odd_array)
+        r1, r2 = self._neg_roots if x_bar < 0 else self._roots
+        odd = self._odd_primes
+        for i in ((xr == r1) | (xr == r2)).nonzero()[0].tolist():
+            p = odd[i]
+            e = 0
+            while value % p == 0:
+                value //= p
+                e += 1
+            if e:
+                exps.append((i + 1, e))
+        return sign, tuple(exps), value
+
     def ingest(self, x_bar: int, residual: int) -> None:
         """Accept a search find: x_bar with batch residual 1 (full) or a
         small residual (partial candidate).  May raise FoundFactor."""
-        f_val = poly_value(x_bar, self.n, self.shift)
-        sign, exps, cofactor = _trial_divide(f_val, self.primes)
+        sign, exps, cofactor = self.exponents_of(x_bar)
         rel_x = (x_bar + self.shift) % self.n
         if residual == 1 and cofactor != 1:
             raise AssertionError(
-                f"batch reported {f_val} smooth but cofactor {cofactor} remains"
+                f"batch reported f({x_bar}) smooth but cofactor {cofactor} remains"
             )
         if cofactor == 1:
             self._add_full(Relation(rel_x, sign, exps), combined=False)
@@ -158,11 +170,10 @@ class RelationStore:
         except NotInvertibleError as exc:
             raise FoundFactor(exc.gcd) from exc
         x = other.x * prel.x % self.n * inv % self.n
-        rel = Relation(
-            x,
-            (other.sign + prel.sign) % 2,
-            tuple(a + b for a, b in zip(other.exponents, prel.exponents)),
-        )
+        merged = dict(other.exponents)
+        for i, e in prel.exponents:
+            merged[i] = merged.get(i, 0) + e
+        rel = Relation(x, (other.sign + prel.sign) % 2, tuple(sorted(merged.items())))
         self._add_full(rel, combined=True)
         return rel
 
@@ -178,9 +189,8 @@ class RelationStore:
 
     def _verify(self, rel: Relation) -> None:
         rhs = 1
-        for p, e in zip(self.primes, rel.exponents):
-            if e:
-                rhs = rhs * pow(p, e, self.n) % self.n
+        for i, e in rel.exponents:
+            rhs = rhs * pow(self.primes[i], e, self.n) % self.n
         if rel.sign:
             rhs = self.n - rhs
         if (rel.x * rel.x - rhs) % self.n:
@@ -196,13 +206,17 @@ class RelationStore:
 
     # -- dumps ---------------------------------------------------------------
 
+    def _dense(self, exponents: Exponents) -> str:
+        cells = ["0"] * len(self.primes)
+        for i, e in exponents:
+            cells[i] = str(e)
+        return ",".join(cells)
+
     def fulls_csv(self) -> str:
         header = "x,sign," + ",".join(f"e_{p}" for p in self.primes)
         lines = [header]
         for rel in self.fulls.values():
-            lines.append(
-                f"{rel.x},{rel.sign}," + ",".join(str(e) for e in rel.exponents)
-            )
+            lines.append(f"{rel.x},{rel.sign}," + self._dense(rel.exponents))
         return "\n".join(lines) + "\n"
 
     def partials_csv(self) -> str:
@@ -210,8 +224,7 @@ class RelationStore:
         lines = [header]
         for prel in self.partials.values():
             lines.append(
-                f"{prel.x},{prel.cofactor},{prel.sign},"
-                + ",".join(str(e) for e in prel.exponents)
+                f"{prel.x},{prel.cofactor},{prel.sign}," + self._dense(prel.exponents)
             )
         return "\n".join(lines) + "\n"
 
@@ -227,7 +240,7 @@ def solve_dependencies(relations) -> list[list[int]]:
     deps: list[list[int]] = []
     for i, rel in enumerate(relations):
         row = rel.sign & 1
-        for j, e in enumerate(rel.exponents):
+        for j, e in rel.exponents:
             if e & 1:
                 row |= 1 << (j + 1)
         combo = 1 << i
@@ -248,19 +261,18 @@ def assemble_square(subset, relations, primes, n: int) -> tuple[int, int]:
     """(X, Y) with X^2 = Y^2 mod n from a dependency subset."""
     big_x = 1
     sign_total = 0
-    totals = [0] * len(primes)
+    totals: dict[int, int] = {}
     for j in subset:
         rel = relations[j]
         big_x = big_x * rel.x % n
         sign_total += rel.sign
-        for i, e in enumerate(rel.exponents):
-            totals[i] += e
-    if sign_total % 2 or any(e % 2 for e in totals):
+        for i, e in rel.exponents:
+            totals[i] = totals.get(i, 0) + e
+    if sign_total % 2 or any(e % 2 for e in totals.values()):
         raise AssertionError("subset is not a dependency")
     big_y = 1
-    for p, e in zip(primes, totals):
-        if e:
-            big_y = big_y * pow(p, e // 2, n) % n
+    for i, e in totals.items():
+        big_y = big_y * pow(primes[i], e // 2, n) % n
     if (big_x * big_x - big_y * big_y) % n:
         raise AssertionError("assembled squares disagree")
     return big_x, big_y

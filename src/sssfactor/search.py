@@ -31,7 +31,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .crt import CrtPrecomp, get_x, swap_root
-from .factorbase import FactorBase, SmallFactorBase, poly_value
+from .factorbase import (
+    FactorBase,
+    SmallFactorBase,
+    limb_count,
+    limb_weights,
+    poly_value,
+    residues,
+)
 from .numtheory import isqrt_ceil
 from .smoothness import (
     Smoothness,
@@ -76,12 +83,6 @@ def pick_indices(k: int, n: int, rng) -> list[int]:
     return sorted(rng.sample(range(n), k))
 
 
-_LIMB_BITS = 30
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-# terms summed before a reduction: acc + 3 * 2**30 * 2**31 stays below 2**63
-_LIMBS_PER_SUM = 3
-
-
 class RoundTable(NamedTuple):
     """One round's large primes and what the round's modulus M fixes about
     them, as int64 arrays over the L large primes."""
@@ -99,31 +100,14 @@ class Transforms(NamedTuple):
     r: np.ndarray       # (2, L)
 
 
-def _residues(value: int, weights: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """value mod p for every prime (0 <= value < 2**(30 J)), as the sum of
-    value's 30-bit limbs times the weights 2**(30 j) mod p."""
-    if value >> (_LIMB_BITS * len(weights)):
-        raise ValueError("value has more limbs than the weight table")
-    acc = np.zeros_like(primes)
-    for j in range(0, len(weights), _LIMBS_PER_SUM):
-        rows = weights[j : j + _LIMBS_PER_SUM]
-        limbs = [(value >> (_LIMB_BITS * (j + i))) & _LIMB_MASK for i in range(len(rows))]
-        acc = (acc + np.array(limbs, dtype=np.int64) @ rows) % primes
-    return acc
-
-
 def round_table(modulus: int, primes: np.ndarray, roots: np.ndarray) -> RoundTable:
     """Limb weights and M^-1 mod p for one round's modulus.
 
     The inverse is M^(p-2) mod p by square and multiply over the bits of
     p - 2; the large primes never divide M.
     """
-    limbs = -(-modulus.bit_length() // _LIMB_BITS)
-    weights = np.empty((limbs, len(primes)), dtype=np.int64)
-    weights[0] = 1
-    for j in range(1, limbs):
-        weights[j] = (weights[j - 1] << _LIMB_BITS) % primes
-    base = _residues(modulus, weights, primes)
+    weights = limb_weights(primes, limb_count(modulus))
+    base = residues(modulus, weights, primes)
     exponent = primes - 2
     inverses = np.ones_like(primes)
     for _ in range(int(primes.max(initial=0)).bit_length()):
@@ -142,7 +126,7 @@ def root_transforms(x: int, table: RoundTable) -> Transforms:
     sign of p.
     """
     primes = table.primes
-    xr = _residues(abs(x), table.weights, primes)
+    xr = residues(abs(x), table.weights, primes)
     diff = table.roots + xr if x < 0 else table.roots - xr
     return Transforms(primes, diff * table.inverses % primes)
 

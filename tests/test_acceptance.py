@@ -15,6 +15,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from relations_oracle import dense, sparse
+
 from sssfactor.cli import generate_semiprime, main
 from sssfactor.crt import get_x, precompute
 from sssfactor.engine import RunConfig, collect_relations, factor, prepare
@@ -202,7 +204,7 @@ def test_c06_large_prime_variant():
             # re-verify every stored relation (combined ones included)
             for rel in store.fulls.values():
                 rhs = 1
-                for p, e in zip(store.primes, rel.exponents):
+                for p, e in zip(store.primes, dense(rel.exponents, len(store.primes))):
                     rhs = rhs * pow(p, e, n) % n
                 if rel.sign:
                     rhs = (n - rhs) % n
@@ -233,7 +235,7 @@ def test_c07_gf2_solver_matches_brute_force():
             rows = [
                 [rng.randrange(2) for _ in range(n_cols)] for _ in range(n_rows)
             ]
-            rels = [Relation(0, r[0], tuple(r[1:])) for r in rows]
+            rels = [Relation(0, r[0], sparse(r[1:])) for r in rows]
             deps = solve_dependencies(rels)
             for subset in deps:
                 for j in range(n_cols):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import jsonschema
@@ -47,6 +48,8 @@ def test_factor_usage_errors():
 
 
 USAGE_N = "4905772621454398733637869"
+# its parent is this file, so no directory can ever be found there
+UNWRITABLE = os.path.join(__file__, "x.csv")
 
 
 @pytest.mark.parametrize(
@@ -60,9 +63,12 @@ USAGE_N = "4905772621454398733637869"
         ["factor", USAGE_N, "--max-rounds", "-1"],
         ["factor", USAGE_N, "--n", "-3"],
         ["relations", USAGE_N, "--rounds", "-1"],
+        ["relations", USAGE_N, "--out", UNWRITABLE],
+        ["relations", USAGE_N, "--partials-out", UNWRITABLE],
     ],
     ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500",
-         "factor-max-rounds-neg", "factor-n-neg", "relations-rounds-neg"],
+         "factor-max-rounds-neg", "factor-n-neg", "relations-rounds-neg",
+         "relations-out-unwritable", "relations-partials-out-unwritable"],
 )
 def test_bad_config_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -71,6 +77,46 @@ def test_bad_config_is_a_usage_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert USAGE_N in lines[0]  # names the number, not a flag value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "15"],
+        ["relations", USAGE_N],
+        ["bench", "--digits", "12", "--count", "1"],
+    ],
+    ids=["factor", "relations", "bench"],
+)
+def test_bad_env_knob_is_a_usage_error(argv, monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("SSSFACTOR_SEED", "abc")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "SSSFACTOR_SEED" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--out", os.path.join(__file__, "r")],
+        ["--count", "0"],
+        ["--count", "-1"],
+        ["--timeout-seconds", "-5"],
+        ["--timeout-seconds", "0"],
+    ],
+    ids=["out-unwritable", "count0", "count-neg", "timeout-neg", "timeout0"],
+)
+def test_bad_bench_options_are_usage_errors(options, capsys, tmp_path):
+    argv = ["bench", "--digits", "12", "--out", str(tmp_path / "report"), *options]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # checked before the first job runs
+    assert len(captured.err.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_factor_starvation_exit_code(capsys):

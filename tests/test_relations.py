@@ -1,18 +1,21 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relations_oracle import NotSmoothError, dense, factor_over_base, sparse, trial_divide
+
+from sssfactor.engine import RunConfig, collect_relations, prepare
 from sssfactor.factorbase import FactorBase, build_factor_bases, poly_value
 from sssfactor.numtheory import FoundFactor, isqrt_ceil
 from sssfactor.relations import (
-    NotSmoothError,
     PartialRelation,
     Relation,
     RelationStore,
     assemble_square,
     extract_factor,
-    factor_over_base,
     needed_count,
     solve_dependencies,
 )
@@ -69,7 +72,7 @@ def test_store_ingests_and_verifies_fulls():
     ))
     for rel in store.fulls.values():
         rhs = 1
-        for p, e in zip(fb.primes, rel.exponents):
+        for p, e in zip(fb.primes, dense(rel.exponents, len(fb.primes))):
             rhs = rhs * pow(p, e, STORE_N) % STORE_N
         if rel.sign:
             rhs = (STORE_N - rhs) % STORE_N
@@ -136,7 +139,7 @@ def test_add_partial_and_combine_direct_api():
         assert rest == r
         made.append(
             store.add_partial_and_combine(
-                PartialRelation((x_bar + store.shift) % STORE_N, r, sign, tuple(exps))
+                PartialRelation((x_bar + store.shift) % STORE_N, r, sign, sparse(exps))
             )
         )
     assert made[0] is None
@@ -154,7 +157,7 @@ def test_store_use_partials_off_ignores_them():
 def test_store_rejects_corrupt_relation():
     store, _ = small_store()
     with pytest.raises(ValueError):
-        store.add_full(Relation(5, 0, (1,) * len(store.primes)))
+        store.add_full(Relation(5, 0, sparse((1,) * len(store.primes))))
 
 
 def test_csv_dumps():
@@ -177,11 +180,133 @@ def test_csv_dumps():
     assert plines[1].split(",")[1] == str(r)
 
 
+# -- root test against the trial-division oracle -----------------------------
+
+# = 1 mod 24: 3 is in its factor base and f(x) = t**2 - n can take any
+# power of 2, so the properties below can plant high powers of both
+ORACLE_N = 2785958206286403544965313685434190010121
+
+
+@pytest.fixture(scope="module")
+def oracle_store():
+    fb, _ = build_factor_bases(ORACLE_N, 500, 100)
+    return RelationStore(ORACLE_N, fb)
+
+
+def assert_matches_oracle(store, x_bar):
+    sign, exps, cofactor = trial_divide(
+        poly_value(x_bar, store.n, store.shift), store.primes
+    )
+    assert store.exponents_of(x_bar) == (sign, sparse(exps), cofactor)
+
+
+def sqrt_mod_prime_power(n, p, k):
+    """t with t*t = n mod p**k, for odd n that is a square mod p (mod 8
+    when p = 2)."""
+    if p == 2:
+        t = 1
+        for j in range(3, k):
+            if (t * t - n) % 2 ** (j + 1):
+                t += 2 ** (j - 1)
+        return t % 2**k
+    t = next(t for t in range(p) if (t * t - n) % p == 0)
+    for j in range(2, k + 1):
+        t = (t - (t * t - n) * pow(2 * t, -1, p**j)) % p**j
+    return t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x_bar=st.integers(-(2**160), 2**160))
+def test_exponents_match_oracle_on_any_x(oracle_store, x_bar):
+    assert_matches_oracle(oracle_store, x_bar)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    powers=st.dictionaries(st.integers(0, 8), st.integers(1, 12), min_size=1, max_size=4),
+    j=st.integers(-(2**100), 2**100),
+)
+def test_exponents_match_oracle_on_high_prime_powers(oracle_store, powers, j):
+    store = oracle_store
+    moduli = [store.primes[i] ** k for i, k in powers.items()]
+    targets = [sqrt_mod_prime_power(ORACLE_N, store.primes[i], k) for i, k in powers.items()]
+    modulus = math.prod(moduli)
+    # CRT: t = target mod every p**k, so p**k divides f(t - shift)
+    t = sum(r * (modulus // m) * pow(modulus // m, -1, m) for r, m in zip(targets, moduli))
+    x_bar = t % modulus - store.shift + j * modulus
+    planted = dict(store.exponents_of(x_bar)[1])
+    assert all(planted[i] >= k for i, k in powers.items())
+    assert_matches_oracle(store, x_bar)
+
+
+def test_exponents_match_oracle_on_3_pow_7_and_2_pow_k(oracle_store):
+    store = oracle_store
+    assert store.primes[:2] == (2, 3)
+    for p, k in ((3, 7), (2, 3), (2, 20), (2, 64)):
+        t = sqrt_mod_prime_power(ORACLE_N, p, k)
+        for x_bar in (t - store.shift, t - store.shift - p**k * 977):
+            assert_matches_oracle(store, x_bar)
+            assert dict(store.exponents_of(x_bar)[1])[store.primes.index(p)] >= k
+
+
+class RecordingStore(RelationStore):
+    """A relation store that keeps every x_bar it was asked to ingest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.finds = []
+
+    def ingest(self, x_bar, residual):
+        self.finds.append(x_bar)
+        super().ingest(x_bar, residual)
+
+
+REAL_RUNS = {
+    # the sss-40d stream-lock case
+    "sss-40d": ("sss", 2025187160651667522159602188240446426637, 7, 30),
+    # a 50-digit sssf composite whose finds reach past 2**90 (four limbs)
+    "sssf-50d": ("sssf", 71572202837660953991862295872154805899815805546319, 2, 50),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(REAL_RUNS))
+def real_run(request):
+    algo, n, seed, rounds = REAL_RUNS[request.param]
+    config = RunConfig(algo=algo, seed=seed, max_rounds=rounds)
+    fb, sb, pre, ctx = prepare(n, config)
+    store = RecordingStore(n, fb)
+    collect_relations(n, config, fb, sb, pre, ctx, store=store)
+    return request.param, store
+
+
+def test_exponents_match_oracle_on_real_finds(real_run):
+    name, store = real_run
+    assert store.finds
+    for x_bar in store.finds:
+        assert_matches_oracle(store, x_bar)
+    if name == "sssf-50d":
+        assert max(abs(x) for x in store.finds) >> 90
+
+
+def test_stored_rows_are_sparse(real_run):
+    _, store = real_run
+    rows = [rel.exponents for rel in store.fulls.values()]
+    rows += [prel.exponents for prel in store.partials.values()]
+    cells = [line.split(",")[2:] for line in store.fulls_csv().splitlines()[1:]]
+    cells += [line.split(",")[3:] for line in store.partials_csv().splitlines()[1:]]
+    assert rows and len(cells) == len(rows)
+    for row, dense_row in zip(rows, cells):
+        assert len(row) <= sum(1 for e in dense_row if e != "0")
+        indices = [i for i, _ in row]
+        assert indices == sorted(set(indices))
+        assert all(e > 0 for _, e in row)
+
+
 # -- GF(2) solving ----------------------------------------------------------
 
 
 def rel_from_row(row):
-    return Relation(0, row[0], tuple(row[1:]))
+    return Relation(0, row[0], sparse(row[1:]))
 
 
 def brute_force_dependencies(rows):
@@ -233,14 +358,14 @@ def test_solve_dependencies_against_brute_force():
 def test_assemble_square_example():
     # 10^2 = 9 = 3^2 mod 91 (f(0) with shift 10)
     primes = (2, 3)
-    rel = Relation(10, 0, (0, 2))
+    rel = Relation(10, 0, sparse((0, 2)))
     big_x, big_y = assemble_square([0], [rel], primes, 91)
     assert (big_x, big_y) == (10, 3)
     assert extract_factor(big_x, big_y, 91) == 7
 
 
 def test_assemble_square_rejects_non_dependency():
-    rel = Relation(10, 0, (0, 1))
+    rel = Relation(10, 0, sparse((0, 1)))
     with pytest.raises(AssertionError):
         assemble_square([0], [rel], (2, 3), 91)
 
