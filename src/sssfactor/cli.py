@@ -143,9 +143,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--max-rounds", type=int)
     parser.add_argument("--no-partials", action="store_true",
                         help="disable the large-prime variant")
-    parser.add_argument("--exact-batch", action="store_true",
-                        help="use the exact (repeated-squaring) batch test "
-                             "(plain sss only; qs and sssf ignore it)")
 
 
 def _config_from(args) -> RunConfig:
@@ -159,7 +156,6 @@ def _config_from(args) -> RunConfig:
         seed=_knob(args, "seed", 0),
         max_rounds=_knob(args, "max_rounds"),
         use_partials=not args.no_partials,
-        exact_batch=args.exact_batch,
     )
 
 
@@ -207,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--out", default="-",
                        help="full-relation CSV path ('-' for stdout)")
     p_rel.add_argument("--partials-out", default=None,
-                       help="partial-relation CSV path")
+                       help="partial-relation CSV path ('-' for stdout)")
     _add_config_flags(p_rel)
     p_rel.set_defaults(func=cmd_relations)
 
@@ -328,7 +324,7 @@ def _summarize(runs: list[dict], mode: str) -> list[dict]:
             value = record["wall_seconds"]
         else:
             rel = record["relations"]
-            value = rel["fulls"] + rel["partials"]
+            value = rel["fulls"] + rel["combined"]
         groups.setdefault(key, []).append(value)
     metric = "wall_seconds" if mode == "factor" else "relations_found"
     rows = []
@@ -459,7 +455,9 @@ def cmd_relations(args) -> int:
     else:
         with open(args.out, "w") as fh:
             fh.write(dump)
-    if args.partials_out:
+    if args.partials_out == "-":
+        sys.stdout.write(store.partials_csv())
+    elif args.partials_out:
         with open(args.partials_out, "w") as fh:
             fh.write(store.partials_csv())
     return 0

@@ -61,7 +61,6 @@ class RunConfig:
     partial_bound_multiplier: int = 128
     collision_threshold: int = 3
     use_partials: bool = True
-    exact_batch: bool = False        # plain sss only; qs and sssf ignore it
     seed: int = 0
     max_rounds: int | None = None
     slack: int = 10                  # extra relations beyond |F| + 1
@@ -252,7 +251,6 @@ def _round_runner(n, config, fb, sb, pre, ctx, store):
         collision_threshold=config.collision_threshold,
         partial_multiplier=config.partial_bound_multiplier,
         filter_delta=config.delta if algo == "sssf" else None,
-        exact_batch=config.exact_batch,
     )
 
 

@@ -10,19 +10,30 @@ pairs, sorted by index, one pair per prime that divides the value.  They
 come from a root test: an odd prime p of the base divides f(x_bar) exactly
 when x_bar mod p is one of f's two roots mod p, so one vectorized residue
 computation over all odd primes names the divisors, and only those are
-divided out, with multiplicity.  The power of 2 is read off the low zero bits.  The CSV
-dumps still write dense rows, one column per prime.
+divided out, with multiplicity.  The power of 2 is read off the low zero
+bits.  The CSV dumps still write dense rows, one column per prime.
+
+Fulls are factored when they arrive.  Partials are not: most never meet a
+second partial with the same cofactor.  The cofactor of a partial comes
+from its batch residual, stripped of factor-base primes by repeated gcds
+with the product of the base, and must divide f(x_bar).  The store keeps
+(x, x_bar, cofactor) and runs the root test only when a second partial
+with that cofactor arrives, or when the partials are dumped; the root
+test must then find the same cofactor.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .factorbase import FactorBase, limb_count, limb_weights, poly_value, residues
 from .numtheory import FoundFactor, NotInvertibleError, isqrt_ceil, mod_inverse
+from .smoothness import product_tree, tree_root
 
 __all__ = [
     "Relation",
     "PartialRelation",
+    "PendingPartial",
     "RelationStore",
     "needed_count",
     "solve_dependencies",
@@ -49,6 +60,14 @@ class PartialRelation:
     exponents: Exponents
 
 
+class PendingPartial(NamedTuple):
+    """A partial relation as the store keeps it until it pairs up."""
+
+    x: int
+    x_bar: int     # f(x_bar) = (x_bar + shift)^2 - N carries the cofactor
+    cofactor: int
+
+
 def needed_count(primes, slack: int = 10) -> int:
     """Relations to collect before linear algebra: one per prime, one for
     the sign dimension, plus slack spare dependencies."""
@@ -59,9 +78,10 @@ class RelationStore:
     """Collects full and partial relations for one number N.
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
-    combined on the second hit.  Every stored relation is re-verified
-    against its defining congruence.  `rounds` counts the collection rounds
-    that fed the store; collect_relations numbers its next round from it.
+    combined on the second hit, which is when both are factored.  Every
+    stored full relation is re-verified against its defining congruence.
+    `rounds` counts the collection rounds that fed the store;
+    collect_relations numbers its next round from it.
     """
 
     def __init__(
@@ -83,11 +103,13 @@ class RelationStore:
         self._roots = fb.root_array
         self._neg_roots = -fb.root_array % fb.odd_array
         self._weights = limb_weights(fb.odd_array, 1)
+        self._base_product = tree_root(product_tree(fb.primes))
         self.partial_bound = partial_multiplier * fb.p_max
         self.use_partials = use_partials
         self.target = needed_count(self.primes, slack)
         self.fulls: dict[int, Relation] = {}
-        self.partials: dict[int, PartialRelation] = {}
+        # cofactor -> the first partial with it, factored once it pairs up
+        self.partials: dict[int, PendingPartial | PartialRelation] = {}
         self.native_count = 0
         self.combined_count = 0
         self.rounds = 0
@@ -128,17 +150,27 @@ class RelationStore:
         return sign, tuple(exps), value
 
     def ingest(self, x_bar: int, residual: int) -> None:
-        """Accept a search find: x_bar with batch residual 1 (full) or a
-        small residual (partial candidate).  May raise FoundFactor."""
-        sign, exps, cofactor = self.exponents_of(x_bar)
+        """Accept a search find: x_bar with its batch residual, 1 for a
+        full relation.  A residual with no prime outside the base is a full
+        relation too; otherwise x_bar is kept as a partial under its
+        cofactor.  May raise FoundFactor."""
+        cofactor = residual
+        while cofactor > 1:
+            d = math.gcd(cofactor, self._base_product % cofactor)
+            if d == 1:
+                break
+            cofactor //= d
         rel_x = (x_bar + self.shift) % self.n
-        if residual == 1 and cofactor != 1:
-            raise AssertionError(
-                f"batch reported f({x_bar}) smooth but cofactor {cofactor} remains"
-            )
         if cofactor == 1:
+            sign, exps, rest = self.exponents_of(x_bar)
+            if rest != 1:
+                raise AssertionError(
+                    f"batch reported f({x_bar}) smooth but cofactor {rest} remains"
+                )
             self._add_full(Relation(rel_x, sign, exps), combined=False)
             return
+        if poly_value(x_bar, self.n, self.shift) % cofactor:
+            raise ValueError(f"cofactor {cofactor} does not divide f({x_bar})")
         if not self.use_partials:
             return
         if cofactor >= self.partial_bound:
@@ -146,7 +178,7 @@ class RelationStore:
         g = math.gcd(cofactor, self.n)
         if 1 < g < self.n:
             raise FoundFactor(g)
-        self._combine(PartialRelation(rel_x, cofactor, sign, exps))
+        self._pair(PendingPartial(rel_x, x_bar, cofactor))
 
     def add_full(self, rel: Relation) -> None:
         self._add_full(rel, combined=False)
@@ -156,26 +188,41 @@ class RelationStore:
         partner with the same cofactor already exists."""
         if not 1 < prel.cofactor:
             raise ValueError("partial cofactor must exceed 1")
-        return self._combine(prel)
+        return self._pair(prel)
 
-    def _combine(self, prel: PartialRelation):
+    def _pair(self, prel: PendingPartial | PartialRelation):
         other = self.partials.get(prel.cofactor)
         if other is None:
             self.partials[prel.cofactor] = prel
             return None
         if other.x == prel.x:
             return None  # same find twice; combining would be degenerate
+        first, second = self._factored(other), self._factored(prel)
+        self.partials[prel.cofactor] = first  # a third partial reuses it
         try:
             inv = mod_inverse(prel.cofactor, self.n)
         except NotInvertibleError as exc:
             raise FoundFactor(exc.gcd) from exc
-        x = other.x * prel.x % self.n * inv % self.n
-        merged = dict(other.exponents)
-        for i, e in prel.exponents:
+        x = first.x * second.x % self.n * inv % self.n
+        merged = dict(first.exponents)
+        for i, e in second.exponents:
             merged[i] = merged.get(i, 0) + e
-        rel = Relation(x, (other.sign + prel.sign) % 2, tuple(sorted(merged.items())))
+        rel = Relation(x, (first.sign + second.sign) % 2, tuple(sorted(merged.items())))
         self._add_full(rel, combined=True)
         return rel
+
+    def _factored(self, prel: PendingPartial | PartialRelation) -> PartialRelation:
+        """The partial with its exponents; the root test must find the
+        cofactor it was stored under."""
+        if isinstance(prel, PartialRelation):
+            return prel
+        sign, exps, cofactor = self.exponents_of(prel.x_bar)
+        if cofactor != prel.cofactor:
+            raise AssertionError(
+                f"partial f({prel.x_bar}) has cofactor {cofactor}, "
+                f"stored under {prel.cofactor}"
+            )
+        return PartialRelation(prel.x, cofactor, sign, exps)
 
     def _add_full(self, rel: Relation, combined: bool) -> None:
         self._verify(rel)
@@ -219,10 +266,14 @@ class RelationStore:
             lines.append(f"{rel.x},{rel.sign}," + self._dense(rel.exponents))
         return "\n".join(lines) + "\n"
 
+    def partial_rows(self) -> list[PartialRelation]:
+        """The stored partials with their exponents, one per cofactor."""
+        return [self._factored(prel) for prel in self.partials.values()]
+
     def partials_csv(self) -> str:
         header = "x,r,sign," + ",".join(f"e_{p}" for p in self.primes)
         lines = [header]
-        for prel in self.partials.values():
+        for prel in self.partial_rows():
             lines.append(
                 f"{prel.x},{prel.cofactor},{prel.sign}," + self._dense(prel.exponents)
             )

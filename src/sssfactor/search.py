@@ -10,22 +10,28 @@ known smooth part m'.  Those candidates go to the batch smoothness test
 and the survivors are handed to the sink as full or partial relations.
 
 The search works on int64 numpy arrays over the large primes.  Once per
-round it builds the limb weights 2**(30 j) mod p and M^-1 mod p; once per
-variant it reduces x through its 30-bit limbs and maps both roots; once per
-rescaling q it forms the 4L offsets and counts them with np.bincount.
-Only the hits become Python ints again, for x_bar = x + alpha * m' and the
-exact division of f(x_bar) by m'.  Every product of two residues stays
-below 2**63 because the factor base keeps all primes below 2**31 (see
-factorbase.MAX_PRIME).  Hits come out in the order in which their offsets
-first appear, prime by prime, so the relation stream is the same as that
-of the per-prime Python loop the tests keep as an oracle.
+round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
+variant it reduces x through its 30-bit limbs, maps both roots and runs one
+collision scan for all of the variant's rescalings q: it forms the 4L
+offsets of every q in one array and counts each q's offsets with
+np.bincount.  Every product of two residues stays below 2**63 because the
+factor base keeps all primes below 2**31 (see factorbase.MAX_PRIME).  Hits
+come out q by q, and for each q in the order in which their offsets first
+appear, prime by prime, so the relation stream is the same as that of the
+per-prime Python loop the tests keep as an oracle.
+
+Only the hits become Python ints again.  Their values need no square and
+no division: with t = x + ceil(sqrt(N)),
+f(x + alpha * m') / m' = f(x)/m' + alpha * (2t + alpha * m'), and f(x)/m'
+is divided out once per (variant, q).  That division must be exact, which
+checks every hit of that q because x_bar = x mod m'.
 
 After the random index choice everything in a round is deterministic, so
 a fixed seed replays the exact relation stream.
 """
 
 import math
-from itertools import chain
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +51,12 @@ from .smoothness import (
     SmoothnessContext,
     classify,
     smooth_batch,
-    smooth_batch_exact,
     smooth_filter,
 )
+# Not used by the search; benchmarks/spans.py still traces the name here.
+from .smoothness import smooth_batch_exact  # noqa: F401
 
 __all__ = [
-    "CollisionHit",
     "RoundStats",
     "pick_indices",
     "RoundTable",
@@ -58,15 +64,9 @@ __all__ = [
     "round_table",
     "root_transforms",
     "collision_scan",
+    "hit_values",
     "search_round",
 ]
-
-
-class CollisionHit(NamedTuple):
-    alpha: int
-    count: int     # number of distinct large primes hitting this offset
-    x_bar: int     # x + alpha * m_prime
-    m_prime: int   # the known smooth divisor of f(x_bar)
 
 
 class RoundStats(NamedTuple):
@@ -132,37 +132,68 @@ def root_transforms(x: int, table: RoundTable) -> Transforms:
 
 
 def collision_scan(
-    transforms: Transforms, q: int, modulus: int, x: int, threshold: int = 3
-) -> list[CollisionHit]:
-    """Collision offsets for the pair (x, M/q), in order of first occurrence.
+    transforms: Transforms, qs, modulus: int, threshold: int = 3
+) -> list[tuple[int, int]]:
+    """Collision offsets of one variant for every rescaling q in qs, as
+    (index into qs, alpha) pairs: q by q, and for each q in order of first
+    occurrence.
 
-    q * r_k mod p rescales the stored transforms to the modulus M/q with
-    two multiplications per prime instead of an inversion; q = 1 scans the
-    base pair itself.  Each large prime contributes its four offsets
-    (alpha and alpha - p for both roots, pairwise distinct), so the count
-    of an offset equals the number of distinct large primes dividing
-    f(x + alpha * m').  Offsets are laid out prime by prime as
-    (a1, a1 - p, a2, a2 - p) and hits are listed by their first position
-    in that sequence, which fixes the candidate and relation order.
+    q * r_k mod p rescales the stored transforms to the modulus m' = M/q
+    with two multiplications per prime instead of an inversion; q = 1 scans
+    the base pair itself.  All rescalings are formed in one (Q, L, 4)
+    array.  Each large prime contributes its four offsets (alpha and
+    alpha - p for both roots, pairwise distinct), so the count of an offset
+    equals the number of distinct large primes dividing f(x + alpha * m').
+    Offsets are laid out prime by prime as (a1, a1 - p, a2, a2 - p), and
+    each q is counted with its own np.bincount over the 2 * p_max offsets
+    it can reach; hits are listed by their first position in that sequence,
+    which fixes the candidate and relation order.
     """
-    if modulus % q:
-        raise ValueError(f"{q} does not divide the modulus")
-    m_prime = modulus // q
+    for q in qs:
+        if modulus % q:
+            raise ValueError(f"{q} does not divide the modulus")
     primes, r = transforms
-    a = (q * r % primes).T  # (L, 2)
-    offsets = np.empty((len(primes), 4), dtype=np.int64)
-    offsets[:, 0::2] = a
-    offsets[:, 1::2] = a - primes[:, None]
-    flat = offsets.ravel()
-    shifted = flat + int(primes.max(initial=0))
-    counts = np.bincount(shifted)[shifted]
-    where = np.flatnonzero(counts >= threshold)
-    # dict keeps each alpha at its first position
-    first = dict(zip(flat[where].tolist(), counts[where].tolist()))
-    return [
-        CollisionHit(alpha, count, x + alpha * m_prime, m_prime)
-        for alpha, count in first.items()
-    ]
+    p_max = int(primes.max(initial=0))
+    a = np.array(qs, dtype=np.int64)[:, None, None] * r.T % primes[:, None]
+    shifted = np.empty((len(qs), len(primes), 4), dtype=np.int64)
+    shifted[:, :, 0::2] = a + p_max
+    shifted[:, :, 1::2] = shifted[:, :, 0::2] - primes[:, None]
+    hits: list[tuple[int, int]] = []
+    for j, row in enumerate(shifted.reshape(len(qs), -1)):
+        where = np.flatnonzero(np.bincount(row)[row] >= threshold)
+        # dict keeps each alpha at its first position
+        alphas = dict.fromkeys((row[where] - p_max).tolist())
+        hits.extend(zip(repeat(j), alphas))
+    return hits
+
+
+def hit_values(
+    n: int, shift: int, x: int, modulus: int, qs, hits
+) -> dict[int, int]:
+    """x_bar -> |f(x_bar) / m'| for the hits of one variant, the first hit
+    of each x_bar kept.
+
+    With t = x + shift and m' = M/q, f(x + alpha * m') / m' equals
+    f(x)/m' + alpha * (2t + alpha * m'), so each hit costs no square and no
+    division.  f(x)/m' is divided out once per q, and a remainder raises:
+    x_bar = x mod m', so this is the divisibility check of every hit.
+    """
+    f_x = poly_value(x, n, shift)
+    two_t = 2 * (x + shift)
+    per_q = []
+    for q in qs:
+        m_prime = modulus // q
+        base, rem = divmod(f_x, m_prime)
+        if rem:
+            raise AssertionError("collision modulus does not divide f")
+        per_q.append((m_prime, base))
+    values: dict[int, int] = {}
+    for j, alpha in hits:
+        m_prime, base = per_q[j]
+        x_bar = x + alpha * m_prime
+        if x_bar not in values:
+            values[x_bar] = abs(base + alpha * (two_t + alpha * m_prime))
+    return values
 
 
 def search_round(
@@ -178,14 +209,12 @@ def search_round(
     collision_threshold: int = 3,
     partial_multiplier: int = 128,
     filter_delta: int | None = None,
-    exact_batch: bool = False,
 ) -> RoundStats:
     """One full search round; emits relations through sink.ingest(x_bar, g).
 
-    filter_delta switches the smoothness pass to the two-stage filter
-    (the context must then carry a partition); exact_batch picks the exact
-    batch test for the unfiltered pass only.  The candidates of each
-    variant are batch-tested together at the end of that variant's scans.
+    filter_delta switches the smoothness pass to the two-stage filter (the
+    context must then carry a partition).  Each variant is scanned once for
+    all its rescalings, and its candidates are batch-tested together.
     """
     shift = isqrt_ceil(n)
     digits = len(str(n))
@@ -204,22 +233,12 @@ def search_round(
     for i in indices:
         x = swap_root(x, i, 1, modulus, pre)
         transforms = root_transforms(x, table)
-        p_i = sb.primes[i]
-        batch: dict[int, int] = {}  # x_bar -> |f(x_bar) / m_prime|
         # q = 1 scans the base pair (x, M) itself
-        for q in chain((1,), moduli):
-            if q != 1 and q == p_i:
-                continue
-            for hit in collision_scan(transforms, q, modulus, x, collision_threshold):
-                if hit.x_bar in batch:
-                    continue
-                f_val = poly_value(hit.x_bar, n, shift)
-                value, rem = divmod(f_val, hit.m_prime)
-                if rem:
-                    raise AssertionError("collision modulus does not divide f")
-                batch[hit.x_bar] = abs(value)
-        if not batch:
+        qs = [1] + [q for q in moduli if q != sb.primes[i]]
+        hits = collision_scan(transforms, qs, modulus, collision_threshold)
+        if not hits:
             continue
+        batch = hit_values(n, shift, x, modulus, qs, hits)
         candidates += len(batch)
         keys = list(batch)
         values = list(batch.values())
@@ -228,8 +247,7 @@ def search_round(
             filtered += len(values) - len(pairs)
             found = [(keys[j], g) for j, g in pairs]
         else:
-            test = smooth_batch_exact if exact_batch else smooth_batch
-            found = zip(keys, test(ctx, values))
+            found = zip(keys, smooth_batch(ctx, values))
         for x_bar, g in found:
             kind = classify(g, p_max, partial_multiplier)
             if kind is Smoothness.FULL:

@@ -7,7 +7,8 @@ every prime power dividing it exceeds 2^15, which makes the repeated
 squaring of the textbook algorithm unnecessary in practice: residual 1
 still guarantees smoothness, and only candidates with extreme prime-power
 multiplicities can be missed.  smooth_batch_exact keeps the squaring step
-and matches trial division bit for bit.
+and matches trial division bit for bit; nothing in the search uses it, and
+it stays as the reference that the acceptance suite checks.
 """
 
 import enum

@@ -1,16 +1,27 @@
 """Pure-Python reference versions of the collision search, for tests.
 
-These are the per-prime big-int transforms and the Counter scan that the
-int64 array search in sssfactor.search replaced.  The array versions must
-return the same values and the same hits in the same order; the helpers
-below convert between the two transform layouts.
+These are the per-prime big-int transforms and the Counter scan, one scan
+per rescaling q, that the int64 array search in sssfactor.search replaced.
+The array versions must return the same values and the same hits in the
+same order; the helpers below convert between the two transform layouts,
+and scan_hits puts the array scan's (q index, alpha) pairs for one q into
+the oracle's hit layout.
 """
 
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
-from sssfactor.search import CollisionHit, Transforms
+from sssfactor import search
+from sssfactor.search import Transforms
+
+
+class CollisionHit(NamedTuple):
+    alpha: int
+    count: int     # number of distinct large primes hitting this offset
+    x_bar: int     # x + alpha * m_prime
+    m_prime: int   # the known smooth divisor of f(x_bar)
 
 
 def invert_M(modulus: int, large_primes) -> dict[int, int]:
@@ -59,3 +70,19 @@ def as_arrays(tuples) -> Transforms:
     """Oracle-layout transforms as int64 arrays."""
     rows = np.array(tuples, dtype=np.int64).reshape(-1, 3)
     return Transforms(rows[:, 0].copy(), rows[:, 1:].T.copy())
+
+
+def scan_hits(transforms: Transforms, q: int, modulus: int, x: int, threshold: int = 3):
+    """The array scan for the single rescaling q, as CollisionHits; each
+    count is recounted from q * r mod p and that minus p."""
+    hits = search.collision_scan(transforms, [q], modulus, threshold)
+    m_prime = modulus // q
+    primes, r = transforms
+    a = q * r % primes
+    return [
+        CollisionHit(
+            alpha, int((a == alpha).sum() + (a - primes == alpha).sum()),
+            x + alpha * m_prime, m_prime,
+        )
+        for _, alpha in hits
+    ]

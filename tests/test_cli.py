@@ -1,6 +1,9 @@
+import csv
 import json
 import os
+import pathlib
 import random
+import re
 
 import jsonschema
 import pytest
@@ -216,6 +219,21 @@ def test_relations_stdout_and_empty_dump(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_relations_partials_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["relations", "1689259081189", "--rounds", "0", "--partials-out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "\nx,r,sign,e_2," in out  # after the fulls dump
+    assert not (tmp_path / "-").exists()
+
+
+def test_readme_relations_example_dumps_relations(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    number = re.search(r"sssfactor relations (\d+)", readme).group(1)
+    assert main(["relations", number, "--rounds", "2"]) == 0
+    assert capsys.readouterr().out.startswith("x,sign,e_2,")
+
+
 def test_relations_rejects_prime(capsys):
     assert main(["relations", "1299709"]) == 2
 
@@ -273,6 +291,10 @@ def test_bench_relation_count_mode(tmp_path):
     assert report["mode"] == "relations"
     run = report["runs"][0]
     assert run["relations"]["fulls"] + run["relations"]["partials"] > 0
+    # the summary counts relations that can reach the matrix
+    [row] = csv.DictReader((tmp_path / "rel_report.csv").open())
+    assert row["metric"] == "relations_found"
+    assert float(row["mean"]) == run["relations"]["fulls"] + run["relations"]["combined"]
     # collect_relations times itself, so relation-count runs report it too
     assert run["phase_seconds"]["collect"] > 0
 

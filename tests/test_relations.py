@@ -9,7 +9,7 @@ from relations_oracle import NotSmoothError, dense, factor_over_base, sparse, tr
 
 from sssfactor.engine import RunConfig, collect_relations, prepare
 from sssfactor.factorbase import FactorBase, build_factor_bases, poly_value
-from sssfactor.numtheory import FoundFactor, isqrt_ceil
+from sssfactor.numtheory import FoundFactor, is_probable_prime, isqrt_ceil
 from sssfactor.relations import (
     PartialRelation,
     Relation,
@@ -90,13 +90,13 @@ def test_store_deduplicates_by_x():
 def test_partials_combine_into_verified_full():
     store, fb = small_store()
     _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
-    pair = next(
-        (xs for r, xs in partials.items() if len(xs) >= 2 and STORE_N % r),
-        None,
+    r, pair = next(
+        ((r, xs) for r, xs in partials.items() if len(xs) >= 2 and STORE_N % r),
+        (None, None),
     )
     assert pair is not None, "test instance must provide a shared cofactor"
-    store.ingest(pair[0], 2)  # residual value of a partial is not used beyond
-    store.ingest(pair[1], 2)  # classification, the store re-divides anyway
+    store.ingest(pair[0], r)  # the residual carries the cofactor
+    store.ingest(pair[1], r)
     assert store.combined_count == 1
     assert len(store.partials) == 1  # first one stays available
 
@@ -152,6 +152,84 @@ def test_store_use_partials_off_ignores_them():
     r, xs = next(iter(partials.items()))
     store.ingest(xs[0], r)
     assert not store.partials and not store.fulls
+
+
+def coprime_partials(store, fb):
+    """(cofactor, x_bars) pairs of the crafted partials whose cofactor is
+    prime to STORE_N, so that none of them is a lucky factor."""
+    _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    return [(r, xs) for r, xs in partials.items() if math.gcd(r, STORE_N) == 1]
+
+
+def test_partial_is_keyed_by_the_cofactor_without_base_prime_powers():
+    store, fb = small_store()
+    r, xs = coprime_partials(store, fb)[0]
+    # a residual can keep base prime powers the boosted batch did not strip
+    store.ingest(xs[0], r * 2**20 * fb.primes[3] ** 5)
+    assert list(store.partials) == [r]
+    sign, exps, cofactor = trial_divide(poly_value(xs[0], STORE_N, store.shift), fb.primes)
+    assert cofactor == r
+    x = (xs[0] + store.shift) % STORE_N
+    assert store.partial_rows() == [PartialRelation(x, r, sign, sparse(exps))]
+
+
+def test_residual_that_does_not_divide_f_is_rejected():
+    store, fb = small_store()
+    r, xs = coprime_partials(store, fb)[0]
+    value = poly_value(xs[0], STORE_N, store.shift)
+    stranger = next(p for p in range(fb.p_max + 1, 10**4) if is_probable_prime(p) and value % p)
+    with pytest.raises(ValueError):
+        store.ingest(xs[0], r * stranger)
+    assert not store.partials and not store.fulls
+
+
+def test_use_partials_off_stores_no_partial_pair():
+    store, fb = small_store(use_partials=False)
+    r, xs = next((r, xs) for r, xs in coprime_partials(store, fb) if len(xs) >= 2)
+    store.ingest(xs[0], r)
+    store.ingest(xs[1], r)
+    assert not store.partials and not store.fulls
+    assert store.combined_count == store.native_count == 0
+
+
+def test_partial_pair_combines_into_oracle_exponents():
+    store, fb = small_store()
+    r, xs = next((r, xs) for r, xs in coprime_partials(store, fb) if len(xs) >= 2)
+    x1, x2 = xs[:2]
+    store.ingest(x1, r)
+    assert not store.fulls
+    store.ingest(x2, r)
+    assert store.combined_count == 1
+    [rel] = store.fulls.values()
+    (s1, e1, c1), (s2, e2, c2) = (
+        trial_divide(poly_value(x, STORE_N, store.shift), fb.primes) for x in (x1, x2)
+    )
+    assert c1 == c2 == r
+    assert rel.sign == (s1 + s2) % 2
+    assert rel.exponents == sparse([a + b for a, b in zip(e1, e2)])
+    a1, a2 = ((x + store.shift) % STORE_N for x in (x1, x2))
+    assert rel.x == a1 * a2 * pow(r, -1, STORE_N) % STORE_N
+    rhs = 1
+    for i, e in rel.exponents:
+        rhs = rhs * pow(fb.primes[i], e, STORE_N) % STORE_N
+    assert rel.x * rel.x % STORE_N == (-rhs if rel.sign else rhs) % STORE_N
+
+
+def test_partial_stored_under_a_wrong_cofactor_fails_when_factored():
+    store, fb = small_store()
+    # a partial whose cofactor is a product of two primes outside the base,
+    # stored under one of them
+    for x_bar in range(-600, 600):
+        rest = trial_divide(poly_value(x_bar, STORE_N, store.shift), fb.primes)[2]
+        q = next((d for d in range(2, math.isqrt(rest) + 1) if rest % d == 0), rest)
+        if q < rest and math.gcd(rest, STORE_N) == 1:
+            break
+    else:
+        pytest.fail("test instance must provide a composite cofactor")
+    store.ingest(x_bar, q)
+    assert list(store.partials) == [q]
+    with pytest.raises(AssertionError):
+        store.partials_csv()
 
 
 def test_store_rejects_corrupt_relation():
@@ -291,7 +369,7 @@ def test_exponents_match_oracle_on_real_finds(real_run):
 def test_stored_rows_are_sparse(real_run):
     _, store = real_run
     rows = [rel.exponents for rel in store.fulls.values()]
-    rows += [prel.exponents for prel in store.partials.values()]
+    rows += [prel.exponents for prel in store.partial_rows()]
     cells = [line.split(",")[2:] for line in store.fulls_csv().splitlines()[1:]]
     cells += [line.split(",")[3:] for line in store.partials_csv().splitlines()[1:]]
     assert rows and len(cells) == len(rows)

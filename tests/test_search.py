@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
 
-from sssfactor.crt import get_x, precompute
+from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.search import (
     collision_scan,
+    hit_values,
     pick_indices,
     root_transforms,
     round_table,
@@ -102,19 +103,19 @@ def test_root_transforms_land_on_roots():
 def test_collision_scan_counts_offsets():
     # three primes whose first root transform is 4: alpha = 4 occurs 3 times
     transforms = oracle.as_arrays([(11, 4, 7), (13, 4, 9), (17, 4, 11)])
-    hits = collision_scan(transforms, 1, 15, 100, threshold=3)
+    hits = oracle.scan_hits(transforms, 1, 15, 100, threshold=3)
     assert len(hits) == 1
     alpha, count, x_bar, m_prime = hits[0]
     assert (alpha, count) == (4, 3)
     assert m_prime == 15 and x_bar == 100 + 4 * 15
     # distinct offsets everywhere: nothing reaches the threshold
     distinct = oracle.as_arrays([(11, 1, 2), (13, 3, 4), (17, 5, 6)])
-    assert collision_scan(distinct, 1, 15, 0) == []
+    assert collision_scan(distinct, [1], 15) == []
 
 
 def test_collision_scan_rejects_non_divisor():
     with pytest.raises(ValueError):
-        collision_scan([], 7, 15, 0)
+        collision_scan([], [7], 15)
 
 
 def oracle_hits(n, shift, x, m_prime, large_primes, threshold):
@@ -150,9 +151,9 @@ def test_collision_scan_matches_exhaustive_oracle():
         transforms = root_transforms(x, round_table(modulus, primes, roots))
         for q in [1] + moduli:
             m_prime = modulus // q
-            got = {h.alpha: h.count for h in collision_scan(transforms, q, modulus, x, 2)}
+            got = {h.alpha: h.count for h in oracle.scan_hits(transforms, q, modulus, x, 2)}
             assert got == oracle_hits(TOY_N, shift, x, m_prime, large, 2)
-            for hit in collision_scan(transforms, q, modulus, x, 2):
+            for hit in oracle.scan_hits(transforms, q, modulus, x, 2):
                 f_val = poly_value(hit.x_bar, TOY_N, shift)
                 assert f_val % hit.m_prime == 0
                 dividing = [p for p in large if f_val % p == 0]
@@ -161,12 +162,10 @@ def test_collision_scan_matches_exhaustive_oracle():
     assert scans == 30
 
 
-def run_one_round(seed, **kwargs):
+def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
     sink = CaptureSink()
-    stats = search_round(
-        TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), sink, **kwargs
-    )
+    stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), sink)
     return stats, sink.finds
 
 
@@ -203,15 +202,6 @@ def test_search_round_emissions_are_sound():
                 assert residual % cofactor == 0  # residual is cofactor
                                                  # times missed smooth powers
     assert total > 0
-
-
-def test_search_round_exact_batch_matches_default_fulls():
-    # every full found by the default batch is found by the exact one too
-    _, finds_default = run_one_round(77)
-    _, finds_exact = run_one_round(77, exact_batch=True)
-    fulls_default = {x for x, g in finds_default if g == 1}
-    fulls_exact = {x for x, g in finds_exact if g == 1}
-    assert fulls_default <= fulls_exact
 
 
 def test_search_round_filter_path():
@@ -282,7 +272,7 @@ def scan_inputs(draw):
 def test_collision_scan_matches_oracle_in_order(case, threshold):
     rows, q, modulus, x = case
     expected = oracle.collision_scan(rows, q, modulus, x, threshold)
-    assert collision_scan(oracle.as_arrays(rows), q, modulus, x, threshold) == expected
+    assert oracle.scan_hits(oracle.as_arrays(rows), q, modulus, x, threshold) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -343,6 +333,101 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
         assert oracle.as_tuples(transforms) == expected
         for q in [1] + moduli:
             for threshold in (2, 3):
-                assert collision_scan(transforms, q, modulus, x, threshold) == (
+                assert oracle.scan_hits(transforms, q, modulus, x, threshold) == (
                     oracle.collision_scan(expected, q, modulus, x, threshold)
                 )
+
+
+@st.composite
+def variant_inputs(draw):
+    """One variant's transforms and rescalings: q = 1 and up to six small
+    primes, with collisions planted for rescalings drawn from that list."""
+    primes = draw(st.lists(
+        st.one_of(st.sampled_from(ORACLE_PRIMES[:30]), any_prime),
+        min_size=1, max_size=40, unique=True,
+    ))
+    qs = [1] + draw(st.lists(any_q, max_size=6, unique=True))
+    pool = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for p in primes:
+        r = []
+        for _ in range(2):
+            q = rng.choice(qs)
+            if q % p == 0 or rng.random() < 0.3:
+                r.append(rng.randrange(p))
+            else:
+                r.append(rng.choice(pool) * pow(q, -1, p) % p)
+        rows.append((p, *r))
+    modulus = math.prod(qs) * draw(st.integers(1, 2**64))
+    x = draw(st.integers(-(2**80), 2**80))
+    return rows, qs, modulus, x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=variant_inputs(), threshold=st.sampled_from([2, 3]))
+def test_variant_scan_is_the_per_q_oracle_scans_in_order(case, threshold):
+    rows, qs, modulus, x = case
+    expected = [
+        (j, hit.alpha)
+        for j, q in enumerate(qs)
+        for hit in oracle.collision_scan(rows, q, modulus, x, threshold)
+    ]
+    assert collision_scan(oracle.as_arrays(rows), qs, modulus, threshold) == expected
+
+
+REAL_ROUNDS = {
+    # the sss-40d stream-lock composite and a 50-digit sssf composite
+    "sss-40d": ("sss", 2025187160651667522159602188240446426637),
+    "sssf-50d": ("sssf", 71572202837660953991862295872154805899815805546319),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ROUNDS))
+def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
+    from sssfactor.engine import RunConfig, prepare
+
+    algo, n = REAL_ROUNDS[name]
+    config = RunConfig(algo=algo)
+    fb, sb, pre, _ = prepare(n, config)
+    k = config.k_for(algo)
+    primes, roots = fb.large_arrays(sb.n)
+    shift = isqrt_ceil(n)
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(4):
+        idx = pick_indices(k, sb.n, rng)
+        moduli = [sb.primes[i] for i in idx]
+        modulus = math.prod(moduli)
+        table = round_table(modulus, primes, roots)
+        rep = [0] * sb.n
+        for i in idx:
+            rep[i] = 1
+        x, _ = get_x(rep, sb, pre, fb.roots)
+        for i in idx:
+            x = swap_root(x, i, 1, modulus, pre)
+            qs = [1] + [q for q in moduli if q != sb.primes[i]]
+            hits = collision_scan(root_transforms(x, table), qs, modulus)
+            values = hit_values(n, shift, x, modulus, qs, hits)
+            first_m_prime = {}
+            for j, alpha in hits:
+                m_prime = modulus // qs[j]
+                first_m_prime.setdefault(x + alpha * m_prime, m_prime)
+            assert list(values) == list(first_m_prime)
+            for x_bar, m_prime in first_m_prime.items():
+                f_val = poly_value(x_bar, n, shift)
+                assert f_val % m_prime == 0
+                assert values[x_bar] == abs(f_val) // m_prime
+            checked += len(values)
+    assert checked > 100
+
+
+def test_hit_values_reject_a_modulus_that_does_not_divide_f():
+    fb, sb, pre, _ = toy_setup()
+    shift = isqrt_ceil(TOY_N)
+    idx = [0, 1, 2]
+    modulus = math.prod(sb.primes[i] for i in idx)
+    x, _ = get_x([1, 1, 1] + [0] * (sb.n - 3), sb, pre, fb.roots)
+    assert hit_values(TOY_N, shift, x, modulus, [1], [(0, 5)])
+    with pytest.raises(AssertionError):
+        hit_values(TOY_N, shift, x + 1, modulus, [1], [(0, 5)])
