@@ -1,8 +1,8 @@
 """Integer factorization via smooth subsum search.
 
 Library entry points: factor() for full factorizations, collect_relations()
-for the relation-collection phase on its own, qs_factor() for the sieve
-baseline.
+for the relation-collection phase on its own.  factor(n, RunConfig(algo="qs"))
+runs the sieve baseline.
 """
 
 from .engine import (
@@ -14,7 +14,6 @@ from .engine import (
     factor,
 )
 from .numtheory import FoundFactor
-from .qs import qs_factor
 
 __version__ = "0.1.0"
 
@@ -26,6 +25,5 @@ __all__ = [
     "RunStats",
     "collect_relations",
     "factor",
-    "qs_factor",
     "__version__",
 ]

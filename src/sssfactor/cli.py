@@ -140,7 +140,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--delta", type=int,
                         help="filter cutoff offset (sssf, default 5)")
     parser.add_argument("--seed", type=int, help="search seed (default 0)")
-    parser.add_argument("--max-rounds", type=int)
+    parser.add_argument("--max-rounds", type=int,
+                        help="cap on collection rounds (default: none)")
     parser.add_argument("--no-partials", action="store_true",
                         help="disable the large-prime variant")
 
@@ -198,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rel.add_argument("number", type=int,
                        help="integer to collect relations for")
-    p_rel.add_argument("--rounds", type=int, default=None,
-                       help="cap on search rounds")
     p_rel.add_argument("--out", default="-",
                        help="full-relation CSV path ('-' for stdout)")
     p_rel.add_argument("--partials-out", default=None,
@@ -439,8 +438,6 @@ def cmd_relations(args) -> int:
             return _usage_error(f"cannot collect relations for {args.number}: {problem}")
     try:
         config = _config_from(args)
-        if args.rounds is not None:
-            config = dataclasses.replace(config, max_rounds=args.rounds)
         fb, sb, pre, ctx = prepare(args.number, config)
         store, _ = collect_relations(args.number, config, fb, sb, pre, ctx)
     except ValueError as exc:

@@ -42,15 +42,16 @@ _AUTO_FILTER_DIGITS = 75
 
 # least legal value of each integer knob (None still means "default");
 # max_rounds=0 asks for no collection at all
-_LOWER_BOUNDS = (
-    ("m", 1), ("n", 1), ("k", 1), ("rho", 2), ("partial_bound_multiplier", 1),
-    ("collision_threshold", 2), ("max_rounds", 0), ("slack", 0),
-)
+_LOWER_BOUNDS = (("m", 1), ("n", 1), ("k", 1), ("rho", 2), ("max_rounds", 0))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one factorization run; None means "derive a default"."""
+    """Knobs for one factorization run; None means "derive a default".
+
+    The relation policy is fixed, not a knob: search.COLLISION_THRESHOLD,
+    relations.PARTIAL_MULTIPLIER and relations.SLACK.
+    """
 
     algo: str | None = None          # sss | sssf | qs; None picks by size
     m: int | None = None             # factor-base target size
@@ -58,12 +59,9 @@ class RunConfig:
     k: int | None = None             # primes per subsum modulus (6 sss, 7 sssf)
     rho: int = 10                    # filter split ratio |F| / |F1|
     delta: int = 5                   # filter cutoff exponent offset
-    partial_bound_multiplier: int = 128
-    collision_threshold: int = 3
     use_partials: bool = True
     seed: int = 0
     max_rounds: int | None = None
-    slack: int = 10                  # extra relations beyond |F| + 1
 
     def __post_init__(self):
         if self.algo is not None and self.algo not in ALGORITHMS:
@@ -198,13 +196,7 @@ def collect_relations(
     raise FoundFactor when a divisor appears along the way.
     """
     if store is None:
-        store = RelationStore(
-            n,
-            fb,
-            slack=config.slack,
-            partial_multiplier=config.partial_bound_multiplier,
-            use_partials=config.use_partials,
-        )
+        store = RelationStore(n, fb, use_partials=config.use_partials)
     if stats is None:
         stats = RunStats()
 
@@ -235,9 +227,7 @@ def _round_runner(n, config, fb, sb, pre, ctx, store):
     """The function that runs round number i and returns its RoundStats."""
     algo = config.algo_for(n)
     if algo == "qs":
-        return lambda i: qs_mod.run_sieve(
-            n, fb, ctx, store, i, partial_multiplier=config.partial_bound_multiplier
-        )
+        return lambda i: qs_mod.run_sieve(n, fb, ctx, store, i)
     if not fb.large_primes(sb.n):
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
@@ -248,8 +238,6 @@ def _round_runner(n, config, fb, sb, pre, ctx, store):
         pick_indices(k, sb.n, rng)  # the only draws a round makes
     return lambda i: search_round(
         n, fb, sb, pre, ctx, k, rng, store,
-        collision_threshold=config.collision_threshold,
-        partial_multiplier=config.partial_bound_multiplier,
         filter_delta=config.delta if algo == "sssf" else None,
     )
 
@@ -289,7 +277,7 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
         finally:
             stats.add_time("linalg", time.perf_counter() - t0)
         # every dependency collapsed to a trivial gcd: collect a bit more
-        store.raise_target(config.slack + 1)
+        store.raise_target()
     raise RelationShortfall(n, stats)
 
 

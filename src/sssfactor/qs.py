@@ -17,7 +17,7 @@ from .relations import RelationStore
 from .search import RoundStats
 from .smoothness import Smoothness, SmoothnessContext, classify, smooth_batch
 
-__all__ = ["sieve_interval", "sieve_threshold", "run_sieve", "qs_factor"]
+__all__ = ["sieve_interval", "sieve_threshold", "run_sieve"]
 
 SIEVE_LENGTH = 65536
 
@@ -26,14 +26,14 @@ def _ceil_log2(v: int) -> int:
     return (v - 1).bit_length() if v > 1 else 0
 
 
-def sieve_threshold(n: int, fb: FactorBase, start: int, length: int,
-                    partial_multiplier: int = 128) -> int:
-    """ceil(log2 |f(mid)|) minus the partial-cofactor allowance, so that
-    candidates leading to partial relations still clear the bar."""
+def sieve_threshold(n: int, start: int, length: int, partial_bound: int) -> int:
+    """ceil(log2 |f(mid)|) minus the partial-cofactor allowance
+    log2(partial_bound), so that candidates leading to partial relations
+    still clear the bar."""
     shift = isqrt_ceil(n)
     mid = start + length // 2
     f_mid = abs(poly_value(mid, n, shift))
-    return max(_ceil_log2(f_mid) - _ceil_log2(partial_multiplier * fb.p_max), 1)
+    return max(_ceil_log2(f_mid) - _ceil_log2(partial_bound), 1)
 
 
 def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
@@ -92,8 +92,6 @@ def run_sieve(
     ctx: SmoothnessContext,
     store: RelationStore,
     index: int,
-    *,
-    partial_multiplier: int = 128,
 ) -> RoundStats:
     """Sieve interval number index (0, -L, L, -2L, ... with L = SIEVE_LENGTH)
     and ingest its full and partial relations into the store.
@@ -102,14 +100,13 @@ def run_sieve(
     nothing is filtered.  May raise FoundFactor via the store.
     """
     shift = isqrt_ceil(n)
-    p_max = fb.p_max
     start = _interval_start(index, SIEVE_LENGTH)
-    threshold = sieve_threshold(n, fb, start, SIEVE_LENGTH, partial_multiplier)
+    threshold = sieve_threshold(n, start, SIEVE_LENGTH, store.partial_bound)
     xs = sieve_interval(n, fb, start, SIEVE_LENGTH, threshold)
     values = [abs(poly_value(x, n, shift)) for x in xs]
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):
-        kind = classify(g, p_max, partial_multiplier)
+        kind = classify(g, store.partial_bound)
         if kind is Smoothness.REJECT:
             continue
         if kind is Smoothness.FULL:
@@ -118,15 +115,3 @@ def run_sieve(
             partials += 1
         store.ingest(x, g)
     return RoundStats(fulls, partials, len(xs), 0)
-
-
-def qs_factor(n: int, config=None):
-    """Factor n with the sieve baseline; thin wrapper over the engine."""
-    from .engine import RunConfig, factor
-
-    cfg = config if config is not None else RunConfig()
-    if cfg.algo != "qs":
-        from dataclasses import replace
-
-        cfg = replace(cfg, algo="qs")
-    return factor(n, cfg)

@@ -17,9 +17,9 @@ Fulls are factored when they arrive.  Partials are not: most never meet a
 second partial with the same cofactor.  The cofactor of a partial comes
 from its batch residual, stripped of factor-base primes by repeated gcds
 with the product of the base, and must divide f(x_bar).  The store keeps
-(x, x_bar, cofactor) and runs the root test only when a second partial
-with that cofactor arrives, or when the partials are dumped; the root
-test must then find the same cofactor.
+(x, x_bar, cofactor) and root-tests both partials of a pair only when a
+later partial with that cofactor arrives, or when the partials are
+dumped; the root test must then find the same cofactor.
 """
 
 import math
@@ -43,6 +43,12 @@ __all__ = [
 
 # (prime index, exponent) pairs, sorted by index, every exponent positive
 Exponents = tuple[tuple[int, int], ...]
+
+# a partial's cofactor must stay below PARTIAL_MULTIPLIER * p_max
+PARTIAL_MULTIPLIER = 128
+# spare relations collected beyond |F| + 1, and added again whenever every
+# dependency gave a trivial gcd
+SLACK = 10
 
 
 @dataclass(frozen=True)
@@ -68,31 +74,25 @@ class PendingPartial(NamedTuple):
     cofactor: int
 
 
-def needed_count(primes, slack: int = 10) -> int:
+def needed_count(primes) -> int:
     """Relations to collect before linear algebra: one per prime, one for
-    the sign dimension, plus slack spare dependencies."""
-    return len(primes) + 1 + slack
+    the sign dimension, plus SLACK spare dependencies."""
+    return len(primes) + 1 + SLACK
 
 
 class RelationStore:
     """Collects full and partial relations for one number N.
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
-    combined on the second hit, which is when both are factored.  Every
-    stored full relation is re-verified against its defining congruence.
+    combined with every later partial of that cofactor, which is when both
+    are factored.  Every stored full relation is re-verified against its
+    defining congruence.  `partial_bound` is the exclusive bound on a
+    partial's cofactor, which the search and the sieve classify against.
     `rounds` counts the collection rounds that fed the store;
     collect_relations numbers its next round from it.
     """
 
-    def __init__(
-        self,
-        n: int,
-        fb: FactorBase,
-        *,
-        slack: int = 10,
-        partial_multiplier: int = 128,
-        use_partials: bool = True,
-    ):
+    def __init__(self, n: int, fb: FactorBase, *, use_partials: bool = True):
         self.n = n
         self.primes = fb.primes
         self.shift = isqrt_ceil(n)
@@ -104,12 +104,12 @@ class RelationStore:
         self._neg_roots = -fb.root_array % fb.odd_array
         self._weights = limb_weights(fb.odd_array, 1)
         self._base_product = tree_root(product_tree(fb.primes))
-        self.partial_bound = partial_multiplier * fb.p_max
+        self.partial_bound = PARTIAL_MULTIPLIER * fb.p_max
         self.use_partials = use_partials
-        self.target = needed_count(self.primes, slack)
+        self.target = needed_count(self.primes)
         self.fulls: dict[int, Relation] = {}
-        # cofactor -> the first partial with it, factored once it pairs up
-        self.partials: dict[int, PendingPartial | PartialRelation] = {}
+        # cofactor -> the first partial with it
+        self.partials: dict[int, PendingPartial] = {}
         self.native_count = 0
         self.combined_count = 0
         self.rounds = 0
@@ -167,7 +167,7 @@ class RelationStore:
                 raise AssertionError(
                     f"batch reported f({x_bar}) smooth but cofactor {rest} remains"
                 )
-            self._add_full(Relation(rel_x, sign, exps), combined=False)
+            self._store_full(Relation(rel_x, sign, exps), combined=False)
             return
         if poly_value(x_bar, self.n, self.shift) % cofactor:
             raise ValueError(f"cofactor {cofactor} does not divide f({x_bar})")
@@ -180,25 +180,16 @@ class RelationStore:
             raise FoundFactor(g)
         self._pair(PendingPartial(rel_x, x_bar, cofactor))
 
-    def add_full(self, rel: Relation) -> None:
-        self._add_full(rel, combined=False)
-
-    def add_partial_and_combine(self, prel: PartialRelation):
-        """Store a partial, or emit the combined full relation when a
-        partner with the same cofactor already exists."""
-        if not 1 < prel.cofactor:
-            raise ValueError("partial cofactor must exceed 1")
-        return self._pair(prel)
-
-    def _pair(self, prel: PendingPartial | PartialRelation):
+    def _pair(self, prel: PendingPartial) -> None:
+        """Store the first partial of a cofactor; combine each later one
+        with it into a full relation."""
         other = self.partials.get(prel.cofactor)
         if other is None:
             self.partials[prel.cofactor] = prel
-            return None
+            return
         if other.x == prel.x:
-            return None  # same find twice; combining would be degenerate
+            return  # same find twice; combining would be degenerate
         first, second = self._factored(other), self._factored(prel)
-        self.partials[prel.cofactor] = first  # a third partial reuses it
         try:
             inv = mod_inverse(prel.cofactor, self.n)
         except NotInvertibleError as exc:
@@ -208,14 +199,11 @@ class RelationStore:
         for i, e in second.exponents:
             merged[i] = merged.get(i, 0) + e
         rel = Relation(x, (first.sign + second.sign) % 2, tuple(sorted(merged.items())))
-        self._add_full(rel, combined=True)
-        return rel
+        self._store_full(rel, combined=True)
 
-    def _factored(self, prel: PendingPartial | PartialRelation) -> PartialRelation:
+    def _factored(self, prel: PendingPartial) -> PartialRelation:
         """The partial with its exponents; the root test must find the
         cofactor it was stored under."""
-        if isinstance(prel, PartialRelation):
-            return prel
         sign, exps, cofactor = self.exponents_of(prel.x_bar)
         if cofactor != prel.cofactor:
             raise AssertionError(
@@ -224,7 +212,7 @@ class RelationStore:
             )
         return PartialRelation(prel.x, cofactor, sign, exps)
 
-    def _add_full(self, rel: Relation, combined: bool) -> None:
+    def _store_full(self, rel: Relation, combined: bool) -> None:
         self._verify(rel)
         if rel.x in self.fulls:
             return
@@ -248,8 +236,10 @@ class RelationStore:
     def have_enough(self) -> bool:
         return len(self.fulls) >= self.target
 
-    def raise_target(self, extra: int) -> None:
-        self.target += extra
+    def raise_target(self) -> None:
+        """Ask for SLACK + 1 more relations, after a solve whose every
+        dependency gave a trivial gcd."""
+        self.target += SLACK + 1
 
     # -- dumps ---------------------------------------------------------------
 

@@ -4,10 +4,11 @@ One round picks k random small-base primes, builds the initial candidate
 pair (x, M) by CRT, and then walks through k local variants of x (one
 root swap per chosen prime).  For each variant the roots of f modulo all
 large factor-base primes are mapped into the j-line of x + j*M; an offset
-alpha that shows up for at least three different large primes certifies
-that f(x + alpha * m') gains three large prime divisors on top of the
-known smooth part m'.  Those candidates go to the batch smoothness test
-and the survivors are handed to the sink as full or partial relations.
+alpha that shows up for at least COLLISION_THRESHOLD = 3 different large
+primes certifies that f(x + alpha * m') gains three large prime divisors
+on top of the known smooth part m'.  Those candidates go to the batch
+smoothness test and the survivors are handed to the sink as full or
+partial relations.
 
 The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
@@ -57,6 +58,7 @@ from .smoothness import (
 from .smoothness import smooth_batch_exact  # noqa: F401
 
 __all__ = [
+    "COLLISION_THRESHOLD",
     "RoundStats",
     "pick_indices",
     "RoundTable",
@@ -67,6 +69,10 @@ __all__ = [
     "hit_values",
     "search_round",
 ]
+
+
+# distinct large primes an offset needs before its value is batch-tested
+COLLISION_THRESHOLD = 3
 
 
 class RoundStats(NamedTuple):
@@ -132,7 +138,7 @@ def root_transforms(x: int, table: RoundTable) -> Transforms:
 
 
 def collision_scan(
-    transforms: Transforms, qs, modulus: int, threshold: int = 3
+    transforms: Transforms, qs, modulus: int, threshold: int = COLLISION_THRESHOLD
 ) -> list[tuple[int, int]]:
     """Collision offsets of one variant for every rescaling q in qs, as
     (index into qs, alpha) pairs: q by q, and for each q in order of first
@@ -206,19 +212,17 @@ def search_round(
     rng,
     sink,
     *,
-    collision_threshold: int = 3,
-    partial_multiplier: int = 128,
     filter_delta: int | None = None,
 ) -> RoundStats:
     """One full search round; emits relations through sink.ingest(x_bar, g).
 
-    filter_delta switches the smoothness pass to the two-stage filter (the
-    context must then carry a partition).  Each variant is scanned once for
-    all its rescalings, and its candidates are batch-tested together.
+    Finds are classified against sink.partial_bound.  filter_delta switches
+    the smoothness pass to the two-stage filter (the context must then carry
+    a partition).  Each variant is scanned once for all its rescalings, and
+    its candidates are batch-tested together.
     """
     shift = isqrt_ceil(n)
     digits = len(str(n))
-    p_max = fb.p_max
     indices = pick_indices(k, sb.n, rng)
     moduli = [sb.primes[i] for i in indices]
     modulus = math.prod(moduli)
@@ -235,7 +239,7 @@ def search_round(
         transforms = root_transforms(x, table)
         # q = 1 scans the base pair (x, M) itself
         qs = [1] + [q for q in moduli if q != sb.primes[i]]
-        hits = collision_scan(transforms, qs, modulus, collision_threshold)
+        hits = collision_scan(transforms, qs, modulus)
         if not hits:
             continue
         batch = hit_values(n, shift, x, modulus, qs, hits)
@@ -249,11 +253,12 @@ def search_round(
         else:
             found = zip(keys, smooth_batch(ctx, values))
         for x_bar, g in found:
-            kind = classify(g, p_max, partial_multiplier)
+            kind = classify(g, sink.partial_bound)
+            if kind is Smoothness.REJECT:
+                continue
             if kind is Smoothness.FULL:
-                sink.ingest(x_bar, 1)
                 fulls += 1
-            elif kind is Smoothness.PARTIAL:
-                sink.ingest(x_bar, g)
+            else:
                 partials += 1
+            sink.ingest(x_bar, g)
     return RoundStats(fulls, partials, candidates, filtered)

@@ -156,13 +156,13 @@ class Smoothness(enum.Enum):
     REJECT = "reject"
 
 
-def classify(residual: int, p_max: int, multiplier: int = 128) -> Smoothness:
-    """Full relation, usable partial (cofactor below multiplier * p_max),
-    or reject."""
+def classify(residual: int, partial_bound: int) -> Smoothness:
+    """Full relation, usable partial (residual below partial_bound), or
+    reject."""
     if residual < 1:
         raise ValueError("residuals are positive")
     if residual == 1:
         return Smoothness.FULL
-    if residual < multiplier * p_max:
+    if residual < partial_bound:
         return Smoothness.PARTIAL
     return Smoothness.REJECT

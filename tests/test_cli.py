@@ -65,12 +65,12 @@ UNWRITABLE = os.path.join(__file__, "x.csv")
         ["relations", USAGE_N, "--n", "500"],
         ["factor", USAGE_N, "--max-rounds", "-1"],
         ["factor", USAGE_N, "--n", "-3"],
-        ["relations", USAGE_N, "--rounds", "-1"],
+        ["relations", USAGE_N, "--max-rounds", "-1"],
         ["relations", USAGE_N, "--out", UNWRITABLE],
         ["relations", USAGE_N, "--partials-out", UNWRITABLE],
     ],
     ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500",
-         "factor-max-rounds-neg", "factor-n-neg", "relations-rounds-neg",
+         "factor-max-rounds-neg", "factor-n-neg", "relations-max-rounds-neg",
          "relations-out-unwritable", "relations-partials-out-unwritable"],
 )
 def test_bad_config_is_a_usage_error(argv, capsys):
@@ -184,7 +184,7 @@ def test_relations_dump_and_determinism(tmp_path, capsys):
             [
                 "relations",
                 str(n),
-                "--rounds",
+                "--max-rounds",
                 "40",
                 "--seed",
                 "6",
@@ -213,7 +213,7 @@ def test_relations_dump_and_determinism(tmp_path, capsys):
 
 def test_relations_stdout_and_empty_dump(capsys):
     n = 1299709 * 1299721
-    assert main(["relations", str(n), "--rounds", "0"]) == 0
+    assert main(["relations", str(n), "--max-rounds", "0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("x,sign,e_2,")  # header survives an empty dump
     assert len(out.strip().splitlines()) == 1
@@ -221,7 +221,7 @@ def test_relations_stdout_and_empty_dump(capsys):
 
 def test_relations_partials_to_stdout(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["relations", "1689259081189", "--rounds", "0", "--partials-out", "-"]) == 0
+    assert main(["relations", "1689259081189", "--max-rounds", "0", "--partials-out", "-"]) == 0
     out = capsys.readouterr().out
     assert "\nx,r,sign,e_2," in out  # after the fulls dump
     assert not (tmp_path / "-").exists()
@@ -230,7 +230,7 @@ def test_relations_partials_to_stdout(tmp_path, monkeypatch, capsys):
 def test_readme_relations_example_dumps_relations(capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     number = re.search(r"sssfactor relations (\d+)", readme).group(1)
-    assert main(["relations", number, "--rounds", "2"]) == 0
+    assert main(["relations", number, "--max-rounds", "2"]) == 0
     assert capsys.readouterr().out.startswith("x,sign,e_2,")
 
 

@@ -75,20 +75,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(rho=1)
     with pytest.raises(ValueError):
-        RunConfig(collision_threshold=1)
-    with pytest.raises(ValueError):
         RunConfig(k=0)
     for field, value in (
         ("max_rounds", -1),
-        ("slack", -1),
-        ("partial_bound_multiplier", 0),
         ("m", 0),
         ("n", -3),
     ):
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
     # the edges stay legal; max_rounds=0 is how a caller asks for no search
-    RunConfig(max_rounds=0, slack=0, partial_bound_multiplier=1, m=1, n=1)
+    RunConfig(max_rounds=0, m=1, n=1)
 
 
 def test_table_override():

@@ -3,7 +3,7 @@ import random
 from sssfactor.engine import RunConfig, factor
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import isqrt_ceil
-from sssfactor.qs import qs_factor, sieve_interval, sieve_threshold
+from sssfactor.qs import sieve_interval, sieve_threshold
 
 TOY_N = 10403  # 101 * 103
 
@@ -56,7 +56,7 @@ def test_sieve_finds_all_smooth_values_at_default_threshold():
     floor = 128 * fb.p_max
     checked = 0
     for start in (0, -512):
-        threshold = sieve_threshold(TOY_N, fb, start, length)
+        threshold = sieve_threshold(TOY_N, start, length, floor)
         candidates = set(sieve_interval(TOY_N, fb, start, length, threshold))
         for x in range(start, start + length):
             value = abs(poly_value(x, TOY_N, shift))
@@ -72,16 +72,16 @@ def test_sieve_finds_all_smooth_values_at_default_threshold():
 
 
 def test_qs_factor_small():
-    result = qs_factor(8051)
+    result = factor(8051, RunConfig(algo="qs"))
     assert result.factors == [(83, 1), (97, 1)]
-    result = qs_factor(91)
+    result = factor(91, RunConfig(algo="qs"))
     assert result.factors == [(7, 1), (13, 1)]
 
 
 def test_qs_factor_through_real_sieve():
     # factors beyond the scanned primes, so the full pipeline must run
     n = 1299709 * 1299721
-    result = qs_factor(n, RunConfig(seed=3))
+    result = factor(n, RunConfig(algo="qs", seed=3))
     assert result.success
     assert result.factors == [(1299709, 1), (1299721, 1)]
     assert result.stats.rounds > 0

@@ -120,32 +120,6 @@ def test_partial_cofactor_sharing_factor_with_n_is_lucky():
     assert err.value.divisor == 101
 
 
-def test_add_partial_and_combine_direct_api():
-    store, fb = small_store()
-    _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
-    r, xs = next((item for item in partials.items() if len(item[1]) >= 2))
-    made = []
-    for x_bar in xs[:2]:
-        value = poly_value(x_bar, STORE_N, store.shift)
-        sign = 1 if value < 0 else 0
-        rest = abs(value)
-        exps = []
-        for p in fb.primes:
-            e = 0
-            while rest % p == 0:
-                e += 1
-                rest //= p
-            exps.append(e)
-        assert rest == r
-        made.append(
-            store.add_partial_and_combine(
-                PartialRelation((x_bar + store.shift) % STORE_N, r, sign, sparse(exps))
-            )
-        )
-    assert made[0] is None
-    assert isinstance(made[1], Relation)
-
-
 def test_store_use_partials_off_ignores_them():
     store, fb = small_store(use_partials=False)
     _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
@@ -215,6 +189,24 @@ def test_partial_pair_combines_into_oracle_exponents():
     assert rel.x * rel.x % STORE_N == (-rhs if rel.sign else rhs) % STORE_N
 
 
+def test_third_partial_of_a_cofactor_combines_with_the_first():
+    store, fb = small_store()
+    r, xs = next((r, xs) for r, xs in coprime_partials(store, fb) if len(xs) >= 3)
+    for x_bar in xs[:3]:
+        store.ingest(x_bar, r)
+    assert store.combined_count == 2
+    assert list(store.partials) == [r]
+    (s1, e1, c1), *later = (
+        trial_divide(poly_value(x, STORE_N, store.shift), fb.primes) for x in xs[:3]
+    )
+    a1, *later_a = ((x + store.shift) % STORE_N for x in xs[:3])
+    for rel, (s2, e2, c2), a2 in zip(store.fulls.values(), later, later_a):
+        assert c1 == c2 == r
+        assert rel.sign == (s1 + s2) % 2
+        assert rel.exponents == sparse([a + b for a, b in zip(e1, e2)])
+        assert rel.x == a1 * a2 * pow(r, -1, STORE_N) % STORE_N
+
+
 def test_partial_stored_under_a_wrong_cofactor_fails_when_factored():
     store, fb = small_store()
     # a partial whose cofactor is a product of two primes outside the base,
@@ -232,10 +224,13 @@ def test_partial_stored_under_a_wrong_cofactor_fails_when_factored():
         store.partials_csv()
 
 
-def test_store_rejects_corrupt_relation():
-    store, _ = small_store()
+def test_store_rejects_corrupt_relation(monkeypatch):
+    store, fb = small_store()
+    fulls, _ = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    corrupt = (0, sparse((1,) * len(store.primes)), 1)
+    monkeypatch.setattr(store, "exponents_of", lambda x_bar: corrupt)
     with pytest.raises(ValueError):
-        store.add_full(Relation(5, 0, sparse((1,) * len(store.primes))))
+        store.ingest(fulls[0], 1)
 
 
 def test_csv_dumps():

@@ -24,7 +24,8 @@ TOY_N = 999919  # 991 * 1009, both factors beyond the scanned primes
 
 
 class CaptureSink:
-    def __init__(self):
+    def __init__(self, partial_bound):
+        self.partial_bound = partial_bound
         self.finds = []
 
     def ingest(self, x_bar, residual):
@@ -164,7 +165,7 @@ def test_collision_scan_matches_exhaustive_oracle():
 
 def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
-    sink = CaptureSink()
+    sink = CaptureSink(128 * fb.p_max)
     stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), sink)
     return stats, sink.finds
 
@@ -180,7 +181,7 @@ def test_search_round_deterministic_replay():
 def test_search_round_emissions_are_sound():
     fb, sb, pre, ctx = toy_setup()
     shift = isqrt_ceil(TOY_N)
-    sink = CaptureSink()
+    sink = CaptureSink(128 * fb.p_max)
     total = 0
     for seed in range(30):
         before = len(sink.finds)
@@ -207,7 +208,7 @@ def test_search_round_emissions_are_sound():
 def test_search_round_filter_path():
     fb, sb, pre, _ = toy_setup()
     ctx = build_context(fb.primes, split_ratio=4)
-    sink = CaptureSink()
+    sink = CaptureSink(128 * fb.p_max)
     rounds = 0
     stats_total = [0, 0, 0, 0]
     for seed in range(20):

@@ -149,9 +149,9 @@ def test_smooth_filter_agrees_with_plain_batch_on_smooth_values():
 
 
 def test_classify():
-    assert classify(1, 1000) is Smoothness.FULL
-    assert classify(127999, 1000) is Smoothness.PARTIAL
-    assert classify(128000, 1000) is Smoothness.REJECT
-    assert classify(2, 1000, multiplier=1) is Smoothness.PARTIAL
+    assert classify(1, 128 * 1000) is Smoothness.FULL
+    assert classify(127999, 128 * 1000) is Smoothness.PARTIAL
+    assert classify(128000, 128 * 1000) is Smoothness.REJECT
+    assert classify(2, 1000) is Smoothness.PARTIAL
     with pytest.raises(ValueError):
         classify(0, 1000)
