@@ -1,8 +1,11 @@
 """Command-line interface: factor, bench, relations.
 
 Exit codes: 0 success, 1 starvation/failure, 2 usage errors.  Defaults for
-the shared knobs can be overridden with SSSFACTOR_* environment variables
-(e.g. SSSFACTOR_SEED=7), which is handy in CI.
+the shared knobs can be overridden with the SSSFACTOR_ALGO, SSSFACTOR_SEED
+and SSSFACTOR_MAX_ROUNDS environment variables, which is handy in CI.
+Options must be spelled out: an abbreviation such as --max for
+--max-rounds is a usage error, so an unknown flag (--m) is never taken for
+a longer one that it happens to prefix.
 """
 
 import argparse
@@ -16,6 +19,7 @@ import sys
 import time
 
 from .engine import (
+    ALGORITHMS,
     FactorResult,
     RunConfig,
     RunStats,
@@ -69,7 +73,7 @@ BENCH_SCHEMA = {
                 "properties": {
                     "n": {"type": "string"},
                     "digits": {"type": "integer"},
-                    "algo": {"enum": ["sss", "sssf", "qs"]},
+                    "algo": {"enum": list(ALGORITHMS)},
                     "seed": {"type": "integer"},
                     "wall_seconds": {"type": "number"},
                     "phase_seconds": {"type": "object"},
@@ -88,14 +92,14 @@ BENCH_SCHEMA = {
 }
 
 
-def _env(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), fallback)
+def _env(name: str):
+    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
 
 
-def _env_int(name: str, fallback=None):
+def _env_int(name: str):
     raw = _env(name)
     if raw is None:
-        return fallback
+        return None
     try:
         return int(raw)
     except ValueError:
@@ -103,14 +107,14 @@ def _env_int(name: str, fallback=None):
         raise ValueError(f"{var} must be an integer, got {raw!r}") from None
 
 
-def _knob(args, name: str, fallback=None):
-    """The flag's value, else the SSSFACTOR_ variable's, else the fallback.
+def _knob(args, name: str):
+    """The flag's value, else the SSSFACTOR_ variable's, else None.
 
     Variables are read here rather than as parser defaults, so a bad one is
     a usage error of the command instead of a traceback while parsing.
     """
     value = getattr(args, name)
-    return _env_int(name, fallback) if value is None else value
+    return _env_int(name) if value is None else value
 
 
 def _unwritable(path: str) -> str | None:
@@ -127,19 +131,10 @@ def _unwritable(path: str) -> str | None:
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
-        "--algo", choices=("sss", "sssf", "qs"), default=_env("algo"),
+        "--algo", choices=ALGORITHMS, default=_env("algo"),
         help="relation search variant (default: sss, sssf from 75 digits)",
     )
-    parser.add_argument("--m", type=int,
-                        help="factor-base target size (default: by digit count)")
-    parser.add_argument("--n", type=int,
-                        help="small-base size (default: by digit count)")
-    parser.add_argument("--k", type=int,
-                        help="primes per subsum modulus (default: 6, sssf 7)")
-    parser.add_argument("--rho", type=int, help="filter split ratio (sssf, default 10)")
-    parser.add_argument("--delta", type=int,
-                        help="filter cutoff offset (sssf, default 5)")
-    parser.add_argument("--seed", type=int, help="search seed (default 0)")
+    parser.add_argument("--seed", type=int, help=f"search seed (default {RunConfig.seed})")
     parser.add_argument("--max-rounds", type=int,
                         help="cap on collection rounds (default: none)")
     parser.add_argument("--no-partials", action="store_true",
@@ -147,17 +142,14 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        algo=args.algo,
-        m=_knob(args, "m"),
-        n=_knob(args, "n"),
-        k=_knob(args, "k"),
-        rho=_knob(args, "rho", 10),
-        delta=_knob(args, "delta", 5),
-        seed=_knob(args, "seed", 0),
-        max_rounds=_knob(args, "max_rounds"),
-        use_partials=not args.no_partials,
-    )
+    """RunConfig from the values the user gave; RunConfig holds the defaults."""
+    given = {
+        "algo": args.algo,
+        "seed": _knob(args, "seed"),
+        "max_rounds": _knob(args, "max_rounds"),
+        "use_partials": False if args.no_partials else None,
+    }
+    return RunConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -171,21 +163,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_factor = sub.add_parser("factor", help="factor one integer")
+    p_factor = sub.add_parser("factor", help="factor one integer", allow_abbrev=False)
     p_factor.add_argument("number", type=int, help="integer to factor (decimal)")
     p_factor.add_argument("--json", action="store_true", help="JSON output")
     _add_config_flags(p_factor)
     p_factor.set_defaults(func=cmd_factor)
 
     p_bench = sub.add_parser(
-        "bench", help="generate balanced semiprimes and time the algorithms"
+        "bench", help="generate balanced semiprimes and time the algorithms",
+        allow_abbrev=False,
     )
     p_bench.add_argument("--digits", required=True,
                          help="digit count, or comma-separated list (e.g. 30,35)")
     p_bench.add_argument("--count", type=int, default=5,
                          help="semiprimes per digit count")
     p_bench.add_argument("--algos", default="sss",
-                         help="comma-separated subset of sss,sssf,qs")
+                         help=f"comma-separated subset of {','.join(ALGORITHMS)}")
     p_bench.add_argument("--timeout-seconds", type=float, default=None,
                          help="count relations found within the budget "
                               "instead of timing full factorizations")
@@ -195,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_rel = sub.add_parser(
-        "relations", help="dump collected relations without running phase 2"
+        "relations", help="dump collected relations without running phase 2",
+        allow_abbrev=False,
     )
     p_rel.add_argument("number", type=int,
                        help="integer to collect relations for")
@@ -350,7 +344,7 @@ def cmd_bench(args) -> int:
     if not digit_list or not algos:
         return _usage_error("need at least one digit count and one algorithm")
     for a in algos:
-        if a not in ("sss", "sssf", "qs"):
+        if a not in ALGORITHMS:
             return _usage_error(f"unknown algorithm {a!r}")
     if any(d < 8 for d in digit_list):
         return _usage_error("bench needs at least 8 digits (smaller inputs never "

@@ -1,7 +1,7 @@
 """CRT subsum machinery: candidate pairs (x, M) with M | f(x).
 
-A representation vector (x_1 .. x_n) over {0, 1, 2} fixes, for each
-nonzero entry, x = s_{i, x_i} mod p_i where (s_{i,1}, s_{i,2}) are the
+A choice of roots (index i, root c in {1, 2}) for some small-base primes
+fixes x = s_{i, c} mod p_i for each of them, where (s_{i,1}, s_{i,2}) are the
 roots of f mod the i-th small-base prime.  The CRT sum for any modulus
 M | mu (mu = product of the whole small base) can be built from global
 coefficients
@@ -62,24 +62,22 @@ def precompute(small: SmallFactorBase, roots: dict) -> CrtPrecomp:
     return CrtPrecomp(small.primes, mu, tuple(lam), tuple(delta))
 
 
-def get_x(rep, small: SmallFactorBase, pre: CrtPrecomp, roots: dict) -> CandidatePair:
-    """CRT solution for a representation vector, centered around 0.
+def get_x(choices, pre: CrtPrecomp, roots: dict) -> CandidatePair:
+    """CRT solution for the chosen roots, centered around 0.
 
-    Uses the precomputed lambda coefficients, so no inversions happen per
-    call no matter which modulus the vector selects.
+    choices holds (index, choice) pairs: x = s_{i, choice} mod the i-th
+    small-base prime, choice 1 or 2.  Uses the precomputed lambda
+    coefficients, so no inversions happen per call no matter which modulus
+    the choices select.
     """
     total = 0
     modulus = 1
-    fixed = 0
-    for i, choice in enumerate(rep):
-        if not choice:
-            continue
-        p = small.primes[i]
+    for i, choice in choices:
+        p = pre.primes[i]
         total += pre.lam[i] * roots[p][choice - 1]
         modulus *= p
-        fixed += 1
-    if not fixed:
-        raise ValueError("representation fixes no primes")
+    if modulus == 1:
+        raise ValueError("no primes chosen")
     return CandidatePair(center(total, modulus), modulus)
 
 

@@ -22,8 +22,8 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import pick_indices, search_round
-from .smoothness import build_context
+from .search import SUBSUM_SIZE, pick_indices, search_round
+from .smoothness import FILTER_SPLIT_RATIO, build_context
 
 __all__ = [
     "RunConfig",
@@ -40,54 +40,35 @@ ALGORITHMS = ("sss", "sssf", "qs")
 # digit count from which the filtered variant is picked automatically
 _AUTO_FILTER_DIGITS = 75
 
-# least legal value of each integer knob (None still means "default");
-# max_rounds=0 asks for no collection at all
-_LOWER_BOUNDS = (("m", 1), ("n", 1), ("k", 1), ("rho", 2), ("max_rounds", 0))
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one factorization run; None means "derive a default".
+    """What a caller chooses for one factorization run.
 
-    The relation policy is fixed, not a knob: search.COLLISION_THRESHOLD,
+    Every search parameter comes from the input, as in the paper: the
+    factor-base sizes m and n from the digit-count table
+    (factorbase.table_sizes, per composite and cofactor), the subsum size k
+    from the variant (search.SUBSUM_SIZE), the filter's split ratio and
+    cutoff offset from smoothness.FILTER_SPLIT_RATIO and FILTER_DELTA, and
+    the relation policy from search.COLLISION_THRESHOLD,
     relations.PARTIAL_MULTIPLIER and relations.SLACK.
     """
 
     algo: str | None = None          # sss | sssf | qs; None picks by size
-    m: int | None = None             # factor-base target size
-    n: int | None = None             # small-base size
-    k: int | None = None             # primes per subsum modulus (6 sss, 7 sssf)
-    rho: int = 10                    # filter split ratio |F| / |F1|
-    delta: int = 5                   # filter cutoff exponent offset
     use_partials: bool = True
     seed: int = 0
-    max_rounds: int | None = None
+    max_rounds: int | None = None    # None: no cap; 0 asks for no collection
 
     def __post_init__(self):
         if self.algo is not None and self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        for name, least in _LOWER_BOUNDS:
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be at least 0, got {self.max_rounds}")
 
     def algo_for(self, n: int) -> str:
         if self.algo is not None:
             return self.algo
         return "sssf" if len(str(n)) >= _AUTO_FILTER_DIGITS else "sss"
-
-    def sizes_for(self, n: int) -> tuple[int, int]:
-        m, small_n = table_sizes(len(str(n)))
-        if self.m is not None:
-            m = self.m
-        if self.n is not None:
-            small_n = self.n
-        return m, small_n
-
-    def k_for(self, algo: str) -> int:
-        if self.k is not None:
-            return self.k
-        return 7 if algo == "sssf" else 6
 
 
 @dataclass
@@ -162,14 +143,14 @@ class RelationShortfall(RuntimeError):
 def prepare(n: int, config: RunConfig):
     """Precomputation for one composite: factor bases, CRT tables and the
     smoothness context (with a partition when the filtered variant runs).
+    The sizes come from the digit-count table.
 
     Raises FoundFactor if the base scan already hits a divisor.
     """
-    algo = config.algo_for(n)
-    m, small_n = config.sizes_for(n)
-    fb, sb = build_factor_bases(n, m, small_n)
+    fb, sb = build_factor_bases(n, *table_sizes(len(str(n))))
     pre = precompute(sb, fb.roots)
-    ctx = build_context(fb.primes, split_ratio=config.rho if algo == "sssf" else None)
+    filtered = config.algo_for(n) == "sssf"
+    ctx = build_context(fb.primes, split_ratio=FILTER_SPLIT_RATIO if filtered else None)
     return fb, sb, pre, ctx
 
 
@@ -232,14 +213,11 @@ def _round_runner(n, config, fb, sb, pre, ctx, store):
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
         )
-    k = min(config.k_for(algo), sb.n)
+    k = min(SUBSUM_SIZE[algo], sb.n)
     rng = random.Random(f"{config.seed}:{n}:0")  # one stream per composite
     for _ in range(store.rounds):
         pick_indices(k, sb.n, rng)  # the only draws a round makes
-    return lambda i: search_round(
-        n, fb, sb, pre, ctx, k, rng, store,
-        filter_delta=config.delta if algo == "sssf" else None,
-    )
+    return lambda i: search_round(n, fb, sb, pre, ctx, k, rng, store)
 
 
 _MAX_SOLVE_CYCLES = 12

@@ -1,14 +1,15 @@
 """The subsum relation search.
 
-One round picks k random small-base primes, builds the initial candidate
-pair (x, M) by CRT, and then walks through k local variants of x (one
-root swap per chosen prime).  For each variant the roots of f modulo all
-large factor-base primes are mapped into the j-line of x + j*M; an offset
-alpha that shows up for at least COLLISION_THRESHOLD = 3 different large
-primes certifies that f(x + alpha * m') gains three large prime divisors
-on top of the known smooth part m'.  Those candidates go to the batch
-smoothness test and the survivors are handed to the sink as full or
-partial relations.
+One round picks k random small-base primes (SUBSUM_SIZE: 6 for sss, 7
+for sssf), builds the initial candidate pair (x, M) by CRT, and then
+walks through k local variants of x (one root swap per chosen prime).
+For each variant the roots of f modulo all large factor-base primes are
+mapped into the j-line of x + j*M; an offset alpha that shows up for at
+least COLLISION_THRESHOLD = 3 different large primes certifies that
+f(x + alpha * m') gains three large prime divisors on top of the known
+smooth part m'.  Those candidates go to the batch smoothness test (the
+two-pass filter when the context carries a partition, as for sssf) and
+the survivors are handed to the sink as full or partial relations.
 
 The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
@@ -48,6 +49,7 @@ from .factorbase import (
 )
 from .numtheory import isqrt_ceil
 from .smoothness import (
+    FILTER_DELTA,
     Smoothness,
     SmoothnessContext,
     classify,
@@ -59,6 +61,7 @@ from .smoothness import smooth_batch_exact  # noqa: F401
 
 __all__ = [
     "COLLISION_THRESHOLD",
+    "SUBSUM_SIZE",
     "RoundStats",
     "pick_indices",
     "RoundTable",
@@ -73,6 +76,9 @@ __all__ = [
 
 # distinct large primes an offset needs before its value is batch-tested
 COLLISION_THRESHOLD = 3
+
+# small-base primes k per subsum modulus M, by variant
+SUBSUM_SIZE = {"sss": 6, "sssf": 7}
 
 
 class RoundStats(NamedTuple):
@@ -212,14 +218,15 @@ def search_round(
     rng,
     sink,
     *,
-    filter_delta: int | None = None,
+    filter_delta: int = FILTER_DELTA,
 ) -> RoundStats:
     """One full search round; emits relations through sink.ingest(x_bar, g).
 
-    Finds are classified against sink.partial_bound.  filter_delta switches
-    the smoothness pass to the two-stage filter (the context must then carry
-    a partition).  Each variant is scanned once for all its rescalings, and
-    its candidates are batch-tested together.
+    Finds are classified against sink.partial_bound.  A context with a
+    partition (the sssf variant) switches the smoothness pass to the
+    two-stage filter with cutoff offset filter_delta.  Each variant is
+    scanned once for all its rescalings, and its candidates are batch-tested
+    together.
     """
     shift = isqrt_ceil(n)
     digits = len(str(n))
@@ -228,10 +235,7 @@ def search_round(
     modulus = math.prod(moduli)
     table = round_table(modulus, *fb.large_arrays(sb.n))
 
-    rep = [0] * sb.n
-    for i in indices:
-        rep[i] = 1
-    x, _ = get_x(rep, sb, pre, fb.roots)
+    x, _ = get_x(zip(indices, repeat(1)), pre, fb.roots)
 
     fulls = partials = candidates = filtered = 0
     for i in indices:
@@ -246,7 +250,7 @@ def search_round(
         candidates += len(batch)
         keys = list(batch)
         values = list(batch.values())
-        if filter_delta is not None:
+        if ctx.part_small is not None:
             pairs = smooth_filter(ctx, values, digits, filter_delta)
             filtered += len(values) - len(pairs)
             found = [(keys[j], g) for j, g in pairs]

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
+    "FILTER_SPLIT_RATIO",
+    "FILTER_DELTA",
     "Smoothness",
     "SmoothnessContext",
     "product_tree",
@@ -31,6 +33,12 @@ __all__ = [
 
 # every prime power dividing the boosted product must exceed this
 ETA_MIN_POWER = 1 << 15
+
+# the two-pass filter (sssf): pass 1 uses the smallest |F| / FILTER_SPLIT_RATIO
+# primes, and a candidate goes on to pass 2 only when its residual has
+# dropped below 10**(digits/2 - FILTER_DELTA)
+FILTER_SPLIT_RATIO = 10
+FILTER_DELTA = 5
 
 
 def product_tree(values) -> list[list[int]]:
@@ -133,7 +141,9 @@ def smooth_batch_exact(ctx: SmoothnessContext, candidates) -> list[int]:
     return out
 
 
-def smooth_filter(ctx: SmoothnessContext, candidates, digits: int, delta: int):
+def smooth_filter(
+    ctx: SmoothnessContext, candidates, digits: int, delta: int = FILTER_DELTA
+):
     """Two-pass batch: strip the smallest primes first, keep only candidates
     whose residual dropped below 10**(digits/2 - delta), then finish the
     survivors against the rest of the base.

@@ -21,7 +21,7 @@ from search_oracle import scan_hits
 from sssfactor.cli import generate_semiprime, main
 from sssfactor.crt import get_x, precompute
 from sssfactor.engine import RunConfig, collect_relations, factor, prepare
-from sssfactor.factorbase import build_factor_bases, poly_value
+from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.relations import Relation, solve_dependencies
 from sssfactor.search import pick_indices, root_transforms, round_table
@@ -136,10 +136,7 @@ def test_c04_collision_soundness_and_completeness():
             idx = pick_indices(4, sb.n, rng)
             moduli = [sb.primes[i] for i in idx]
             modulus = math.prod(moduli)
-            rep = [0] * sb.n
-            for i in idx:
-                rep[i] = 1
-            x, _ = get_x(rep, sb, pre, fb.roots)
+            x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
             transforms = root_transforms(x, round_table(modulus, primes, roots))
             for q in [1] + moduli:
                 m_prime = modulus // q
@@ -167,15 +164,13 @@ def test_c04_collision_soundness_and_completeness():
 def test_c05_initial_pair_bound():
     with criterion(5, "worst-case bound on 10^3 initial pairs, 40 digits"):
         n, _, _ = generate_semiprime(40, random.Random(55))
-        fb, sb = build_factor_bases(n, *RunConfig().sizes_for(n))
+        fb, sb = build_factor_bases(n, *table_sizes(len(str(n))))
         pre = precompute(sb, fb.roots)
         shift = isqrt_ceil(n)
         rng = random.Random(56)
         for _ in range(1000):
-            rep = [0] * sb.n
-            for i in rng.sample(range(sb.n), 6):
-                rep[i] = rng.choice((1, 2))
-            x, modulus = get_x(rep, sb, pre, fb.roots)
+            choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(sb.n), 6)]
+            x, modulus = get_x(choices, pre, fb.roots)
             f_val = poly_value(x, n, shift)
             assert f_val % modulus == 0
             # |f(x)|/M <= M/4 + shift + (2*sqrt(n) + 1)/M, in exact integers:

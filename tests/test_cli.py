@@ -58,19 +58,12 @@ UNWRITABLE = os.path.join(__file__, "x.csv")
 @pytest.mark.parametrize(
     "argv",
     [
-        ["factor", USAGE_N, "--k", "0"],
-        ["factor", USAGE_N, "--rho", "1"],
-        ["relations", USAGE_N, "--k", "0"],
-        ["relations", USAGE_N, "--m", "3"],
-        ["relations", USAGE_N, "--n", "500"],
         ["factor", USAGE_N, "--max-rounds", "-1"],
-        ["factor", USAGE_N, "--n", "-3"],
         ["relations", USAGE_N, "--max-rounds", "-1"],
         ["relations", USAGE_N, "--out", UNWRITABLE],
         ["relations", USAGE_N, "--partials-out", UNWRITABLE],
     ],
-    ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500",
-         "factor-max-rounds-neg", "factor-n-neg", "relations-max-rounds-neg",
+    ids=["factor-max-rounds-neg", "relations-max-rounds-neg",
          "relations-out-unwritable", "relations-partials-out-unwritable"],
 )
 def test_bad_config_is_a_usage_error(argv, capsys):
@@ -80,6 +73,41 @@ def test_bad_config_is_a_usage_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert USAGE_N in lines[0]  # names the number, not a flag value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", USAGE_N, "--k", "0"],
+        ["factor", USAGE_N, "--rho", "1"],
+        ["relations", USAGE_N, "--k", "0"],
+        ["relations", USAGE_N, "--m", "3"],
+        ["relations", USAGE_N, "--n", "500"],
+        ["factor", USAGE_N, "--n", "-3"],
+        ["factor", "15", "--k", "6"],
+        ["relations", USAGE_N, "--m", "500"],
+        ["relations", USAGE_N, "--delta", "5"],
+        ["bench", "--digits", "12", "--rho", "10"],
+        ["bench", "--digits", "12", "--n", "40"],
+        ["factor", "15", "--max", "5"],
+    ],
+    ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500",
+         "factor-n-neg", "factor-k6", "relations-m500", "relations-delta5",
+         "bench-rho10", "bench-n40", "factor-abbreviation"],
+)
+def test_removed_flag_is_a_usage_error(argv, capsys, monkeypatch, tmp_path):
+    # m, n, k, rho and delta come from the input; a script that still sets
+    # them stops here instead of running with the derived values, and no
+    # flag passes as an abbreviation of a longer one (--m of --max-rounds)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -57,16 +57,16 @@ def test_get_x_example():
     pre = precompute(sb, roots)
     # fix x = 1 mod 3 and x = 2 mod 5: brute scan of [0, 15) gives 7
     assert [x for x in range(15) if x % 3 == 1 and x % 5 == 2] == [7]
-    assert get_x([1, 1], sb, pre, roots) == (7, 15)
+    assert get_x([(0, 1), (1, 1)], pre, roots) == (7, 15)
 
 
 def test_get_x_single_prime_and_empty():
     sb, roots = toy_base([5], {5: (2, 3)})
     pre = precompute(sb, roots)
-    x, modulus = get_x([1], sb, pre, roots)
+    x, modulus = get_x([(0, 1)], pre, roots)
     assert modulus == 5 and x % 5 == 2 and -3 < x <= 2
     with pytest.raises(ValueError):
-        get_x([0], sb, pre, roots)
+        get_x([], pre, roots)
 
 
 def test_get_x_matches_classical_crt():
@@ -78,16 +78,14 @@ def test_get_x_matches_classical_crt():
     for _ in range(1000):
         k = rng.randrange(1, sb.n + 1)
         picks = rng.sample(range(sb.n), k)
-        rep = [0] * sb.n
-        for i in picks:
-            rep[i] = rng.choice((1, 2))
-        x, modulus = get_x(rep, sb, pre, fb.roots)
+        choices = [(i, rng.choice((1, 2))) for i in picks]
+        x, modulus = get_x(choices, pre, fb.roots)
         assert modulus == math.prod(sb.primes[i] for i in picks)
         classical = 0
-        for i in picks:
+        for i, choice in choices:
             p = sb.primes[i]
             c = mod_inverse(modulus // p % p, p)
-            classical += (modulus // p) * c * fb.roots[p][rep[i] - 1]
+            classical += (modulus // p) * c * fb.roots[p][choice - 1]
         assert x % modulus == classical % modulus
         assert -((modulus + 1) // 2) < x <= modulus // 2
 
@@ -99,10 +97,8 @@ def test_candidate_pairs_divisible_and_bounded():
     shift = isqrt_ceil(n)
     rng = random.Random(5)
     for _ in range(300):
-        rep = [0] * sb.n
-        for i in rng.sample(range(sb.n), 6):
-            rep[i] = rng.choice((1, 2))
-        x, modulus = get_x(rep, sb, pre, fb.roots)
+        choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(sb.n), 6)]
+        x, modulus = get_x(choices, pre, fb.roots)
         f_val = poly_value(x, n, shift)
         assert f_val % modulus == 0
         # |f(x)|/M <= M/4 + shift + (2*sqrt(n) + 1)/M, kept in integers:
@@ -114,7 +110,7 @@ def test_candidate_pairs_divisible_and_bounded():
 def test_swap_root_example_and_involution():
     sb, roots = toy_base([3, 5], {3: (1, 2), 5: (2, 3)})
     pre = precompute(sb, roots)
-    x, modulus = get_x([1, 1], sb, pre, roots)  # 7
+    x, modulus = get_x([(0, 1), (1, 1)], pre, roots)  # 7
     swapped = swap_root(x, 0, 1, modulus, pre)
     assert swapped == 2  # brute scan: x = 2 mod 3 and 2 mod 5 in [0, 15) is 2
     assert swap_root(swapped, 0, -1, modulus, pre) == x
@@ -127,10 +123,7 @@ def test_swap_root_preserves_other_residues():
     rng = random.Random(6)
     for _ in range(200):
         picks = sorted(rng.sample(range(sb.n), 4))
-        rep = [0] * sb.n
-        for i in picks:
-            rep[i] = 1
-        x, modulus = get_x(rep, sb, pre, fb.roots)
+        x, modulus = get_x([(i, 1) for i in picks], pre, fb.roots)
         i = rng.choice(picks)
         p = sb.primes[i]
         x2 = swap_root(x, i, 1, modulus, pre)

@@ -4,13 +4,17 @@ import time
 import pytest
 
 from sssfactor.cli import generate_semiprime
+from sssfactor.crt import precompute
 from sssfactor.engine import (
     RunConfig,
     collect_relations,
     factor,
     prepare,
 )
+from sssfactor.factorbase import build_factor_bases
 from sssfactor.numtheory import is_probable_prime
+from sssfactor.search import SUBSUM_SIZE
+from sssfactor.smoothness import build_context
 
 
 def test_factor_examples():
@@ -64,40 +68,27 @@ def test_algo_auto_selection():
     assert cfg.algo_for(10**30) == "sss"
     assert cfg.algo_for(10**80) == "sssf"
     assert RunConfig(algo="sss").algo_for(10**80) == "sss"  # explicit wins
-    assert RunConfig(algo="sssf").k_for("sssf") == 7
-    assert RunConfig().k_for("sss") == 6
-    assert RunConfig(k=9).k_for("sss") == 9
+    assert SUBSUM_SIZE == {"sss": 6, "sssf": 7}
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(algo="nope")
-    with pytest.raises(ValueError):
-        RunConfig(rho=1)
-    with pytest.raises(ValueError):
-        RunConfig(k=0)
-    for field, value in (
-        ("max_rounds", -1),
-        ("m", 0),
-        ("n", -3),
-    ):
-        with pytest.raises(ValueError, match=field):
-            RunConfig(**{field: value})
-    # the edges stay legal; max_rounds=0 is how a caller asks for no search
-    RunConfig(max_rounds=0, m=1, n=1)
-
-
-def test_table_override():
-    cfg = RunConfig(m=123, n=45)
-    assert cfg.sizes_for(10**30) == (123, 45)
-    assert RunConfig().sizes_for(10**29) == (200, 40)
+    with pytest.raises(ValueError, match="max_rounds"):
+        RunConfig(max_rounds=-1)
+    # the edge stays legal; max_rounds=0 is how a caller asks for no search
+    RunConfig(max_rounds=0)
 
 
 def test_degenerate_small_base_is_rejected():
-    # an n that swallows the whole base leaves no collision primes
+    # a small base that swallows the whole factor base leaves no collision primes
     n = 1299709 * 1299721
-    with pytest.raises(ValueError):
-        factor(n, RunConfig(seed=1, n=10**6))
+    fb, sb = build_factor_bases(n, 20, 10**6)
+    assert not fb.large_primes(sb.n)
+    pre = precompute(sb, fb.roots)
+    ctx = build_context(fb.primes)
+    with pytest.raises(ValueError, match="small base covers"):
+        collect_relations(n, RunConfig(seed=1), fb, sb, pre, ctx)
 
 
 def test_determinism_same_seed():

@@ -11,6 +11,7 @@ from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.search import (
+    SUBSUM_SIZE,
     collision_scan,
     hit_values,
     pick_indices,
@@ -91,10 +92,7 @@ def test_root_transforms_land_on_roots():
     for _ in range(20):
         idx = pick_indices(3, sb.n, rng)
         modulus = math.prod(sb.primes[i] for i in idx)
-        rep = [0] * sb.n
-        for i in idx:
-            rep[i] = 1
-        x, _ = get_x(rep, sb, pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
         table = round_table(modulus, primes, roots)
         for p, r1, r2 in oracle.as_tuples(root_transforms(x, table)):
             for r in (r1, r2):
@@ -145,10 +143,7 @@ def test_collision_scan_matches_exhaustive_oracle():
         idx = pick_indices(4, sb.n, rng)
         moduli = [sb.primes[i] for i in idx]
         modulus = math.prod(moduli)
-        rep = [0] * sb.n
-        for i in idx:
-            rep[i] = 1
-        x, _ = get_x(rep, sb, pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
         for q in [1] + moduli:
             m_prime = modulus // q
@@ -316,7 +311,7 @@ def test_transforms_match_oracle_at_the_int64_margin(sign):
 def test_array_search_matches_oracle_on_real_rounds(n, k):
     from sssfactor.engine import RunConfig, prepare
 
-    fb, sb, pre, _ = prepare(n, RunConfig(m=20, n=6) if n == TOY_N else RunConfig())
+    fb, sb, pre, _ = toy_setup() if n == TOY_N else prepare(n, RunConfig())
     primes, roots = fb.large_arrays(sb.n)
     large = fb.large_primes(sb.n)
     rng = random.Random(5)
@@ -324,10 +319,7 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
         idx = pick_indices(k, sb.n, rng)
         moduli = [sb.primes[i] for i in idx]
         modulus = math.prod(moduli)
-        rep = [0] * sb.n
-        for i in idx:
-            rep[i] = 1
-        x, _ = get_x(rep, sb, pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
         inv = oracle.invert_M(modulus, large)
         expected = oracle.root_transforms(x, inv, fb.roots)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
@@ -389,9 +381,8 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
     from sssfactor.engine import RunConfig, prepare
 
     algo, n = REAL_ROUNDS[name]
-    config = RunConfig(algo=algo)
-    fb, sb, pre, _ = prepare(n, config)
-    k = config.k_for(algo)
+    fb, sb, pre, _ = prepare(n, RunConfig(algo=algo))
+    k = SUBSUM_SIZE[algo]
     primes, roots = fb.large_arrays(sb.n)
     shift = isqrt_ceil(n)
     rng = random.Random(3)
@@ -401,10 +392,7 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
         moduli = [sb.primes[i] for i in idx]
         modulus = math.prod(moduli)
         table = round_table(modulus, primes, roots)
-        rep = [0] * sb.n
-        for i in idx:
-            rep[i] = 1
-        x, _ = get_x(rep, sb, pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
         for i in idx:
             x = swap_root(x, i, 1, modulus, pre)
             qs = [1] + [q for q in moduli if q != sb.primes[i]]
@@ -428,7 +416,7 @@ def test_hit_values_reject_a_modulus_that_does_not_divide_f():
     shift = isqrt_ceil(TOY_N)
     idx = [0, 1, 2]
     modulus = math.prod(sb.primes[i] for i in idx)
-    x, _ = get_x([1, 1, 1] + [0] * (sb.n - 3), sb, pre, fb.roots)
+    x, _ = get_x([(0, 1), (1, 1), (2, 1)], pre, fb.roots)
     assert hit_values(TOY_N, shift, x, modulus, [1], [(0, 5)])
     with pytest.raises(AssertionError):
         hit_values(TOY_N, shift, x + 1, modulus, [1], [(0, 5)])
