@@ -163,18 +163,17 @@ def collect_relations(
     ctx,
     *,
     store: RelationStore | None = None,
-    deadline: float | None = None,
     stats: RunStats | None = None,
 ) -> tuple[RelationStore, RunStats]:
     """Run rounds (search rounds, or sieved intervals for qs) until the
     store holds enough relations.
 
-    Stops on the relation target, config.max_rounds rounds of this call, or
-    the deadline.  Rounds are numbered from store.rounds, so a later call on
-    the same store continues the relation stream.  The stream is a
-    deterministic function of the seed; a deadline only decides where it is
-    cut.  The time spent is added to the "collect" phase of stats.  May
-    raise FoundFactor when a divisor appears along the way.
+    Stops on the relation target or after config.max_rounds rounds of this
+    call, so where the relation stream ends never depends on the host's
+    speed.  Rounds are numbered from store.rounds, so a later call on the
+    same store continues the relation stream, a deterministic function of
+    the seed.  The time spent is added to the "collect" phase of stats.
+    May raise FoundFactor when a divisor appears along the way.
     """
     if store is None:
         store = RelationStore(n, fb, use_partials=config.use_partials)
@@ -188,8 +187,6 @@ def collect_relations(
     try:
         while not store.have_enough():
             if round_cap is not None and store.rounds >= round_cap:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
                 break
             result = run_round(store.rounds)
             store.rounds += 1

@@ -6,7 +6,6 @@ real 30-50 digit semiprimes); expect a minute or two of wall time.
 """
 
 import itertools
-import json
 import math
 import random
 import statistics
@@ -17,8 +16,8 @@ import pytest
 
 from relations_oracle import dense, sparse
 from search_oracle import scan_hits
+from semiprimes import generate_semiprime
 
-from sssfactor.cli import generate_semiprime, main
 from sssfactor.crt import get_x, precompute
 from sssfactor.engine import RunConfig, collect_relations, factor, prepare
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
@@ -240,22 +239,17 @@ def test_c07_gf2_solver_matches_brute_force():
 
 
 @pytest.mark.slow
-def test_c08_bench_trend_sss_vs_qs(tmp_path):
+def test_c08_bench_trend_sss_vs_qs():
     with criterion(8, "35-digit bench: subsum search beats the sieve"):
-        out = tmp_path / "bench35"
-        rc = main(
-            [
-                "bench", "--digits", "35", "--count", "10",
-                "--algos", "sss,qs", "--seed", "88", "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        report = json.loads((tmp_path / "bench35.json").read_text())
+        rng = random.Random(88)
         walls = {"sss": [], "qs": []}
-        for run in report["runs"]:
-            assert run["success"]
-            walls[run["algo"]].append(run["wall_seconds"])
-        assert len(walls["sss"]) == len(walls["qs"]) == 10
+        for _ in range(10):
+            n, _, _ = generate_semiprime(35, rng)
+            for algo in ("sss", "qs"):
+                t0 = time.perf_counter()
+                result = factor(n, RunConfig(algo=algo, seed=88))
+                walls[algo].append(time.perf_counter() - t0)
+                assert result.success, f"{algo} failed to factor {n}"
         sss_med = statistics.median(walls["sss"])
         qs_med = statistics.median(walls["qs"])
         print(f"median wall: sss={sss_med:.2f}s qs={qs_med:.2f}s")

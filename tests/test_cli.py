@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import pathlib
@@ -8,13 +7,9 @@ import re
 import jsonschema
 import pytest
 
-from sssfactor.cli import (
-    BENCH_SCHEMA,
-    FACTOR_SCHEMA,
-    generate_semiprime,
-    main,
-    random_prime,
-)
+from semiprimes import generate_semiprime, random_prime
+
+from sssfactor.cli import FACTOR_SCHEMA, main
 from sssfactor.numtheory import is_probable_prime
 
 
@@ -87,13 +82,11 @@ def test_bad_config_is_a_usage_error(argv, capsys):
         ["factor", "15", "--k", "6"],
         ["relations", USAGE_N, "--m", "500"],
         ["relations", USAGE_N, "--delta", "5"],
-        ["bench", "--digits", "12", "--rho", "10"],
-        ["bench", "--digits", "12", "--n", "40"],
         ["factor", "15", "--max", "5"],
     ],
     ids=["factor-k0", "factor-rho1", "relations-k0", "relations-m3", "relations-n500",
          "factor-n-neg", "factor-k6", "relations-m500", "relations-delta5",
-         "bench-rho10", "bench-n40", "factor-abbreviation"],
+         "factor-abbreviation"],
 )
 def test_removed_flag_is_a_usage_error(argv, capsys, monkeypatch, tmp_path):
     # m, n, k, rho and delta come from the input; a script that still sets
@@ -105,48 +98,48 @@ def test_removed_flag_is_a_usage_error(argv, capsys, monkeypatch, tmp_path):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    # the subcommand's usage line, which lists the flags it does take
+    assert captured.err.startswith(f"usage: sssfactor {argv[0]} ")
     assert "unrecognized arguments" in captured.err
     assert "Traceback" not in captured.err
     assert not list(tmp_path.iterdir())
 
 
+def test_bench_subcommand_is_gone(capsys, monkeypatch, tmp_path):
+    # timings come from benchmarks/run.py; the old subcommand is a usage
+    # error that writes no report
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--digits", "12"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, variable",
     [
-        ["factor", "15"],
-        ["relations", USAGE_N],
-        ["bench", "--digits", "12", "--count", "1"],
+        (["factor", "8051"], ("SSSFACTOR_SEED", "77")),
+        (["factor", "8051"], ("SSSFACTOR_K", "0")),
+        (["relations", USAGE_N], ("SSSFACTOR_SEED", "77")),
+        (["relations", USAGE_N], ("SSSFACTOR_K", "0")),
     ],
-    ids=["factor", "relations", "bench"],
+    ids=["factor", "factor-k", "relations", "relations-k"],
 )
-def test_bad_env_knob_is_a_usage_error(argv, monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("SSSFACTOR_SEED", "abc")
+def test_bad_env_knob_is_a_usage_error(argv, variable, monkeypatch, capsys, tmp_path):
+    # flags are the only input: a script that still sets a variable, valid
+    # value or not, stops here instead of running with values it did not mean
+    monkeypatch.setenv(*variable)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert "SSSFACTOR_SEED" in lines[0]
-
-
-@pytest.mark.parametrize(
-    "options",
-    [
-        ["--out", os.path.join(__file__, "r")],
-        ["--count", "0"],
-        ["--count", "-1"],
-        ["--timeout-seconds", "-5"],
-        ["--timeout-seconds", "0"],
-    ],
-    ids=["out-unwritable", "count0", "count-neg", "timeout-neg", "timeout0"],
-)
-def test_bad_bench_options_are_usage_errors(options, capsys, tmp_path):
-    argv = ["bench", "--digits", "12", "--out", str(tmp_path / "report"), *options]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""  # checked before the first job runs
-    assert len(captured.err.splitlines()) == 1
+    assert variable[0] in lines[0]
+    assert "flag" in lines[0]
     assert not list(tmp_path.iterdir())
 
 
@@ -155,13 +148,6 @@ def test_factor_starvation_exit_code(capsys):
     assert main(["factor", str(n), "--max-rounds", "0"]) == 1
     err = capsys.readouterr().err
     assert "residue" in err
-
-
-def test_env_override_seed(monkeypatch, capsys):
-    monkeypatch.setenv("SSSFACTOR_SEED", "77")
-    assert main(["factor", "8051", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["config"]["seed"] == 77
 
 
 def test_json_config_echo_reproduces_run(capsys):
@@ -264,115 +250,3 @@ def test_readme_relations_example_dumps_relations(capsys):
 
 def test_relations_rejects_prime(capsys):
     assert main(["relations", "1299709"]) == 2
-
-
-def test_bench_factor_mode(tmp_path, capsys):
-    out = tmp_path / "report"
-    code = main(
-        [
-            "bench",
-            "--digits",
-            "12",
-            "--count",
-            "2",
-            "--algos",
-            "sss,qs",
-            "--seed",
-            "4",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    jsonschema.validate(report, BENCH_SCHEMA)
-    assert report["mode"] == "factor"
-    assert len(report["runs"]) == 4  # 2 semiprimes x 2 algorithms
-    assert all(r["success"] for r in report["runs"])
-    csv_text = (tmp_path / "report.csv").read_text().splitlines()
-    assert csv_text[0] == "digits,algo,runs,metric,mean,std"
-    assert len(csv_text) == 3  # one summary row per (digits, algo)
-
-
-def test_bench_relation_count_mode(tmp_path):
-    out = tmp_path / "rel_report"
-    code = main(
-        [
-            "bench",
-            "--digits",
-            "14",
-            "--count",
-            "1",
-            "--algos",
-            "sss",
-            "--timeout-seconds",
-            "2",
-            "--seed",
-            "4",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    report = json.loads((tmp_path / "rel_report.json").read_text())
-    jsonschema.validate(report, BENCH_SCHEMA)
-    assert report["mode"] == "relations"
-    run = report["runs"][0]
-    assert run["relations"]["fulls"] + run["relations"]["partials"] > 0
-    # the summary counts relations that can reach the matrix
-    [row] = csv.DictReader((tmp_path / "rel_report.csv").open())
-    assert row["metric"] == "relations_found"
-    assert float(row["mean"]) == run["relations"]["fulls"] + run["relations"]["combined"]
-    # collect_relations times itself, so relation-count runs report it too
-    assert run["phase_seconds"]["collect"] > 0
-
-
-def test_bench_deterministic_inputs(tmp_path):
-    runs = []
-    for name in ("a", "b"):
-        main(
-            [
-                "bench", "--digits", "10", "--count", "2", "--algos", "sss",
-                "--seed", "11", "--out", str(tmp_path / name),
-            ]
-        )
-        report = json.loads((tmp_path / f"{name}.json").read_text())
-        runs.append([r["n"] for r in report["runs"]])
-    assert runs[0] == runs[1]
-
-
-def test_bench_usage_errors(capsys):
-    assert main(["bench", "--digits", "x"]) == 2
-    assert main(["bench", "--digits", "12", "--algos", "bogus"]) == 2
-    assert main(["bench", "--digits", "4"]) == 2
-
-
-def test_bench_relations_records_lucky_divisor(tmp_path, monkeypatch):
-    from sssfactor.numtheory import FoundFactor
-    from sssfactor.relations import RelationStore
-
-    real_ingest = RelationStore.ingest
-    fired = {"done": False}
-
-    def lucky(self, x_bar, residual):
-        if not fired["done"]:
-            fired["done"] = True
-            raise FoundFactor(1299709)
-        return real_ingest(self, x_bar, residual)
-
-    monkeypatch.setattr(RelationStore, "ingest", lucky)
-    out = tmp_path / "lucky"
-    code = main(
-        [
-            "bench", "--digits", "14", "--count", "2", "--algos", "sss",
-            "--timeout-seconds", "0.5", "--seed", "4", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    report = json.loads((tmp_path / "lucky.json").read_text())
-    jsonschema.validate(report, BENCH_SCHEMA)
-    first, second = report["runs"]  # the lucky run does not stop the bench
-    assert first["success"] is False
-    assert first["divisor"] == "1299709"
-    assert second["success"] is True
-    assert "divisor" not in second

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from sssfactor.cli import generate_semiprime
+from semiprimes import generate_semiprime
+
 from sssfactor.crt import precompute
 from sssfactor.engine import (
     RunConfig,
@@ -110,6 +111,8 @@ def test_collect_relations_reaches_target():
     assert stats.combined == store.combined_count
     assert stats.fulls + stats.combined == len(store.fulls)
     assert stats.rounds > 0
+    # a direct call times its own collection, not only factor()'s
+    assert stats.phase_seconds["collect"] > 0
 
 
 @pytest.mark.parametrize(

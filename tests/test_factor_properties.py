@@ -9,7 +9,8 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from sssfactor.cli import generate_semiprime, random_prime
+from semiprimes import generate_semiprime, random_prime
+
 from sssfactor.engine import RunConfig, factor
 from sssfactor.numtheory import is_probable_prime, primes_below
 
