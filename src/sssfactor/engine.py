@@ -127,15 +127,26 @@ class FactorResult:
 
 
 class RelationShortfall(RuntimeError):
-    """Relation collection starved (round cap hit before the target)."""
+    """Relation collection starved (round cap hit before the target).
 
-    def __init__(self, n: int, stats: RunStats):
-        rate = stats.fulls / stats.rounds if stats.rounds else 0.0
-        super().__init__(
-            f"starved factoring {n}: {stats.rounds} rounds, "
-            f"{stats.candidates} candidates, {stats.fulls} fulls "
-            f"({rate:.3f} per round), {stats.partials} partials"
-        )
+    stats holds the counters of this composite's collection, and the
+    message names the layer that starved: the search or sieve made no
+    candidates, no candidate was smooth (no full or partial relation), or
+    the fulls plus combined partials fell short of the target.
+    """
+
+    def __init__(self, n: int, stats: RunStats, target: int | None = None):
+        if not stats.candidates:
+            layer = "no candidates"
+        elif not stats.fulls + stats.partials:
+            layer = f"no smooth candidates among {stats.candidates}"
+        else:
+            goal = "" if target is None else f" of {target}"
+            layer = (
+                f"{stats.fulls} fulls + {stats.combined} combined relations{goal} "
+                f"({stats.partials} partials)"
+            )
+        super().__init__(f"starved factoring {n} after {stats.rounds} rounds: {layer}")
         self.n = n
         self.stats = stats
 
@@ -205,7 +216,8 @@ def _round_runner(n, config, fb, sb, pre, ctx, store):
     """The function that runs round number i and returns its RoundStats."""
     algo = config.algo_for(n)
     if algo == "qs":
-        return lambda i: qs_mod.run_sieve(n, fb, ctx, store, i)
+        sieve = qs_mod.Sieve(n, fb, store.partial_bound)
+        return lambda i: qs_mod.run_sieve(sieve, ctx, store, i)
     if not fb.large_primes(sb.n):
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
@@ -231,6 +243,12 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
         stats.add_time("precompute", time.perf_counter() - t0)
 
     store = None  # the first cycle builds it, later cycles continue it
+    before = stats.counters()  # stats also counts earlier composites
+
+    def shortfall():
+        own = {key: value - before[key] for key, value in stats.counters().items()}
+        return RelationShortfall(n, RunStats(**own), store.target)
+
     for _ in range(_MAX_SOLVE_CYCLES):
         try:
             store, _ = collect_relations(
@@ -239,7 +257,7 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
         except FoundFactor as exc:
             return exc.divisor
         if not store.have_enough():
-            raise RelationShortfall(n, stats)
+            raise shortfall()
 
         t0 = time.perf_counter()
         try:
@@ -253,7 +271,7 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
             stats.add_time("linalg", time.perf_counter() - t0)
         # every dependency collapsed to a trivial gcd: collect a bit more
         store.raise_target()
-    raise RelationShortfall(n, stats)
+    raise shortfall()
 
 
 def factor(n: int, config: RunConfig | None = None) -> FactorResult:

@@ -1,12 +1,20 @@
 """Single-polynomial quadratic sieve baseline.
 
 Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(N)))**2 - N,
-sieved over widening intervals on both sides of 0, rounded base-2 prime
-logs in byte accumulators, prime squares up to the interval length
-sieved once.  One interval is one round of the engine's collection loop,
-and survivors go through the shared batch smoothness check and the shared
-relation store, so the comparison against the subsum search differs only
-in how candidates are generated.
+sieved over intervals of SIEVE_LENGTH values on both sides of 0 (0, -L, L,
+-2L, ...), rounded base-2 prime logs in byte accumulators, prime squares
+up to the interval length sieved once.  One interval is one round of the
+engine's collection loop, and survivors go through the shared batch
+smoothness check and the shared relation store, so the comparison against
+the subsum search differs only in how candidates are generated.
+
+The progressions (modulus, root, weight) depend only on N, Hensel lifts
+mod p**2 included, so a Sieve builds them once per composite.  It sieves
+BLOCK_INTERVALS consecutive intervals of one side at a time, one strided
+add per progression over the whole block: per interval, numpy's per-call
+overhead cost more than the element work.  Every interval keeps its own
+threshold, and a position's byte sum does not depend on the block around
+it, so each interval has exactly the survivors it has when sieved alone.
 """
 
 import numpy as np
@@ -17,9 +25,12 @@ from .relations import RelationStore
 from .search import RoundStats
 from .smoothness import Smoothness, SmoothnessContext, classify, smooth_batch
 
-__all__ = ["sieve_interval", "sieve_threshold", "run_sieve"]
+__all__ = ["Sieve", "sieve_interval", "sieve_threshold", "run_sieve"]
 
 SIEVE_LENGTH = 65536
+# intervals of one side sieved per pass; a block's byte array is
+# BLOCK_INTERVALS * SIEVE_LENGTH bytes
+BLOCK_INTERVALS = 8
 
 
 def _ceil_log2(v: int) -> int:
@@ -36,59 +47,102 @@ def sieve_threshold(n: int, start: int, length: int, partial_bound: int) -> int:
     return max(_ceil_log2(f_mid) - _ceil_log2(partial_bound), 1)
 
 
-def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
-                   threshold: int) -> list[int]:
-    """All x in [start, start + length) whose accumulated prime-log weight
-    reaches the threshold.
-
-    Each root of f mod p adds ceil(log2 p); roots are lifted mod p^2 once
-    when p^2 fits in the interval.  Accumulators are bytes, which is ample
-    for inputs up to 100 digits.
-    """
-    shift = isqrt_ceil(n)
-    logs = np.zeros(length, dtype=np.uint8)
-
-    # p = 2: f(x) is even exactly when x = n + shift mod 2
-    off = (n + shift - start) % 2
-    logs[off::2] += 1
-    if n % 4 == 1:
-        # then x + shift must be odd and f(x) = 0 mod 4 on two classes
-        for r in ((1 - shift) % 4, (3 - shift) % 4):
-            off = (r - start) % 4
-            if off < length:
-                logs[off::4] += 1
-
-    for p in fb.odd_primes:
-        weight = (p - 1).bit_length()
-        roots = fb.roots[p]
-        for s in roots:
-            off = (s - start) % p
-            if off < length:
-                logs[off::p] += weight
-        pp = p * p
-        if pp <= length:
-            for s in roots:
-                # Hensel lift: f'(s) = 2(s + shift) is invertible mod p
-                f_s = poly_value(s, n, shift)
-                lifted = (s - f_s * pow(2 * (s + shift), -1, pp)) % pp
-                off = (lifted - start) % pp
-                if off < length:
-                    logs[off::pp] += weight
-
-    hits = np.nonzero(logs >= threshold)[0]
-    return [start + int(i) for i in hits]
-
-
-def _interval_start(index: int, length: int) -> int:
-    # 0, -L, L, -2L, 2L, ... alternating sides
+def interval_start(index: int, length: int) -> int:
+    """First x of interval number index: 0, -L, L, -2L, 2L, ..."""
     side = index % 2
     step = index // 2
     return step * length if side == 0 else -(step + 1) * length
 
 
+class Sieve:
+    """The sieve of one composite: its progressions, built once, and the
+    survivors of the last block sieved on each side.
+
+    Each root s of f mod p is a progression x = s mod p of weight
+    ceil(log2 p); so is each root lifted mod p**2 when p**2 <= length, the
+    interval length.  The prime 2 adds 1 on x = N + shift mod 2 and, when
+    N = 1 mod 4, 1 more on the two classes mod 4 where f = 0 mod 4.
+    Accumulators are bytes, which is ample for inputs up to 100 digits.
+    """
+
+    def __init__(self, n: int, fb: FactorBase, partial_bound: int,
+                 length: int = SIEVE_LENGTH):
+        self.n = n
+        self.shift = shift = isqrt_ceil(n)
+        self.length = length
+        self.partial_bound = partial_bound
+        mods, roots, weights = [2], [(n + shift) % 2], [1]
+        if n % 4 == 1:
+            mods += [4, 4]
+            roots += [(1 - shift) % 4, (3 - shift) % 4]
+            weights += [1, 1]
+        for p in fb.odd_primes:
+            weight = (p - 1).bit_length()
+            pair = fb.roots[p]
+            mods += [p, p]
+            roots += pair
+            weights += [weight, weight]
+            pp = p * p
+            if pp <= length:
+                for s in pair:
+                    # Hensel lift: f'(s) = 2(s + shift) is invertible mod p
+                    f_s = poly_value(s, n, shift)
+                    roots.append((s - f_s * pow(2 * (s + shift), -1, pp)) % pp)
+                    mods.append(pp)
+                    weights.append(weight)
+        self.mods = np.array(mods, dtype=np.int64)
+        self.roots = np.array(roots, dtype=np.int64)
+        self.weights = np.array(weights, dtype=np.int64)
+        # the same as Python ints, which the strided adds take
+        self._strides = list(zip(self.mods.tolist(), self.weights.tolist()))
+        # side -> (first step, survivor lists of that step and the next ones)
+        self.blocks: dict[int, tuple[int, list[list[int]]]] = {}
+
+    def block(self, start: int, thresholds) -> list[list[int]]:
+        """Survivors of the intervals [start + j L, start + (j + 1) L), one
+        list per threshold and in that order, each x ascending: the x
+        whose byte sum reaches the interval's threshold."""
+        length = self.length
+        size = length * len(thresholds)
+        logs = np.zeros(size, dtype=np.uint8)
+        offsets = ((self.roots - start) % self.mods).tolist()
+        for off, (mod, weight) in zip(offsets, self._strides):
+            if off < size:
+                logs[off::mod] += weight
+        out = []
+        for j, threshold in enumerate(thresholds):
+            hits = np.flatnonzero(logs[j * length : (j + 1) * length] >= threshold)
+            out.append((hits + (start + j * length)).tolist())
+        return out
+
+
+def sieve_interval(sieve: Sieve, index: int) -> list[int]:
+    """Survivors of interval number index, ascending.
+
+    Served from the side's current block; an interval outside it starts a
+    new block of K = BLOCK_INTERVALS steps at its step s, which on side 0
+    covers [sL, (s + K)L) and on side 1 [-(s + K)L, -sL).
+    """
+    side, step = index % 2, index // 2
+    first, lists = sieve.blocks.get(side, (0, []))
+    if not first <= step < first + len(lists):
+        length = sieve.length
+        first = step
+        starts = [interval_start(2 * (step + j) + side, length)
+                  for j in range(BLOCK_INTERVALS)]
+        if side:
+            starts.reverse()  # the block runs upwards from its lowest x
+        lists = sieve.block(starts[0], [
+            sieve_threshold(sieve.n, s, length, sieve.partial_bound) for s in starts
+        ])
+        if side:
+            lists.reverse()
+        sieve.blocks[side] = (first, lists)
+    return lists[step - first]
+
+
 def run_sieve(
-    n: int,
-    fb: FactorBase,
+    sieve: Sieve,
     ctx: SmoothnessContext,
     store: RelationStore,
     index: int,
@@ -99,11 +153,8 @@ def run_sieve(
     Returns the round's counts; candidates are the sieve survivors and
     nothing is filtered.  May raise FoundFactor via the store.
     """
-    shift = isqrt_ceil(n)
-    start = _interval_start(index, SIEVE_LENGTH)
-    threshold = sieve_threshold(n, start, SIEVE_LENGTH, store.partial_bound)
-    xs = sieve_interval(n, fb, start, SIEVE_LENGTH, threshold)
-    values = [abs(poly_value(x, n, shift)) for x in xs]
+    xs = sieve_interval(sieve, index)
+    values = [abs(poly_value(x, sieve.n, sieve.shift)) for x in xs]
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):
         kind = classify(g, store.partial_bound)

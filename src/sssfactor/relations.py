@@ -17,9 +17,11 @@ Fulls are factored when they arrive.  Partials are not: most never meet a
 second partial with the same cofactor.  The cofactor of a partial comes
 from its batch residual, stripped of factor-base primes by repeated gcds
 with the product of the base, and must divide f(x_bar).  The store keeps
-(x, x_bar, cofactor) and root-tests both partials of a pair only when a
-later partial with that cofactor arrives, or when the partials are
-dumped; the root test must then find the same cofactor.
+(x, x_bar, cofactor).  It root-tests the first partial of a cofactor once,
+when a second one arrives, and keeps that row for every later partner;
+each later partial is root-tested when it arrives, and every stored one
+again when the partials are dumped.  The root test must find the same
+cofactor.
 """
 
 import math
@@ -84,10 +86,11 @@ class RelationStore:
     """Collects full and partial relations for one number N.
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
-    combined with every later partial of that cofactor, which is when both
-    are factored.  Every stored full relation is re-verified against its
-    defining congruence.  `partial_bound` is the exclusive bound on a
-    partial's cofactor, which the search and the sieve classify against.
+    combined with every later partial of that cofactor, which is when that
+    partial is factored (the first one only once).  Every stored full
+    relation is re-verified against its defining congruence.
+    `partial_bound` is the exclusive bound on a partial's cofactor, which
+    the search and the sieve classify against.
     `rounds` counts the collection rounds that fed the store;
     collect_relations numbers its next round from it.
     """
@@ -110,6 +113,8 @@ class RelationStore:
         self.fulls: dict[int, Relation] = {}
         # cofactor -> the first partial with it
         self.partials: dict[int, PendingPartial] = {}
+        # cofactor -> that first partial with its exponents, once it pairs
+        self._first_rows: dict[int, PartialRelation] = {}
         self.native_count = 0
         self.combined_count = 0
         self.rounds = 0
@@ -182,14 +187,18 @@ class RelationStore:
 
     def _pair(self, prel: PendingPartial) -> None:
         """Store the first partial of a cofactor; combine each later one
-        with it into a full relation."""
+        with it into a full relation.  The first is factored once, when its
+        first partner arrives."""
         other = self.partials.get(prel.cofactor)
         if other is None:
             self.partials[prel.cofactor] = prel
             return
         if other.x == prel.x:
             return  # same find twice; combining would be degenerate
-        first, second = self._factored(other), self._factored(prel)
+        first = self._first_rows.get(prel.cofactor)
+        if first is None:
+            first = self._first_rows[prel.cofactor] = self._factored(other)
+        second = self._factored(prel)
         try:
             inv = mod_inverse(prel.cofactor, self.n)
         except NotInvertibleError as exc:

@@ -1,0 +1,64 @@
+"""Pure per-interval reference version of the quadratic sieve, for tests.
+
+This is the loop that sssfactor.qs replaced with its block sieve: one
+interval at a time, one strided add per progression, and the Hensel lifts
+mod p**2 redone for every interval.  The block sieve must return the same
+survivors, in the same order, for every interval.
+"""
+
+import numpy as np
+
+from sssfactor.factorbase import FactorBase, poly_value
+from sssfactor.numtheory import isqrt_ceil
+from sssfactor.qs import SIEVE_LENGTH, interval_start, sieve_threshold
+
+
+def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
+                   threshold: int) -> list[int]:
+    """All x in [start, start + length) whose accumulated prime-log weight
+    reaches the threshold.
+
+    Each root of f mod p adds ceil(log2 p); roots are lifted mod p^2 once
+    when p^2 fits in the interval.  Accumulators are bytes.
+    """
+    shift = isqrt_ceil(n)
+    logs = np.zeros(length, dtype=np.uint8)
+
+    # p = 2: f(x) is even exactly when x = n + shift mod 2
+    off = (n + shift - start) % 2
+    logs[off::2] += 1
+    if n % 4 == 1:
+        # then x + shift must be odd and f(x) = 0 mod 4 on two classes
+        for r in ((1 - shift) % 4, (3 - shift) % 4):
+            off = (r - start) % 4
+            if off < length:
+                logs[off::4] += 1
+
+    for p in fb.odd_primes:
+        weight = (p - 1).bit_length()
+        roots = fb.roots[p]
+        for s in roots:
+            off = (s - start) % p
+            if off < length:
+                logs[off::p] += weight
+        pp = p * p
+        if pp <= length:
+            for s in roots:
+                # Hensel lift: f'(s) = 2(s + shift) is invertible mod p
+                f_s = poly_value(s, n, shift)
+                lifted = (s - f_s * pow(2 * (s + shift), -1, pp)) % pp
+                off = (lifted - start) % pp
+                if off < length:
+                    logs[off::pp] += weight
+
+    hits = np.nonzero(logs >= threshold)[0]
+    return [start + int(i) for i in hits]
+
+
+def interval_survivors(n: int, fb: FactorBase, partial_bound: int, index: int,
+                       length: int = SIEVE_LENGTH) -> list[int]:
+    """The survivors of interval number index (0, -L, L, -2L, ...), sieved
+    on its own against its own threshold."""
+    start = interval_start(index, length)
+    threshold = sieve_threshold(n, start, length, partial_bound)
+    return sieve_interval(n, fb, start, length, threshold)

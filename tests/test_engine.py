@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -6,8 +7,12 @@ import pytest
 from semiprimes import generate_semiprime
 
 from sssfactor.crt import precompute
+from sssfactor import search
 from sssfactor.engine import (
+    RelationShortfall,
     RunConfig,
+    RunStats,
+    _find_divisor,
     collect_relations,
     factor,
     prepare,
@@ -15,7 +20,7 @@ from sssfactor.engine import (
 from sssfactor.factorbase import build_factor_bases
 from sssfactor.numtheory import is_probable_prime
 from sssfactor.search import SUBSUM_SIZE
-from sssfactor.smoothness import build_context
+from sssfactor.smoothness import Smoothness, build_context
 
 
 def test_factor_examples():
@@ -145,7 +150,7 @@ def test_collect_relations_resumes_the_stream(algo, n):
     assert split.rounds == whole.rounds == 10
 
 
-def test_starvation_yields_residue_with_diagnostics():
+def test_starvation_yields_residue_with_diagnostics(monkeypatch):
     n, _, _ = generate_semiprime(18, random.Random(7))
     result = factor(n, RunConfig(seed=1, max_rounds=0))
     assert not result.success
@@ -153,6 +158,28 @@ def test_starvation_yields_residue_with_diagnostics():
     assert result.factors == []
     assert result.check()
     assert result.stats.rounds == 0
+
+    # the message names the starved layer from this composite's counters
+    # only, not from what earlier composites left in the shared stats
+    def starve(config):
+        earlier = RunStats(rounds=5, candidates=9, fulls=3, partials=4)
+        with pytest.raises(RelationShortfall) as info:
+            _find_divisor(n, config, earlier)
+        return str(info.value)
+
+    for algo in ("sss", "qs"):
+        assert starve(RunConfig(algo=algo, seed=1, max_rounds=0)) == (
+            f"starved factoring {n} after 0 rounds: no candidates"
+        )
+    assert starve(RunConfig(algo="sss", seed=1, max_rounds=1)) == (
+        f"starved factoring {n} after 1 rounds: "
+        "23 fulls + 1 combined relations of 70 (9 partials)"
+    )
+    monkeypatch.setattr(search, "classify", lambda g, bound: Smoothness.REJECT)
+    assert re.fullmatch(
+        f"starved factoring {n} after 1 rounds: no smooth candidates among [1-9][0-9]*",
+        starve(RunConfig(algo="sss", seed=1, max_rounds=1)),
+    )
 
 
 def test_partial_starvation_keeps_found_factors():

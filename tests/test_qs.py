@@ -1,9 +1,15 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from semiprimes import generate_semiprime
+from sieve_oracle import interval_survivors, sieve_interval as oracle_interval
+
 from sssfactor.engine import RunConfig, factor
-from sssfactor.factorbase import build_factor_bases, poly_value
+from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import isqrt_ceil
-from sssfactor.qs import sieve_interval, sieve_threshold
+from sssfactor.qs import BLOCK_INTERVALS, Sieve, sieve_interval, sieve_threshold
+from sssfactor.relations import RelationStore
 
 TOY_N = 10403  # 101 * 103
 
@@ -31,7 +37,7 @@ def test_sieve_accumulates_exact_prime_log_mass():
     length = 256
     for start in (0, -256, 300):
         for threshold in (1, 5, 9):
-            got = sieve_interval(TOY_N, fb, start, length, threshold)
+            got = Sieve(TOY_N, fb, 1, length).block(start, [threshold])[0]
             expected = [
                 x
                 for x in range(start, start + length)
@@ -42,7 +48,7 @@ def test_sieve_accumulates_exact_prime_log_mass():
 
 def test_sieve_threshold_zero_returns_everything():
     fb, _ = build_factor_bases(TOY_N, 8, 4)
-    assert sieve_interval(TOY_N, fb, 0, 64, 0) == list(range(64))
+    assert Sieve(TOY_N, fb, 1, 64).block(0, [0])[0] == list(range(64))
 
 
 def test_sieve_finds_all_smooth_values_at_default_threshold():
@@ -57,7 +63,7 @@ def test_sieve_finds_all_smooth_values_at_default_threshold():
     checked = 0
     for start in (0, -512):
         threshold = sieve_threshold(TOY_N, start, length, floor)
-        candidates = set(sieve_interval(TOY_N, fb, start, length, threshold))
+        candidates = set(Sieve(TOY_N, fb, 1, length).block(start, [threshold])[0])
         for x in range(start, start + length):
             value = abs(poly_value(x, TOY_N, shift))
             if value <= floor:
@@ -100,6 +106,70 @@ def test_qs_and_subsum_agree_on_shared_semiprimes():
         assert via_qs.factors == via_sss.factors == sorted(
             [(p, 1), (q, 1)]
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    digits=st.integers(8, 20),
+    seed=st.integers(0, 2**32),
+    m=st.integers(8, 60),
+    length=st.sampled_from([16, 60, 256, 1000]),
+    bound_bits=st.integers(1, 24),
+    first=st.integers(0, 3 * BLOCK_INTERVALS),
+    resume=st.integers(1, 2 * BLOCK_INTERVALS + 2),
+)
+def test_block_sieve_matches_per_interval_oracle(
+    digits, seed, m, length, bound_bits, first, resume
+):
+    # both sides, from a block's first interval across the next boundary, and
+    # a fresh sieve resuming inside the old block; lengths so short that some
+    # primes exceed the interval while others still get a square progression
+    n, _, _ = generate_semiprime(digits, random.Random(seed))
+    fb, _ = build_factor_bases(n, m, 4)
+    bound = 1 << bound_bits
+    sieve = Sieve(n, fb, bound, length)
+    indices = range(first, first + 2 * BLOCK_INTERVALS + 3)
+    for index in indices:
+        assert sieve_interval(sieve, index) == interval_survivors(
+            n, fb, bound, index, length
+        ), index
+    resumed = Sieve(n, fb, bound, length)
+    for index in indices[resume:]:
+        assert sieve_interval(resumed, index) == interval_survivors(
+            n, fb, bound, index, length
+        ), index
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32),
+    length=st.sampled_from([16, 60, 256]),
+    start=st.integers(-5000, 5000),
+    thresholds=st.lists(st.integers(0, 40), min_size=1, max_size=BLOCK_INTERVALS + 2),
+)
+def test_block_is_each_interval_sieved_alone(seed, length, start, thresholds):
+    # any start, not only multiples of the length, and any thresholds
+    n, _, _ = generate_semiprime(12, random.Random(seed))
+    fb, _ = build_factor_bases(n, 30, 4)
+    got = Sieve(n, fb, 1, length).block(start, thresholds)
+    assert got == [
+        oracle_interval(n, fb, start + j * length, length, t)
+        for j, t in enumerate(thresholds)
+    ]
+
+
+def test_block_sieve_matches_oracle_at_35_digits():
+    # production sizes: 65536-value intervals, past the first block per side
+    n, _, _ = generate_semiprime(35, random.Random(35))
+    fb, _ = build_factor_bases(n, *table_sizes(35))
+    bound = RelationStore(n, fb).partial_bound
+    sieve = Sieve(n, fb, bound)
+    survivors = 0
+    for index in range(2 * BLOCK_INTERVALS + 3):
+        got = sieve_interval(sieve, index)
+        assert got == interval_survivors(n, fb, bound, index), index
+        survivors += len(got)
+    assert survivors > 0
 
 
 def next_prime(n):

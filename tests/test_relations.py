@@ -207,6 +207,31 @@ def test_third_partial_of_a_cofactor_combines_with_the_first():
         assert rel.x == a1 * a2 * pow(r, -1, STORE_N) % STORE_N
 
 
+def test_first_partial_of_a_cofactor_is_factored_once(monkeypatch):
+    # three partials with one cofactor: the first is root-tested when the
+    # second arrives and its row is reused for the third, so three calls
+    store, fb = small_store()
+    r, xs = next((r, xs) for r, xs in coprime_partials(store, fb) if len(xs) >= 3)
+    calls = []
+    exponents_of = store.exponents_of
+
+    def counted(x_bar):
+        calls.append(x_bar)
+        return exponents_of(x_bar)
+
+    monkeypatch.setattr(store, "exponents_of", counted)
+    for x_bar in xs[:3]:
+        store.ingest(x_bar, r)
+    assert calls == [xs[0], xs[1], xs[2]]
+    assert store.combined_count == 2
+    (s1, e1, _), *later = (
+        trial_divide(poly_value(x, STORE_N, store.shift), fb.primes) for x in xs[:3]
+    )
+    for rel, (s2, e2, _) in zip(store.fulls.values(), later):
+        assert rel.sign == (s1 + s2) % 2
+        assert rel.exponents == sparse([a + b for a, b in zip(e1, e2)])
+
+
 def test_partial_stored_under_a_wrong_cofactor_fails_when_factored():
     store, fb = small_store()
     # a partial whose cofactor is a product of two primes outside the base,
