@@ -37,6 +37,7 @@ FACTOR_SCHEMA = {
             "items": {"type": "array", "minItems": 2, "maxItems": 2},
         },
         "residue": {"type": "string"},
+        "shortfalls": {"type": "array", "items": {"type": "string"}},
         "success": {"type": "boolean"},
         "stats": {"type": "object"},
         "config": {"type": "object"},
@@ -140,6 +141,8 @@ def cmd_factor(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         _print_factors(result)
+    for message in result.shortfalls:
+        print(message, file=sys.stderr)
     return 0 if result.success else 1
 
 

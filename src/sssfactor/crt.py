@@ -1,17 +1,17 @@
 """CRT subsum machinery: candidate pairs (x, M) with M | f(x).
 
-A choice of roots (index i, root c in {1, 2}) for some small-base primes
+A choice of roots (index i, root c in {1, 2}) for k small-base primes
 fixes x = s_{i, c} mod p_i for each of them, where (s_{i,1}, s_{i,2}) are the
-roots of f mod the i-th small-base prime.  The CRT sum for any modulus
-M | mu (mu = product of the whole small base) can be built from global
-coefficients
+roots of f mod the i-th small-base prime.  The CRT sum is built for the
+chosen modulus M = prod p_i alone, from the coefficients
 
-    lambda_i = (mu / p_i) * ((mu / p_i)^-1 mod p_i)
+    lambda_i = (M / p_i) * ((M / p_i)^-1 mod p_i)
 
-because lambda_i = M*c_i/p_i mod M for every divisor M of mu; that is
-what makes changing the modulus between searches free of inversions.
-delta_i = lambda_i * (s_{i,2} - s_{i,1}) moves a solution from one root
-of p_i to the other with a single addition mod M.
+and delta_i = lambda_i * (s_{i,2} - s_{i,1}) mod M moves a solution from one
+root of p_i to the other with a single addition mod M.  The paper's global
+lambda_i, built over the product of the whole small base, agree with these
+mod M, but storing them takes O(n^2) bits to save k inversions per round,
+which cost microseconds.
 """
 
 import math
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .factorbase import SmallFactorBase
-from .numtheory import mod_inverse
 
 __all__ = ["CandidatePair", "CrtPrecomp", "center", "precompute", "get_x", "swap_root"]
 
@@ -31,10 +30,8 @@ class CandidatePair(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CrtPrecomp:
-    primes: tuple[int, ...]  # the small base, for index lookups
-    mu: int                  # product of the small base
-    lam: tuple[int, ...]     # lam[i] = 1 mod p_i, = 0 mod p_j (j != i)
-    delta: tuple[int, ...]   # delta[i] = lam[i] * (s_{i,2} - s_{i,1})
+    primes: tuple[int, ...]                # the small base, for index lookups
+    roots: tuple[tuple[int, int], ...]     # roots[i] = (s_{i,1}, s_{i,2})
 
 
 def center(x: int, modulus: int) -> int:
@@ -46,38 +43,33 @@ def center(x: int, modulus: int) -> int:
 
 
 def precompute(small: SmallFactorBase, roots: dict) -> CrtPrecomp:
-    """Build the per-prime coefficients lambda_i and root deltas delta_i."""
+    """The small base's primes with their root pairs, in index order."""
     if not small.primes:
         raise ValueError("empty small factor base")
-    mu = math.prod(small.primes)
-    lam = []
-    delta = []
-    for p in small.primes:
-        cofactor = mu // p
-        gamma = mod_inverse(cofactor % p, p)
-        lam_i = cofactor * gamma
-        s1, s2 = roots[p]
-        lam.append(lam_i)
-        delta.append(lam_i * (s2 - s1))
-    return CrtPrecomp(small.primes, mu, tuple(lam), tuple(delta))
+    return CrtPrecomp(small.primes, tuple(roots[p] for p in small.primes))
 
 
-def get_x(choices, pre: CrtPrecomp, roots: dict) -> CandidatePair:
+def _basis_times(value: int, p: int, modulus: int) -> int:
+    """lambda * value mod M, a multiple of M/p below M, for the CRT basis
+    element lambda = 1 mod p, 0 mod M/p of the modulus M."""
+    cofactor = modulus // p
+    return cofactor * (pow(cofactor, -1, p) * value % p)
+
+
+def get_x(choices, pre: CrtPrecomp) -> CandidatePair:
     """CRT solution for the chosen roots, centered around 0.
 
     choices holds (index, choice) pairs: x = s_{i, choice} mod the i-th
-    small-base prime, choice 1 or 2.  Uses the precomputed lambda
-    coefficients, so no inversions happen per call no matter which modulus
-    the choices select.
+    small-base prime, choice 1 or 2.  The modulus is the product of the
+    chosen primes.
     """
-    total = 0
-    modulus = 1
-    for i, choice in choices:
-        p = pre.primes[i]
-        total += pre.lam[i] * roots[p][choice - 1]
-        modulus *= p
+    choices = list(choices)
+    modulus = math.prod(pre.primes[i] for i, _ in choices)
     if modulus == 1:
         raise ValueError("no primes chosen")
+    total = 0
+    for i, choice in choices:
+        total += _basis_times(pre.roots[i][choice - 1], pre.primes[i], modulus)
     return CandidatePair(center(total, modulus), modulus)
 
 
@@ -92,4 +84,5 @@ def swap_root(x: int, index: int, direction: int, modulus: int, pre: CrtPrecomp)
     p = pre.primes[index]
     if modulus % p:
         raise ValueError(f"{p} does not divide the modulus")
-    return center(x + direction * pre.delta[index], modulus)
+    s1, s2 = pre.roots[index]
+    return center(x + direction * _basis_times(s2 - s1, p, modulus), modulus)

@@ -102,6 +102,7 @@ class FactorResult:
     factors: list            # [(prime, multiplicity)], ascending
     stats: RunStats
     residue: int = 1         # unfactored composite part, 1 on full success
+    shortfalls: list = field(default_factory=list)  # one message per starved composite
 
     @property
     def success(self) -> bool:
@@ -118,6 +119,7 @@ class FactorResult:
             "n": str(self.n),
             "factors": [[str(p), e] for p, e in self.factors],
             "residue": str(self.residue),
+            "shortfalls": list(self.shortfalls),
             "success": self.success,
             "stats": {
                 **self.stats.counters(),
@@ -261,7 +263,9 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
 
         t0 = time.perf_counter()
         try:
-            rels = list(store.fulls.values())
+            # the first target rows in stream order: the elimination takes
+            # rows one at a time, so it finds their dependencies first anyway
+            rels = list(store.fulls.values())[: store.target]
             for subset in solve_dependencies(rels):
                 big_x, big_y = assemble_square(subset, rels, store.primes, n)
                 divisor = extract_factor(big_x, big_y, n)
@@ -280,7 +284,8 @@ def factor(n: int, config: RunConfig | None = None) -> FactorResult:
     Trivial structure is stripped first (evenness, perfect powers, small
     primes via the base scan); the configured search handles what is left
     and recurses on composite cofactors with sizes re-derived per cofactor.
-    A starved search leaves its composite in `residue` instead of failing.
+    A starved search leaves its composite in `residue` instead of failing,
+    and its RelationShortfall message in `shortfalls`.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -288,6 +293,7 @@ def factor(n: int, config: RunConfig | None = None) -> FactorResult:
     stats = RunStats()
     found: dict[int, int] = {}
     residue = 1
+    shortfalls = []
     queue: list[tuple[int, int]] = [(n, 1)]
     while queue:
         value, mult = queue.pop()
@@ -311,14 +317,15 @@ def factor(n: int, config: RunConfig | None = None) -> FactorResult:
             continue
         try:
             divisor = _find_divisor(value, config, stats)
-        except RelationShortfall:
+        except RelationShortfall as exc:
             residue *= value ** mult
+            shortfalls.append(str(exc))
             continue
         queue.append((divisor, mult))
         queue.append((value // divisor, mult))
 
     factors = sorted(found.items())
-    result = FactorResult(n, factors, stats, residue)
+    result = FactorResult(n, factors, stats, residue, shortfalls)
     if not result.check():
         raise AssertionError("factorization does not multiply back to n")
     return result

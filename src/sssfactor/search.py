@@ -1,8 +1,9 @@
 """The subsum relation search.
 
 One round picks k random small-base primes (SUBSUM_SIZE: 6 for sss, 7
-for sssf), builds the initial candidate pair (x, M) by CRT, and then
-walks through k local variants of x (one root swap per chosen prime).
+for sssf), builds the initial candidate pair (x, M) by a CRT over those k
+primes alone (crt.get_x), and then walks through k local variants of x
+(one root swap per chosen prime, crt.swap_root).
 For each variant the roots of f modulo all large factor-base primes are
 mapped into the j-line of x + j*M; an offset alpha that shows up for at
 least COLLISION_THRESHOLD = 3 different large primes certifies that
@@ -235,7 +236,7 @@ def search_round(
     modulus = math.prod(moduli)
     table = round_table(modulus, *fb.large_arrays(sb.n))
 
-    x, _ = get_x(zip(indices, repeat(1)), pre, fb.roots)
+    x, _ = get_x(zip(indices, repeat(1)), pre)
 
     fulls = partials = candidates = filtered = 0
     for i in indices:

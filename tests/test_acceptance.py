@@ -135,7 +135,8 @@ def test_c04_collision_soundness_and_completeness():
             idx = pick_indices(4, sb.n, rng)
             moduli = [sb.primes[i] for i in idx]
             modulus = math.prod(moduli)
-            x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
+            x, _ = get_x([(i, 1) for i in idx], pre)
+            assert all(x % p == fb.roots[p][0] for p in moduli)
             transforms = root_transforms(x, round_table(modulus, primes, roots))
             for q in [1] + moduli:
                 m_prime = modulus // q
@@ -169,7 +170,10 @@ def test_c05_initial_pair_bound():
         rng = random.Random(56)
         for _ in range(1000):
             choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(sb.n), 6)]
-            x, modulus = get_x(choices, pre, fb.roots)
+            x, modulus = get_x(choices, pre)
+            for i, choice in choices:
+                p = sb.primes[i]
+                assert x % p == fb.roots[p][choice - 1]
             f_val = poly_value(x, n, shift)
             assert f_val % modulus == 0
             # |f(x)|/M <= M/4 + shift + (2*sqrt(n) + 1)/M, in exact integers:

@@ -150,6 +150,22 @@ def test_factor_starvation_exit_code(capsys):
     assert "residue" in err
 
 
+def test_factor_starvation_names_the_starved_layer(capsys):
+    n = 121049062572493753
+    message = (
+        f"starved factoring {n} after 1 rounds: "
+        "23 fulls + 0 combined relations of 70 (22 partials)"
+    )
+    assert main(["factor", str(n), "--max-rounds", "1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"unfactored residue: {n}", message]
+    assert main(["factor", str(n), "--max-rounds", "1", "--json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, FACTOR_SCHEMA)
+    assert payload["shortfalls"] == [message]
+    assert captured.err.splitlines() == [message]
+
+
 def test_json_config_echo_reproduces_run(capsys):
     n = 1299709 * 1299721
     outs = []

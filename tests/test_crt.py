@@ -2,9 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import crt_oracle as oracle
 
 from sssfactor.crt import center, get_x, precompute, swap_root
-from sssfactor.factorbase import SmallFactorBase, build_factor_bases, poly_value
+from sssfactor.factorbase import (
+    SmallFactorBase,
+    build_factor_bases,
+    poly_value,
+    table_sizes,
+)
 from sssfactor.numtheory import isqrt_ceil, mod_inverse
 
 
@@ -22,34 +30,45 @@ def toy_base(primes, roots):
 
 
 def test_precompute_basis_example():
-    sb, roots = toy_base([3, 5], {3: (1, 2), 5: (2, 3)})
+    # roots (1, 0): root 1 of one prime and root 2 of the other make x the
+    # CRT basis element of the first
+    sb, roots = toy_base([3, 5], {3: (1, 0), 5: (1, 0)})
     pre = precompute(sb, roots)
-    assert pre.mu == 15
-    assert pre.lam[0] % 15 == brute_crt_basis([3, 5], 0) == 10
-    assert pre.lam[1] % 15 == brute_crt_basis([3, 5], 1) == 6
-    # delta_1 = 10 * (2 - 1): 1 mod 3 and 0 mod 5
-    assert pre.delta[0] % 3 == 1 and pre.delta[0] % 5 == 0
+    assert pre.primes == (3, 5) and pre.roots == ((1, 0), (1, 0))
+    assert get_x([(0, 1), (1, 2)], pre).x % 15 == brute_crt_basis([3, 5], 0) == 10
+    assert get_x([(0, 2), (1, 1)], pre).x % 15 == brute_crt_basis([3, 5], 1) == 6
+    # delta_1 = 10 * (0 - 1) mod 15: -1 mod 3 and 0 mod 5
+    delta = swap_root(0, 0, 1, 15, pre)
+    assert delta % 3 == 2 and delta % 5 == 0
 
 
 def test_precompute_single_prime():
     sb, roots = toy_base([3], {3: (1, 2)})
     pre = precompute(sb, roots)
-    assert pre.mu == 3
-    assert pre.lam[0] % 3 == 1
+    assert pre.primes == (3,) and pre.roots == ((1, 2),)
+    assert get_x([(0, 1)], pre) == (1, 3)
+    assert swap_root(1, 0, 1, 3, pre) % 3 == 2
 
 
 def test_precompute_invariants_random_base():
+    # for every modulus M a round can pick: x = s_{i,c} mod p_i, and the
+    # swap delta is s_{i,2} - s_{i,1} mod p_i and 0 mod M / p_i
     n = 10000004400000259
     fb, sb = build_factor_bases(n, 20, 8)
     pre = precompute(sb, fb.roots)
-    for i, p in enumerate(sb.primes):
-        assert pre.lam[i] % p == 1
-        s1, s2 = fb.roots[p]
-        assert pre.delta[i] % p == (s2 - s1) % p
-        for j, q in enumerate(sb.primes):
-            if i != j:
-                assert pre.lam[i] % q == 0
-                assert pre.delta[i] % q == 0
+    rng = random.Random(3)
+    for _ in range(50):
+        picks = rng.sample(range(sb.n), rng.randrange(1, sb.n + 1))
+        choices = [(i, rng.choice((1, 2))) for i in picks]
+        x, modulus = get_x(choices, pre)
+        assert -((modulus + 1) // 2) < x <= modulus // 2
+        for i, choice in choices:
+            p = sb.primes[i]
+            s1, s2 = fb.roots[p]
+            assert x % p == (s1, s2)[choice - 1]
+            delta = swap_root(0, i, 1, modulus, pre)
+            assert delta % p == (s2 - s1) % p
+            assert delta % (modulus // p) == 0
 
 
 def test_get_x_example():
@@ -57,20 +76,19 @@ def test_get_x_example():
     pre = precompute(sb, roots)
     # fix x = 1 mod 3 and x = 2 mod 5: brute scan of [0, 15) gives 7
     assert [x for x in range(15) if x % 3 == 1 and x % 5 == 2] == [7]
-    assert get_x([(0, 1), (1, 1)], pre, roots) == (7, 15)
+    assert get_x([(0, 1), (1, 1)], pre) == (7, 15)
 
 
 def test_get_x_single_prime_and_empty():
     sb, roots = toy_base([5], {5: (2, 3)})
     pre = precompute(sb, roots)
-    x, modulus = get_x([(0, 1)], pre, roots)
+    x, modulus = get_x([(0, 1)], pre)
     assert modulus == 5 and x % 5 == 2 and -3 < x <= 2
     with pytest.raises(ValueError):
-        get_x([], pre, roots)
+        get_x([], pre)
 
 
 def test_get_x_matches_classical_crt():
-    # the lambda shortcut equals textbook CRT with per-call inversions
     n = 41857786931231
     fb, sb = build_factor_bases(n, 30, 10)
     pre = precompute(sb, fb.roots)
@@ -79,7 +97,7 @@ def test_get_x_matches_classical_crt():
         k = rng.randrange(1, sb.n + 1)
         picks = rng.sample(range(sb.n), k)
         choices = [(i, rng.choice((1, 2))) for i in picks]
-        x, modulus = get_x(choices, pre, fb.roots)
+        x, modulus = get_x(choices, pre)
         assert modulus == math.prod(sb.primes[i] for i in picks)
         classical = 0
         for i, choice in choices:
@@ -98,7 +116,7 @@ def test_candidate_pairs_divisible_and_bounded():
     rng = random.Random(5)
     for _ in range(300):
         choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(sb.n), 6)]
-        x, modulus = get_x(choices, pre, fb.roots)
+        x, modulus = get_x(choices, pre)
         f_val = poly_value(x, n, shift)
         assert f_val % modulus == 0
         # |f(x)|/M <= M/4 + shift + (2*sqrt(n) + 1)/M, kept in integers:
@@ -110,7 +128,7 @@ def test_candidate_pairs_divisible_and_bounded():
 def test_swap_root_example_and_involution():
     sb, roots = toy_base([3, 5], {3: (1, 2), 5: (2, 3)})
     pre = precompute(sb, roots)
-    x, modulus = get_x([(0, 1), (1, 1)], pre, roots)  # 7
+    x, modulus = get_x([(0, 1), (1, 1)], pre)  # 7
     swapped = swap_root(x, 0, 1, modulus, pre)
     assert swapped == 2  # brute scan: x = 2 mod 3 and 2 mod 5 in [0, 15) is 2
     assert swap_root(swapped, 0, -1, modulus, pre) == x
@@ -123,7 +141,7 @@ def test_swap_root_preserves_other_residues():
     rng = random.Random(6)
     for _ in range(200):
         picks = sorted(rng.sample(range(sb.n), 4))
-        x, modulus = get_x([(i, 1) for i in picks], pre, fb.roots)
+        x, modulus = get_x([(i, 1) for i in picks], pre)
         i = rng.choice(picks)
         p = sb.primes[i]
         x2 = swap_root(x, i, 1, modulus, pre)
@@ -144,3 +162,35 @@ def test_center():
     assert center(8, 15) == -7
     assert center(0, 15) == 0
     assert center(15, 15) == 0
+
+
+# the stream-lock composites at 30, 40 and 50 digits, with their table bases
+REAL_BASES = [
+    build_factor_bases(n, *table_sizes(len(str(n))))
+    for n in (
+        588090330819903606914786460449,
+        2025187160651667522159602188240446426637,
+        10631269693415190522128026926094032979418574955981,
+    )
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.sampled_from(range(len(REAL_BASES))))
+def test_round_crt_matches_global_tables(data, base):
+    # the round's own CRT must give the centred x and every swap that the
+    # paper's global lambda / delta tables give
+    fb, sb = REAL_BASES[base]
+    pre = precompute(sb, fb.roots)
+    table = oracle.precompute(sb, fb.roots)
+    picks = data.draw(st.lists(st.integers(0, sb.n - 1), min_size=1, max_size=7, unique=True))
+    choices = [(i, data.draw(st.sampled_from((1, 2)))) for i in picks]
+    x, modulus = get_x(choices, pre)
+    assert (x, modulus) == oracle.get_x(choices, table, fb.roots)
+    swaps = data.draw(st.lists(
+        st.tuples(st.sampled_from(picks), st.sampled_from((1, -1))), max_size=10
+    ))
+    for i, direction in swaps:
+        want = oracle.swap_root(x, i, direction, modulus, table)
+        x = swap_root(x, i, direction, modulus, pre)
+        assert x == want

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,7 @@ def test_starvation_yields_residue_with_diagnostics(monkeypatch):
     assert result.factors == []
     assert result.check()
     assert result.stats.rounds == 0
+    assert result.shortfalls == [f"starved factoring {n} after 0 rounds: no candidates"]
 
     # the message names the starved layer from this composite's counters
     # only, not from what earlier composites left in the shared stats
@@ -189,6 +191,7 @@ def test_partial_starvation_keeps_found_factors():
     assert not result.success
     assert result.factors == [(2, 2)]
     assert result.residue == n
+    assert len(result.shortfalls) == 1
 
 
 def test_stats_have_phase_times():
@@ -232,6 +235,28 @@ def test_phase2_retry_when_all_dependencies_trivial(monkeypatch):
     assert calls["count"] > 30
 
 
+def test_solve_takes_only_the_target_rows(monkeypatch):
+    # one qs interval of this small composite stores many times the target;
+    # the solver gets the first target rows in stream order
+    import sssfactor.engine as eng
+
+    real = eng.solve_dependencies
+    handed = []
+
+    def record(relations):
+        handed.append(list(relations))
+        return real(relations)
+
+    monkeypatch.setattr(eng, "solve_dependencies", record)
+    n = 1299709 * 1299721
+    config = RunConfig(algo="qs", seed=3)
+    result = factor(n, config)
+    assert result.factors == [(1299709, 1), (1299721, 1)]
+    store, _ = collect_relations(n, config, *prepare(n, config))
+    assert len(store.fulls) > 10 * store.target
+    assert handed == [list(store.fulls.values())[: store.target]]
+
+
 def test_lucky_factor_during_collection(monkeypatch):
     from sssfactor.numtheory import FoundFactor
     from sssfactor.relations import RelationStore
@@ -250,3 +275,19 @@ def test_lucky_factor_during_collection(monkeypatch):
     assert result.success
     assert result.factors == [(1299709, 1), (1299721, 1)]
     assert fired["done"]
+
+
+@pytest.mark.slow
+def test_prepare_memory_stays_linear_at_80_digits():
+    # factor base, small base and smoothness context take about 10 MB here;
+    # global CRT coefficients over the whole small base (6000 primes, each
+    # about as large as their product) would add about 140 MB
+    n = 5291766926642718424261436518971751761119 * 9342651369344138887222875582716104592083
+    assert len(str(n)) == 80
+    tracemalloc.start()
+    try:
+        prepare(n, RunConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"prepare() peaked at {peak / 2**20:.1f} MB"

@@ -92,7 +92,7 @@ def test_root_transforms_land_on_roots():
     for _ in range(20):
         idx = pick_indices(3, sb.n, rng)
         modulus = math.prod(sb.primes[i] for i in idx)
-        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre)
         table = round_table(modulus, primes, roots)
         for p, r1, r2 in oracle.as_tuples(root_transforms(x, table)):
             for r in (r1, r2):
@@ -143,7 +143,7 @@ def test_collision_scan_matches_exhaustive_oracle():
         idx = pick_indices(4, sb.n, rng)
         moduli = [sb.primes[i] for i in idx]
         modulus = math.prod(moduli)
-        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
         for q in [1] + moduli:
             m_prime = modulus // q
@@ -319,7 +319,7 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
         idx = pick_indices(k, sb.n, rng)
         moduli = [sb.primes[i] for i in idx]
         modulus = math.prod(moduli)
-        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre)
         inv = oracle.invert_M(modulus, large)
         expected = oracle.root_transforms(x, inv, fb.roots)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
@@ -392,7 +392,7 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
         moduli = [sb.primes[i] for i in idx]
         modulus = math.prod(moduli)
         table = round_table(modulus, primes, roots)
-        x, _ = get_x([(i, 1) for i in idx], pre, fb.roots)
+        x, _ = get_x([(i, 1) for i in idx], pre)
         for i in idx:
             x = swap_root(x, i, 1, modulus, pre)
             qs = [1] + [q for q in moduli if q != sb.primes[i]]
@@ -416,7 +416,7 @@ def test_hit_values_reject_a_modulus_that_does_not_divide_f():
     shift = isqrt_ceil(TOY_N)
     idx = [0, 1, 2]
     modulus = math.prod(sb.primes[i] for i in idx)
-    x, _ = get_x([(0, 1), (1, 1), (2, 1)], pre, fb.roots)
+    x, _ = get_x([(0, 1), (1, 1), (2, 1)], pre)
     assert hit_values(TOY_N, shift, x, modulus, [1], [(0, 5)])
     with pytest.raises(AssertionError):
         hit_values(TOY_N, shift, x + 1, modulus, [1], [(0, 5)])
