@@ -6,11 +6,24 @@ remaining composite, solves for dependencies over GF(2) and extracts
 divisors, recursing until everything left is a probable prime.
 collect_relations() is the one collection loop: sss, sssf and qs differ
 only in what one round is.
+
+A search round is independent of the others once its indices are drawn,
+so after a short start in the calling process the sss and sssf rounds run
+on one forked worker per CPU (_forked_rounds).  This process keeps drawing
+the indices in round order from the one rng and ingests the finds in round
+order, so the relation stream does not depend on the number of workers.
+qs intervals share the sieve's block state and run in the calling process.
 """
 
+import contextlib
+import itertools
+import os
 import random
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import qs as qs_mod
 from .crt import precompute
@@ -22,7 +35,7 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import SUBSUM_SIZE, pick_indices, search_round
+from .search import SUBSUM_SIZE, RoundStats, pick_indices, round_finds, search_round
 from .smoothness import FILTER_SPLIT_RATIO, build_context
 
 __all__ = [
@@ -79,6 +92,9 @@ class RunStats:
     fulls: int = 0             # native full relations stored
     partials: int = 0          # partial relations emitted by the search
     combined: int = 0          # fulls obtained by combining partials
+    # wall seconds per phase: precompute, collect and linalg; search is the
+    # rounds' own time within collect, summed over the processes that ran
+    # them, so with workers it can exceed collect
     phase_seconds: dict = field(default_factory=dict)
 
     def add_time(self, phase: str, seconds: float) -> None:
@@ -185,28 +201,45 @@ def collect_relations(
     call, so where the relation stream ends never depends on the host's
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
-    the seed.  The time spent is added to the "collect" phase of stats.
-    May raise FoundFactor when a divisor appears along the way.
+    the seed.  sss and sssf rounds move to worker processes once the call
+    has run for _INLINE_SECONDS (see _search); the stream stays the same.
+    The time spent is added to the "collect" phase of stats, and the rounds'
+    own times, summed over the processes that ran them, to its "search"
+    phase.  May raise FoundFactor when a divisor appears along the way.
     """
     if store is None:
         store = RelationStore(n, fb, use_partials=config.use_partials)
     if stats is None:
         stats = RunStats()
+    algo = config.algo_for(n)
+    if algo != "qs" and not fb.large_primes(sb.n):
+        raise ValueError(
+            "small base covers the whole factor base; no collision primes left"
+        )
 
-    run_round = _round_runner(n, config, fb, sb, pre, ctx, store)
     native0, combined0 = store.native_count, store.combined_count
     round_cap = None if config.max_rounds is None else store.rounds + config.max_rounds
+
+    def more() -> bool:
+        return not store.have_enough() and (round_cap is None or store.rounds < round_cap)
+
+    def account(result: RoundStats) -> None:
+        store.rounds += 1
+        stats.rounds += 1
+        stats.candidates += result.candidates
+        stats.filtered += result.filtered
+        stats.partials += result.partials
+        stats.add_time("search", result.seconds)
+
     t0 = time.perf_counter()
     try:
-        while not store.have_enough():
-            if round_cap is not None and store.rounds >= round_cap:
-                break
-            result = run_round(store.rounds)
-            store.rounds += 1
-            stats.rounds += 1
-            stats.candidates += result.candidates
-            stats.filtered += result.filtered
-            stats.partials += result.partials
+        if algo == "qs":
+            sieve = qs_mod.Sieve(n, fb, store.partial_bound)
+            while more():
+                account(qs_mod.run_sieve(sieve, ctx, store, store.rounds))
+        else:
+            k = min(SUBSUM_SIZE[algo], sb.n)
+            _search(n, config.seed, k, fb, sb, pre, ctx, store, round_cap, more, account)
     finally:
         stats.fulls += store.native_count - native0
         stats.combined += store.combined_count - combined0
@@ -214,21 +247,144 @@ def collect_relations(
     return store, stats
 
 
-def _round_runner(n, config, fb, sb, pre, ctx, store):
-    """The function that runs round number i and returns its RoundStats."""
-    algo = config.algo_for(n)
-    if algo == "qs":
-        sieve = qs_mod.Sieve(n, fb, store.partial_bound)
-        return lambda i: qs_mod.run_sieve(sieve, ctx, store, i)
-    if not fb.large_primes(sb.n):
-        raise ValueError(
-            "small base covers the whole factor base; no collision primes left"
-        )
-    k = min(SUBSUM_SIZE[algo], sb.n)
-    rng = random.Random(f"{config.seed}:{n}:0")  # one stream per composite
+# collection time after which sss/sssf rounds go to worker processes: a fork
+# costs about 10 ms, so short collections stay in the calling process
+_INLINE_SECONDS = 0.05
+# rounds sent to a worker and not yet ingested, at most
+_QUEUE_DEPTH = 2
+
+
+def _search(n, seed, k, fb, sb, pre, ctx, store, round_cap, more, account):
+    """sss/sssf rounds until more() turns false.
+
+    The only random draw of a round is its indices (pick_indices), all from
+    one rng per composite, fast-forwarded past the store's earlier rounds.
+    Rounds run here through search_round for the first _INLINE_SECONDS;
+    after that, on a host with two or more CPUs, _forked_rounds runs them on
+    one worker per CPU while this process still draws every round's indices
+    in round order and ingests the finds in round order.  The relation
+    stream, the counters and the answer are therefore the same on any host.
+    """
+    rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(store.rounds):
         pick_indices(k, sb.n, rng)  # the only draws a round makes
-    return lambda i: search_round(n, fb, sb, pre, ctx, k, rng, store)
+    start = time.perf_counter()
+    while more() and time.perf_counter() - start < _INLINE_SECONDS:
+        account(search_round(n, fb, sb, pre, ctx, k, rng, store))
+    workers = _worker_count() if more() else 1
+    if workers < 2:
+        while more():
+            account(search_round(n, fb, sb, pre, ctx, k, rng, store))
+        return
+    ahead = itertools.count() if round_cap is None else range(round_cap - store.rounds)
+    draws = (pick_indices(k, sb.n, rng) for _ in ahead)
+    rounds = _forked_rounds(workers, draws, n, fb, sb, pre, ctx, store.partial_bound)
+    with contextlib.closing(rounds):
+        for finds, result in rounds:
+            for x_bar, g in finds:
+                store.ingest(x_bar, g)
+            account(result)
+            if not more():
+                break
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on, or 1 where it must not fork: no
+    fork() on the platform, another thread running (a forked child keeps
+    every lock that thread held), or a daemonic multiprocessing process
+    (which may not start children)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        return 1
+    return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _forked_rounds(workers, draws, n, fb, sb, pre, ctx, partial_bound):
+    """(finds, RoundStats) of round_finds for each index list from draws,
+    in order, computed by `workers` forked processes.
+
+    The workers inherit the composite, its bases, CRT tables and smoothness
+    context by fork; over each worker's Pipe only index lists go out and
+    only finds and counts come back.  Round i goes to worker i mod workers,
+    at most _QUEUE_DEPTH rounds ahead per worker, so the consumer drops at
+    most that many computed rounds when it stops.  Closing the generator
+    kills and joins every worker.  A worker's exception is raised here with
+    its type, chained to the worker's traceback.  No pool: a pool's helper
+    threads make fork() unsafe.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            conn, child = context.Pipe()
+            proc = context.Process(
+                target=_serve_rounds,
+                args=(child, n, fb, sb, pre, ctx, partial_bound),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            procs.append(proc)
+            conns.append(conn)
+        sent = received = 0
+        while True:
+            for indices in itertools.islice(draws, received + _QUEUE_DEPTH * workers - sent):
+                # a worker that has stopped shows when its reply is due
+                with contextlib.suppress(OSError):
+                    conns[sent % workers].send(indices)
+                sent += 1
+            if received == sent:
+                return
+            j = received % workers
+            try:
+                reply = conns[j].recv()
+            except (EOFError, OSError):
+                procs[j].join()
+                raise RuntimeError(
+                    f"search worker exited with code {procs[j].exitcode}"
+                ) from None
+            received += 1
+            if isinstance(reply, _WorkerError):
+                raise reply.exc from RuntimeError(f"in the search worker:\n{reply.trace}")
+            yield reply
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+class _WorkerError(NamedTuple):
+    exc: BaseException
+    trace: str
+
+
+def _serve_rounds(conn, n, fb, sb, pre, ctx, partial_bound):
+    """A worker: round_finds for each index list that arrives, until the
+    parent closes the pipe.  An exception goes back as a _WorkerError, and
+    the worker then waits to be killed: a pipe closed with rounds still
+    unread in it can reset the parent's end before the error is read."""
+    try:
+        while True:
+            indices = conn.recv()
+            conn.send(round_finds(n, fb, sb, pre, ctx, indices, partial_bound))
+    except EOFError:
+        return
+    except BaseException as exc:
+        conn.send(_WorkerError(exc, traceback.format_exc()))
+    with contextlib.suppress(EOFError):
+        while True:
+            conn.recv()
 
 
 _MAX_SOLVE_CYCLES = 12
@@ -251,6 +407,7 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
         own = {key: value - before[key] for key, value in stats.counters().items()}
         return RelationShortfall(n, RunStats(**own), store.target)
 
+    tried = 0  # dependencies of earlier cycles, a prefix of this cycle's
     for _ in range(_MAX_SOLVE_CYCLES):
         try:
             store, _ = collect_relations(
@@ -266,11 +423,15 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
             # the first target rows in stream order: the elimination takes
             # rows one at a time, so it finds their dependencies first anyway
             rels = list(store.fulls.values())[: store.target]
-            for subset in solve_dependencies(rels):
+            # store.fulls only grows, so an earlier cycle's rows lead this
+            # one's, and so do their dependencies: skip those, all trivial
+            deps = solve_dependencies(rels)
+            for subset in deps[tried:]:
                 big_x, big_y = assemble_square(subset, rels, store.primes, n)
                 divisor = extract_factor(big_x, big_y, n)
                 if divisor is not None:
                     return divisor
+            tried = len(deps)
         finally:
             stats.add_time("linalg", time.perf_counter() - t0)
         # every dependency collapsed to a trivial gcd: collect a bit more

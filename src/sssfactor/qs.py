@@ -17,6 +17,8 @@ threshold, and a position's byte sum does not depend on the block around
 it, so each interval has exactly the survivors it has when sieved alone.
 """
 
+import time
+
 import numpy as np
 
 from .factorbase import FactorBase, poly_value
@@ -153,8 +155,10 @@ def run_sieve(
     Returns the round's counts; candidates are the sieve survivors and
     nothing is filtered.  May raise FoundFactor via the store.
     """
+    t0 = time.perf_counter()
     xs = sieve_interval(sieve, index)
     values = [abs(poly_value(x, sieve.n, sieve.shift)) for x in xs]
+    finds = []
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):
         kind = classify(g, store.partial_bound)
@@ -164,5 +168,8 @@ def run_sieve(
             fulls += 1
         else:
             partials += 1
+        finds.append((x, g))
+    seconds = time.perf_counter() - t0
+    for x, g in finds:
         store.ingest(x, g)
-    return RoundStats(fulls, partials, len(xs), 0)
+    return RoundStats(fulls, partials, len(xs), 0, seconds)

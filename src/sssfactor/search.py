@@ -30,10 +30,16 @@ is divided out once per (variant, q).  That division must be exact, which
 checks every hit of that q because x_bar = x mod m'.
 
 After the random index choice everything in a round is deterministic, so
-a fixed seed replays the exact relation stream.
+a fixed seed replays the exact relation stream.  round_finds is that
+deterministic part: from the round's indices it returns the finds and the
+round's counts, and it touches nothing else, so the engine can run it in a
+worker process and ingest the finds in the parent.  search_round is one
+round in one process: pick_indices, round_finds, then sink.ingest for each
+find in order.
 """
 
 import math
+import time
 from itertools import repeat
 from typing import NamedTuple
 
@@ -71,6 +77,7 @@ __all__ = [
     "root_transforms",
     "collision_scan",
     "hit_values",
+    "round_finds",
     "search_round",
 ]
 
@@ -86,7 +93,8 @@ class RoundStats(NamedTuple):
     fulls: int
     partials: int
     candidates: int
-    filtered: int  # candidates dropped by the two-pass filter
+    filtered: int   # candidates dropped by the two-pass filter
+    seconds: float  # wall time of finding the round's relations, ingest excluded
 
 
 def pick_indices(k: int, n: int, rng) -> list[int]:
@@ -209,35 +217,37 @@ def hit_values(
     return values
 
 
-def search_round(
+def round_finds(
     n: int,
     fb: FactorBase,
     sb: SmallFactorBase,
     pre: CrtPrecomp,
     ctx: SmoothnessContext,
-    k: int,
-    rng,
-    sink,
+    indices: list[int],
+    partial_bound: int,
     *,
     filter_delta: int = FILTER_DELTA,
-) -> RoundStats:
-    """One full search round; emits relations through sink.ingest(x_bar, g).
+) -> tuple[list[tuple[int, int]], RoundStats]:
+    """The finds of the round over the small-base primes at indices, as
+    (x_bar, g) pairs in stream order, with the round's RoundStats.
 
-    Finds are classified against sink.partial_bound.  A context with a
+    Finds are classified against partial_bound.  A context with a
     partition (the sssf variant) switches the smoothness pass to the
     two-stage filter with cutoff offset filter_delta.  Each variant is
     scanned once for all its rescalings, and its candidates are batch-tested
-    together.
+    together.  Nothing outside the returned values changes, so a round can
+    run in any process that holds the bases.
     """
+    t0 = time.perf_counter()
     shift = isqrt_ceil(n)
     digits = len(str(n))
-    indices = pick_indices(k, sb.n, rng)
     moduli = [sb.primes[i] for i in indices]
     modulus = math.prod(moduli)
     table = round_table(modulus, *fb.large_arrays(sb.n))
 
     x, _ = get_x(zip(indices, repeat(1)), pre)
 
+    finds: list[tuple[int, int]] = []
     fulls = partials = candidates = filtered = 0
     for i in indices:
         x = swap_root(x, i, 1, modulus, pre)
@@ -258,12 +268,37 @@ def search_round(
         else:
             found = zip(keys, smooth_batch(ctx, values))
         for x_bar, g in found:
-            kind = classify(g, sink.partial_bound)
+            kind = classify(g, partial_bound)
             if kind is Smoothness.REJECT:
                 continue
             if kind is Smoothness.FULL:
                 fulls += 1
             else:
                 partials += 1
-            sink.ingest(x_bar, g)
-    return RoundStats(fulls, partials, candidates, filtered)
+            finds.append((x_bar, g))
+    stats = RoundStats(fulls, partials, candidates, filtered, time.perf_counter() - t0)
+    return finds, stats
+
+
+def search_round(
+    n: int,
+    fb: FactorBase,
+    sb: SmallFactorBase,
+    pre: CrtPrecomp,
+    ctx: SmoothnessContext,
+    k: int,
+    rng,
+    sink,
+    *,
+    filter_delta: int = FILTER_DELTA,
+) -> RoundStats:
+    """One full search round: k indices drawn from rng, the round's finds
+    (round_finds, classified against sink.partial_bound) and then, in
+    order, sink.ingest(x_bar, g) for each of them."""
+    indices = pick_indices(k, sb.n, rng)
+    finds, stats = round_finds(
+        n, fb, sb, pre, ctx, indices, sink.partial_bound, filter_delta=filter_delta
+    )
+    for x_bar, g in finds:
+        sink.ingest(x_bar, g)
+    return stats

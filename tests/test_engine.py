@@ -199,11 +199,16 @@ def test_stats_have_phase_times():
     t0 = time.perf_counter()
     result = factor(n, RunConfig(seed=1))
     wall = time.perf_counter() - t0
-    for phase in ("precompute", "collect", "linalg"):
-        assert phase in result.stats.phase_seconds
-        assert result.stats.phase_seconds[phase] >= 0.0
-    # each phase is timed once: the phases cannot add up to more than the run
-    assert sum(result.stats.phase_seconds.values()) <= wall
+    phases = dict(result.stats.phase_seconds)
+    for phase in ("precompute", "collect", "linalg", "search"):
+        assert phase in phases
+        assert phases[phase] >= 0.0
+    # search is the rounds' time inside collect, summed over the processes
+    # that ran them; the others are each timed once and cannot add up to
+    # more than the run
+    search = phases.pop("search")
+    assert sum(phases.values()) <= wall
+    assert search > 0.0
 
 
 def test_no_partials_config():
@@ -233,6 +238,28 @@ def test_phase2_retry_when_all_dependencies_trivial(monkeypatch):
     assert result.success
     assert result.factors == [(1299709, 1), (1299721, 1)]
     assert calls["count"] > 30
+
+
+def test_retry_skips_the_dependencies_already_tried(monkeypatch):
+    # the first target rows of a later cycle start with the earlier cycles'
+    # rows, so their dependencies come first too and are not tried again
+    import sssfactor.engine as eng
+
+    real = eng.extract_factor
+    seen = []
+
+    def stubborn(big_x, big_y, n):
+        seen.append((big_x, big_y))
+        if len(seen) <= 30:
+            return None
+        return real(big_x, big_y, n)
+
+    monkeypatch.setattr(eng, "extract_factor", stubborn)
+    n = 1299709 * 1299721
+    result = factor(n, RunConfig(seed=2))
+    assert result.factors == [(1299709, 1), (1299721, 1)]
+    assert len(seen) > 30
+    assert len(set(seen)) == len(seen)
 
 
 def test_solve_takes_only_the_target_rows(monkeypatch):

@@ -168,7 +168,8 @@ def run_one_round(seed):
 def test_search_round_deterministic_replay():
     stats_a, finds_a = run_one_round(123)
     stats_b, finds_b = run_one_round(123)
-    assert stats_a == stats_b
+    # everything but the round's wall time
+    assert stats_a[:-1] == stats_b[:-1]
     assert finds_a == finds_b
     assert stats_a.candidates > 0
 
