@@ -4,15 +4,20 @@ factor() strips trivial structure (even part, perfect powers, small prime
 hits from the base scan), runs the configured relation search on each
 remaining composite, solves for dependencies over GF(2) and extracts
 divisors, recursing until everything left is a probable prime.
-collect_relations() is the one collection loop: sss, sssf and qs differ
-only in what one round is.
+
+collect_relations() is the one collection loop and the only code that
+feeds the relation store: sss, sssf and qs differ only in the iterator of
+rounds it consumes (_search_rounds, or qs.run_sieve over the intervals).
+Every round is a search.Round value, and the loop ingests its finds in
+round order.
 
 A search round is independent of the others once its indices are drawn,
 so after a short start in the calling process the sss and sssf rounds run
 on one forked worker per CPU (_forked_rounds).  This process keeps drawing
-the indices in round order from the one rng and ingests the finds in round
-order, so the relation stream does not depend on the number of workers.
-qs intervals share the sieve's block state and run in the calling process.
+the indices in round order from the one rng, and the rounds come back in
+round order, so the relation stream does not depend on the number of
+workers.  qs intervals share the sieve's block state and run in the
+calling process.
 """
 
 import contextlib
@@ -35,7 +40,7 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import SUBSUM_SIZE, RoundStats, pick_indices, round_finds, search_round
+from .search import SUBSUM_SIZE, pick_indices, round_finds, search_round
 from .smoothness import FILTER_SPLIT_RATIO, build_context
 
 __all__ = [
@@ -202,10 +207,11 @@ def collect_relations(
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
     the seed.  sss and sssf rounds move to worker processes once the call
-    has run for _INLINE_SECONDS (see _search); the stream stays the same.
-    The time spent is added to the "collect" phase of stats, and the rounds'
-    own times, summed over the processes that ran them, to its "search"
-    phase.  May raise FoundFactor when a divisor appears along the way.
+    has run for _INLINE_SECONDS (see _search_rounds); the stream stays the
+    same.  The time spent is added to the "collect" phase of stats, and the
+    rounds' own times, summed over the processes that ran them, to its
+    "search" phase.  May raise FoundFactor when a divisor appears along the
+    way.
     """
     if store is None:
         store = RelationStore(n, fb, use_partials=config.use_partials)
@@ -219,27 +225,27 @@ def collect_relations(
 
     native0, combined0 = store.native_count, store.combined_count
     round_cap = None if config.max_rounds is None else store.rounds + config.max_rounds
-
-    def more() -> bool:
-        return not store.have_enough() and (round_cap is None or store.rounds < round_cap)
-
-    def account(result: RoundStats) -> None:
-        store.rounds += 1
-        stats.rounds += 1
-        stats.candidates += result.candidates
-        stats.filtered += result.filtered
-        stats.partials += result.partials
-        stats.add_time("search", result.seconds)
-
     t0 = time.perf_counter()
     try:
         if algo == "qs":
             sieve = qs_mod.Sieve(n, fb, store.partial_bound)
-            while more():
-                account(qs_mod.run_sieve(sieve, ctx, store, store.rounds))
+            rounds = (qs_mod.run_sieve(sieve, ctx, i) for i in itertools.count(store.rounds))
         else:
             k = min(SUBSUM_SIZE[algo], sb.n)
-            _search(n, config.seed, k, fb, sb, pre, ctx, store, round_cap, more, account)
+            rounds = _search_rounds(
+                n, config.seed, k, fb, sb, pre, ctx, store.partial_bound, store.rounds, round_cap
+            )
+        with contextlib.closing(rounds):
+            while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
+                found = next(rounds)
+                for x_bar, g in found.finds:
+                    store.ingest(x_bar, g)
+                store.rounds += 1
+                stats.rounds += 1
+                stats.candidates += found.candidates
+                stats.filtered += found.filtered
+                stats.partials += found.partials
+                stats.add_time("search", found.seconds)
     finally:
         stats.fulls += store.native_count - native0
         stats.combined += store.combined_count - combined0
@@ -250,42 +256,36 @@ def collect_relations(
 # collection time after which sss/sssf rounds go to worker processes: a fork
 # costs about 10 ms, so short collections stay in the calling process
 _INLINE_SECONDS = 0.05
-# rounds sent to a worker and not yet ingested, at most
+# rounds sent to a worker and not yet consumed, at most
 _QUEUE_DEPTH = 2
 
 
-def _search(n, seed, k, fb, sb, pre, ctx, store, round_cap, more, account):
-    """sss/sssf rounds until more() turns false.
+def _search_rounds(n, seed, k, fb, sb, pre, ctx, partial_bound, first, cap):
+    """sss/sssf rounds from round number first on, in round order; none
+    past round number cap, when cap is not None.
 
     The only random draw of a round is its indices (pick_indices), all from
-    one rng per composite, fast-forwarded past the store's earlier rounds.
-    Rounds run here through search_round for the first _INLINE_SECONDS;
-    after that, on a host with two or more CPUs, _forked_rounds runs them on
-    one worker per CPU while this process still draws every round's indices
-    in round order and ingests the finds in round order.  The relation
-    stream, the counters and the answer are therefore the same on any host.
+    one rng per composite, fast-forwarded past rounds 0 to first - 1.  Rounds
+    run here through search_round for the first _INLINE_SECONDS; after that,
+    on a host with two or more CPUs, _forked_rounds runs them on one worker
+    per CPU while this process still draws every round's indices in round
+    order.  The rounds, and so the relation stream, the counters and the
+    answer, are therefore the same on any host.  Closing the generator
+    kills and joins the workers.
     """
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
-    for _ in range(store.rounds):
+    for _ in range(first):
         pick_indices(k, sb.n, rng)  # the only draws a round makes
     start = time.perf_counter()
-    while more() and time.perf_counter() - start < _INLINE_SECONDS:
-        account(search_round(n, fb, sb, pre, ctx, k, rng, store))
-    workers = _worker_count() if more() else 1
-    if workers < 2:
-        while more():
-            account(search_round(n, fb, sb, pre, ctx, k, rng, store))
-        return
-    ahead = itertools.count() if round_cap is None else range(round_cap - store.rounds)
+    while time.perf_counter() - start < _INLINE_SECONDS:
+        yield search_round(n, fb, sb, pre, ctx, k, rng, partial_bound)
+        first += 1
+    workers = _worker_count()
+    while workers < 2:
+        yield search_round(n, fb, sb, pre, ctx, k, rng, partial_bound)
+    ahead = itertools.count() if cap is None else range(cap - first)
     draws = (pick_indices(k, sb.n, rng) for _ in ahead)
-    rounds = _forked_rounds(workers, draws, n, fb, sb, pre, ctx, store.partial_bound)
-    with contextlib.closing(rounds):
-        for finds, result in rounds:
-            for x_bar, g in finds:
-                store.ingest(x_bar, g)
-            account(result)
-            if not more():
-                break
+    yield from _forked_rounds(workers, draws, n, fb, sb, pre, ctx, partial_bound)
 
 
 def _worker_count() -> int:
@@ -306,8 +306,8 @@ def _worker_count() -> int:
 
 
 def _forked_rounds(workers, draws, n, fb, sb, pre, ctx, partial_bound):
-    """(finds, RoundStats) of round_finds for each index list from draws,
-    in order, computed by `workers` forked processes.
+    """The Round of round_finds for each index list from draws, in order,
+    computed by `workers` forked processes.
 
     The workers inherit the composite, its bases, CRT tables and smoothness
     context by fork; over each worker's Pipe only index lists go out and

@@ -130,7 +130,10 @@ class SmallFactorBase:
     """The first n odd primes of the parent factor base."""
 
     primes: tuple[int, ...]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.primes)
 
 
 # (max_digits, m, n) tiers; the 75-77 digit gap is folded into the next
@@ -197,7 +200,6 @@ def build_factor_bases(n: int, m: int, small_n: int):
             raise AssertionError(f"bad root pair for p={p}")  # unreachable
         kept.append(p)
         roots[p] = (r1, r2)
-    n_eff = min(small_n, len(kept) - 1)
     fb = FactorBase(tuple(kept), roots)
-    sb = SmallFactorBase(tuple(kept[1 : 1 + n_eff]), n_eff)
+    sb = SmallFactorBase(tuple(kept[1 : 1 + small_n]))
     return fb, sb

@@ -4,9 +4,10 @@ Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(N)))**2 - N,
 sieved over intervals of SIEVE_LENGTH values on both sides of 0 (0, -L, L,
 -2L, ...), rounded base-2 prime logs in byte accumulators, prime squares
 up to the interval length sieved once.  One interval is one round of the
-engine's collection loop, and survivors go through the shared batch
-smoothness check and the shared relation store, so the comparison against
-the subsum search differs only in how candidates are generated.
+engine's collection loop: survivors go through the shared batch
+smoothness check, and run_sieve returns them as a search.Round that the
+engine ingests like a search round's, so the comparison against the
+subsum search differs only in how candidates are generated.
 
 The progressions (modulus, root, weight) depend only on N, Hensel lifts
 mod p**2 included, so a Sieve builds them once per composite.  It sieves
@@ -23,8 +24,7 @@ import numpy as np
 
 from .factorbase import FactorBase, poly_value
 from .numtheory import isqrt_ceil
-from .relations import RelationStore
-from .search import RoundStats
+from .search import Round
 from .smoothness import Smoothness, SmoothnessContext, classify, smooth_batch
 
 __all__ = ["Sieve", "sieve_interval", "sieve_threshold", "run_sieve"]
@@ -143,17 +143,12 @@ def sieve_interval(sieve: Sieve, index: int) -> list[int]:
     return lists[step - first]
 
 
-def run_sieve(
-    sieve: Sieve,
-    ctx: SmoothnessContext,
-    store: RelationStore,
-    index: int,
-) -> RoundStats:
+def run_sieve(sieve: Sieve, ctx: SmoothnessContext, index: int) -> Round:
     """Sieve interval number index (0, -L, L, -2L, ... with L = SIEVE_LENGTH)
-    and ingest its full and partial relations into the store.
+    and return its full and partial relations, classified against
+    sieve.partial_bound.
 
-    Returns the round's counts; candidates are the sieve survivors and
-    nothing is filtered.  May raise FoundFactor via the store.
+    Candidates are the sieve survivors, and nothing is filtered.
     """
     t0 = time.perf_counter()
     xs = sieve_interval(sieve, index)
@@ -161,7 +156,7 @@ def run_sieve(
     finds = []
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):
-        kind = classify(g, store.partial_bound)
+        kind = classify(g, sieve.partial_bound)
         if kind is Smoothness.REJECT:
             continue
         if kind is Smoothness.FULL:
@@ -169,7 +164,4 @@ def run_sieve(
         else:
             partials += 1
         finds.append((x, g))
-    seconds = time.perf_counter() - t0
-    for x, g in finds:
-        store.ingest(x, g)
-    return RoundStats(fulls, partials, len(xs), 0, seconds)
+    return Round(finds, fulls, partials, len(xs), 0, time.perf_counter() - t0)

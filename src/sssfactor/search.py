@@ -9,8 +9,8 @@ mapped into the j-line of x + j*M; an offset alpha that shows up for at
 least COLLISION_THRESHOLD = 3 different large primes certifies that
 f(x + alpha * m') gains three large prime divisors on top of the known
 smooth part m'.  Those candidates go to the batch smoothness test (the
-two-pass filter when the context carries a partition, as for sssf) and
-the survivors are handed to the sink as full or partial relations.
+two-pass filter when the context carries a partition, as for sssf), and
+the survivors are the round's finds: full or partial relations.
 
 The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
@@ -31,11 +31,11 @@ checks every hit of that q because x_bar = x mod m'.
 
 After the random index choice everything in a round is deterministic, so
 a fixed seed replays the exact relation stream.  round_finds is that
-deterministic part: from the round's indices it returns the finds and the
-round's counts, and it touches nothing else, so the engine can run it in a
-worker process and ingest the finds in the parent.  search_round is one
-round in one process: pick_indices, round_finds, then sink.ingest for each
-find in order.
+deterministic part: from the round's indices it returns the round as a
+Round value, its finds and counts, and it touches nothing else, so the
+engine can run it in a worker process.  search_round is pick_indices plus
+round_finds.  Neither stores anything: the engine's collection loop
+ingests every round's finds.
 """
 
 import math
@@ -69,7 +69,7 @@ from .smoothness import smooth_batch_exact  # noqa: F401
 __all__ = [
     "COLLISION_THRESHOLD",
     "SUBSUM_SIZE",
-    "RoundStats",
+    "Round",
     "pick_indices",
     "RoundTable",
     "Transforms",
@@ -89,12 +89,15 @@ COLLISION_THRESHOLD = 3
 SUBSUM_SIZE = {"sss": 6, "sssf": 7}
 
 
-class RoundStats(NamedTuple):
+class Round(NamedTuple):
+    """One round's finds and counts (a search round, or a sieved interval)."""
+
+    finds: list     # (x_bar, g) full and partial relations, in stream order
     fulls: int
     partials: int
     candidates: int
     filtered: int   # candidates dropped by the two-pass filter
-    seconds: float  # wall time of finding the round's relations, ingest excluded
+    seconds: float  # wall time of finding the round's relations
 
 
 def pick_indices(k: int, n: int, rng) -> list[int]:
@@ -225,17 +228,15 @@ def round_finds(
     ctx: SmoothnessContext,
     indices: list[int],
     partial_bound: int,
-    *,
-    filter_delta: int = FILTER_DELTA,
-) -> tuple[list[tuple[int, int]], RoundStats]:
-    """The finds of the round over the small-base primes at indices, as
-    (x_bar, g) pairs in stream order, with the round's RoundStats.
+) -> Round:
+    """The round over the small-base primes at indices: its finds, as
+    (x_bar, g) pairs in stream order, and its counts.
 
     Finds are classified against partial_bound.  A context with a
     partition (the sssf variant) switches the smoothness pass to the
-    two-stage filter with cutoff offset filter_delta.  Each variant is
+    two-stage filter with cutoff offset FILTER_DELTA.  Each variant is
     scanned once for all its rescalings, and its candidates are batch-tested
-    together.  Nothing outside the returned values changes, so a round can
+    together.  Nothing outside the returned value changes, so a round can
     run in any process that holds the bases.
     """
     t0 = time.perf_counter()
@@ -262,7 +263,7 @@ def round_finds(
         keys = list(batch)
         values = list(batch.values())
         if ctx.part_small is not None:
-            pairs = smooth_filter(ctx, values, digits, filter_delta)
+            pairs = smooth_filter(ctx, values, digits, FILTER_DELTA)
             filtered += len(values) - len(pairs)
             found = [(keys[j], g) for j, g in pairs]
         else:
@@ -276,8 +277,8 @@ def round_finds(
             else:
                 partials += 1
             finds.append((x_bar, g))
-    stats = RoundStats(fulls, partials, candidates, filtered, time.perf_counter() - t0)
-    return finds, stats
+    seconds = time.perf_counter() - t0
+    return Round(finds, fulls, partials, candidates, filtered, seconds)
 
 
 def search_round(
@@ -288,17 +289,7 @@ def search_round(
     ctx: SmoothnessContext,
     k: int,
     rng,
-    sink,
-    *,
-    filter_delta: int = FILTER_DELTA,
-) -> RoundStats:
-    """One full search round: k indices drawn from rng, the round's finds
-    (round_finds, classified against sink.partial_bound) and then, in
-    order, sink.ingest(x_bar, g) for each of them."""
-    indices = pick_indices(k, sb.n, rng)
-    finds, stats = round_finds(
-        n, fb, sb, pre, ctx, indices, sink.partial_bound, filter_delta=filter_delta
-    )
-    for x_bar, g in finds:
-        sink.ingest(x_bar, g)
-    return stats
+    partial_bound: int,
+) -> Round:
+    """One full search round: k indices drawn from rng, then round_finds."""
+    return round_finds(n, fb, sb, pre, ctx, pick_indices(k, sb.n, rng), partial_bound)

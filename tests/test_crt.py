@@ -26,7 +26,7 @@ def brute_crt_basis(primes, i):
 
 
 def toy_base(primes, roots):
-    return SmallFactorBase(tuple(primes), len(primes)), dict(roots)
+    return SmallFactorBase(tuple(primes)), dict(roots)
 
 
 def test_precompute_basis_example():

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 import re
 import time
@@ -8,7 +10,7 @@ import pytest
 from semiprimes import generate_semiprime
 
 from sssfactor.crt import precompute
-from sssfactor import search
+from sssfactor import engine, qs, search
 from sssfactor.engine import (
     RelationShortfall,
     RunConfig,
@@ -20,6 +22,7 @@ from sssfactor.engine import (
 )
 from sssfactor.factorbase import build_factor_bases
 from sssfactor.numtheory import is_probable_prime
+from sssfactor.relations import RelationStore
 from sssfactor.search import SUBSUM_SIZE
 from sssfactor.smoothness import Smoothness, build_context
 
@@ -149,6 +152,55 @@ def test_collect_relations_resumes_the_stream(algo, n):
         == whole.fulls_csv() + whole.partials_csv()
     )
     assert split.rounds == whole.rounds == 10
+
+
+N40 = 2025187160651667522159602188240446426637
+
+
+@pytest.mark.parametrize("algo, cpus", [
+    ("qs", 2),
+    ("sss", 1),
+    pytest.param("sss", 2, marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork()"
+    )),
+], ids=["qs", "sss-inline", "sss-workers"])
+def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
+    # collect_relations is the only caller of ingest, once per find and in
+    # round order, whichever process computed the round; with no inline
+    # start, two CPUs send every sss round to the workers and one keeps
+    # them all inline
+    config = RunConfig(algo=algo, seed=7, max_rounds=10)
+    fb, sb, pre, ctx = prepare(N40, config)
+    bound = RelationStore(N40, fb).partial_bound
+    if algo == "qs":
+        sieve = qs.Sieve(N40, fb, bound)
+        rounds = [qs.run_sieve(sieve, ctx, index) for index in range(10)]
+    else:
+        rng = random.Random(f"7:{N40}:0")
+        k = SUBSUM_SIZE[algo]
+        rounds = [search.search_round(N40, fb, sb, pre, ctx, k, rng, bound) for _ in range(10)]
+
+    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forked, ingested = [], []
+    real_forked, real_ingest = engine._forked_rounds, RelationStore.ingest
+
+    def forked_rounds(workers, *args):
+        forked.append(workers)
+        return real_forked(workers, *args)
+
+    def ingest(self, x_bar, g):
+        ingested.append((x_bar, g))
+        return real_ingest(self, x_bar, g)
+
+    monkeypatch.setattr(engine, "_forked_rounds", forked_rounds)
+    monkeypatch.setattr(RelationStore, "ingest", ingest)
+    _, stats = collect_relations(N40, config, fb, sb, pre, ctx)
+    assert stats.rounds == 10
+    assert forked == ([2] if algo == "sss" and cpus == 2 else [])
+    assert ingested == [find for found in rounds for find in found.finds]
+    assert ingested
+    assert multiprocessing.active_children() == []
 
 
 def test_starvation_yields_residue_with_diagnostics(monkeypatch):

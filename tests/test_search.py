@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
 
+from sssfactor import search
 from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
@@ -22,15 +23,6 @@ from sssfactor.search import (
 from sssfactor.smoothness import build_context
 
 TOY_N = 999919  # 991 * 1009, both factors beyond the scanned primes
-
-
-class CaptureSink:
-    def __init__(self, partial_bound):
-        self.partial_bound = partial_bound
-        self.finds = []
-
-    def ingest(self, x_bar, residual):
-        self.finds.append((x_bar, residual))
 
 
 def toy_setup(m=20, small_n=6):
@@ -160,9 +152,8 @@ def test_collision_scan_matches_exhaustive_oracle():
 
 def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
-    sink = CaptureSink(128 * fb.p_max)
-    stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), sink)
-    return stats, sink.finds
+    stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), 128 * fb.p_max)
+    return stats, stats.finds
 
 
 def test_search_round_deterministic_replay():
@@ -177,12 +168,10 @@ def test_search_round_deterministic_replay():
 def test_search_round_emissions_are_sound():
     fb, sb, pre, ctx = toy_setup()
     shift = isqrt_ceil(TOY_N)
-    sink = CaptureSink(128 * fb.p_max)
     total = 0
     for seed in range(30):
-        before = len(sink.finds)
-        stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), sink)
-        round_finds = sink.finds[before:]
+        stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), 128 * fb.p_max)
+        round_finds = stats.finds
         assert len(round_finds) == stats.fulls + stats.partials
         assert len({x for x, _ in round_finds}) == len(round_finds)  # no dups
         total += len(round_finds)
@@ -201,24 +190,26 @@ def test_search_round_emissions_are_sound():
     assert total > 0
 
 
-def test_search_round_filter_path():
+def test_search_round_filter_path(monkeypatch):
     fb, sb, pre, _ = toy_setup()
     ctx = build_context(fb.primes, split_ratio=4)
-    sink = CaptureSink(128 * fb.p_max)
+    monkeypatch.setattr(search, "FILTER_DELTA", 1)
+    finds = []
     rounds = 0
     stats_total = [0, 0, 0, 0]
     for seed in range(20):
         stats = search_round(
-            TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), sink, filter_delta=1
+            TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), 128 * fb.p_max
         )
+        finds += stats.finds
         assert 0 <= stats.filtered <= stats.candidates
-        stats_total = [a + b for a, b in zip(stats_total, stats)]
+        stats_total = [a + b for a, b in zip(stats_total, stats[1:])]
         rounds += 1
     # with a tight cutoff the filter must actually drop candidates
     assert stats_total[3] > 0
     # filtered-path fulls still verify: residual 1 finds are genuinely smooth
     shift = isqrt_ceil(TOY_N)
-    for x_bar, residual in sink.finds:
+    for x_bar, residual in finds:
         if residual == 1:
             value = abs(poly_value(x_bar, TOY_N, shift))
             for p in fb.primes:
