@@ -1,11 +1,12 @@
 """Command-line interface: factor, relations.
 
-Exit codes: 0 success, 1 starvation/failure, 2 usage errors.  Flags are the
-only input besides the arguments: a set SSSFACTOR_* environment variable is
-a usage error rather than silently ignored.  Options must be spelled out:
-an abbreviation such as --max for --max-rounds is a usage error, so an
-unknown flag (--m) is never taken for a longer one that it happens to
-prefix.  Timings come from benchmarks/run.py, not from this interface.
+Exit codes: 0 success, 1 starvation/failure or a reader that closed stdout
+early, 2 usage errors.  Flags are the only input besides the arguments: a
+set SSSFACTOR_* environment variable is a usage error rather than silently
+ignored.  Options must be spelled out: an abbreviation such as --max for
+--max-rounds is a usage error, so an unknown flag (--m) is never taken for
+a longer one that it happens to prefix.  Timings come from
+benchmarks/run.py, not from this interface.
 """
 
 import argparse
@@ -190,7 +191,17 @@ def main(argv=None) -> int:
             f"{', '.join(stale)}: environment variables are not read; "
             f"use the flag instead (sssfactor {args.command} --help)"
         )
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout closed it: nothing more can be shown, and
+        # the flush at exit must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -6,18 +6,19 @@ remaining composite, solves for dependencies over GF(2) and extracts
 divisors, recursing until everything left is a probable prime.
 
 collect_relations() is the one collection loop and the only code that
-feeds the relation store: sss, sssf and qs differ only in the iterator of
-rounds it consumes (_search_rounds, or qs.run_sieve over the intervals).
-Every round is a search.Round value, and the loop ingests its finds in
-round order.
+feeds the relation store, and _rounds is its one round source: sss, sssf
+and qs differ only in the plan it runs (_round_plan), what an item of a
+round is and how many go to a worker at once.  Every round is a
+search.Round value, and the loop ingests its finds in round order.
 
-A search round is independent of the others once its indices are drawn,
-so after a short start in the calling process the sss and sssf rounds run
-on one forked worker per CPU (_forked_rounds).  This process keeps drawing
-the indices in round order from the one rng, and the rounds come back in
-round order, so the relation stream does not depend on the number of
-workers.  qs intervals share the sieve's block state and run in the
-calling process.
+A round is independent of the others once its item is fixed: a search
+round's drawn indices, or a qs interval number.  So after a short start in
+the calling process the rounds run on one forked worker per CPU
+(_forked_rounds), in batches: one round for sss and sssf, one sieve block
+per side (2 * qs.BLOCK_INTERVALS intervals) for qs.  This process keeps
+drawing the search indices in round order from the one rng, and the rounds
+come back in round order, so the relation stream does not depend on the
+number of workers.
 """
 
 import contextlib
@@ -206,12 +207,11 @@ def collect_relations(
     call, so where the relation stream ends never depends on the host's
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
-    the seed.  sss and sssf rounds move to worker processes once the call
-    has run for _INLINE_SECONDS (see _search_rounds); the stream stays the
-    same.  The time spent is added to the "collect" phase of stats, and the
-    rounds' own times, summed over the processes that ran them, to its
-    "search" phase.  May raise FoundFactor when a divisor appears along the
-    way.
+    the seed.  Rounds move to worker processes once the call has run for
+    _INLINE_SECONDS (see _rounds); the stream stays the same.  The time
+    spent is added to the "collect" phase of stats, and the rounds' own
+    times, summed over the processes that ran them, to its "search" phase.
+    May raise FoundFactor when a divisor appears along the way.
     """
     if store is None:
         store = RelationStore(n, fb, use_partials=config.use_partials)
@@ -227,14 +227,10 @@ def collect_relations(
     round_cap = None if config.max_rounds is None else store.rounds + config.max_rounds
     t0 = time.perf_counter()
     try:
-        if algo == "qs":
-            sieve = qs_mod.Sieve(n, fb, store.partial_bound)
-            rounds = (qs_mod.run_sieve(sieve, ctx, i) for i in itertools.count(store.rounds))
-        else:
-            k = min(SUBSUM_SIZE[algo], sb.n)
-            rounds = _search_rounds(
-                n, config.seed, k, fb, sb, pre, ctx, store.partial_bound, store.rounds, round_cap
-            )
+        inline, run, items, batch = _round_plan(
+            algo, n, config.seed, fb, sb, pre, ctx, store.partial_bound, store.rounds
+        )
+        rounds = _rounds(inline, run, items, batch, config.max_rounds)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
                 found = next(rounds)
@@ -253,39 +249,79 @@ def collect_relations(
     return store, stats
 
 
-# collection time after which sss/sssf rounds go to worker processes: a fork
-# costs about 10 ms, so short collections stay in the calling process
+# collection time after which rounds go to worker processes: a fork costs
+# about 10 ms, so short collections stay in the calling process
 _INLINE_SECONDS = 0.05
-# rounds sent to a worker and not yet consumed, at most
+# batches sent to a worker and not yet consumed, at most
 _QUEUE_DEPTH = 2
 
 
-def _search_rounds(n, seed, k, fb, sb, pre, ctx, partial_bound, first, cap):
-    """sss/sssf rounds from round number first on, in round order; none
-    past round number cap, when cap is not None.
+def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
+    """What the round source needs for rounds from round number first on:
+    (inline, run, items, batch).
 
-    The only random draw of a round is its indices (pick_indices), all from
-    one rng per composite, fast-forwarded past rounds 0 to first - 1.  Rounds
-    run here through search_round for the first _INLINE_SECONDS; after that,
-    on a host with two or more CPUs, _forked_rounds runs them on one worker
-    per CPU while this process still draws every round's indices in round
-    order.  The rounds, and so the relation stream, the counters and the
-    answer, are therefore the same on any host.  Closing the generator
-    kills and joins the workers.
+    items yields the item of every round in round order, run(item) computes
+    the round's Round in any process, and inline() computes the next round
+    here, moving items past it.  batch is the number of consecutive items a
+    worker gets per message.
+
+    qs: an item is an interval number, and a batch is 2 * BLOCK_INTERVALS
+    intervals, one sieve block per side, so a worker sieves no block that
+    it uses only in part.  sss/sssf: an item is a round's index list, the
+    round's only random draw (pick_indices), drawn here from one rng per
+    composite fast-forwarded past rounds 0 to first - 1; a batch is one
+    round.  inline() calls search_round and qs.run_sieve as looked up at
+    call time, where tracing wraps them.
     """
+    if algo == "qs":
+        sieve = qs_mod.Sieve(n, fb, partial_bound)
+        items = itertools.count(first)
+
+        def run(index):
+            return qs_mod.run_sieve(sieve, ctx, index)
+
+        def inline():
+            return run(next(items))
+
+        return inline, run, items, 2 * qs_mod.BLOCK_INTERVALS
+
+    k = min(SUBSUM_SIZE[algo], sb.n)
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(first):
-        pick_indices(k, sb.n, rng)  # the only draws a round makes
+        pick_indices(k, sb.n, rng)
+    items = iter(lambda: pick_indices(k, sb.n, rng), None)
+
+    def run(indices):
+        return round_finds(n, fb, sb, pre, ctx, indices, partial_bound)
+
+    def inline():
+        return search_round(n, fb, sb, pre, ctx, k, rng, partial_bound)
+
+    return inline, run, items, 1
+
+
+def _rounds(inline, run, items, batch, limit):
+    """Rounds in round order: inline() for the first _INLINE_SECONDS, in
+    whole batches, so the workers' batches start where the inline ones end;
+    then, on a host with two or more CPUs, run(item) for the remaining
+    items on one forked worker per CPU (_forked_rounds).  limit, when not
+    None, is the most rounds the caller takes, and no worker gets an item
+    past it.  The rounds, and so the relation stream, the counters and the
+    answer, are the same on any host.  Closing the generator kills and
+    joins the workers.
+    """
     start = time.perf_counter()
+    done = 0
     while time.perf_counter() - start < _INLINE_SECONDS:
-        yield search_round(n, fb, sb, pre, ctx, k, rng, partial_bound)
-        first += 1
+        for _ in range(batch):
+            yield inline()
+        done += batch
     workers = _worker_count()
     while workers < 2:
-        yield search_round(n, fb, sb, pre, ctx, k, rng, partial_bound)
-    ahead = itertools.count() if cap is None else range(cap - first)
-    draws = (pick_indices(k, sb.n, rng) for _ in ahead)
-    yield from _forked_rounds(workers, draws, n, fb, sb, pre, ctx, partial_bound)
+        yield inline()
+    if limit is not None:
+        items = itertools.islice(items, limit - done)
+    yield from _forked_rounds(workers, run, items, batch)
 
 
 def _worker_count() -> int:
@@ -305,41 +341,39 @@ def _worker_count() -> int:
     return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _forked_rounds(workers, draws, n, fb, sb, pre, ctx, partial_bound):
-    """The Round of round_finds for each index list from draws, in order,
-    computed by `workers` forked processes.
+def _forked_rounds(workers, run, items, batch):
+    """run(item) for each item, in order, computed by `workers` forked
+    processes.
 
-    The workers inherit the composite, its bases, CRT tables and smoothness
-    context by fork; over each worker's Pipe only index lists go out and
-    only finds and counts come back.  Round i goes to worker i mod workers,
-    at most _QUEUE_DEPTH rounds ahead per worker, so the consumer drops at
-    most that many computed rounds when it stops.  Closing the generator
-    kills and joins every worker.  A worker's exception is raised here with
-    its type, chained to the worker's traceback.  No pool: a pool's helper
-    threads make fork() unsafe.
+    The workers inherit run, and with it the composite and everything
+    prepared for it, by fork; over each worker's Pipe only batches of
+    `batch` consecutive items go out and only the lists of their Rounds
+    come back.  Batch i goes to worker i mod workers, at most _QUEUE_DEPTH
+    batches ahead per worker, so the consumer drops at most that many
+    computed batches when it stops.  Closing the generator kills and joins
+    every worker.  A worker's exception is raised here with its type,
+    chained to the worker's traceback.  No pool: a pool's helper threads
+    make fork() unsafe.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
+    batches = iter(lambda: list(itertools.islice(items, batch)), [])
     procs, conns = [], []
     try:
         for _ in range(workers):
             conn, child = context.Pipe()
-            proc = context.Process(
-                target=_serve_rounds,
-                args=(child, n, fb, sb, pre, ctx, partial_bound),
-                daemon=True,
-            )
+            proc = context.Process(target=_serve_rounds, args=(child, run), daemon=True)
             proc.start()
             child.close()
             procs.append(proc)
             conns.append(conn)
         sent = received = 0
         while True:
-            for indices in itertools.islice(draws, received + _QUEUE_DEPTH * workers - sent):
+            for chunk in itertools.islice(batches, received + _QUEUE_DEPTH * workers - sent):
                 # a worker that has stopped shows when its reply is due
                 with contextlib.suppress(OSError):
-                    conns[sent % workers].send(indices)
+                    conns[sent % workers].send(chunk)
                 sent += 1
             if received == sent:
                 return
@@ -349,12 +383,12 @@ def _forked_rounds(workers, draws, n, fb, sb, pre, ctx, partial_bound):
             except (EOFError, OSError):
                 procs[j].join()
                 raise RuntimeError(
-                    f"search worker exited with code {procs[j].exitcode}"
+                    f"collection worker exited with code {procs[j].exitcode}"
                 ) from None
             received += 1
             if isinstance(reply, _WorkerError):
-                raise reply.exc from RuntimeError(f"in the search worker:\n{reply.trace}")
-            yield reply
+                raise reply.exc from RuntimeError(f"in the collection worker:\n{reply.trace}")
+            yield from reply
     finally:
         for proc in procs:
             proc.kill()
@@ -369,15 +403,16 @@ class _WorkerError(NamedTuple):
     trace: str
 
 
-def _serve_rounds(conn, n, fb, sb, pre, ctx, partial_bound):
-    """A worker: round_finds for each index list that arrives, until the
-    parent closes the pipe.  An exception goes back as a _WorkerError, and
-    the worker then waits to be killed: a pipe closed with rounds still
-    unread in it can reset the parent's end before the error is read."""
+def _serve_rounds(conn, run):
+    """A worker: the list of run(item) for each batch of items that
+    arrives, until the parent closes the pipe.  An exception goes back as a
+    _WorkerError, and the worker then waits to be killed: a pipe closed
+    with batches still unread in it can reset the parent's end before the
+    error is read."""
     try:
         while True:
-            indices = conn.recv()
-            conn.send(round_finds(n, fb, sb, pre, ctx, indices, partial_bound))
+            chunk = conn.recv()
+            conn.send([run(item) for item in chunk])
     except EOFError:
         return
     except BaseException as exc:

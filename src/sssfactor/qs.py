@@ -16,6 +16,11 @@ add per progression over the whole block: per interval, numpy's per-call
 overhead cost more than the element work.  Every interval keeps its own
 threshold, and a position's byte sum does not depend on the block around
 it, so each interval has exactly the survivors it has when sieved alone.
+
+The same holds across processes: the engine's forked workers inherit the
+Sieve and get 2 * BLOCK_INTERVALS consecutive intervals at a time, one
+block per side, and any worker's blocks give every interval the survivors
+that the calling process would.
 """
 
 import time

@@ -3,6 +3,8 @@ import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -255,6 +257,27 @@ def test_relations_partials_to_stdout(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "\nx,r,sign,e_2," in out  # after the fulls dump
     assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "8051"],
+    ["relations", "5550426454971436013", "--max-rounds", "50", "--partials-out", "-"],
+], ids=["factor", "relations"])
+def test_closed_stdout_fails_quietly(argv):
+    # the reader is gone before the first write, as with `| head -c 0`:
+    # exit 1 and no traceback, neither from the command nor at exit
+    reader, writer = os.pipe()
+    os.close(reader)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sssfactor.cli", *argv],
+            stdout=writer, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(writer)
+    assert done.returncode == 1
+    assert done.stderr == ""
 
 
 def test_readme_relations_example_dumps_relations(capsys):

@@ -157,18 +157,22 @@ def test_collect_relations_resumes_the_stream(algo, n):
 N40 = 2025187160651667522159602188240446426637
 
 
+_FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork()"
+)
+
+
 @pytest.mark.parametrize("algo, cpus", [
-    ("qs", 2),
+    ("qs", 1),
+    pytest.param("qs", 2, marks=_FORK),
     ("sss", 1),
-    pytest.param("sss", 2, marks=pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork()"
-    )),
-], ids=["qs", "sss-inline", "sss-workers"])
+    pytest.param("sss", 2, marks=_FORK),
+], ids=["qs", "qs-workers", "sss-inline", "sss-workers"])
 def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     # collect_relations is the only caller of ingest, once per find and in
     # round order, whichever process computed the round; with no inline
-    # start, two CPUs send every sss round to the workers and one keeps
-    # them all inline
+    # start, two CPUs send every round to the workers and one keeps them
+    # all inline
     config = RunConfig(algo=algo, seed=7, max_rounds=10)
     fb, sb, pre, ctx = prepare(N40, config)
     bound = RelationStore(N40, fb).partial_bound
@@ -197,7 +201,7 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     monkeypatch.setattr(RelationStore, "ingest", ingest)
     _, stats = collect_relations(N40, config, fb, sb, pre, ctx)
     assert stats.rounds == 10
-    assert forked == ([2] if algo == "sss" and cpus == 2 else [])
+    assert forked == ([2] if cpus == 2 else [])
     assert ingested == [find for found in rounds for find in found.finds]
     assert ingested
     assert multiprocessing.active_children() == []

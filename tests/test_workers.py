@@ -1,8 +1,9 @@
-"""Search rounds on forked workers.
+"""Collection rounds on forked workers.
 
-Setting engine._INLINE_SECONDS to 0 sends every sss/sssf round to the
-workers from round 0, and a patched os.sched_getaffinity fixes the worker
-count, so these tests run the worker path on any host with fork().  The
+Setting engine._INLINE_SECONDS to 0 sends every round (a search round, or a
+qs interval) to the workers from round 0, and a patched os.sched_getaffinity
+fixes the worker count, so these tests run the worker path on any host with
+fork().  The
 stream must be the one the inline rounds give, and no worker may outlive
 collect_relations, however it ends.
 """
@@ -19,7 +20,7 @@ import pytest
 
 from test_stream_lock import CASES
 
-from sssfactor import engine, search
+from sssfactor import engine, qs, search
 from sssfactor.cli import main
 from sssfactor.engine import RunConfig, collect_relations, prepare
 from sssfactor.numtheory import FoundFactor
@@ -33,22 +34,30 @@ N40 = 2025187160651667522159602188240446426637
 
 
 class Spy:
-    """Counts inline rounds and the worker counts of forked collections."""
+    """Counts the rounds run in this process and the worker counts of
+    forked collections.  Workers inherit the counting wrappers by fork, but
+    their counts stay in the worker."""
 
     def __init__(self, monkeypatch):
         self.inline = 0
         self.forked = []
-        real_round, real_forked = engine.search_round, engine._forked_rounds
+        real_round, real_sieve = engine.search_round, qs.run_sieve
+        real_forked = engine._forked_rounds
 
         def search_round(*args, **kwargs):
             self.inline += 1
             return real_round(*args, **kwargs)
+
+        def run_sieve(*args, **kwargs):
+            self.inline += 1
+            return real_sieve(*args, **kwargs)
 
         def forked_rounds(workers, *args):
             self.forked.append(workers)
             return real_forked(workers, *args)
 
         monkeypatch.setattr(engine, "search_round", search_round)
+        monkeypatch.setattr(qs, "run_sieve", run_sieve)
         monkeypatch.setattr(engine, "_forked_rounds", forked_rounds)
 
 
@@ -64,10 +73,7 @@ def forced(monkeypatch):
     return Spy(monkeypatch)
 
 
-@pytest.mark.parametrize(
-    "algo, n, rounds, digest, counters",
-    [case for case in CASES if case.values[0] != "qs"],
-)
+@pytest.mark.parametrize("algo, n, rounds, digest, counters", CASES)
 def test_workers_keep_the_pinned_stream(forced, algo, n, rounds, digest, counters):
     config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
     fb, sb, pre, ctx = prepare(n, config)
@@ -93,6 +99,45 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     assert spy.inline == 0 and spy.forked and set(spy.forked) == {3}
     assert forked.factors == inline.factors
     assert forked.stats.counters() == inline.stats.counters()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_qs_batches_keep_the_inline_stream(monkeypatch, workers):
+    # 40 intervals are 2.5 batches of 16: the workers sieve whole blocks,
+    # the last batch half of one, and the parent takes them in turn
+    config = RunConfig(algo="qs", seed=7, max_rounds=40)
+    fb, sb, pre, ctx = prepare(N40, config)
+
+    def collect():
+        store, stats = collect_relations(N40, config, fb, sb, pre, ctx)
+        return store.fulls_csv() + store.partials_csv(), stats.counters()
+
+    cpus(monkeypatch, 1)
+    inline = collect()
+    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    cpus(monkeypatch, workers)
+    spy = Spy(monkeypatch)
+    assert collect() == inline
+    assert spy.inline == 0 and spy.forked == [workers]
+    assert inline[1]["rounds"] == 40 and inline[1]["fulls"] > 0
+    assert multiprocessing.active_children() == []
+
+
+def _item_and_pid(item):
+    return item, os.getpid()
+
+
+def test_forked_rounds_send_whole_batches_in_order():
+    # 23 items in batches of 4: each batch runs in one worker, the batches
+    # alternate between the two workers, and the items come back in order
+    out = list(engine._forked_rounds(2, _item_and_pid, iter(range(23)), 4))
+    assert [item for item, _ in out] == list(range(23))
+    pids = [{pid for _, pid in out[i : i + 4]} for i in range(0, 23, 4)]
+    assert all(len(batch) == 1 for batch in pids)
+    first, second = pids[0].pop(), pids[1].pop()
+    assert len({first, second, os.getpid()}) == 3
+    assert [batch.pop() for batch in pids[2:]] == [first, second] * 2
     assert multiprocessing.active_children() == []
 
 
@@ -161,7 +206,7 @@ def _exit_at_once(*args):
     [
         (_raise_boom, ZeroDivisionError, "boom in the worker"),
         (_raise_on_second, ZeroDivisionError, "boom in a later round"),
-        (_exit_at_once, RuntimeError, "search worker exited with code 3"),
+        (_exit_at_once, RuntimeError, "collection worker exited with code 3"),
     ],
     ids=["raises", "raises-later", "dies"],
 )
@@ -171,6 +216,15 @@ def test_worker_failure_reaches_the_caller(forced, monkeypatch, finds, error, ma
     config = RunConfig(algo="sss", seed=7, max_rounds=5)
     with pytest.raises(error, match=match):
         collect_relations(N40, config, *prepare(N40, config))
+    assert multiprocessing.active_children() == []
+
+
+def test_qs_worker_failure_reaches_the_caller(forced, monkeypatch):
+    monkeypatch.setattr(qs, "run_sieve", _raise_boom)
+    config = RunConfig(algo="qs", seed=7, max_rounds=40)
+    with pytest.raises(ZeroDivisionError, match="boom in the worker"):
+        collect_relations(N40, config, *prepare(N40, config))
+    assert forced.forked == [2]
     assert multiprocessing.active_children() == []
 
 
@@ -224,15 +278,27 @@ def test_daemonic_process_runs_inline(forced):
     assert counters == collect_relations(N40, config, *prepare(N40, config))[1].counters()
 
 
+def relations_rows(monkeypatch, capsys, rounds, *flags):
+    """Full relations that the CLI dumps for N40 on two CPUs, checking that
+    the rounds after the first few went to the workers."""
+    cpus(monkeypatch, 2)
+    spy = Spy(monkeypatch)
+    assert main(["relations", str(N40), "--max-rounds", str(rounds), *flags]) == 0
+    assert spy.forked == [2] and 0 < spy.inline < rounds
+    assert multiprocessing.active_children() == []
+    return len(capsys.readouterr().out.splitlines()) - 1
+
+
 def test_ci_relation_count_starts_workers(monkeypatch, capsys):
     # the pinned CI count: 100 rounds run long enough at the default start
     # rule that the rounds after the first few go to the workers
-    cpus(monkeypatch, 2)
-    spy = Spy(monkeypatch)
-    assert main(["relations", str(N40), "--max-rounds", "100"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) - 1 == 530
-    assert spy.forked == [2] and 0 < spy.inline < 100
-    assert multiprocessing.active_children() == []
+    assert relations_rows(monkeypatch, capsys, 100) == 530
+
+
+def test_ci_qs_relation_count_starts_workers(monkeypatch, capsys):
+    # the pinned CI count of qs: 400 intervals outlast the inline start (at
+    # about 0.6 ms an interval, some 80 of them ran inline on 2 CPUs)
+    assert relations_rows(monkeypatch, capsys, 400, "--algo", "qs") == 78
 
 
 STRESS = textwrap.dedent(
