@@ -151,16 +151,35 @@ class FactorResult:
 
 
 class RelationShortfall(RuntimeError):
-    """Relation collection starved (round cap hit before the target).
+    """A composite left unfactored: relation collection starved (round cap
+    hit before the target), or the linear algebra gave only trivial
+    dependencies.
 
     stats holds the counters of this composite's collection, and the
-    message names the layer that starved: the search or sieve made no
-    candidates, no candidate was smooth (no full or partial relation), or
-    the fulls plus combined partials fell short of the target.
+    message names the layer that failed: the search or sieve made no
+    candidates, no candidate was smooth (no full or partial relation), the
+    fulls plus combined partials fell short of the target, or, when
+    `trivial` = (dependencies, rows, cycles) is given, every dependency
+    tried gave a trivial gcd.
     """
 
-    def __init__(self, n: int, stats: RunStats, target: int | None = None):
-        if not stats.candidates:
+    def __init__(
+        self,
+        n: int,
+        stats: RunStats,
+        target: int | None = None,
+        *,
+        trivial: tuple[int, int, int] | None = None,
+    ):
+        outcome = "starved"
+        if trivial is not None:
+            deps, rows, cycles = trivial
+            outcome = "failed"
+            layer = (
+                f"linear algebra gave a trivial gcd for all {deps} dependencies "
+                f"of {rows} relations in {cycles} solve cycles"
+            )
+        elif not stats.candidates:
             layer = "no candidates"
         elif not stats.fulls + stats.partials:
             layer = f"no smooth candidates among {stats.candidates}"
@@ -170,7 +189,7 @@ class RelationShortfall(RuntimeError):
                 f"{stats.fulls} fulls + {stats.combined} combined relations{goal} "
                 f"({stats.partials} partials)"
             )
-        super().__init__(f"starved factoring {n} after {stats.rounds} rounds: {layer}")
+        super().__init__(f"{outcome} factoring {n} after {stats.rounds} rounds: {layer}")
         self.n = n
         self.stats = stats
 
@@ -438,9 +457,9 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
     store = None  # the first cycle builds it, later cycles continue it
     before = stats.counters()  # stats also counts earlier composites
 
-    def shortfall():
+    def shortfall(trivial=None):
         own = {key: value - before[key] for key, value in stats.counters().items()}
-        return RelationShortfall(n, RunStats(**own), store.target)
+        return RelationShortfall(n, RunStats(**own), store.target, trivial=trivial)
 
     tried = 0  # dependencies of earlier cycles, a prefix of this cycle's
     for _ in range(_MAX_SOLVE_CYCLES):
@@ -471,7 +490,7 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
             stats.add_time("linalg", time.perf_counter() - t0)
         # every dependency collapsed to a trivial gcd: collect a bit more
         store.raise_target()
-    raise shortfall()
+    raise shortfall(trivial=(tried, len(rels), _MAX_SOLVE_CYCLES))
 
 
 def factor(n: int, config: RunConfig | None = None) -> FactorResult:

@@ -22,6 +22,10 @@ when a second one arrives, and keeps that row for every later partner;
 each later partial is root-tested when it arrives, and every stored one
 again when the partials are dumped.  The root test must find the same
 cofactor.
+
+The GF(2) solve eliminates bit-packed rows one at a time and pivots on a
+row's largest prime, so the sparse large-prime columns go first and the
+dense sign, 2, 3, ... columns last.
 """
 
 import math
@@ -283,10 +287,17 @@ def solve_dependencies(relations) -> list[list[int]]:
     """Subsets of relation indices whose exponent vectors sum to zero mod 2.
 
     Bit-packed Gaussian elimination; bit 0 is the sign column, bit j+1 the
-    j-th prime, and pivots are always taken at the lowest set bit, so the
-    elimination order follows the prime index.
+    j-th prime.  Each pivot is taken at the row's highest set bit, its
+    largest prime.  A pivot row has no bit above its pivot, so adding it
+    fills in only smaller primes, whose columns are dense anyway, and the
+    sparse large-prime columns go first, as in structured Gaussian
+    elimination (LaMacchia and Odlyzko).  Rows are taken one at a time in
+    the order given, and a row that reduces to zero is a dependency, so
+    the dependencies of a prefix of the rows are a prefix of the
+    dependencies of all of them.
     """
-    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, combination)
+    # bit_length of a pivot row -> (row, combination)
+    pivots: dict[int, tuple[int, int]] = {}
     deps: list[list[int]] = []
     for i, rel in enumerate(relations):
         row = rel.sign & 1
@@ -295,11 +306,11 @@ def solve_dependencies(relations) -> list[list[int]]:
                 row |= 1 << (j + 1)
         combo = 1 << i
         while row:
-            low = row & -row
-            if low not in pivots:
-                pivots[low] = (row, combo)
+            high = row.bit_length()
+            if high not in pivots:
+                pivots[high] = (row, combo)
                 break
-            prow, pcombo = pivots[low]
+            prow, pcombo = pivots[high]
             row ^= prow
             combo ^= pcombo
         else:

@@ -1,10 +1,17 @@
-"""Pure-Python reference for relation exponents, for tests.
+"""Pure-Python references for relation exponents and the GF(2) solve, for
+tests.
 
 trial_divide walks the whole prime list, which is what the relation store
 did before it switched to the root test and sparse rows.  The store must
 give the same sign, exponents and cofactor; sparse() and dense() convert
 between the dense vectors here and the store's (prime index, exponent)
 rows.
+
+lowest_bit_dependencies is the solver that relations.solve_dependencies
+was before it took its pivots at the highest set bit: the same elimination
+with every pivot at the lowest set bit, the sign and the small primes
+first.  Both find one dependency per row that adds no rank, so they must
+find the same number.
 """
 
 
@@ -53,3 +60,46 @@ def dense(row, size: int) -> tuple[int, ...]:
     for i, e in row:
         exps[i] = e
     return tuple(exps)
+
+
+def row_bits(rel) -> int:
+    """A relation's exponent vector mod 2: bit 0 the sign, bit j+1 prime j."""
+    row = rel.sign & 1
+    for j, e in rel.exponents:
+        if e & 1:
+            row |= 1 << (j + 1)
+    return row
+
+
+def lowest_bit_dependencies(relations) -> list[list[int]]:
+    """Subsets of relation indices whose exponent vectors sum to zero mod 2,
+    from a bit-packed elimination with every pivot at the lowest set bit."""
+    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, combination)
+    deps: list[list[int]] = []
+    for i, rel in enumerate(relations):
+        row = row_bits(rel)
+        combo = 1 << i
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = (row, combo)
+                break
+            prow, pcombo = pivots[low]
+            row ^= prow
+            combo ^= pcombo
+        else:
+            deps.append([j for j in range(i + 1) if (combo >> j) & 1])
+    return deps
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of integers read as bit vectors."""
+    basis: dict[int, int] = {}  # highest bit -> basis vector
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)

@@ -318,6 +318,23 @@ def test_retry_skips_the_dependencies_already_tried(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_all_trivial_dependencies_name_the_linear_algebra(monkeypatch):
+    # collection met its target in every cycle, so the run did not starve:
+    # the message names the solve and what it tried
+    monkeypatch.setattr(engine, "extract_factor", lambda big_x, big_y, n: None)
+    n = 1299709 * 1299721
+    result = factor(n, RunConfig(seed=2))
+    assert result.residue == n
+    assert result.shortfalls == [
+        f"failed factoring {n} after 7 rounds: linear algebra gave a trivial gcd "
+        f"for all 134 dependencies of 188 relations in {engine._MAX_SOLVE_CYCLES} "
+        "solve cycles"
+    ]
+    assert str(RelationShortfall(n, RunStats())) == (
+        f"starved factoring {n} after 0 rounds: no candidates"
+    )
+
+
 def test_solve_takes_only_the_target_rows(monkeypatch):
     # one qs interval of this small composite stores many times the target;
     # the solver gets the first target rows in stream order

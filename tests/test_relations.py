@@ -5,7 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relations_oracle import NotSmoothError, dense, factor_over_base, sparse, trial_divide
+from relations_oracle import (
+    NotSmoothError,
+    dense,
+    factor_over_base,
+    gf2_rank,
+    lowest_bit_dependencies,
+    row_bits,
+    sparse,
+    trial_divide,
+)
 
 from sssfactor.engine import RunConfig, collect_relations, prepare
 from sssfactor.factorbase import FactorBase, build_factor_bases, poly_value
@@ -451,6 +460,67 @@ def test_solve_dependencies_against_brute_force():
             assert deps, f"oracle found {oracle[0]} but solver found nothing"
         else:
             assert not deps
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Relation rows over a few columns with exponents up to 4, plus
+    inserted duplicate, all-even, empty and sign-only rows."""
+    cols = draw(st.integers(1, 40))
+    index = st.integers(0, cols - 1)
+    row = st.builds(
+        lambda sign, exps: Relation(0, sign, tuple(sorted(exps.items()))),
+        st.integers(0, 1),
+        st.dictionaries(index, st.integers(1, 4), max_size=6),
+    )
+    rows = draw(st.lists(row, max_size=50))
+    kinds = st.sampled_from(("duplicate", "even", "empty", "sign"))
+    for kind in draw(st.lists(kinds, max_size=6)):
+        if kind == "duplicate" and rows:
+            extra = rows[draw(st.integers(0, len(rows) - 1))]
+        elif kind == "even":
+            exps = draw(st.dictionaries(index, st.sampled_from((2, 4)), min_size=1, max_size=6))
+            extra = Relation(0, 0, tuple(sorted(exps.items())))
+        else:
+            extra = Relation(0, int(kind == "sign"), ())
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=sparse_matrices())
+def test_solve_dependencies_on_sparse_matrices(rows):
+    deps = solve_dependencies(rows)
+    bits = [row_bits(rel) for rel in rows]
+    for subset in deps:
+        assert subset and subset == sorted(set(subset)) and subset[-1] < len(rows)
+        total = 0
+        for i in subset:
+            total ^= bits[i]
+        assert total == 0
+    # independent over GF(2), and one per row that adds no rank, as the
+    # lowest-bit reference finds
+    assert gf2_rank(sum(1 << i for i in subset) for subset in deps) == len(deps)
+    assert len(deps) == len(rows) - gf2_rank(bits)
+    assert len(deps) == len(lowest_bit_dependencies(rows))
+    # the engine's retry skips the dependencies of an earlier row prefix
+    for k in range(len(rows)):
+        head = solve_dependencies(rows[:k])
+        assert head == deps[: len(head)]
+
+
+def test_solve_dependencies_on_a_real_matrix():
+    # the rows the engine solves for the 40-digit stream-lock composite
+    n = 2025187160651667522159602188240446426637
+    config = RunConfig(algo="sss", seed=7)
+    fb, sb, pre, ctx = prepare(n, config)
+    store, _ = collect_relations(n, config, fb, sb, pre, ctx)
+    assert store.have_enough()
+    rels = list(store.fulls.values())[: store.target]
+    deps = solve_dependencies(rels)
+    assert len(deps) == len(lowest_bit_dependencies(rels)) >= 1
+    for subset in deps:
+        assemble_square(subset, rels, store.primes, n)  # raises unless a square
 
 
 def test_assemble_square_example():
