@@ -5,6 +5,11 @@ hits from the base scan), runs the configured relation search on each
 remaining composite, solves for dependencies over GF(2) and extracts
 divisors, recursing until everything left is a probable prime.
 
+prepare() picks one Knuth-Schroeppel multiplier k per composite N, and all
+three algorithms collect on f(x) = (x + ceil(sqrt(kN)))**2 - kN: the
+factor base carries k, the rounds evaluate f with kN, and the relation
+store, the solve and the square root work mod N.
+
 collect_relations() is the one collection loop and the only code that
 feeds the relation store, and _rounds is its one round source: sss, sssf
 and qs differ only in the plan it runs (_round_plan), what an item of a
@@ -33,7 +38,7 @@ from typing import NamedTuple
 
 from . import qs as qs_mod
 from .crt import precompute
-from .factorbase import build_factor_bases, table_sizes
+from .factorbase import build_factor_bases, choose_multiplier, table_sizes
 from .numtheory import FoundFactor, is_perfect_power, is_probable_prime
 from .relations import (
     RelationStore,
@@ -160,7 +165,7 @@ class RelationShortfall(RuntimeError):
     candidates, no candidate was smooth (no full or partial relation), the
     fulls plus combined partials fell short of the target, or, when
     `trivial` = (dependencies, rows, cycles) is given, every dependency
-    tried gave a trivial gcd.
+    tried gave a trivial gcd.  A multiplier other than 1 is named too.
     """
 
     def __init__(
@@ -170,6 +175,7 @@ class RelationShortfall(RuntimeError):
         target: int | None = None,
         *,
         trivial: tuple[int, int, int] | None = None,
+        multiplier: int = 1,
     ):
         outcome = "starved"
         if trivial is not None:
@@ -189,19 +195,23 @@ class RelationShortfall(RuntimeError):
                 f"{stats.fulls} fulls + {stats.combined} combined relations{goal} "
                 f"({stats.partials} partials)"
             )
-        super().__init__(f"{outcome} factoring {n} after {stats.rounds} rounds: {layer}")
+        of_kn = "" if multiplier == 1 else f" of kN with k = {multiplier}"
+        super().__init__(
+            f"{outcome} factoring {n} after {stats.rounds} rounds{of_kn}: {layer}"
+        )
         self.n = n
         self.stats = stats
 
 
 def prepare(n: int, config: RunConfig):
-    """Precomputation for one composite: factor bases, CRT tables and the
-    smoothness context (with a partition when the filtered variant runs).
-    The sizes come from the digit-count table.
+    """Precomputation for one composite: the Knuth-Schroeppel multiplier,
+    factor bases of kN (which carry it), CRT tables and the smoothness
+    context (with a partition when the filtered variant runs).  The sizes
+    come from the digit-count table, for the digits of n.
 
     Raises FoundFactor if the base scan already hits a divisor.
     """
-    fb, sb = build_factor_bases(n, *table_sizes(len(str(n))))
+    fb, sb = build_factor_bases(n, *table_sizes(len(str(n))), choose_multiplier(n))
     pre = precompute(sb, fb.roots)
     filtered = config.algo_for(n) == "sssf"
     ctx = build_context(fb.primes, split_ratio=FILTER_SPLIT_RATIO if filtered else None)
@@ -220,7 +230,8 @@ def collect_relations(
     stats: RunStats | None = None,
 ) -> tuple[RelationStore, RunStats]:
     """Run rounds (search rounds, or sieved intervals for qs) until the
-    store holds enough relations.
+    store holds enough relations.  n is the number being factored; the
+    rounds evaluate f with fb.multiplier * n.
 
     Stops on the relation target or after config.max_rounds rounds of this
     call, so where the relation stream ends never depends on the host's
@@ -284,16 +295,18 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     here, moving items past it.  batch is the number of consecutive items a
     worker gets per message.
 
-    qs: an item is an interval number, and a batch is 2 * BLOCK_INTERVALS
-    intervals, one sieve block per side, so a worker sieves no block that
-    it uses only in part.  sss/sssf: an item is a round's index list, the
-    round's only random draw (pick_indices), drawn here from one rng per
-    composite fast-forwarded past rounds 0 to first - 1; a batch is one
-    round.  inline() calls search_round and qs.run_sieve as looked up at
-    call time, where tracing wraps them.
+    Rounds evaluate f on kN = fb.multiplier * n.  qs: an item is an
+    interval number, and a batch is 2 * BLOCK_INTERVALS intervals, one
+    sieve block per side, so a worker sieves no block that it uses only in
+    part.  sss/sssf: an item is a round's index list, the round's only
+    random draw (pick_indices), drawn here from one rng per composite n
+    fast-forwarded past rounds 0 to first - 1; a batch is one round.
+    inline() calls search_round and qs.run_sieve as looked up at call time,
+    where tracing wraps them.
     """
+    kn = fb.multiplier * n
     if algo == "qs":
-        sieve = qs_mod.Sieve(n, fb, partial_bound)
+        sieve = qs_mod.Sieve(kn, fb, partial_bound)
         items = itertools.count(first)
 
         def run(index):
@@ -311,10 +324,10 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     items = iter(lambda: pick_indices(k, sb.n, rng), None)
 
     def run(indices):
-        return round_finds(n, fb, sb, pre, ctx, indices, partial_bound)
+        return round_finds(kn, fb, sb, pre, ctx, indices, partial_bound)
 
     def inline():
-        return search_round(n, fb, sb, pre, ctx, k, rng, partial_bound)
+        return search_round(kn, fb, sb, pre, ctx, k, rng, partial_bound)
 
     return inline, run, items, 1
 
@@ -370,9 +383,11 @@ def _forked_rounds(workers, run, items, batch):
     come back.  Batch i goes to worker i mod workers, at most _QUEUE_DEPTH
     batches ahead per worker, so the consumer drops at most that many
     computed batches when it stops.  Closing the generator kills and joins
-    every worker.  A worker's exception is raised here with its type,
-    chained to the worker's traceback.  No pool: a pool's helper threads
-    make fork() unsafe.
+    every worker, and a worker whose parent dies without closing it reads
+    EOF (each worker closes the parent's pipe ends that it inherited).  A
+    worker's exception is raised here with its type, chained to the
+    worker's traceback.  No pool: a pool's helper threads make fork()
+    unsafe.
     """
     import multiprocessing
 
@@ -382,7 +397,9 @@ def _forked_rounds(workers, run, items, batch):
     try:
         for _ in range(workers):
             conn, child = context.Pipe()
-            proc = context.Process(target=_serve_rounds, args=(child, run), daemon=True)
+            proc = context.Process(
+                target=_serve_rounds, args=(child, run, [*conns, conn]), daemon=True
+            )
             proc.start()
             child.close()
             procs.append(proc)
@@ -422,12 +439,19 @@ class _WorkerError(NamedTuple):
     trace: str
 
 
-def _serve_rounds(conn, run):
+def _serve_rounds(conn, run, inherited):
     """A worker: the list of run(item) for each batch of items that
     arrives, until the parent closes the pipe.  An exception goes back as a
     _WorkerError, and the worker then waits to be killed: a pipe closed
     with batches still unread in it can reset the parent's end before the
-    error is read."""
+    error is read.
+
+    inherited holds the parent's ends of this worker's pipe and of the
+    earlier workers' pipes, which the fork copied.  They are closed first,
+    so that only the parent holds them: a parent killed by a signal then
+    closes them all, and every worker reads EOF and exits."""
+    for end in inherited:
+        end.close()
     try:
         while True:
             chunk = conn.recv()
@@ -459,7 +483,9 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
 
     def shortfall(trivial=None):
         own = {key: value - before[key] for key, value in stats.counters().items()}
-        return RelationShortfall(n, RunStats(**own), store.target, trivial=trivial)
+        return RelationShortfall(
+            n, RunStats(**own), store.target, trivial=trivial, multiplier=fb.multiplier
+        )
 
     tried = 0  # dependencies of earlier cycles, a prefix of this cycle's
     for _ in range(_MAX_SOLVE_CYCLES):

@@ -1,17 +1,26 @@
-"""Factor bases for the polynomial f(x) = (x + ceil(sqrt(N)))**2 - N.
+"""Factor bases for the polynomial f(x) = (x + ceil(sqrt(kN)))**2 - kN.
+
+k is the Knuth-Schroeppel multiplier (choose_multiplier): the odd
+squarefree k < 100 for which the small primes divide f most often, k = 1
+unless another k scores strictly higher.  A relation built from f holds
+mod kN and so mod N.
 
 The factor base keeps 2 plus every odd prime p among the first 2m primes
-with (N|p) = 1 (for the others f has no root, so they can never divide a
-candidate value).  Each kept odd prime carries the two roots of f mod p.
-The small factor base is the prefix of the first n odd primes; its
-products form the moduli of the subsum search.  The odd primes and their
-roots are also kept as int64 arrays for the vectorized collision search
-and root test, which need every prime below 2**31 to keep their products
-inside int64.  limb_weights() and residues() reduce one big integer
-modulo every prime of such an array; the search and the relation store
-share them.
+with (kN|p) = 1 (for the others f has no root, so they can never divide a
+candidate value), and the primes that divide k.  Each kept odd prime
+carries the two roots of f mod p; a prime dividing k divides f at one root
+only, and exactly once, so it carries that root twice.  The search uses
+only the primes with two distinct roots (the paired primes): the small
+factor base is the first n of them, and its products form the moduli of
+the subsum search; the rest are the collision primes.  The odd primes and
+their roots are also kept as int64 arrays for the vectorized collision
+search and root test, which need every prime below 2**31 to keep their
+products inside int64.  limb_weights() and residues() reduce one big
+integer modulo every prime of such an array, and pow_mod() raises
+residues to a power; the search and the relation store share them.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,26 +30,31 @@ from .numtheory import (
     is_perfect_power,
     is_probable_prime,
     isqrt_ceil,
-    legendre,
+    primes_below,
     small_primes,
     tonelli_shanks,
 )
 
 __all__ = [
     "MAX_PRIME",
+    "MULTIPLIERS",
     "FactorBase",
     "SmallFactorBase",
     "poly_value",
     "limb_count",
     "limb_weights",
     "residues",
+    "pow_mod",
+    "legendre_symbols",
+    "choose_multiplier",
     "table_sizes",
     "build_factor_bases",
 ]
 
 
 def poly_value(x: int, n: int, shift: int) -> int:
-    """f(x) = (x + shift)**2 - n, with shift = ceil(sqrt(n))."""
+    """f(x) = (x + shift)**2 - n, with shift = ceil(sqrt(n)); n is the
+    polynomial's modulus kN."""
     t = x + shift
     return t * t - n
 
@@ -83,18 +97,90 @@ def residues(value: int, weights: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return acc
 
 
+def pow_mod(base: np.ndarray, exponent: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """base**exponent mod p elementwise, by square and multiply over the
+    bits of the exponents; 0 <= base < p < 2**31 and exponent >= 0, the
+    three broadcast against each other."""
+    result = np.ones(np.broadcast(base, exponent, primes).shape, dtype=np.int64)
+    for _ in range(int(np.max(exponent, initial=0)).bit_length()):
+        result = np.where(exponent & 1, result * base % primes, result)
+        base = base * base % primes
+        exponent = exponent >> 1
+    return result
+
+
+def legendre_symbols(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The Legendre symbols (a|p) elementwise, 0 <= a < p, by Euler's
+    criterion; every p an odd prime."""
+    r = pow_mod(a, (primes - 1) // 2, primes)
+    return np.where(r == primes - 1, -1, r)
+
+
+# Knuth-Schroeppel multipliers tried: the odd squarefree k < 100, k = 1 first
+MULTIPLIERS = tuple(k for k in range(1, 100, 2) if all(k % (p * p) for p in (3, 5, 7)))
+
+# The Knuth-Schroeppel function (Silverman, Math. Comp. 48, 1987) sums the
+# expected log p that p contributes to f over 2 and the odd primes below
+# 1000: 2 log p / (p - 1) when (kN|p) = 1, log p / p when p divides kN, and
+# by kN mod 8 for p = 2.  The terms are integers in units of 2**-40 nats,
+# so a score does not depend on the order of the sum, and the choice is the
+# same on every host.
+_KS_PRIMES = primes_below(1000)[1:]
+_KS_P = np.array(_KS_PRIMES, dtype=np.int64)
+_KS_K = np.array(MULTIPLIERS, dtype=np.int64)
+_KS_CHI = legendre_symbols(_KS_K[:, None] % _KS_P, _KS_P)  # (k|p)
+
+
+def _nats(values) -> np.ndarray:
+    return np.array([round(v * 2**40) for v in values], dtype=np.int64)
+
+
+_KS_SPLIT = _nats(2 * math.log(p) / (p - 1) for p in _KS_PRIMES)
+_KS_RAMIFIED = _nats(math.log(p) / p for p in _KS_PRIMES)
+_KS_TWO = _nats(math.log(2) * w for w in (0, 2, 0, 0.5, 0, 1, 0, 0.5))  # by kN mod 8
+_KS_SIZE = _nats(-math.log(k) / 2 for k in MULTIPLIERS)
+
+
+def choose_multiplier(n: int) -> int:
+    """The multiplier k in MULTIPLIERS that maximises the Knuth-Schroeppel
+    function of kN for the odd n,
+
+        -log(k) / 2 + sum over p of E[exponent of p in f] * log p,
+
+    the first maximum, so k = 1 unless another k scores strictly higher.
+    (kN|p) is (k|p) (N|p): a table of (k|p) and one vectorized symbol (N|p)
+    per prime.
+    """
+    chi = _KS_CHI * legendre_symbols(
+        np.array([n % p for p in _KS_PRIMES], dtype=np.int64), _KS_P
+    )
+    scores = (
+        np.where(chi == 1, _KS_SPLIT, np.where(chi == 0, _KS_RAMIFIED, 0)).sum(axis=1)
+        + _KS_TWO[_KS_K * (n % 8) % 8]
+        + _KS_SIZE
+    ).tolist()
+    return MULTIPLIERS[scores.index(max(scores))]
+
+
 @dataclass(frozen=True, eq=False)
 class FactorBase:
-    """Ordered factor base: primes[0] == 2, then odd primes with roots.
+    """Ordered factor base of f = (x + ceil(sqrt(kN)))**2 - kN, with k =
+    multiplier: primes[0] == 2, then odd primes with roots.
 
     odd_array and root_array hold the odd primes and their roots (shape
-    (2, len(odd_primes))) as int64, in the order of `primes`.
+    (2, len(odd_primes))) as int64, in the order of `primes`.  paired,
+    pair_array and pair_roots hold the same for the paired primes, those
+    with two distinct roots: every odd prime that does not divide k.
     """
 
     primes: tuple[int, ...]
-    roots: dict  # odd prime -> (s1, s2) with f(s) = 0 mod p
+    roots: dict  # odd prime -> (s1, s2) with f(s) = 0 mod p; s1 == s2 when p | k
+    multiplier: int = 1
     odd_array: np.ndarray = field(init=False, repr=False)
     root_array: np.ndarray = field(init=False, repr=False)
+    paired: tuple[int, ...] = field(init=False, repr=False)
+    pair_array: np.ndarray = field(init=False, repr=False)
+    pair_roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.primes[-1] >= MAX_PRIME:
@@ -103,22 +189,30 @@ class FactorBase:
             )
         odd = self.primes[1:]
         roots = [self.roots[p] for p in odd]
-        object.__setattr__(self, "odd_array", np.array(odd, dtype=np.int64))
-        object.__setattr__(
-            self, "root_array", np.array(roots, dtype=np.int64).reshape(-1, 2).T.copy()
-        )
+        odd_array = np.array(odd, dtype=np.int64)
+        root_array = np.array(roots, dtype=np.int64).reshape(-1, 2).T.copy()
+        two_roots = root_array[0] != root_array[1]
+        pair_array = odd_array[two_roots]
+        for name, value in (
+            ("odd_array", odd_array),
+            ("root_array", root_array),
+            ("paired", tuple(pair_array.tolist())),
+            ("pair_array", pair_array),
+            ("pair_roots", root_array[:, two_roots]),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def odd_primes(self) -> tuple[int, ...]:
         return self.primes[1:]
 
     def large_primes(self, n: int) -> tuple[int, ...]:
-        """The odd primes beyond the first n (the collision primes)."""
-        return self.primes[1 + n :]
+        """The paired primes beyond the first n (the collision primes)."""
+        return self.paired[n:]
 
     def large_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """large_primes(n) and their roots as int64 arrays (views)."""
-        return self.odd_array[n:], self.root_array[:, n:]
+        return self.pair_array[n:], self.pair_roots[:, n:]
 
     @property
     def p_max(self) -> int:
@@ -127,7 +221,7 @@ class FactorBase:
 
 @dataclass(frozen=True, eq=False)
 class SmallFactorBase:
-    """The first n odd primes of the parent factor base."""
+    """The first n paired primes of the parent factor base."""
 
     primes: tuple[int, ...]
 
@@ -170,11 +264,14 @@ def table_sizes(digit_count: int) -> tuple[int, int]:
     return _SIZE_TABLE[-1][1], _SIZE_TABLE[-1][2]
 
 
-def build_factor_bases(n: int, m: int, small_n: int):
-    """Scan the first 2m primes and build (FactorBase, SmallFactorBase).
+def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
+    """Scan the first 2m primes and build (FactorBase, SmallFactorBase) for
+    f = (x + ceil(sqrt(kN)))**2 - kN, k = multiplier and N = n.
 
-    Odd primes with (n|p) != 1 are dropped; on average about half survive,
-    so the base ends up near the target size m.  If any scanned prime
+    Odd primes with (kN|p) = -1 are dropped; on average about half survive,
+    so the base ends up near the target size m.  The symbols come from one
+    vectorized Euler test, and only the kept primes take a square root.  A
+    prime dividing k stays with its one root.  If any scanned prime
     divides n outright, FoundFactor is raised immediately -- that prime is
     a much cheaper answer than anything the search could produce.
     """
@@ -184,22 +281,32 @@ def build_factor_bases(n: int, m: int, small_n: int):
         raise ValueError("input is prime")
     if is_perfect_power(n):
         raise ValueError("input is a perfect power")
-    shift = isqrt_ceil(n)
+    if multiplier not in MULTIPLIERS:
+        raise ValueError(f"multiplier {multiplier} is not an odd squarefree k < 100")
+    kn = multiplier * n
+    shift = isqrt_ceil(kn)
+    scanned = small_primes(2 * m)[1:]
+    residue = [kn % p for p in scanned]
+    symbols = legendre_symbols(
+        np.array(residue, dtype=np.int64), np.array(scanned, dtype=np.int64)
+    ).tolist()
     kept = [2]
     roots = {}
-    for p in small_primes(2 * m)[1:]:
-        a = n % p
-        if a == 0:
-            raise FoundFactor(p)
-        if legendre(a, p) != 1:
+    for p, a, symbol in zip(scanned, residue, symbols):
+        if symbol == 0:
+            if n % p == 0:
+                raise FoundFactor(p)
+            # p | k, and p**2 does not divide kN: f = 0 mod p only where
+            # x + shift = 0 mod p, and f is never 0 mod p**2
+            roots[p] = ((-shift) % p,) * 2
+        elif symbol == 1:
+            s = tonelli_shanks(a, p)
+            if (s * s - a) % p:
+                raise AssertionError(f"bad root pair for p={p}")  # unreachable
+            roots[p] = ((s - shift) % p, (-s - shift) % p)
+        else:
             continue
-        s = tonelli_shanks(a, p)
-        r1 = (s - shift) % p
-        r2 = (-s - shift) % p
-        if poly_value(r1, n, shift) % p or poly_value(r2, n, shift) % p:
-            raise AssertionError(f"bad root pair for p={p}")  # unreachable
         kept.append(p)
-        roots[p] = (r1, r2)
-    fb = FactorBase(tuple(kept), roots)
-    sb = SmallFactorBase(tuple(kept[1 : 1 + small_n]))
+    fb = FactorBase(tuple(kept), roots, multiplier)
+    sb = SmallFactorBase(fb.paired[:small_n])
     return fb, sb

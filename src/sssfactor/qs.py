@@ -1,15 +1,17 @@
 """Single-polynomial quadratic sieve baseline.
 
-Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(N)))**2 - N,
-sieved over intervals of SIEVE_LENGTH values on both sides of 0 (0, -L, L,
--2L, ...), rounded base-2 prime logs in byte accumulators, prime squares
-up to the interval length sieved once.  One interval is one round of the
+Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(kN)))**2 - kN,
+the one the subsum search uses (k is the factor base's Knuth-Schroeppel
+multiplier, and the functions below take kN), sieved over intervals of
+SIEVE_LENGTH values on both sides of 0 (0, -L, L, -2L, ...), rounded
+base-2 prime logs in byte accumulators, prime squares up to the interval
+length sieved once.  One interval is one round of the
 engine's collection loop: survivors go through the shared batch
 smoothness check, and run_sieve returns them as a search.Round that the
 engine ingests like a search round's, so the comparison against the
 subsum search differs only in how candidates are generated.
 
-The progressions (modulus, root, weight) depend only on N, Hensel lifts
+The progressions (modulus, root, weight) depend only on kN, Hensel lifts
 mod p**2 included, so a Sieve builds them once per composite.  It sieves
 BLOCK_INTERVALS consecutive intervals of one side at a time, one strided
 add per progression over the whole block: per interval, numpy's per-call
@@ -44,13 +46,13 @@ def _ceil_log2(v: int) -> int:
     return (v - 1).bit_length() if v > 1 else 0
 
 
-def sieve_threshold(n: int, start: int, length: int, partial_bound: int) -> int:
+def sieve_threshold(kn: int, start: int, length: int, partial_bound: int) -> int:
     """ceil(log2 |f(mid)|) minus the partial-cofactor allowance
     log2(partial_bound), so that candidates leading to partial relations
     still clear the bar."""
-    shift = isqrt_ceil(n)
+    shift = isqrt_ceil(kn)
     mid = start + length // 2
-    f_mid = abs(poly_value(mid, n, shift))
+    f_mid = abs(poly_value(mid, kn, shift))
     return max(_ceil_log2(f_mid) - _ceil_log2(partial_bound), 1)
 
 
@@ -67,25 +69,32 @@ class Sieve:
 
     Each root s of f mod p is a progression x = s mod p of weight
     ceil(log2 p); so is each root lifted mod p**2 when p**2 <= length, the
-    interval length.  The prime 2 adds 1 on x = N + shift mod 2 and, when
-    N = 1 mod 4, 1 more on the two classes mod 4 where f = 0 mod 4.
-    Accumulators are bytes, which is ample for inputs up to 100 digits.
+    interval length.  A prime dividing the multiplier has one root and
+    divides f only once, so it gets one progression and no lift.  The
+    prime 2 adds 1 on x = kN + shift mod 2 and, when kN = 1 mod 4, 1 more
+    on the two classes mod 4 where f = 0 mod 4.  Accumulators are bytes,
+    which is ample for inputs up to 100 digits.
     """
 
-    def __init__(self, n: int, fb: FactorBase, partial_bound: int,
+    def __init__(self, kn: int, fb: FactorBase, partial_bound: int,
                  length: int = SIEVE_LENGTH):
-        self.n = n
-        self.shift = shift = isqrt_ceil(n)
+        self.kn = kn
+        self.shift = shift = isqrt_ceil(kn)
         self.length = length
         self.partial_bound = partial_bound
-        mods, roots, weights = [2], [(n + shift) % 2], [1]
-        if n % 4 == 1:
+        mods, roots, weights = [2], [(kn + shift) % 2], [1]
+        if kn % 4 == 1:
             mods += [4, 4]
             roots += [(1 - shift) % 4, (3 - shift) % 4]
             weights += [1, 1]
         for p in fb.odd_primes:
             weight = (p - 1).bit_length()
             pair = fb.roots[p]
+            if pair[0] == pair[1]:
+                mods.append(p)
+                roots.append(pair[0])
+                weights.append(weight)
+                continue
             mods += [p, p]
             roots += pair
             weights += [weight, weight]
@@ -93,7 +102,7 @@ class Sieve:
             if pp <= length:
                 for s in pair:
                     # Hensel lift: f'(s) = 2(s + shift) is invertible mod p
-                    f_s = poly_value(s, n, shift)
+                    f_s = poly_value(s, kn, shift)
                     roots.append((s - f_s * pow(2 * (s + shift), -1, pp)) % pp)
                     mods.append(pp)
                     weights.append(weight)
@@ -140,7 +149,7 @@ def sieve_interval(sieve: Sieve, index: int) -> list[int]:
         if side:
             starts.reverse()  # the block runs upwards from its lowest x
         lists = sieve.block(starts[0], [
-            sieve_threshold(sieve.n, s, length, sieve.partial_bound) for s in starts
+            sieve_threshold(sieve.kn, s, length, sieve.partial_bound) for s in starts
         ])
         if side:
             lists.reverse()
@@ -157,7 +166,7 @@ def run_sieve(sieve: Sieve, ctx: SmoothnessContext, index: int) -> Round:
     """
     t0 = time.perf_counter()
     xs = sieve_interval(sieve, index)
-    values = [abs(poly_value(x, sieve.n, sieve.shift)) for x in xs]
+    values = [abs(poly_value(x, sieve.kn, sieve.shift)) for x in xs]
     finds = []
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):

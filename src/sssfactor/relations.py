@@ -1,17 +1,23 @@
 """Relation store, large-prime combining, GF(2) solving, square assembly.
 
 A full relation is a congruence a^2 = (-1)^sign * prod(p^e_p) mod N with
-every prime in the factor base.  A partial relation carries one extra
+every prime in the factor base.  The search finds x_bar with f(x_bar) =
+(x_bar + shift)^2 - kN smooth, shift = ceil(sqrt(kN)) and k the factor
+base's Knuth-Schroeppel multiplier, so a = x_bar + shift mod N: the
+polynomial side (shift, the root test, the cofactor check) works with kN,
+and everything mod N (a, the congruence check, the gcds and the square
+root) with N.  A partial relation carries one extra
 cofactor r below the partial bound; two partials sharing r merge into the
 full relation (a1 * a2 * r^-1)^2 = y1 * y2 mod N.
 
 Exponents are stored sparse: a row is a tuple of (prime index, exponent)
 pairs, sorted by index, one pair per prime that divides the value.  They
 come from a root test: an odd prime p of the base divides f(x_bar) exactly
-when x_bar mod p is one of f's two roots mod p, so one vectorized residue
-computation over all odd primes names the divisors, and only those are
-divided out, with multiplicity.  The power of 2 is read off the low zero
-bits.  The CSV dumps still write dense rows, one column per prime.
+when x_bar mod p is one of f's roots mod p (two, or one when p divides
+k), so one vectorized residue computation over all odd primes names the
+divisors, and only those are divided out, with multiplicity.  The power
+of 2 is read off the low zero bits.  The CSV dumps still write dense rows,
+one column per prime.
 
 Fulls are factored when they arrive.  Partials are not: most never meet a
 second partial with the same cofactor.  The cofactor of a partial comes
@@ -76,7 +82,7 @@ class PendingPartial(NamedTuple):
     """A partial relation as the store keeps it until it pairs up."""
 
     x: int
-    x_bar: int     # f(x_bar) = (x_bar + shift)^2 - N carries the cofactor
+    x_bar: int     # f(x_bar) = (x_bar + shift)^2 - kN carries the cofactor
     cofactor: int
 
 
@@ -87,7 +93,8 @@ def needed_count(primes) -> int:
 
 
 class RelationStore:
-    """Collects full and partial relations for one number N.
+    """Collects full and partial relations for one number N, from values
+    of f on kN with k = fb.multiplier.
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
     combined with every later partial of that cofactor, which is when that
@@ -101,8 +108,9 @@ class RelationStore:
 
     def __init__(self, n: int, fb: FactorBase, *, use_partials: bool = True):
         self.n = n
+        self.kn = fb.multiplier * n
         self.primes = fb.primes
-        self.shift = isqrt_ceil(n)
+        self.shift = isqrt_ceil(self.kn)
         # root test tables over the odd primes; x_bar < 0 compares |x_bar|
         # mod p against the negated roots
         self._odd_array = fb.odd_array
@@ -131,7 +139,7 @@ class RelationStore:
         The odd primes come from the root test on x_bar mod p, with as many
         30-bit limbs as |x_bar| needs; only they are divided out.
         """
-        value = poly_value(x_bar, self.n, self.shift)
+        value = poly_value(x_bar, self.kn, self.shift)
         if value == 0:
             raise ValueError("cannot factor zero")
         sign = int(value < 0)
@@ -178,7 +186,7 @@ class RelationStore:
                 )
             self._store_full(Relation(rel_x, sign, exps), combined=False)
             return
-        if poly_value(x_bar, self.n, self.shift) % cofactor:
+        if poly_value(x_bar, self.kn, self.shift) % cofactor:
             raise ValueError(f"cofactor {cofactor} does not divide f({x_bar})")
         if not self.use_partials:
             return

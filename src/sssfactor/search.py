@@ -1,4 +1,10 @@
-"""The subsum relation search.
+"""The subsum relation search on f(x) = (x + ceil(sqrt(kN)))**2 - kN.
+
+kN is the number being factored times the factor base's Knuth-Schroeppel
+multiplier (fb.multiplier), and the functions below take it as their
+first argument.  The search uses only the paired primes of the base
+(factorbase.FactorBase.paired): a prime dividing the multiplier has a
+single root, so its four collision offsets would not be distinct.
 
 One round picks k random small-base primes (SUBSUM_SIZE: 6 for sss, 7
 for sssf), builds the initial candidate pair (x, M) by a CRT over those k
@@ -24,7 +30,7 @@ appear, prime by prime, so the relation stream is the same as that of the
 per-prime Python loop the tests keep as an oracle.
 
 Only the hits become Python ints again.  Their values need no square and
-no division: with t = x + ceil(sqrt(N)),
+no division: with t = x + ceil(sqrt(kN)),
 f(x + alpha * m') / m' = f(x)/m' + alpha * (2t + alpha * m'), and f(x)/m'
 is divided out once per (variant, q).  That division must be exact, which
 checks every hit of that q because x_bar = x mod m'.
@@ -52,6 +58,7 @@ from .factorbase import (
     limb_count,
     limb_weights,
     poly_value,
+    pow_mod,
     residues,
 )
 from .numtheory import isqrt_ceil
@@ -127,17 +134,10 @@ class Transforms(NamedTuple):
 def round_table(modulus: int, primes: np.ndarray, roots: np.ndarray) -> RoundTable:
     """Limb weights and M^-1 mod p for one round's modulus.
 
-    The inverse is M^(p-2) mod p by square and multiply over the bits of
-    p - 2; the large primes never divide M.
+    The inverse is M^(p-2) mod p; the large primes never divide M.
     """
     weights = limb_weights(primes, limb_count(modulus))
-    base = residues(modulus, weights, primes)
-    exponent = primes - 2
-    inverses = np.ones_like(primes)
-    for _ in range(int(primes.max(initial=0)).bit_length()):
-        inverses = np.where(exponent & 1, inverses * base % primes, inverses)
-        base = base * base % primes
-        exponent >>= 1
+    inverses = pow_mod(residues(modulus, weights, primes), primes - 2, primes)
     return RoundTable(primes, roots, weights, inverses)
 
 
@@ -192,7 +192,7 @@ def collision_scan(
 
 
 def hit_values(
-    n: int, shift: int, x: int, modulus: int, qs, hits
+    kn: int, shift: int, x: int, modulus: int, qs, hits
 ) -> dict[int, int]:
     """x_bar -> |f(x_bar) / m'| for the hits of one variant, the first hit
     of each x_bar kept.
@@ -202,7 +202,7 @@ def hit_values(
     division.  f(x)/m' is divided out once per q, and a remainder raises:
     x_bar = x mod m', so this is the divisibility check of every hit.
     """
-    f_x = poly_value(x, n, shift)
+    f_x = poly_value(x, kn, shift)
     two_t = 2 * (x + shift)
     per_q = []
     for q in qs:
@@ -221,7 +221,7 @@ def hit_values(
 
 
 def round_finds(
-    n: int,
+    kn: int,
     fb: FactorBase,
     sb: SmallFactorBase,
     pre: CrtPrecomp,
@@ -230,18 +230,20 @@ def round_finds(
     partial_bound: int,
 ) -> Round:
     """The round over the small-base primes at indices: its finds, as
-    (x_bar, g) pairs in stream order, and its counts.
+    (x_bar, g) pairs in stream order, and its counts.  kn is the
+    polynomial's modulus, fb.multiplier times the number being factored.
 
     Finds are classified against partial_bound.  A context with a
     partition (the sssf variant) switches the smoothness pass to the
-    two-stage filter with cutoff offset FILTER_DELTA.  Each variant is
+    two-stage filter with cutoff offset FILTER_DELTA, over the digits of
+    kn.  Each variant is
     scanned once for all its rescalings, and its candidates are batch-tested
     together.  Nothing outside the returned value changes, so a round can
     run in any process that holds the bases.
     """
     t0 = time.perf_counter()
-    shift = isqrt_ceil(n)
-    digits = len(str(n))
+    shift = isqrt_ceil(kn)
+    digits = len(str(kn))
     moduli = [sb.primes[i] for i in indices]
     modulus = math.prod(moduli)
     table = round_table(modulus, *fb.large_arrays(sb.n))
@@ -258,7 +260,7 @@ def round_finds(
         hits = collision_scan(transforms, qs, modulus)
         if not hits:
             continue
-        batch = hit_values(n, shift, x, modulus, qs, hits)
+        batch = hit_values(kn, shift, x, modulus, qs, hits)
         candidates += len(batch)
         keys = list(batch)
         values = list(batch.values())
@@ -282,7 +284,7 @@ def round_finds(
 
 
 def search_round(
-    n: int,
+    kn: int,
     fb: FactorBase,
     sb: SmallFactorBase,
     pre: CrtPrecomp,
@@ -292,4 +294,4 @@ def search_round(
     partial_bound: int,
 ) -> Round:
     """One full search round: k indices drawn from rng, then round_finds."""
-    return round_finds(n, fb, sb, pre, ctx, pick_indices(k, sb.n, rng), partial_bound)
+    return round_finds(kn, fb, sb, pre, ctx, pick_indices(k, sb.n, rng), partial_bound)

@@ -3,7 +3,8 @@
 This is the loop that sssfactor.qs replaced with its block sieve: one
 interval at a time, one strided add per progression, and the Hensel lifts
 mod p**2 redone for every interval.  The block sieve must return the same
-survivors, in the same order, for every interval.
+survivors, in the same order, for every interval.  n is the polynomial's
+modulus kN, with k the factor base's multiplier.
 """
 
 import numpy as np
@@ -19,7 +20,9 @@ def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
     reaches the threshold.
 
     Each root of f mod p adds ceil(log2 p); roots are lifted mod p^2 once
-    when p^2 fits in the interval.  Accumulators are bytes.
+    when p^2 fits in the interval.  A prime dividing the multiplier has a
+    single root, and p^2 never divides f there, so it adds once and is not
+    lifted.  Accumulators are bytes.
     """
     shift = isqrt_ceil(n)
     logs = np.zeros(length, dtype=np.uint8)
@@ -36,13 +39,13 @@ def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
 
     for p in fb.odd_primes:
         weight = (p - 1).bit_length()
-        roots = fb.roots[p]
+        roots = set(fb.roots[p])
         for s in roots:
             off = (s - start) % p
             if off < length:
                 logs[off::p] += weight
         pp = p * p
-        if pp <= length:
+        if pp <= length and len(roots) == 2:
             for s in roots:
                 # Hensel lift: f'(s) = 2(s + shift) is invertible mod p
                 f_s = poly_value(s, n, shift)

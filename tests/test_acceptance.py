@@ -20,7 +20,12 @@ from semiprimes import generate_semiprime
 
 from sssfactor.crt import get_x, precompute
 from sssfactor.engine import RunConfig, collect_relations, factor, prepare
-from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
+from sssfactor.factorbase import (
+    build_factor_bases,
+    choose_multiplier,
+    poly_value,
+    table_sizes,
+)
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.relations import Relation, solve_dependencies
 from sssfactor.search import pick_indices, root_transforms, round_table
@@ -119,46 +124,64 @@ def test_c03_boosted_batch_soundness(smoothness_corpus):
         assert missed < 0.01 * smooth_total, f"{missed}/{smooth_total} missed"
 
 
+def check_collisions(n, multiplier):
+    """Every hit of 8 toy rounds on f over kN is sound, and its count is the
+    number of distinct large primes whose offset window holds it and that
+    divide f there; an exhaustive scan finds no missed offset."""
+    kn = multiplier * n
+    fb, sb = build_factor_bases(n, 20, 8, multiplier)
+    assert len(fb.primes) <= 40 and sb.n <= 8
+    pre = precompute(sb, fb.roots)
+    large = fb.large_primes(sb.n)
+    primes, roots = fb.large_arrays(sb.n)
+    shift = isqrt_ceil(kn)
+    p_max = max(large)
+    rng = random.Random(44)
+    scans = 0
+    for _ in range(8):
+        idx = pick_indices(4, sb.n, rng)
+        moduli = [sb.primes[i] for i in idx]
+        modulus = math.prod(moduli)
+        x, _ = get_x([(i, 1) for i in idx], pre)
+        assert all(x % p == fb.roots[p][0] for p in moduli)
+        transforms = root_transforms(x, round_table(modulus, primes, roots))
+        for q in [1] + moduli:
+            m_prime = modulus // q
+            hits = scan_hits(transforms, q, modulus, x, 3)
+            for hit in hits:
+                f_val = poly_value(hit.x_bar, kn, shift)
+                assert f_val % hit.m_prime == 0
+                dividing = [p for p in large if -p <= hit.alpha < p and f_val % p == 0]
+                assert hit.count == len(dividing) >= 3
+            # exhaustive alpha scan within each prime's offset window
+            reported = {h.alpha for h in hits}
+            for alpha in range(-p_max, p_max):
+                count = sum(
+                    1
+                    for p in large
+                    if -p <= alpha < p
+                    and poly_value(x + alpha * m_prime, kn, shift) % p == 0
+                )
+                if count >= 3:
+                    assert alpha in reported, f"oracle alpha {alpha} missed"
+            scans += 1
+    assert scans == 40
+    return fb, sb
+
+
 def test_c04_collision_soundness_and_completeness():
     with criterion(4, "collision hits sound and complete on toy instance"):
-        n = 999919  # 991 * 1009
-        fb, sb = build_factor_bases(n, 20, 8)
-        assert len(fb.primes) <= 40 and sb.n <= 8
-        pre = precompute(sb, fb.roots)
-        large = fb.large_primes(sb.n)
-        primes, roots = fb.large_arrays(sb.n)
-        shift = isqrt_ceil(n)
-        p_max = max(large)
-        rng = random.Random(44)
-        scans = 0
-        for _ in range(8):
-            idx = pick_indices(4, sb.n, rng)
-            moduli = [sb.primes[i] for i in idx]
-            modulus = math.prod(moduli)
-            x, _ = get_x([(i, 1) for i in idx], pre)
-            assert all(x % p == fb.roots[p][0] for p in moduli)
-            transforms = root_transforms(x, round_table(modulus, primes, roots))
-            for q in [1] + moduli:
-                m_prime = modulus // q
-                hits = scan_hits(transforms, q, modulus, x, 3)
-                for hit in hits:
-                    f_val = poly_value(hit.x_bar, n, shift)
-                    assert f_val % hit.m_prime == 0
-                    dividing = [p for p in large if f_val % p == 0]
-                    assert len(dividing) >= 3
-                # exhaustive alpha scan within each prime's offset window
-                reported = {h.alpha for h in hits}
-                for alpha in range(-p_max, p_max):
-                    count = sum(
-                        1
-                        for p in large
-                        if -p <= alpha < p
-                        and poly_value(x + alpha * m_prime, n, shift) % p == 0
-                    )
-                    if count >= 3:
-                        assert alpha in reported, f"oracle alpha {alpha} missed"
-                scans += 1
-        assert scans == 40
+        check_collisions(999919, 1)  # 991 * 1009
+
+
+def test_c04_collisions_on_kn():
+    # 1445377 picks k = 73, a prime past the small base: it stays out of the
+    # collision primes, where its one root would count twice
+    with criterion(4, "collision hits sound and complete with a multiplier"):
+        assert choose_multiplier(1445377) == 73
+        fb, sb = check_collisions(1445377, 73)
+        assert 73 in fb.primes and 73 > sb.primes[-1]
+        assert 73 not in fb.large_primes(sb.n)
 
 
 def test_c05_initial_pair_bound():

@@ -302,7 +302,7 @@ def oracle_store():
 
 def assert_matches_oracle(store, x_bar):
     sign, exps, cofactor = trial_divide(
-        poly_value(x_bar, store.n, store.shift), store.primes
+        poly_value(x_bar, store.kn, store.shift), store.primes
     )
     assert store.exponents_of(x_bar) == (sign, sparse(exps), cofactor)
 
@@ -371,8 +371,9 @@ class RecordingStore(RelationStore):
 REAL_RUNS = {
     # the sss-40d stream-lock case
     "sss-40d": ("sss", 2025187160651667522159602188240446426637, 7, 30),
-    # a 50-digit sssf composite whose finds reach past 2**90 (four limbs)
-    "sssf-50d": ("sssf", 71572202837660953991862295872154805899815805546319, 2, 50),
+    # a 50-digit sssf composite with multiplier k = 31, whose finds at seed
+    # 10 reach past 2**90 (four limbs)
+    "sssf-50d": ("sssf", 71572202837660953991862295872154805899815805546319, 10, 50),
 }
 
 

@@ -362,7 +362,8 @@ def test_variant_scan_is_the_per_q_oracle_scans_in_order(case, threshold):
 
 
 REAL_ROUNDS = {
-    # the sss-40d stream-lock composite and a 50-digit sssf composite
+    # the sss-40d stream-lock composite and a 50-digit sssf composite, whose
+    # multiplier is k = 31
     "sss-40d": ("sss", 2025187160651667522159602188240446426637),
     "sssf-50d": ("sssf", 71572202837660953991862295872154805899815805546319),
 }
@@ -374,9 +375,10 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
 
     algo, n = REAL_ROUNDS[name]
     fb, sb, pre, _ = prepare(n, RunConfig(algo=algo))
+    kn = fb.multiplier * n
     k = SUBSUM_SIZE[algo]
     primes, roots = fb.large_arrays(sb.n)
-    shift = isqrt_ceil(n)
+    shift = isqrt_ceil(kn)
     rng = random.Random(3)
     checked = 0
     for _ in range(4):
@@ -389,14 +391,14 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
             x = swap_root(x, i, 1, modulus, pre)
             qs = [1] + [q for q in moduli if q != sb.primes[i]]
             hits = collision_scan(root_transforms(x, table), qs, modulus)
-            values = hit_values(n, shift, x, modulus, qs, hits)
+            values = hit_values(kn, shift, x, modulus, qs, hits)
             first_m_prime = {}
             for j, alpha in hits:
                 m_prime = modulus // qs[j]
                 first_m_prime.setdefault(x + alpha * m_prime, m_prime)
             assert list(values) == list(first_m_prime)
             for x_bar, m_prime in first_m_prime.items():
-                f_val = poly_value(x_bar, n, shift)
+                f_val = poly_value(x_bar, kn, shift)
                 assert f_val % m_prime == 0
                 assert values[x_bar] == abs(f_val) // m_prime
             checked += len(values)
