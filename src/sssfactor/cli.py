@@ -18,6 +18,7 @@ import sys
 from .engine import (
     ALGORITHMS,
     FactorResult,
+    RelationShortfall,
     RunConfig,
     collect_relations,
     factor,
@@ -163,6 +164,9 @@ def cmd_relations(args) -> int:
     except FoundFactor as exc:
         print(f"divisor found while collecting relations: {exc.divisor}",
               file=sys.stderr)
+        return 1
+    except RelationShortfall as exc:
+        print(exc, file=sys.stderr)
         return 1
     dump = store.fulls_csv()
     if args.out == "-":

@@ -17,13 +17,14 @@ round is and how many go to a worker at once.  Every round is a
 search.Round value, and the loop ingests its finds in round order.
 
 A round is independent of the others once its item is fixed: a search
-round's drawn indices, or a qs interval number.  So after a short start in
-the calling process the rounds run on one forked worker per CPU
-(_forked_rounds), in batches: one round for sss and sssf, one sieve block
-per side (2 * qs.BLOCK_INTERVALS intervals) for qs.  This process keeps
-drawing the search indices in round order from the one rng, and the rounds
-come back in round order, so the relation stream does not depend on the
-number of workers.
+round's drawn indices, or a qs interval number.  Every round is computed
+by one function of its item, run(item): search.search_round for sss and
+sssf, qs.run_sieve for qs.  After a short start in the calling process the
+rounds run on one forked worker per CPU (_forked_rounds), in batches: one
+round for sss and sssf, one sieve block per side (2 * qs.BLOCK_INTERVALS
+intervals) for qs.  This process keeps drawing the search indices in round
+order from the one rng, and the rounds come back in round order, so the
+relation stream does not depend on the number of workers.
 """
 
 import contextlib
@@ -46,7 +47,7 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import SUBSUM_SIZE, pick_indices, round_finds, search_round
+from .search import SUBSUM_SIZE, pick_indices, search_round
 from .smoothness import FILTER_SPLIT_RATIO, build_context
 
 __all__ = [
@@ -157,15 +158,16 @@ class FactorResult:
 
 class RelationShortfall(RuntimeError):
     """A composite left unfactored: relation collection starved (round cap
-    hit before the target), or the linear algebra gave only trivial
-    dependencies.
+    hit before the target, or as many rounds as the target emitted no
+    relation at all), or the linear algebra gave only trivial dependencies.
 
     stats holds the counters of this composite's collection, and the
     message names the layer that failed: the search or sieve made no
-    candidates, no candidate was smooth (no full or partial relation), the
-    fulls plus combined partials fell short of the target, or, when
-    `trivial` = (dependencies, rows, cycles) is given, every dependency
-    tried gave a trivial gcd.  A multiplier other than 1 is named too.
+    candidates, the sssf filter dropped all of them, no candidate was
+    smooth (no full or partial relation), the fulls plus combined partials
+    fell short of the target, or, when `trivial` = (dependencies, rows,
+    cycles) is given, every dependency tried gave a trivial gcd.  A
+    multiplier other than 1 is named too.
     """
 
     def __init__(
@@ -187,6 +189,8 @@ class RelationShortfall(RuntimeError):
             )
         elif not stats.candidates:
             layer = "no candidates"
+        elif stats.filtered == stats.candidates:
+            layer = f"the filter dropped all {stats.candidates} candidates"
         elif not stats.fulls + stats.partials:
             layer = f"no smooth candidates among {stats.candidates}"
         else:
@@ -242,6 +246,11 @@ def collect_relations(
     spent is added to the "collect" phase of stats, and the rounds' own
     times, summed over the processes that ran them, to its "search" phase.
     May raise FoundFactor when a divisor appears along the way.
+
+    Raises RelationShortfall, with the counters of this call, once the
+    store has run store.target rounds and none of them emitted a full or a
+    partial relation: below about 25 digits the sssf filter drops every
+    candidate, and such a run would otherwise never end.
     """
     if store is None:
         store = RelationStore(n, fb, use_partials=config.use_partials)
@@ -253,17 +262,26 @@ def collect_relations(
             "small base covers the whole factor base; no collision primes left"
         )
 
+    before = stats.counters()
     native0, combined0 = store.native_count, store.combined_count
     round_cap = None if config.max_rounds is None else store.rounds + config.max_rounds
+    # whether a round of this store has emitted a full or partial relation
+    emitted = bool(store.fulls or store.partials)
     t0 = time.perf_counter()
     try:
-        inline, run, items, batch = _round_plan(
+        run, items, batch = _round_plan(
             algo, n, config.seed, fb, sb, pre, ctx, store.partial_bound, store.rounds
         )
-        rounds = _rounds(inline, run, items, batch, config.max_rounds)
+        rounds = _rounds(run, items, batch, config.max_rounds)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
+                if not emitted and store.rounds >= store.target:
+                    # nothing was ingested, so fulls and combined need no update first
+                    raise RelationShortfall(
+                        n, _since(before, stats), store.target, multiplier=fb.multiplier
+                    )
                 found = next(rounds)
+                emitted = emitted or bool(found.finds)
                 for x_bar, g in found.finds:
                     store.ingest(x_bar, g)
                 store.rounds += 1
@@ -279,6 +297,11 @@ def collect_relations(
     return store, stats
 
 
+def _since(before: dict, stats: RunStats) -> RunStats:
+    """The counters that stats gained since it read before."""
+    return RunStats(**{key: value - before[key] for key, value in stats.counters().items()})
+
+
 # collection time after which rounds go to worker processes: a fork costs
 # about 10 ms, so short collections stay in the calling process
 _INLINE_SECONDS = 0.05
@@ -288,12 +311,11 @@ _QUEUE_DEPTH = 2
 
 def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     """What the round source needs for rounds from round number first on:
-    (inline, run, items, batch).
+    (run, items, batch).
 
-    items yields the item of every round in round order, run(item) computes
-    the round's Round in any process, and inline() computes the next round
-    here, moving items past it.  batch is the number of consecutive items a
-    worker gets per message.
+    items yields the item of every round in round order, and run(item)
+    computes the round's Round in any process.  batch is the number of
+    consecutive items a worker gets per message.
 
     Rounds evaluate f on kN = fb.multiplier * n.  qs: an item is an
     interval number, and a batch is 2 * BLOCK_INTERVALS intervals, one
@@ -301,59 +323,52 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     part.  sss/sssf: an item is a round's index list, the round's only
     random draw (pick_indices), drawn here from one rng per composite n
     fast-forwarded past rounds 0 to first - 1; a batch is one round.
-    inline() calls search_round and qs.run_sieve as looked up at call time,
-    where tracing wraps them.
+    run calls search_round or qs.run_sieve as looked up at call time, where
+    tracing wraps them.
     """
     kn = fb.multiplier * n
     if algo == "qs":
         sieve = qs_mod.Sieve(kn, fb, partial_bound)
-        items = itertools.count(first)
 
         def run(index):
             return qs_mod.run_sieve(sieve, ctx, index)
 
-        def inline():
-            return run(next(items))
-
-        return inline, run, items, 2 * qs_mod.BLOCK_INTERVALS
+        return run, itertools.count(first), 2 * qs_mod.BLOCK_INTERVALS
 
     k = min(SUBSUM_SIZE[algo], sb.n)
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(first):
         pick_indices(k, sb.n, rng)
-    items = iter(lambda: pick_indices(k, sb.n, rng), None)
 
     def run(indices):
-        return round_finds(kn, fb, sb, pre, ctx, indices, partial_bound)
+        return search_round(kn, fb, sb, pre, ctx, indices, partial_bound)
 
-    def inline():
-        return search_round(kn, fb, sb, pre, ctx, k, rng, partial_bound)
-
-    return inline, run, items, 1
+    return run, iter(lambda: pick_indices(k, sb.n, rng), None), 1
 
 
-def _rounds(inline, run, items, batch, limit):
-    """Rounds in round order: inline() for the first _INLINE_SECONDS, in
-    whole batches, so the workers' batches start where the inline ones end;
-    then, on a host with two or more CPUs, run(item) for the remaining
-    items on one forked worker per CPU (_forked_rounds).  limit, when not
-    None, is the most rounds the caller takes, and no worker gets an item
-    past it.  The rounds, and so the relation stream, the counters and the
+def _rounds(run, items, batch, limit):
+    """run(item) for each item, in round order: here for the first
+    _INLINE_SECONDS, in whole batches, so the workers' batches start where
+    the inline ones end; then here as well on a host with one CPU, and on
+    one forked worker per CPU otherwise (_forked_rounds).  limit, when not
+    None, is the most rounds the caller takes, and no round past it is
+    run.  The rounds, and so the relation stream, the counters and the
     answer, are the same on any host.  Closing the generator kills and
     joins the workers.
     """
-    start = time.perf_counter()
-    done = 0
-    while time.perf_counter() - start < _INLINE_SECONDS:
-        for _ in range(batch):
-            yield inline()
-        done += batch
-    workers = _worker_count()
-    while workers < 2:
-        yield inline()
     if limit is not None:
-        items = itertools.islice(items, limit - done)
-    yield from _forked_rounds(workers, run, items, batch)
+        items = itertools.islice(items, limit)
+    start = time.perf_counter()
+    while time.perf_counter() - start < _INLINE_SECONDS:
+        chunk = list(itertools.islice(items, batch))
+        if not chunk:
+            return
+        yield from map(run, chunk)
+    workers = _worker_count()
+    if workers < 2:
+        yield from map(run, items)
+    else:
+        yield from _forked_rounds(workers, run, items, batch)
 
 
 def _worker_count() -> int:
@@ -482,9 +497,8 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
     before = stats.counters()  # stats also counts earlier composites
 
     def shortfall(trivial=None):
-        own = {key: value - before[key] for key, value in stats.counters().items()}
         return RelationShortfall(
-            n, RunStats(**own), store.target, trivial=trivial, multiplier=fb.multiplier
+            n, _since(before, stats), store.target, trivial=trivial, multiplier=fb.multiplier
         )
 
     tried = 0  # dependencies of earlier cycles, a prefix of this cycle's

@@ -35,13 +35,13 @@ f(x + alpha * m') / m' = f(x)/m' + alpha * (2t + alpha * m'), and f(x)/m'
 is divided out once per (variant, q).  That division must be exact, which
 checks every hit of that q because x_bar = x mod m'.
 
-After the random index choice everything in a round is deterministic, so
-a fixed seed replays the exact relation stream.  round_finds is that
-deterministic part: from the round's indices it returns the round as a
-Round value, its finds and counts, and it touches nothing else, so the
-engine can run it in a worker process.  search_round is pick_indices plus
-round_finds.  Neither stores anything: the engine's collection loop
-ingests every round's finds.
+A round's only random draw is its index list (pick_indices), which the
+engine draws from one rng per composite, so a fixed seed replays the exact
+relation stream.  search_round is everything after the draw: from the
+round's indices it returns the round as a Round value, its finds and
+counts, and it touches nothing else, so the engine runs it in whichever
+process computes the round.  It stores nothing: the engine's collection
+loop ingests every round's finds.
 """
 
 import math
@@ -63,7 +63,6 @@ from .factorbase import (
 )
 from .numtheory import isqrt_ceil
 from .smoothness import (
-    FILTER_DELTA,
     Smoothness,
     SmoothnessContext,
     classify,
@@ -84,7 +83,6 @@ __all__ = [
     "root_transforms",
     "collision_scan",
     "hit_values",
-    "round_finds",
     "search_round",
 ]
 
@@ -220,7 +218,7 @@ def hit_values(
     return values
 
 
-def round_finds(
+def search_round(
     kn: int,
     fb: FactorBase,
     sb: SmallFactorBase,
@@ -235,11 +233,10 @@ def round_finds(
 
     Finds are classified against partial_bound.  A context with a
     partition (the sssf variant) switches the smoothness pass to the
-    two-stage filter with cutoff offset FILTER_DELTA, over the digits of
-    kn.  Each variant is
-    scanned once for all its rescalings, and its candidates are batch-tested
-    together.  Nothing outside the returned value changes, so a round can
-    run in any process that holds the bases.
+    two-stage filter (smooth_filter), over the digits of kn.  Each variant
+    is scanned once for all its rescalings, and its candidates are
+    batch-tested together.  Nothing outside the returned value changes, so
+    a round can run in any process that holds the bases.
     """
     t0 = time.perf_counter()
     shift = isqrt_ceil(kn)
@@ -265,7 +262,7 @@ def round_finds(
         keys = list(batch)
         values = list(batch.values())
         if ctx.part_small is not None:
-            pairs = smooth_filter(ctx, values, digits, FILTER_DELTA)
+            pairs = smooth_filter(ctx, values, digits)
             filtered += len(values) - len(pairs)
             found = [(keys[j], g) for j, g in pairs]
         else:
@@ -281,17 +278,3 @@ def round_finds(
             finds.append((x_bar, g))
     seconds = time.perf_counter() - t0
     return Round(finds, fulls, partials, candidates, filtered, seconds)
-
-
-def search_round(
-    kn: int,
-    fb: FactorBase,
-    sb: SmallFactorBase,
-    pre: CrtPrecomp,
-    ctx: SmoothnessContext,
-    k: int,
-    rng,
-    partial_bound: int,
-) -> Round:
-    """One full search round: k indices drawn from rng, then round_finds."""
-    return round_finds(kn, fb, sb, pre, ctx, pick_indices(k, sb.n, rng), partial_bound)

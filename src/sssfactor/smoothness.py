@@ -141,20 +141,18 @@ def smooth_batch_exact(ctx: SmoothnessContext, candidates) -> list[int]:
     return out
 
 
-def smooth_filter(
-    ctx: SmoothnessContext, candidates, digits: int, delta: int = FILTER_DELTA
-):
+def smooth_filter(ctx: SmoothnessContext, candidates, digits: int):
     """Two-pass batch: strip the smallest primes first, keep only candidates
-    whose residual dropped below 10**(digits/2 - delta), then finish the
-    survivors against the rest of the base.
+    whose residual dropped below 10**(digits/2 - FILTER_DELTA), then finish
+    the survivors against the rest of the base.
 
     Returns (index, residual) pairs, indices into the input list.
     """
     if ctx.part_small is None or ctx.part_large is None:
         raise ValueError("context was built without a partition")
     first = smooth_batch(ctx.part_small, candidates)
-    # g < 10^(digits/2 - delta), squared to stay in integers for odd digits
-    cutoff_sq = 10 ** max(digits - 2 * delta, 0)
+    # g < 10^(digits/2 - FILTER_DELTA), squared to stay in integers for odd digits
+    cutoff_sq = 10 ** max(digits - 2 * FILTER_DELTA, 0)
     kept = [(i, g) for i, g in enumerate(first) if g * g < cutoff_sq]
     second = smooth_batch(ctx.part_large, [g for _, g in kept])
     return [(i, g) for (i, _), g in zip(kept, second)]

@@ -168,6 +168,19 @@ def test_factor_starvation_names_the_starved_layer(capsys):
     assert captured.err.splitlines() == [message]
 
 
+@pytest.mark.parametrize("command", ["factor", "relations"])
+def test_sssf_filter_shortfall_exits_1(command, capsys):
+    n = 658031367992468443
+    assert main([command, str(n), "--algo", "sssf"]) == 1
+    captured = capsys.readouterr()
+    message = captured.err.splitlines()[-1]
+    assert message.startswith(f"starved factoring {n} after ")
+    assert "the filter dropped all" in message
+    assert "Traceback" not in captured.err
+    if command == "relations":
+        assert captured.out == ""
+
+
 def test_json_config_echo_reproduces_run(capsys):
     n = 1299709 * 1299721
     outs = []

@@ -182,7 +182,10 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     else:
         rng = random.Random(f"7:{N40}:0")
         k = SUBSUM_SIZE[algo]
-        rounds = [search.search_round(N40, fb, sb, pre, ctx, k, rng, bound) for _ in range(10)]
+        rounds = [
+            search.search_round(N40, fb, sb, pre, ctx, search.pick_indices(k, sb.n, rng), bound)
+            for _ in range(10)
+        ]
 
     monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -238,6 +241,33 @@ def test_starvation_yields_residue_with_diagnostics(monkeypatch):
         f"starved factoring {n} after 1 rounds: no smooth candidates among [1-9][0-9]*",
         starve(RunConfig(algo="sss", seed=1, max_rounds=1)),
     )
+
+
+@pytest.mark.parametrize("n", [658031367992468443, 6447136083544393581919])
+def test_sssf_stops_where_the_filter_drops_every_candidate(n):
+    # below about 25 digits the filter's pass-1 cutoff drops every sssf
+    # candidate; the run stops after as many barren rounds as the target
+    config = RunConfig(algo="sssf", seed=2)
+    t0 = time.perf_counter()
+    result = factor(n, config)
+    assert time.perf_counter() - t0 < 30
+    assert result.residue == n and result.factors == []
+    stats = result.stats
+    target = RelationStore(n, prepare(n, config)[0]).target
+    assert stats.rounds == target
+    assert stats.filtered == stats.candidates > 0
+    assert stats.fulls == stats.partials == 0
+    [message] = result.shortfalls
+    assert message.startswith(f"starved factoring {n} after {target} rounds")
+    assert message.endswith(f": the filter dropped all {stats.candidates} candidates")
+
+
+def test_sssf_still_factors_at_25_digits():
+    # its first round already emits relations, so the barren stop never fires
+    n = 5482707518627393921376427
+    result = factor(n, RunConfig(algo="sssf", seed=2))
+    assert result.success
+    assert result.factors == [(780065199581, 1), (7028524694567, 1)]
 
 
 def test_partial_starvation_keeps_found_factors():

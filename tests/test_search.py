@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
 
-from sssfactor import search
+from sssfactor import smoothness
 from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
@@ -152,7 +152,8 @@ def test_collision_scan_matches_exhaustive_oracle():
 
 def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
-    stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), 128 * fb.p_max)
+    indices = pick_indices(4, sb.n, random.Random(seed))
+    stats = search_round(TOY_N, fb, sb, pre, ctx, indices, 128 * fb.p_max)
     return stats, stats.finds
 
 
@@ -170,7 +171,8 @@ def test_search_round_emissions_are_sound():
     shift = isqrt_ceil(TOY_N)
     total = 0
     for seed in range(30):
-        stats = search_round(TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), 128 * fb.p_max)
+        indices = pick_indices(4, sb.n, random.Random(seed))
+        stats = search_round(TOY_N, fb, sb, pre, ctx, indices, 128 * fb.p_max)
         round_finds = stats.finds
         assert len(round_finds) == stats.fulls + stats.partials
         assert len({x for x, _ in round_finds}) == len(round_finds)  # no dups
@@ -193,14 +195,13 @@ def test_search_round_emissions_are_sound():
 def test_search_round_filter_path(monkeypatch):
     fb, sb, pre, _ = toy_setup()
     ctx = build_context(fb.primes, split_ratio=4)
-    monkeypatch.setattr(search, "FILTER_DELTA", 1)
+    monkeypatch.setattr(smoothness, "FILTER_DELTA", 1)
     finds = []
     rounds = 0
     stats_total = [0, 0, 0, 0]
     for seed in range(20):
-        stats = search_round(
-            TOY_N, fb, sb, pre, ctx, 4, random.Random(seed), 128 * fb.p_max
-        )
+        indices = pick_indices(4, sb.n, random.Random(seed))
+        stats = search_round(TOY_N, fb, sb, pre, ctx, indices, 128 * fb.p_max)
         finds += stats.finds
         assert 0 <= stats.filtered <= stats.candidates
         stats_total = [a + b for a, b in zip(stats_total, stats[1:])]

@@ -122,7 +122,7 @@ def test_smooth_filter_threshold():
     dropped_prime = next_prime_from(10**36)    # above it
     smooth_val = 2**10 * 3**7                  # survives and finishes at 1
     results = dict(
-        smooth_filter(ctx, [kept_prime, dropped_prime, smooth_val], 80, 5)
+        smooth_filter(ctx, [kept_prime, dropped_prime, smooth_val], 80)
     )
     assert 1 not in results          # 10^36 residual was discarded
     assert results[0] == kept_prime  # untouched by either pass
@@ -132,7 +132,7 @@ def test_smooth_filter_threshold():
 def test_smooth_filter_requires_partition():
     ctx = build_context([2, 3, 5, 7])
     with pytest.raises(ValueError):
-        smooth_filter(ctx, [10], 30, 5)
+        smooth_filter(ctx, [10], 30)
 
 
 def test_smooth_filter_agrees_with_plain_batch_on_smooth_values():
@@ -142,7 +142,7 @@ def test_smooth_filter_agrees_with_plain_batch_on_smooth_values():
     rng = random.Random(14)
     values = [rng.randrange(1, 10**8) for _ in range(500)]
     plain = smooth_batch(ctx, values)
-    filtered = dict(smooth_filter(ctx, values, 16, 5))
+    filtered = dict(smooth_filter(ctx, values, 16))
     for i, g in enumerate(plain):
         if g == 1 and i in filtered:
             assert filtered[i] == 1

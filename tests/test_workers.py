@@ -194,7 +194,7 @@ def _raise_on_second(*args):
     _calls.append(args)
     if len(_calls) == 2:
         raise ZeroDivisionError("boom in a later round")
-    return search.round_finds(*args)
+    return search.search_round(*args)
 
 
 def _exit_at_once(*args):
@@ -202,20 +202,26 @@ def _exit_at_once(*args):
 
 
 @pytest.mark.parametrize(
-    "finds, error, match",
+    "count, finds, error, match",
     [
-        (_raise_boom, ZeroDivisionError, "boom in the worker"),
-        (_raise_on_second, ZeroDivisionError, "boom in a later round"),
-        (_exit_at_once, RuntimeError, "collection worker exited with code 3"),
+        (2, _raise_boom, ZeroDivisionError, "boom in the worker"),
+        (2, _raise_on_second, ZeroDivisionError, "boom in a later round"),
+        (2, _exit_at_once, RuntimeError, "collection worker exited with code 3"),
+        (1, _raise_boom, ZeroDivisionError, "boom in the worker"),
+        (1, _raise_on_second, ZeroDivisionError, "boom in a later round"),
     ],
-    ids=["raises", "raises-later", "dies"],
+    ids=["raises", "raises-later", "dies", "raises-one-cpu", "raises-later-one-cpu"],
 )
-def test_worker_failure_reaches_the_caller(forced, monkeypatch, finds, error, match):
-    # the workers inherit the patched module by fork
-    monkeypatch.setattr(engine, "round_finds", finds)
+def test_worker_failure_reaches_the_caller(forced, monkeypatch, count, finds, error, match):
+    # the workers inherit the patched module by fork, and one CPU runs the
+    # same patched search_round here
+    monkeypatch.setattr(engine, "search_round", finds)
+    monkeypatch.setattr(sys.modules[__name__], "_calls", [])
+    cpus(monkeypatch, count)
     config = RunConfig(algo="sss", seed=7, max_rounds=5)
     with pytest.raises(error, match=match):
         collect_relations(N40, config, *prepare(N40, config))
+    assert forced.forked == ([2] if count == 2 else [])
     assert multiprocessing.active_children() == []
 
 
