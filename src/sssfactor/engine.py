@@ -7,8 +7,8 @@ divisors, recursing until everything left is a probable prime.
 
 prepare() picks one Knuth-Schroeppel multiplier k per composite N, and all
 three algorithms collect on f(x) = (x + ceil(sqrt(kN)))**2 - kN: the
-factor base carries k, the rounds evaluate f with kN, and the relation
-store, the solve and the square root work mod N.
+factor base carries k, kN and ceil(sqrt(kN)), the rounds evaluate f from
+it, and the relation store, the solve and the square root work mod N.
 
 collect_relations() is the one collection loop and the only code that
 feeds the relation store, and _rounds is its one round source: sss, sssf
@@ -234,8 +234,9 @@ def collect_relations(
     stats: RunStats | None = None,
 ) -> tuple[RelationStore, RunStats]:
     """Run rounds (search rounds, or sieved intervals for qs) until the
-    store holds enough relations.  n is the number being factored; the
-    rounds evaluate f with fb.multiplier * n.
+    store holds enough relations.  n is the number being factored, and the
+    rounds evaluate the factor base's f, on fb.kn; a base built for another
+    number raises ValueError.
 
     Stops on the relation target or after config.max_rounds rounds of this
     call, so where the relation stream ends never depends on the host's
@@ -317,18 +318,16 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     computes the round's Round in any process.  batch is the number of
     consecutive items a worker gets per message.
 
-    Rounds evaluate f on kN = fb.multiplier * n.  qs: an item is an
-    interval number, and a batch is 2 * BLOCK_INTERVALS intervals, one
-    sieve block per side, so a worker sieves no block that it uses only in
-    part.  sss/sssf: an item is a round's index list, the round's only
-    random draw (pick_indices), drawn here from one rng per composite n
-    fast-forwarded past rounds 0 to first - 1; a batch is one round.
-    run calls search_round or qs.run_sieve as looked up at call time, where
+    qs: an item is an interval number, and a batch is 2 * BLOCK_INTERVALS
+    intervals, one sieve block per side, so a worker sieves no block that
+    it uses only in part.  sss/sssf: an item is a round's index list, the
+    round's only random draw (pick_indices), drawn here from one rng per
+    composite n fast-forwarded past rounds 0 to first - 1; a batch is one
+    round.  run calls search_round or qs.run_sieve as looked up at call time, where
     tracing wraps them.
     """
-    kn = fb.multiplier * n
     if algo == "qs":
-        sieve = qs_mod.Sieve(kn, fb, partial_bound)
+        sieve = qs_mod.Sieve(fb, partial_bound)
 
         def run(index):
             return qs_mod.run_sieve(sieve, ctx, index)
@@ -341,7 +340,7 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
         pick_indices(k, sb.n, rng)
 
     def run(indices):
-        return search_round(kn, fb, sb, pre, ctx, indices, partial_bound)
+        return search_round(fb, sb, pre, ctx, indices, partial_bound)
 
     return run, iter(lambda: pick_indices(k, sb.n, rng), None), 1
 

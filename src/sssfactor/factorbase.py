@@ -3,7 +3,10 @@
 k is the Knuth-Schroeppel multiplier (choose_multiplier): the odd
 squarefree k < 100 for which the small primes divide f most often, k = 1
 unless another k scores strictly higher.  A relation built from f holds
-mod kN and so mod N.
+mod kN and so mod N.  The factor base carries f: build_factor_bases
+computes kN and ceil(sqrt(kN)) once and stores them on the FactorBase
+(kn, shift) next to k, and the search, the sieve and the relation store
+read them from there.
 
 The factor base keeps 2 plus every odd prime p among the first 2m primes
 with (kN|p) = 1 (for the others f has no root, so they can never divide a
@@ -164,8 +167,10 @@ def choose_multiplier(n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FactorBase:
-    """Ordered factor base of f = (x + ceil(sqrt(kN)))**2 - kN, with k =
-    multiplier: primes[0] == 2, then odd primes with roots.
+    """Ordered factor base of f = (x + shift)**2 - kN, with k = multiplier
+    and shift = ceil(sqrt(kN)): primes[0] == 2, then odd primes with roots.
+    The base is the one owner of f: everything that evaluates f reads kn
+    and shift from here.
 
     odd_array and root_array hold the odd primes and their roots (shape
     (2, len(odd_primes))) as int64, in the order of `primes`.  paired,
@@ -175,7 +180,9 @@ class FactorBase:
 
     primes: tuple[int, ...]
     roots: dict  # odd prime -> (s1, s2) with f(s) = 0 mod p; s1 == s2 when p | k
-    multiplier: int = 1
+    multiplier: int
+    kn: int      # the polynomial's modulus, multiplier times the number factored
+    shift: int   # ceil(sqrt(kn))
     odd_array: np.ndarray = field(init=False, repr=False)
     root_array: np.ndarray = field(init=False, repr=False)
     paired: tuple[int, ...] = field(init=False, repr=False)
@@ -307,6 +314,6 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
         else:
             continue
         kept.append(p)
-    fb = FactorBase(tuple(kept), roots, multiplier)
+    fb = FactorBase(tuple(kept), roots, multiplier, kn, shift)
     sb = SmallFactorBase(fb.paired[:small_n])
     return fb, sb

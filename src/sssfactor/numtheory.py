@@ -9,29 +9,13 @@ import random
 
 __all__ = [
     "FoundFactor",
-    "NotInvertibleError",
-    "legendre",
     "tonelli_shanks",
-    "mod_inverse",
     "isqrt_ceil",
     "is_probable_prime",
     "is_perfect_power",
     "small_primes",
     "primes_below",
 ]
-
-
-class NotInvertibleError(ValueError):
-    """Raised by mod_inverse when gcd(a, m) != 1.
-
-    The offending gcd is kept on the exception: when the modulus is the
-    number being factored, a nontrivial gcd is a free divisor and the
-    caller must be able to pick it up instead of treating it as failure.
-    """
-
-    def __init__(self, a: int, m: int, g: int):
-        super().__init__(f"{a} is not invertible modulo {m} (gcd = {g})")
-        self.gcd = g
 
 
 class FoundFactor(Exception):
@@ -47,20 +31,6 @@ class FoundFactor(Exception):
         self.divisor = divisor
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for an odd prime p: 0, 1 or -1.
-
-    Euler's criterion; p is trusted to be prime.
-    """
-    if p <= 2 or p % 2 == 0:
-        raise ValueError(f"modulus must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def tonelli_shanks(n: int, p: int) -> int:
     """Smaller square root s of n modulo the odd prime p (0 <= s < p).
 
@@ -71,7 +41,8 @@ def tonelli_shanks(n: int, p: int) -> int:
     n %= p
     if n == 0:
         return 0
-    if legendre(n, p) != 1:
+    half = (p - 1) // 2  # Euler's criterion: a**half is 1 for a residue, -1 else
+    if pow(n, half, p) != 1:
         raise ValueError(f"{n} has no square root modulo {p}")
     if p % 4 == 3:
         s = pow(n, (p + 1) // 4, p)
@@ -82,7 +53,7 @@ def tonelli_shanks(n: int, p: int) -> int:
         q //= 2
         e += 1
     z = 2
-    while legendre(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     m, c = e, pow(z, q, p)
     t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
@@ -96,22 +67,6 @@ def tonelli_shanks(n: int, p: int) -> int:
         t = t * c % p
         r = r * b % p
     return min(r, p - r)
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m (extended Euclid); raises NotInvertibleError
-    carrying the gcd when a and m are not coprime."""
-    if m <= 1:
-        raise ValueError(f"modulus must exceed 1, got {m}")
-    a %= m
-    r0, r1, s0, s1 = m, a, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NotInvertibleError(a, m, r0)
-    return s0 % m
 
 
 def isqrt_ceil(n: int) -> int:

@@ -2,13 +2,13 @@
 
 Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(kN)))**2 - kN,
 the one the subsum search uses (k is the factor base's Knuth-Schroeppel
-multiplier, and the functions below take kN), sieved over intervals of
-SIEVE_LENGTH values on both sides of 0 (0, -L, L, -2L, ...), rounded
-base-2 prime logs in byte accumulators, prime squares up to the interval
-length sieved once.  One interval is one round of the
-engine's collection loop: survivors go through the shared batch
-smoothness check, and run_sieve returns them as a search.Round that the
-engine ingests like a search round's, so the comparison against the
+multiplier, and the Sieve reads kN and ceil(sqrt(kN)) from the factor
+base), sieved over intervals of SIEVE_LENGTH values on both sides of 0
+(0, -L, L, -2L, ...), rounded base-2 prime logs in byte accumulators,
+prime squares up to the interval length sieved once.  One interval is one
+round of the engine's collection loop: survivors go through the shared
+batch smoothness check, and run_sieve returns them as a search.Round that
+the engine ingests like a search round's, so the comparison against the
 subsum search differs only in how candidates are generated.
 
 The progressions (modulus, root, weight) depend only on kN, Hensel lifts
@@ -30,11 +30,10 @@ import time
 import numpy as np
 
 from .factorbase import FactorBase, poly_value
-from .numtheory import isqrt_ceil
 from .search import Round
 from .smoothness import Smoothness, SmoothnessContext, classify, smooth_batch
 
-__all__ = ["Sieve", "sieve_interval", "sieve_threshold", "run_sieve"]
+__all__ = ["Sieve", "sieve_interval", "run_sieve"]
 
 SIEVE_LENGTH = 65536
 # intervals of one side sieved per pass; a block's byte array is
@@ -46,16 +45,6 @@ def _ceil_log2(v: int) -> int:
     return (v - 1).bit_length() if v > 1 else 0
 
 
-def sieve_threshold(kn: int, start: int, length: int, partial_bound: int) -> int:
-    """ceil(log2 |f(mid)|) minus the partial-cofactor allowance
-    log2(partial_bound), so that candidates leading to partial relations
-    still clear the bar."""
-    shift = isqrt_ceil(kn)
-    mid = start + length // 2
-    f_mid = abs(poly_value(mid, kn, shift))
-    return max(_ceil_log2(f_mid) - _ceil_log2(partial_bound), 1)
-
-
 def interval_start(index: int, length: int) -> int:
     """First x of interval number index: 0, -L, L, -2L, 2L, ..."""
     side = index % 2
@@ -65,7 +54,8 @@ def interval_start(index: int, length: int) -> int:
 
 class Sieve:
     """The sieve of one composite: its progressions, built once, and the
-    survivors of the last block sieved on each side.
+    survivors of the last block sieved on each side.  f is the factor
+    base's polynomial (fb.kn, fb.shift).
 
     Each root s of f mod p is a progression x = s mod p of weight
     ceil(log2 p); so is each root lifted mod p**2 when p**2 <= length, the
@@ -76,10 +66,9 @@ class Sieve:
     which is ample for inputs up to 100 digits.
     """
 
-    def __init__(self, kn: int, fb: FactorBase, partial_bound: int,
-                 length: int = SIEVE_LENGTH):
-        self.kn = kn
-        self.shift = shift = isqrt_ceil(kn)
+    def __init__(self, fb: FactorBase, partial_bound: int, length: int = SIEVE_LENGTH):
+        self.fb = fb
+        kn, shift = fb.kn, fb.shift
         self.length = length
         self.partial_bound = partial_bound
         mods, roots, weights = [2], [(kn + shift) % 2], [1]
@@ -113,6 +102,14 @@ class Sieve:
         self._strides = list(zip(self.mods.tolist(), self.weights.tolist()))
         # side -> (first step, survivor lists of that step and the next ones)
         self.blocks: dict[int, tuple[int, list[list[int]]]] = {}
+
+    def threshold(self, start: int) -> int:
+        """The threshold of the interval [start, start + length):
+        ceil(log2 |f(mid)|) minus the partial-cofactor allowance
+        log2(partial_bound), so that candidates leading to partial
+        relations still clear the bar."""
+        f_mid = abs(poly_value(start + self.length // 2, self.fb.kn, self.fb.shift))
+        return max(_ceil_log2(f_mid) - _ceil_log2(self.partial_bound), 1)
 
     def block(self, start: int, thresholds) -> list[list[int]]:
         """Survivors of the intervals [start + j L, start + (j + 1) L), one
@@ -148,9 +145,7 @@ def sieve_interval(sieve: Sieve, index: int) -> list[int]:
                   for j in range(BLOCK_INTERVALS)]
         if side:
             starts.reverse()  # the block runs upwards from its lowest x
-        lists = sieve.block(starts[0], [
-            sieve_threshold(sieve.kn, s, length, sieve.partial_bound) for s in starts
-        ])
+        lists = sieve.block(starts[0], [sieve.threshold(s) for s in starts])
         if side:
             lists.reverse()
         sieve.blocks[side] = (first, lists)
@@ -166,7 +161,8 @@ def run_sieve(sieve: Sieve, ctx: SmoothnessContext, index: int) -> Round:
     """
     t0 = time.perf_counter()
     xs = sieve_interval(sieve, index)
-    values = [abs(poly_value(x, sieve.kn, sieve.shift)) for x in xs]
+    kn, shift = sieve.fb.kn, sieve.fb.shift
+    values = [abs(poly_value(x, kn, shift)) for x in xs]
     finds = []
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):

@@ -4,11 +4,12 @@ A full relation is a congruence a^2 = (-1)^sign * prod(p^e_p) mod N with
 every prime in the factor base.  The search finds x_bar with f(x_bar) =
 (x_bar + shift)^2 - kN smooth, shift = ceil(sqrt(kN)) and k the factor
 base's Knuth-Schroeppel multiplier, so a = x_bar + shift mod N: the
-polynomial side (shift, the root test, the cofactor check) works with kN,
-and everything mod N (a, the congruence check, the gcds and the square
-root) with N.  A partial relation carries one extra
-cofactor r below the partial bound; two partials sharing r merge into the
-full relation (a1 * a2 * r^-1)^2 = y1 * y2 mod N.
+polynomial side (the root test, the cofactor check) works with kN and
+shift, which the store reads from the factor base, and everything mod N
+(a, the congruence check, the gcds and the square root) with N.  A store
+refuses a factor base built for another number.  A partial relation
+carries one extra cofactor r below the partial bound; two partials sharing
+r merge into the full relation (a1 * a2 * r^-1)^2 = y1 * y2 mod N.
 
 Exponents are stored sparse: a row is a tuple of (prime index, exponent)
 pairs, sorted by index, one pair per prime that divides the value.  They
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .factorbase import FactorBase, limb_count, limb_weights, poly_value, residues
-from .numtheory import FoundFactor, NotInvertibleError, isqrt_ceil, mod_inverse
+from .numtheory import FoundFactor
 from .smoothness import product_tree, tree_root
 
 __all__ = [
@@ -94,7 +95,8 @@ def needed_count(primes) -> int:
 
 class RelationStore:
     """Collects full and partial relations for one number N, from values
-    of f on kN with k = fb.multiplier.
+    of the factor base's f on kN = fb.kn, with k = fb.multiplier; a base
+    built for another number raises ValueError.
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
     combined with every later partial of that cofactor, which is when that
@@ -107,10 +109,14 @@ class RelationStore:
     """
 
     def __init__(self, n: int, fb: FactorBase, *, use_partials: bool = True):
+        if fb.kn != fb.multiplier * n:
+            raise ValueError(
+                f"factor base built for kN = {fb.kn}, not for {fb.multiplier} * {n}"
+            )
         self.n = n
-        self.kn = fb.multiplier * n
+        self.kn = fb.kn
+        self.shift = fb.shift
         self.primes = fb.primes
-        self.shift = isqrt_ceil(self.kn)
         # root test tables over the odd primes; x_bar < 0 compares |x_bar|
         # mod p against the negated roots
         self._odd_array = fb.odd_array
@@ -212,9 +218,9 @@ class RelationStore:
             first = self._first_rows[prel.cofactor] = self._factored(other)
         second = self._factored(prel)
         try:
-            inv = mod_inverse(prel.cofactor, self.n)
-        except NotInvertibleError as exc:
-            raise FoundFactor(exc.gcd) from exc
+            inv = pow(prel.cofactor, -1, self.n)
+        except ValueError:
+            raise FoundFactor(math.gcd(prel.cofactor, self.n)) from None
         x = first.x * second.x % self.n * inv % self.n
         merged = dict(first.exponents)
         for i, e in second.exponents:

@@ -1,10 +1,11 @@
 """The subsum relation search on f(x) = (x + ceil(sqrt(kN)))**2 - kN.
 
 kN is the number being factored times the factor base's Knuth-Schroeppel
-multiplier (fb.multiplier), and the functions below take it as their
-first argument.  The search uses only the paired primes of the base
-(factorbase.FactorBase.paired): a prime dividing the multiplier has a
-single root, so its four collision offsets would not be distinct.
+multiplier.  The factor base carries f, and the functions below read kN
+and ceil(sqrt(kN)) from it (fb.kn, fb.shift).  The search uses only the
+paired primes of the base (factorbase.FactorBase.paired): a prime
+dividing the multiplier has a single root, so its four collision offsets
+would not be distinct.
 
 One round picks k random small-base primes (SUBSUM_SIZE: 6 for sss, 7
 for sssf), builds the initial candidate pair (x, M) by a CRT over those k
@@ -61,7 +62,6 @@ from .factorbase import (
     pow_mod,
     residues,
 )
-from .numtheory import isqrt_ceil
 from .smoothness import (
     Smoothness,
     SmoothnessContext,
@@ -189,19 +189,17 @@ def collision_scan(
     return hits
 
 
-def hit_values(
-    kn: int, shift: int, x: int, modulus: int, qs, hits
-) -> dict[int, int]:
+def hit_values(fb: FactorBase, x: int, modulus: int, qs, hits) -> dict[int, int]:
     """x_bar -> |f(x_bar) / m'| for the hits of one variant, the first hit
-    of each x_bar kept.
+    of each x_bar kept; f is the factor base's polynomial.
 
-    With t = x + shift and m' = M/q, f(x + alpha * m') / m' equals
+    With t = x + fb.shift and m' = M/q, f(x + alpha * m') / m' equals
     f(x)/m' + alpha * (2t + alpha * m'), so each hit costs no square and no
     division.  f(x)/m' is divided out once per q, and a remainder raises:
     x_bar = x mod m', so this is the divisibility check of every hit.
     """
-    f_x = poly_value(x, kn, shift)
-    two_t = 2 * (x + shift)
+    f_x = poly_value(x, fb.kn, fb.shift)
+    two_t = 2 * (x + fb.shift)
     per_q = []
     for q in qs:
         m_prime = modulus // q
@@ -219,7 +217,6 @@ def hit_values(
 
 
 def search_round(
-    kn: int,
     fb: FactorBase,
     sb: SmallFactorBase,
     pre: CrtPrecomp,
@@ -228,19 +225,17 @@ def search_round(
     partial_bound: int,
 ) -> Round:
     """The round over the small-base primes at indices: its finds, as
-    (x_bar, g) pairs in stream order, and its counts.  kn is the
-    polynomial's modulus, fb.multiplier times the number being factored.
+    (x_bar, g) pairs in stream order, and its counts.
 
     Finds are classified against partial_bound.  A context with a
     partition (the sssf variant) switches the smoothness pass to the
-    two-stage filter (smooth_filter), over the digits of kn.  Each variant
-    is scanned once for all its rescalings, and its candidates are
+    two-stage filter (smooth_filter), over the digits of fb.kn.  Each
+    variant is scanned once for all its rescalings, and its candidates are
     batch-tested together.  Nothing outside the returned value changes, so
     a round can run in any process that holds the bases.
     """
     t0 = time.perf_counter()
-    shift = isqrt_ceil(kn)
-    digits = len(str(kn))
+    digits = len(str(fb.kn))
     moduli = [sb.primes[i] for i in indices]
     modulus = math.prod(moduli)
     table = round_table(modulus, *fb.large_arrays(sb.n))
@@ -257,7 +252,7 @@ def search_round(
         hits = collision_scan(transforms, qs, modulus)
         if not hits:
             continue
-        batch = hit_values(kn, shift, x, modulus, qs, hits)
+        batch = hit_values(fb, x, modulus, qs, hits)
         candidates += len(batch)
         keys = list(batch)
         values = list(batch.values())

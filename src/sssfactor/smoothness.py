@@ -91,11 +91,9 @@ def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
 
     With split_ratio r, the primes are additionally partitioned into the
     smallest len/r ones and the rest, each with its own context, for the
-    two-pass filter.
+    two-pass filter; eta is then the product of the two parts' etas.
     """
     primes = tuple(primes)
-    eta = tree_root(product_tree([_boosted_power(p) for p in primes]))
-    part_small = part_large = None
     if split_ratio is not None:
         if split_ratio < 2:
             raise ValueError("split ratio must be at least 2")
@@ -103,7 +101,10 @@ def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
         if cut < len(primes):
             part_small = build_context(primes[:cut])
             part_large = build_context(primes[cut:])
-    return SmoothnessContext(primes, eta, part_small, part_large)
+            eta = part_small.eta * part_large.eta
+            return SmoothnessContext(primes, eta, part_small, part_large)
+    eta = tree_root(product_tree([_boosted_power(p) for p in primes]))
+    return SmoothnessContext(primes, eta)
 
 
 def smooth_batch(ctx: SmoothnessContext, candidates) -> list[int]:

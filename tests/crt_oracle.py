@@ -12,7 +12,6 @@ import math
 from typing import NamedTuple
 
 from sssfactor.crt import CandidatePair, center
-from sssfactor.numtheory import mod_inverse
 
 
 class GlobalCrt(NamedTuple):
@@ -29,7 +28,7 @@ def precompute(small, roots: dict) -> GlobalCrt:
     delta = []
     for p in small.primes:
         cofactor = mu // p
-        lam_i = cofactor * mod_inverse(cofactor % p, p)
+        lam_i = cofactor * pow(cofactor, -1, p)
         s1, s2 = roots[p]
         lam.append(lam_i)
         delta.append(lam_i * (s2 - s1))

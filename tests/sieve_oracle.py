@@ -3,18 +3,17 @@
 This is the loop that sssfactor.qs replaced with its block sieve: one
 interval at a time, one strided add per progression, and the Hensel lifts
 mod p**2 redone for every interval.  The block sieve must return the same
-survivors, in the same order, for every interval.  n is the polynomial's
-modulus kN, with k the factor base's multiplier.
+survivors, in the same order, for every interval.  f is the factor
+base's polynomial, on kN = fb.kn with shift = fb.shift.
 """
 
 import numpy as np
 
 from sssfactor.factorbase import FactorBase, poly_value
-from sssfactor.numtheory import isqrt_ceil
-from sssfactor.qs import SIEVE_LENGTH, interval_start, sieve_threshold
+from sssfactor.qs import SIEVE_LENGTH, interval_start
 
 
-def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
+def sieve_interval(fb: FactorBase, start: int, length: int,
                    threshold: int) -> list[int]:
     """All x in [start, start + length) whose accumulated prime-log weight
     reaches the threshold.
@@ -24,7 +23,7 @@ def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
     single root, and p^2 never divides f there, so it adds once and is not
     lifted.  Accumulators are bytes.
     """
-    shift = isqrt_ceil(n)
+    n, shift = fb.kn, fb.shift
     logs = np.zeros(length, dtype=np.uint8)
 
     # p = 2: f(x) is even exactly when x = n + shift mod 2
@@ -58,10 +57,18 @@ def sieve_interval(n: int, fb: FactorBase, start: int, length: int,
     return [start + int(i) for i in hits]
 
 
-def interval_survivors(n: int, fb: FactorBase, partial_bound: int, index: int,
+def interval_threshold(fb: FactorBase, start: int, length: int,
+                       partial_bound: int) -> int:
+    """ceil(log2 |f(mid)|) - ceil(log2 partial_bound), at least 1."""
+    f_mid = abs(poly_value(start + length // 2, fb.kn, fb.shift))
+    ceil_log2 = (f_mid - 1).bit_length() if f_mid > 1 else 0
+    return max(ceil_log2 - (partial_bound - 1).bit_length(), 1)
+
+
+def interval_survivors(fb: FactorBase, partial_bound: int, index: int,
                        length: int = SIEVE_LENGTH) -> list[int]:
     """The survivors of interval number index (0, -L, L, -2L, ...), sieved
     on its own against its own threshold."""
     start = interval_start(index, length)
-    threshold = sieve_threshold(n, start, length, partial_bound)
-    return sieve_interval(n, fb, start, length, threshold)
+    threshold = interval_threshold(fb, start, length, partial_bound)
+    return sieve_interval(fb, start, length, threshold)

@@ -13,7 +13,7 @@ from sssfactor.factorbase import (
     poly_value,
     table_sizes,
 )
-from sssfactor.numtheory import isqrt_ceil, mod_inverse
+from sssfactor.numtheory import isqrt_ceil
 
 
 def brute_crt_basis(primes, i):
@@ -102,7 +102,7 @@ def test_get_x_matches_classical_crt():
         classical = 0
         for i, choice in choices:
             p = sb.primes[i]
-            c = mod_inverse(modulus // p % p, p)
+            c = pow(modulus // p, -1, p)
             classical += (modulus // p) * c * fb.roots[p][choice - 1]
         assert x % modulus == classical % modulus
         assert -((modulus + 1) // 2) < x <= modulus // 2

@@ -177,13 +177,13 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     fb, sb, pre, ctx = prepare(N40, config)
     bound = RelationStore(N40, fb).partial_bound
     if algo == "qs":
-        sieve = qs.Sieve(N40, fb, bound)
+        sieve = qs.Sieve(fb, bound)
         rounds = [qs.run_sieve(sieve, ctx, index) for index in range(10)]
     else:
         rng = random.Random(f"7:{N40}:0")
         k = SUBSUM_SIZE[algo]
         rounds = [
-            search.search_round(N40, fb, sb, pre, ctx, search.pick_indices(k, sb.n, rng), bound)
+            search.search_round(fb, sb, pre, ctx, search.pick_indices(k, sb.n, rng), bound)
             for _ in range(10)
         ]
 

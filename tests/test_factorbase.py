@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from numtheory_oracle import legendre
+
 from sssfactor.factorbase import (
     MAX_PRIME,
     FactorBase,
@@ -9,7 +11,7 @@ from sssfactor.factorbase import (
     poly_value,
     table_sizes,
 )
-from sssfactor.numtheory import FoundFactor, isqrt_ceil, legendre, small_primes
+from sssfactor.numtheory import FoundFactor, isqrt_ceil, small_primes
 
 
 def test_table_sizes_rows():
@@ -67,6 +69,7 @@ def test_roots_satisfy_polynomial_congruence():
     n = 8051
     fb, _ = build_factor_bases(n, 8, 4)
     shift = isqrt_ceil(n)
+    assert (fb.multiplier, fb.kn, fb.shift) == (1, n, shift)
     for p in fb.odd_primes:
         s1, s2 = fb.roots[p]
         assert s1 != s2
@@ -110,8 +113,8 @@ def test_int64_guard_rejects_primes_from_2_pow_31():
     # the collision search multiplies residues mod p in int64; from 2**31 on
     # such products could overflow and silently lose hits
     below = MAX_PRIME - 1  # 2**31 - 1 is prime
-    fb = FactorBase((2, below), {below: (1, 5)})
+    fb = FactorBase((2, below), {below: (1, 5)}, 1, 35, 6)
     assert fb.odd_array.tolist() == [below]
     p = 2**31 + 11  # prime
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)})
+        FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)}, 1, 35, 6)

@@ -7,11 +7,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numtheory_oracle import legendre
 from sieve_oracle import interval_survivors
 
 from sssfactor.engine import RunConfig, collect_relations, factor, prepare
 from sssfactor.factorbase import MULTIPLIERS, choose_multiplier, poly_value
-from sssfactor.numtheory import is_probable_prime, legendre, primes_below
+from sssfactor.numtheory import is_probable_prime, primes_below
 from sssfactor.qs import BLOCK_INTERVALS, Sieve, sieve_interval
 from sssfactor.relations import RelationStore
 
@@ -63,7 +64,7 @@ def test_choice_matches_the_oracle(n):
 def test_known_choices():
     for n, k in MULTIPLIED.items():
         assert choose_multiplier(n) == k
-    # the stream-lock composites keep k = 1, and so their pinned streams
+    # the first stream-lock composites keep k = 1, and so their pinned streams
     for n in (
         588090330819903606914786460449,
         2025187160651667522159602188240446426637,
@@ -79,6 +80,7 @@ def test_multiplier_primes_have_one_root_and_no_search_role(n):
     assert fb.multiplier == k
     kn = k * n
     shift = math.isqrt(kn - 1) + 1
+    assert (fb.kn, fb.shift) == (kn, shift)
     single = [p for p in fb.odd_primes if k % p == 0]
     assert single and math.prod(single) == k
     for p in single:
@@ -117,14 +119,14 @@ def test_block_sieve_matches_oracle_on_kn():
     # other primes lifted mod p**2 as for k = 1
     n = K61
     fb, _, _, _ = prepare(n, RunConfig(algo="qs"))
-    kn = fb.multiplier * n
+    assert fb.kn == 61 * n
     bound = RelationStore(n, fb).partial_bound
-    sieve = Sieve(kn, fb, bound)
+    sieve = Sieve(fb, bound)
     assert 61 in sieve.mods.tolist() and 61 * 61 not in sieve.mods.tolist()
     survivors = 0
     for index in range(2 * BLOCK_INTERVALS + 3):
         got = sieve_interval(sieve, index)
-        assert got == interval_survivors(kn, fb, bound, index), index
+        assert got == interval_survivors(fb, bound, index), index
         survivors += len(got)
     assert survivors > 0
 

@@ -1,14 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
+from sssfactor.factorbase import legendre_symbols
 from sssfactor.numtheory import (
-    NotInvertibleError,
     is_perfect_power,
     is_probable_prime,
     isqrt_ceil,
-    legendre,
-    mod_inverse,
     primes_below,
     small_primes,
     tonelli_shanks,
@@ -19,26 +18,34 @@ def squares_mod(p):
     return {x * x % p for x in range(1, p)}
 
 
+def symbol(a, p):
+    """(a|p) from the vectorized Euler test, for one pair."""
+    return int(legendre_symbols(np.array([a % p]), np.array([p]))[0])
+
+
 def test_legendre_examples():
-    assert legendre(1, 7) == 1
-    assert legendre(3, 7) == -1  # not among the squares mod 7
-    assert legendre(2, 7) == 1   # 3^2 = 9 = 2 mod 7
+    assert symbol(1, 7) == 1
+    assert symbol(3, 7) == -1  # not among the squares mod 7
+    assert symbol(2, 7) == 1   # 3^2 = 9 = 2 mod 7
 
 
 def test_legendre_matches_exhaustive_enumeration():
-    for p in primes_below(200):
-        if p == 2:
-            continue
-        residues = squares_mod(p)
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in residues else -1)
-            assert legendre(a, p) == expected, (a, p)
+    # every a against every odd p below 200, as one array
+    a, p = np.array(
+        [(a, p) for p in primes_below(200)[1:] for a in range(p)], dtype=np.int64
+    ).T
+    residues = {q: squares_mod(q) for q in primes_below(200)[1:]}
+    expected = [
+        0 if ai == 0 else (1 if ai in residues[pi] else -1)
+        for ai, pi in zip(a.tolist(), p.tolist())
+    ]
+    assert legendre_symbols(a, p).tolist() == expected
 
 
-def test_legendre_rejects_bad_modulus():
+def test_tonelli_rejects_bad_modulus():
     for p in (2, 1, 0, -7, 10):
         with pytest.raises(ValueError):
-            legendre(3, p)
+            tonelli_shanks(3, p)
 
 
 def test_tonelli_examples():
@@ -66,33 +73,13 @@ def test_tonelli_root_property_random():
     for _ in range(200):
         p = rng.choice(primes)
         n = rng.randrange(1, p)
-        if legendre(n, p) != 1:
+        if pow(n, (p - 1) // 2, p) != 1:
+            with pytest.raises(ValueError):
+                tonelli_shanks(n, p)
             continue
         s = tonelli_shanks(n, p)
         assert (s * s - n) % p == 0
         assert 0 <= s <= p - s  # smaller root
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 97) == 1
-    with pytest.raises(NotInvertibleError) as err:
-        mod_inverse(6, 9)
-    assert err.value.gcd == 3
-
-
-def test_mod_inverse_property():
-    rng = random.Random(2)
-    for _ in range(500):
-        m = rng.randrange(2, 10**12)
-        a = rng.randrange(1, m)
-        try:
-            b = mod_inverse(a, m)
-        except NotInvertibleError as err:
-            assert m % err.gcd == 0 and a % err.gcd == 0 and err.gcd > 1
-        else:
-            assert 0 < b < m
-            assert a * b % m == 1
 
 
 def test_isqrt_ceil():

@@ -8,7 +8,7 @@ from sieve_oracle import interval_survivors, sieve_interval as oracle_interval
 from sssfactor.engine import RunConfig, factor
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import isqrt_ceil
-from sssfactor.qs import BLOCK_INTERVALS, Sieve, sieve_interval, sieve_threshold
+from sssfactor.qs import BLOCK_INTERVALS, Sieve, sieve_interval
 from sssfactor.relations import RelationStore
 
 TOY_N = 10403  # 101 * 103
@@ -37,7 +37,7 @@ def test_sieve_accumulates_exact_prime_log_mass():
     length = 256
     for start in (0, -256, 300):
         for threshold in (1, 5, 9):
-            got = Sieve(TOY_N, fb, 1, length).block(start, [threshold])[0]
+            got = Sieve(fb, 1, length).block(start, [threshold])[0]
             expected = [
                 x
                 for x in range(start, start + length)
@@ -48,7 +48,7 @@ def test_sieve_accumulates_exact_prime_log_mass():
 
 def test_sieve_threshold_zero_returns_everything():
     fb, _ = build_factor_bases(TOY_N, 8, 4)
-    assert Sieve(TOY_N, fb, 1, 64).block(0, [0])[0] == list(range(64))
+    assert Sieve(fb, 1, 64).block(0, [0])[0] == list(range(64))
 
 
 def test_sieve_finds_all_smooth_values_at_default_threshold():
@@ -60,10 +60,10 @@ def test_sieve_finds_all_smooth_values_at_default_threshold():
     shift = isqrt_ceil(TOY_N)
     length = 512
     floor = 128 * fb.p_max
+    sieve = Sieve(fb, floor, length)
     checked = 0
     for start in (0, -512):
-        threshold = sieve_threshold(TOY_N, start, length, floor)
-        candidates = set(Sieve(TOY_N, fb, 1, length).block(start, [threshold])[0])
+        candidates = set(sieve.block(start, [sieve.threshold(start)])[0])
         for x in range(start, start + length):
             value = abs(poly_value(x, TOY_N, shift))
             if value <= floor:
@@ -127,16 +127,16 @@ def test_block_sieve_matches_per_interval_oracle(
     n, _, _ = generate_semiprime(digits, random.Random(seed))
     fb, _ = build_factor_bases(n, m, 4)
     bound = 1 << bound_bits
-    sieve = Sieve(n, fb, bound, length)
+    sieve = Sieve(fb, bound, length)
     indices = range(first, first + 2 * BLOCK_INTERVALS + 3)
     for index in indices:
         assert sieve_interval(sieve, index) == interval_survivors(
-            n, fb, bound, index, length
+            fb, bound, index, length
         ), index
-    resumed = Sieve(n, fb, bound, length)
+    resumed = Sieve(fb, bound, length)
     for index in indices[resume:]:
         assert sieve_interval(resumed, index) == interval_survivors(
-            n, fb, bound, index, length
+            fb, bound, index, length
         ), index
 
 
@@ -151,9 +151,9 @@ def test_block_is_each_interval_sieved_alone(seed, length, start, thresholds):
     # any start, not only multiples of the length, and any thresholds
     n, _, _ = generate_semiprime(12, random.Random(seed))
     fb, _ = build_factor_bases(n, 30, 4)
-    got = Sieve(n, fb, 1, length).block(start, thresholds)
+    got = Sieve(fb, 1, length).block(start, thresholds)
     assert got == [
-        oracle_interval(n, fb, start + j * length, length, t)
+        oracle_interval(fb, start + j * length, length, t)
         for j, t in enumerate(thresholds)
     ]
 
@@ -163,11 +163,11 @@ def test_block_sieve_matches_oracle_at_35_digits():
     n, _, _ = generate_semiprime(35, random.Random(35))
     fb, _ = build_factor_bases(n, *table_sizes(35))
     bound = RelationStore(n, fb).partial_bound
-    sieve = Sieve(n, fb, bound)
+    sieve = Sieve(fb, bound)
     survivors = 0
     for index in range(2 * BLOCK_INTERVALS + 3):
         got = sieve_interval(sieve, index)
-        assert got == interval_survivors(n, fb, bound, index), index
+        assert got == interval_survivors(fb, bound, index), index
         survivors += len(got)
     assert survivors > 0
 

@@ -46,6 +46,19 @@ def test_factor_over_base_examples():
     assert err.value.cofactor == 17
 
 
+def test_store_rejects_another_numbers_base():
+    fb, _ = build_factor_bases(STORE_N, 8, 4)
+    with pytest.raises(ValueError, match="factor base built for kN = 10403"):
+        RelationStore(10807, fb)  # 101 * 107
+    # prepared for one number (k = 89) and collecting for another (k = 77)
+    k89, k77 = 279223759547999729, 223069665544596653
+    config = RunConfig(algo="sss", seed=1, max_rounds=1)
+    fb, sb, pre, ctx = prepare(k89, config)
+    assert fb.multiplier == 89
+    with pytest.raises(ValueError, match="not for 89 \\* 223069665544596653"):
+        collect_relations(k77, config, fb, sb, pre, ctx)
+
+
 def test_needed_count():
     assert needed_count(range(200)) == 211
     assert needed_count(range(10)) < needed_count(range(50))

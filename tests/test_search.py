@@ -153,7 +153,7 @@ def test_collision_scan_matches_exhaustive_oracle():
 def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
     indices = pick_indices(4, sb.n, random.Random(seed))
-    stats = search_round(TOY_N, fb, sb, pre, ctx, indices, 128 * fb.p_max)
+    stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
     return stats, stats.finds
 
 
@@ -172,7 +172,7 @@ def test_search_round_emissions_are_sound():
     total = 0
     for seed in range(30):
         indices = pick_indices(4, sb.n, random.Random(seed))
-        stats = search_round(TOY_N, fb, sb, pre, ctx, indices, 128 * fb.p_max)
+        stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
         round_finds = stats.finds
         assert len(round_finds) == stats.fulls + stats.partials
         assert len({x for x, _ in round_finds}) == len(round_finds)  # no dups
@@ -201,7 +201,7 @@ def test_search_round_filter_path(monkeypatch):
     stats_total = [0, 0, 0, 0]
     for seed in range(20):
         indices = pick_indices(4, sb.n, random.Random(seed))
-        stats = search_round(TOY_N, fb, sb, pre, ctx, indices, 128 * fb.p_max)
+        stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
         finds += stats.finds
         assert 0 <= stats.filtered <= stats.candidates
         stats_total = [a + b for a, b in zip(stats_total, stats[1:])]
@@ -392,7 +392,7 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
             x = swap_root(x, i, 1, modulus, pre)
             qs = [1] + [q for q in moduli if q != sb.primes[i]]
             hits = collision_scan(root_transforms(x, table), qs, modulus)
-            values = hit_values(kn, shift, x, modulus, qs, hits)
+            values = hit_values(fb, x, modulus, qs, hits)
             first_m_prime = {}
             for j, alpha in hits:
                 m_prime = modulus // qs[j]
@@ -412,6 +412,6 @@ def test_hit_values_reject_a_modulus_that_does_not_divide_f():
     idx = [0, 1, 2]
     modulus = math.prod(sb.primes[i] for i in idx)
     x, _ = get_x([(0, 1), (1, 1), (2, 1)], pre)
-    assert hit_values(TOY_N, shift, x, modulus, [1], [(0, 5)])
+    assert hit_values(fb, x, modulus, [1], [(0, 5)])
     with pytest.raises(AssertionError):
-        hit_values(TOY_N, shift, x + 1, modulus, [1], [(0, 5)])
+        hit_values(fb, x + 1, modulus, [1], [(0, 5)])

@@ -129,6 +129,19 @@ def test_smooth_filter_threshold():
     assert results[2] == 1
 
 
+def test_split_context_eta_is_the_whole_product():
+    # a split context multiplies its parts' products instead of building a
+    # third tree over the whole base; the product is the same
+    primes = primes_below(5000)
+    whole = build_context(primes)
+    for ratio in (2, 10, 10**6):
+        split = build_context(primes, split_ratio=ratio)
+        assert split.part_small is not None
+        assert split.eta == whole.eta
+    unsplit = build_context([3], split_ratio=10)  # nothing left to split
+    assert unsplit.part_small is None and unsplit.eta == build_context([3]).eta
+
+
 def test_smooth_filter_requires_partition():
     ctx = build_context([2, 3, 5, 7])
     with pytest.raises(ValueError):

@@ -46,6 +46,29 @@ CASES = [
          "fulls": 3, "partials": 76, "combined": 0},
         id="qs-40d",
     ),
+    # composites whose Knuth-Schroeppel multiplier is not 1, pinned when
+    # the rounds still took kN and ceil(sqrt(kN)) as arguments
+    pytest.param(
+        "sss", 1251681611221125843937253098284462597887, 30,
+        "d5848920adc1fd819b5a11424efbad5613bc2e175288c3ceb838f46c9a7f557c",
+        {"rounds": 30, "candidates": 8867, "filtered": 0,
+         "fulls": 122, "partials": 1023, "combined": 41},
+        id="sss-40d-k23",
+    ),
+    pytest.param(
+        "qs", 29100640830005092842290581694238229, 20,
+        "df8cc12623bf57df0caafc2347df0e6325f4cf338108e971e3b9fd7d705956cc",
+        {"rounds": 20, "candidates": 833, "filtered": 0,
+         "fulls": 26, "partials": 423, "combined": 6},
+        id="qs-35d-k61",
+    ),
+    pytest.param(
+        "sssf", 71572202837660953991862295872154805899815805546319, 25,
+        "0896e20d87f76781a8a9597694ba91d5767b9bbe3804851d1b4840d9561e6914",
+        {"rounds": 25, "candidates": 16986, "filtered": 16141,
+         "fulls": 48, "partials": 226, "combined": 0},
+        id="sssf-50d-k31",
+    ),
 ]
 
 
