@@ -19,14 +19,17 @@ search.Round value, and the loop ingests its finds in round order.
 A round is independent of the others once its item is fixed: a search
 round's drawn indices, or a qs interval number.  Every round is computed
 by one function of its item, run(item): search.search_round for sss and
-sssf, qs.run_sieve for qs.  After a short start in the calling process the
-rounds run on one forked worker per CPU (_forked_rounds), in batches: one
-round for sss and sssf, one sieve block per side (2 * qs.BLOCK_INTERVALS
-intervals) for qs.  This process keeps drawing the search indices in round
-order from the one rng, and the rounds come back in round order, so the
-relation stream does not depend on the number of workers.
+sssf, qs.run_sieve for qs, in batches: one round for sss and sssf, one
+sieve block per side (2 * qs.BLOCK_INTERVALS intervals) for qs.  After a
+short start in the calling process, one forked worker per other CPU
+computes batches too, and the calling process computes the batches that it
+draws while the oldest one waits for a worker's reply.  This process draws
+every round's search indices in round order from the one rng, and the
+rounds come out in round order, so the relation stream does not depend on
+the number of CPUs or on which process computed a round.
 """
 
+import collections
 import contextlib
 import itertools
 import os
@@ -106,7 +109,8 @@ class RunStats:
     combined: int = 0          # fulls obtained by combining partials
     # wall seconds per phase: precompute, collect and linalg; search is the
     # rounds' own time within collect, summed over the processes that ran
-    # them, so with workers it can exceed collect
+    # them, so with workers it can exceed collect; wait is the part of
+    # collect that this process spent blocked on a worker's reply
     phase_seconds: dict = field(default_factory=dict)
 
     def add_time(self, phase: str, seconds: float) -> None:
@@ -162,12 +166,13 @@ class RelationShortfall(RuntimeError):
     relation at all), or the linear algebra gave only trivial dependencies.
 
     stats holds the counters of this composite's collection, and the
-    message names the layer that failed: the search or sieve made no
-    candidates, the sssf filter dropped all of them, no candidate was
-    smooth (no full or partial relation), the fulls plus combined partials
-    fell short of the target, or, when `trivial` = (dependencies, rows,
-    cycles) is given, every dependency tried gave a trivial gcd.  A
-    multiplier other than 1 is named too.
+    message names the layer that failed: no round ran, the search or sieve
+    made no candidates, the sssf filter dropped all of them, no candidate
+    was smooth (no full or partial relation), the fulls plus combined
+    partials fell short of the target, or, when `trivial` = (dependencies,
+    rows, cycles) is given, every dependency tried gave a trivial gcd.  It
+    says when the round cap (`capped`) ended collection, and names a
+    multiplier other than 1.
     """
 
     def __init__(
@@ -178,6 +183,7 @@ class RelationShortfall(RuntimeError):
         *,
         trivial: tuple[int, int, int] | None = None,
         multiplier: int = 1,
+        capped: bool = False,
     ):
         outcome = "starved"
         if trivial is not None:
@@ -187,6 +193,8 @@ class RelationShortfall(RuntimeError):
                 f"linear algebra gave a trivial gcd for all {deps} dependencies "
                 f"of {rows} relations in {cycles} solve cycles"
             )
+        elif not stats.rounds:
+            layer = "no round ran"
         elif not stats.candidates:
             layer = "no candidates"
         elif stats.filtered == stats.candidates:
@@ -199,9 +207,10 @@ class RelationShortfall(RuntimeError):
                 f"{stats.fulls} fulls + {stats.combined} combined relations{goal} "
                 f"({stats.partials} partials)"
             )
+        cap = " (the round cap)" if capped else ""
         of_kn = "" if multiplier == 1 else f" of kN with k = {multiplier}"
         super().__init__(
-            f"{outcome} factoring {n} after {stats.rounds} rounds{of_kn}: {layer}"
+            f"{outcome} factoring {n} after {stats.rounds} rounds{cap}{of_kn}: {layer}"
         )
         self.n = n
         self.stats = stats
@@ -242,11 +251,12 @@ def collect_relations(
     call, so where the relation stream ends never depends on the host's
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
-    the seed.  Rounds move to worker processes once the call has run for
-    _INLINE_SECONDS (see _rounds); the stream stays the same.  The time
-    spent is added to the "collect" phase of stats, and the rounds' own
-    times, summed over the processes that ran them, to its "search" phase.
-    May raise FoundFactor when a divisor appears along the way.
+    the seed.  Once the call has run for _INLINE_SECONDS, worker processes
+    compute rounds beside this one (see _rounds); the stream stays the
+    same.  The time spent is added to the "collect" phase of stats, the
+    rounds' own times, summed over the processes that ran them, to its
+    "search" phase, and the time spent blocked on a worker to its "wait"
+    phase.  May raise FoundFactor when a divisor appears along the way.
 
     Raises RelationShortfall, with the counters of this call, once the
     store has run store.target rounds and none of them emitted a full or a
@@ -268,12 +278,13 @@ def collect_relations(
     round_cap = None if config.max_rounds is None else store.rounds + config.max_rounds
     # whether a round of this store has emitted a full or partial relation
     emitted = bool(store.fulls or store.partials)
+    stats.add_time("wait", 0.0)  # present when no worker was waited for
     t0 = time.perf_counter()
     try:
         run, items, batch = _round_plan(
             algo, n, config.seed, fb, sb, pre, ctx, store.partial_bound, store.rounds
         )
-        rounds = _rounds(run, items, batch, config.max_rounds)
+        rounds = _rounds(run, items, batch, config.max_rounds, stats)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
                 if not emitted and store.rounds >= store.target:
@@ -303,10 +314,12 @@ def _since(before: dict, stats: RunStats) -> RunStats:
     return RunStats(**{key: value - before[key] for key, value in stats.counters().items()})
 
 
-# collection time after which rounds go to worker processes: a fork costs
-# about 10 ms, so short collections stay in the calling process
-_INLINE_SECONDS = 0.05
-# batches sent to a worker and not yet consumed, at most
+# collection time after which workers compute rounds too: a fork delays the
+# collection by some 10-20 ms (starting the worker, then both processes
+# copying the pages they write), so short collections stay in the calling
+# process; below 0.02 s, 20- and 25-digit factor() runs got slower
+_INLINE_SECONDS = 0.02
+# batches that a worker owes, at most: the most each one computes past a stop
 _QUEUE_DEPTH = 2
 
 
@@ -345,29 +358,74 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     return run, iter(lambda: pick_indices(k, sb.n, rng), None), 1
 
 
-def _rounds(run, items, batch, limit):
-    """run(item) for each item, in round order: here for the first
-    _INLINE_SECONDS, in whole batches, so the workers' batches start where
-    the inline ones end; then here as well on a host with one CPU, and on
-    one forked worker per CPU otherwise (_forked_rounds).  limit, when not
-    None, is the most rounds the caller takes, and no round past it is
-    run.  The rounds, and so the relation stream, the counters and the
-    answer, are the same on any host.  Closing the generator kills and
-    joins the workers.
+def _rounds(run, items, batch, limit, stats):
+    """run(item) for each item, in round order.  limit, when not None, is
+    the most rounds the caller takes, and no round past it is run.
+
+    The items go out in batches of `batch` consecutive items, and one
+    process computes a whole batch with the same run.  For the first
+    _INLINE_SECONDS every batch is computed here.  Then one worker per
+    other CPU is forked (_fork_workers; none on one CPU).  Each worker is
+    kept _QUEUE_DEPTH batches ahead, and its replies are taken as they
+    arrive, so that it gets its next batch at once.  While the oldest batch
+    waits for a worker's reply, this process draws the next batch and
+    computes it itself; it blocks on a worker only when no batch is left
+    to draw, and adds that time to the "wait" phase of stats.  The rounds
+    come out in round order whichever process computed them, so the
+    relation stream, the counters and the answer are the same on any host.
+
+    Closing the generator kills and joins the workers; the batches that
+    they or this process computed past the consumer's stop are dropped.  A
+    worker's exception is raised here with its type, chained to the
+    worker's traceback, and a worker that exits raises RuntimeError, both
+    as soon as the reply is polled.
     """
     if limit is not None:
         items = itertools.islice(items, limit)
+    batches = iter(lambda: list(itertools.islice(items, batch)), [])
+    # the Rounds of each batch drawn and not yet yielded, in round order; a
+    # worker's list stays empty until its reply is in (a batch is never empty)
+    queue = collections.deque()
+    procs, conns = [], []
+    owed = None  # owed[j]: the lists that worker j has yet to fill, once forked
     start = time.perf_counter()
-    while time.perf_counter() - start < _INLINE_SECONDS:
-        chunk = list(itertools.islice(items, batch))
-        if not chunk:
-            return
-        yield from map(run, chunk)
-    workers = _worker_count()
-    if workers < 2:
-        yield from map(run, items)
-    else:
-        yield from _forked_rounds(workers, run, items, batch)
+    try:
+        while True:
+            if owed is None and time.perf_counter() - start >= _INLINE_SECONDS:
+                _fork_workers(_worker_count() - 1, run, procs, conns)
+                owed = [collections.deque() for _ in conns]
+            for j, conn in enumerate(conns):
+                while owed[j] and conn.poll():
+                    owed[j].popleft().extend(_receive(procs[j], conn))
+                while len(owed[j]) < _QUEUE_DEPTH and (chunk := next(batches, None)):
+                    # a worker that has stopped shows when it is polled
+                    with contextlib.suppress(OSError):
+                        conn.send(chunk)
+                    owed[j].append([])
+                    queue.append(owed[j][-1])
+            if queue and queue[0]:
+                yield from queue.popleft()
+            elif (chunk := next(batches, None)) is not None:
+                if queue:
+                    queue.append(list(map(run, chunk)))
+                else:
+                    yield from map(run, chunk)  # nothing waits ahead of it
+            elif queue:
+                # nothing left to draw: wait for a worker's reply
+                from multiprocessing.connection import wait
+
+                t0 = time.perf_counter()
+                wait([conn for conn, lists in zip(conns, owed) if lists])
+                stats.add_time("wait", time.perf_counter() - t0)
+            else:
+                return
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _worker_count() -> int:
@@ -387,65 +445,42 @@ def _worker_count() -> int:
     return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _forked_rounds(workers, run, items, batch):
-    """run(item) for each item, in order, computed by `workers` forked
-    processes.
+def _fork_workers(count, run, procs, conns):
+    """Fork `count` workers that serve run (_serve_rounds), appending each
+    to procs and the parent's end of its Pipe to conns.
 
     The workers inherit run, and with it the composite and everything
-    prepared for it, by fork; over each worker's Pipe only batches of
-    `batch` consecutive items go out and only the lists of their Rounds
-    come back.  Batch i goes to worker i mod workers, at most _QUEUE_DEPTH
-    batches ahead per worker, so the consumer drops at most that many
-    computed batches when it stops.  Closing the generator kills and joins
-    every worker, and a worker whose parent dies without closing it reads
-    EOF (each worker closes the parent's pipe ends that it inherited).  A
-    worker's exception is raised here with its type, chained to the
-    worker's traceback.  No pool: a pool's helper threads make fork()
-    unsafe.
+    prepared for it, by fork; over a worker's pipe only batches of items go
+    out and only the lists of their Rounds come back.  Each worker closes
+    the parent's pipe ends that it inherited, so a worker whose parent dies
+    without closing them reads EOF.  No pool: a pool's helper threads make
+    fork() unsafe.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    batches = iter(lambda: list(itertools.islice(items, batch)), [])
-    procs, conns = [], []
+    for _ in range(count):
+        conn, child = context.Pipe()
+        proc = context.Process(
+            target=_serve_rounds, args=(child, run, [*conns, conn]), daemon=True
+        )
+        proc.start()
+        child.close()
+        procs.append(proc)
+        conns.append(conn)
+
+
+def _receive(proc, conn):
+    """The Rounds of the oldest batch that the worker proc owes; its
+    exception, or RuntimeError if it has exited."""
     try:
-        for _ in range(workers):
-            conn, child = context.Pipe()
-            proc = context.Process(
-                target=_serve_rounds, args=(child, run, [*conns, conn]), daemon=True
-            )
-            proc.start()
-            child.close()
-            procs.append(proc)
-            conns.append(conn)
-        sent = received = 0
-        while True:
-            for chunk in itertools.islice(batches, received + _QUEUE_DEPTH * workers - sent):
-                # a worker that has stopped shows when its reply is due
-                with contextlib.suppress(OSError):
-                    conns[sent % workers].send(chunk)
-                sent += 1
-            if received == sent:
-                return
-            j = received % workers
-            try:
-                reply = conns[j].recv()
-            except (EOFError, OSError):
-                procs[j].join()
-                raise RuntimeError(
-                    f"collection worker exited with code {procs[j].exitcode}"
-                ) from None
-            received += 1
-            if isinstance(reply, _WorkerError):
-                raise reply.exc from RuntimeError(f"in the collection worker:\n{reply.trace}")
-            yield from reply
-    finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        reply = conn.recv()
+    except (EOFError, OSError):
+        proc.join()
+        raise RuntimeError(f"collection worker exited with code {proc.exitcode}") from None
+    if isinstance(reply, _WorkerError):
+        raise reply.exc from RuntimeError(f"in the collection worker:\n{reply.trace}")
+    return reply
 
 
 class _WorkerError(NamedTuple):
@@ -495,9 +530,9 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
     store = None  # the first cycle builds it, later cycles continue it
     before = stats.counters()  # stats also counts earlier composites
 
-    def shortfall(trivial=None):
+    def shortfall(**reason):
         return RelationShortfall(
-            n, _since(before, stats), store.target, trivial=trivial, multiplier=fb.multiplier
+            n, _since(before, stats), store.target, multiplier=fb.multiplier, **reason
         )
 
     tried = 0  # dependencies of earlier cycles, a prefix of this cycle's
@@ -509,7 +544,8 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
         except FoundFactor as exc:
             return exc.divisor
         if not store.have_enough():
-            raise shortfall()
+            # collect_relations returns short of the target only at the cap
+            raise shortfall(capped=True)
 
         t0 = time.perf_counter()
         try:

@@ -155,7 +155,7 @@ def test_factor_starvation_exit_code(capsys):
 def test_factor_starvation_names_the_starved_layer(capsys):
     n = 121049062572493753
     message = (
-        f"starved factoring {n} after 1 rounds: "
+        f"starved factoring {n} after 1 rounds (the round cap): "
         "23 fulls + 0 combined relations of 70 (22 partials)"
     )
     assert main(["factor", str(n), "--max-rounds", "1"]) == 1
@@ -188,6 +188,7 @@ def test_json_config_echo_reproduces_run(capsys):
         assert main(["factor", str(n), "--json", "--seed", "5"]) == 0
         outs.append(json.loads(capsys.readouterr().out))
     for payload in outs:
+        assert "wait" in payload["stats"]["phase_seconds"]
         payload["stats"].pop("phase_seconds")
     assert outs[0] == outs[1]
     # the echoed config rebuilds the identical run through the library

@@ -171,8 +171,8 @@ _FORK = pytest.mark.skipif(
 def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     # collect_relations is the only caller of ingest, once per find and in
     # round order, whichever process computed the round; with no inline
-    # start, two CPUs send every round to the workers and one keeps them
-    # all inline
+    # start, two CPUs share the rounds between one worker and this process,
+    # and one keeps them all here
     config = RunConfig(algo=algo, seed=7, max_rounds=10)
     fb, sb, pre, ctx = prepare(N40, config)
     bound = RelationStore(N40, fb).partial_bound
@@ -190,21 +190,21 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forked, ingested = [], []
-    real_forked, real_ingest = engine._forked_rounds, RelationStore.ingest
+    real_fork, real_ingest = engine._fork_workers, RelationStore.ingest
 
-    def forked_rounds(workers, *args):
-        forked.append(workers)
-        return real_forked(workers, *args)
+    def fork_workers(count, *args):
+        forked.append(count)
+        return real_fork(count, *args)
 
     def ingest(self, x_bar, g):
         ingested.append((x_bar, g))
         return real_ingest(self, x_bar, g)
 
-    monkeypatch.setattr(engine, "_forked_rounds", forked_rounds)
+    monkeypatch.setattr(engine, "_fork_workers", fork_workers)
     monkeypatch.setattr(RelationStore, "ingest", ingest)
     _, stats = collect_relations(N40, config, fb, sb, pre, ctx)
     assert stats.rounds == 10
-    assert forked == ([2] if cpus == 2 else [])
+    assert forked == [cpus - 1]
     assert ingested == [find for found in rounds for find in found.finds]
     assert ingested
     assert multiprocessing.active_children() == []
@@ -218,7 +218,9 @@ def test_starvation_yields_residue_with_diagnostics(monkeypatch):
     assert result.factors == []
     assert result.check()
     assert result.stats.rounds == 0
-    assert result.shortfalls == [f"starved factoring {n} after 0 rounds: no candidates"]
+    assert result.shortfalls == [
+        f"starved factoring {n} after 0 rounds (the round cap): no round ran"
+    ]
 
     # the message names the starved layer from this composite's counters
     # only, not from what earlier composites left in the shared stats
@@ -230,17 +232,32 @@ def test_starvation_yields_residue_with_diagnostics(monkeypatch):
 
     for algo in ("sss", "qs"):
         assert starve(RunConfig(algo=algo, seed=1, max_rounds=0)) == (
-            f"starved factoring {n} after 0 rounds: no candidates"
+            f"starved factoring {n} after 0 rounds (the round cap): no round ran"
         )
     assert starve(RunConfig(algo="sss", seed=1, max_rounds=1)) == (
-        f"starved factoring {n} after 1 rounds: "
+        f"starved factoring {n} after 1 rounds (the round cap): "
         "23 fulls + 1 combined relations of 70 (9 partials)"
     )
     monkeypatch.setattr(search, "classify", lambda g, bound: Smoothness.REJECT)
     assert re.fullmatch(
-        f"starved factoring {n} after 1 rounds: no smooth candidates among [1-9][0-9]*",
+        rf"starved factoring {n} after 1 rounds \(the round cap\): "
+        "no smooth candidates among [1-9][0-9]*",
         starve(RunConfig(algo="sss", seed=1, max_rounds=1)),
     )
+
+
+@pytest.mark.parametrize("rounds, layer", [
+    (0, "no round ran"),
+    (3, "13 fulls + 0 combined relations of 524 (115 partials)"),
+], ids=["no-rounds", "three-rounds"])
+def test_shortfall_names_the_round_cap(rounds, layer):
+    # the cap, not the search, ended collection; a run of no rounds made no
+    # candidates because none ran, not because the search found none
+    result = factor(N40, RunConfig(max_rounds=rounds))
+    assert result.residue == N40
+    assert result.shortfalls == [
+        f"starved factoring {N40} after {rounds} rounds (the round cap): {layer}"
+    ]
 
 
 @pytest.mark.parametrize("n", [658031367992468443, 6447136083544393581919])
@@ -286,13 +303,15 @@ def test_stats_have_phase_times():
     result = factor(n, RunConfig(seed=1))
     wall = time.perf_counter() - t0
     phases = dict(result.stats.phase_seconds)
-    for phase in ("precompute", "collect", "linalg", "search"):
+    for phase in ("precompute", "collect", "linalg", "search", "wait"):
         assert phase in phases
         assert phases[phase] >= 0.0
     # search is the rounds' time inside collect, summed over the processes
-    # that ran them; the others are each timed once and cannot add up to
-    # more than the run
+    # that ran them, and wait the part of collect spent blocked on a
+    # worker; the others are each timed once and cannot add up to more
+    # than the run
     search = phases.pop("search")
+    assert phases.pop("wait") <= phases["collect"]
     assert sum(phases.values()) <= wall
     assert search > 0.0
 
@@ -361,7 +380,7 @@ def test_all_trivial_dependencies_name_the_linear_algebra(monkeypatch):
         "solve cycles"
     ]
     assert str(RelationShortfall(n, RunStats())) == (
-        f"starved factoring {n} after 0 rounds: no candidates"
+        f"starved factoring {n} after 0 rounds: no round ran"
     )
 
 

@@ -159,5 +159,5 @@ def test_shortfall_names_the_multiplier():
     result = factor(K23, RunConfig(algo="sss", seed=3, max_rounds=1))
     assert not result.success
     assert result.shortfalls[0].startswith(
-        f"starved factoring {K23} after 1 rounds of kN with k = 23: "
+        f"starved factoring {K23} after 1 rounds (the round cap) of kN with k = 23: "
     )

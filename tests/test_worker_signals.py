@@ -2,8 +2,10 @@
 
 A parent killed by SIGTERM runs no finally block, so nothing kills its
 workers: they must see their pipe close.  The parent here is a subprocess
-that runs a long sssf collection on two forced CPUs and prints the PID of
-each worker as it starts serving.
+that runs a long sssf collection on three forced CPUs, so with two workers,
+and prints the PID of each worker as it starts serving.  Two workers show
+what one cannot: a later worker must not keep an earlier worker's pipe
+open.
 """
 
 import multiprocessing
@@ -29,7 +31,7 @@ PARENT = textwrap.dedent(
     from sssfactor.engine import RunConfig, collect_relations, prepare
 
     engine._INLINE_SECONDS = 0.0
-    os.sched_getaffinity = lambda pid: {0, 1}
+    os.sched_getaffinity = lambda pid: {0, 1, 2}  # the parent and two workers
     serve = engine._serve_rounds
 
     def announced(*args):

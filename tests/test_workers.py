@@ -1,10 +1,11 @@
-"""Collection rounds on forked workers.
+"""Collection rounds on forked workers and in the collecting process.
 
-Setting engine._INLINE_SECONDS to 0 sends every round (a search round, or a
-qs interval) to the workers from round 0, and a patched os.sched_getaffinity
-fixes the worker count, so these tests run the worker path on any host with
-fork().  The
-stream must be the one the inline rounds give, and no worker may outlive
+Setting engine._INLINE_SECONDS to 0 forks the workers before round 0 (a
+search round, or a qs interval), and a patched os.sched_getaffinity fixes
+the CPU count, so these tests run the worker path on any host with fork().
+On W CPUs, W - 1 workers compute rounds, and this process computes the
+batches that it draws while the oldest one waits for a worker.  The stream
+must be the one the inline rounds give, and no worker may outlive
 collect_relations, however it ends.
 """
 
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -22,7 +24,7 @@ from test_stream_lock import CASES
 
 from sssfactor import engine, qs, search
 from sssfactor.cli import main
-from sssfactor.engine import RunConfig, collect_relations, prepare
+from sssfactor.engine import RunConfig, RunStats, collect_relations, prepare
 from sssfactor.numtheory import FoundFactor
 from sssfactor.relations import RelationStore
 
@@ -31,18 +33,19 @@ pytestmark = pytest.mark.skipif(
 )
 
 N40 = 2025187160651667522159602188240446426637
+_PARENT = os.getpid()  # a forked worker sees its own pid
 
 
 class Spy:
-    """Counts the rounds run in this process and the worker counts of
-    forked collections.  Workers inherit the counting wrappers by fork, but
-    their counts stay in the worker."""
+    """Counts the rounds run in this process and the worker counts of the
+    collections that forked.  Workers inherit the counting wrappers by
+    fork, but their counts stay in the worker."""
 
     def __init__(self, monkeypatch):
         self.inline = 0
         self.forked = []
         real_round, real_sieve = engine.search_round, qs.run_sieve
-        real_forked = engine._forked_rounds
+        real_fork = engine._fork_workers
 
         def search_round(*args, **kwargs):
             self.inline += 1
@@ -52,13 +55,14 @@ class Spy:
             self.inline += 1
             return real_sieve(*args, **kwargs)
 
-        def forked_rounds(workers, *args):
-            self.forked.append(workers)
-            return real_forked(workers, *args)
+        def fork_workers(count, *args):
+            if count:
+                self.forked.append(count)
+            return real_fork(count, *args)
 
         monkeypatch.setattr(engine, "search_round", search_round)
         monkeypatch.setattr(qs, "run_sieve", run_sieve)
-        monkeypatch.setattr(engine, "_forked_rounds", forked_rounds)
+        monkeypatch.setattr(engine, "_fork_workers", fork_workers)
 
 
 def cpus(monkeypatch, count):
@@ -67,7 +71,7 @@ def cpus(monkeypatch, count):
 
 @pytest.fixture
 def forced(monkeypatch):
-    """Workers from round 0, two of them."""
+    """Workers from round 0 on two CPUs: one worker and this process."""
     monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
     cpus(monkeypatch, 2)
     return Spy(monkeypatch)
@@ -78,7 +82,8 @@ def test_workers_keep_the_pinned_stream(forced, algo, n, rounds, digest, counter
     config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
     fb, sb, pre, ctx = prepare(n, config)
     store, stats = collect_relations(n, config, fb, sb, pre, ctx)
-    assert forced.inline == 0 and forced.forked == [2]
+    # the first batch goes to the worker, and no round past the cap is run
+    assert forced.inline < rounds and forced.forked == [1]
     assert stats.counters() == counters
     dump = store.fulls_csv() + store.partials_csv()
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
@@ -86,8 +91,39 @@ def test_workers_keep_the_pinned_stream(forced, algo, n, rounds, digest, counter
     assert multiprocessing.active_children() == []
 
 
+def _slow_in_worker(real):
+    """real, after a 20 ms sleep when a worker runs it."""
+
+    def run(*args):
+        if os.getpid() != _PARENT:
+            time.sleep(0.02)
+        return real(*args)
+
+    return run
+
+
+@pytest.mark.parametrize("algo, n, rounds, digest, counters", CASES)
+def test_slow_workers_keep_the_pinned_stream(
+    forced, monkeypatch, algo, n, rounds, digest, counters
+):
+    # this process computes most search rounds, and the worker's come in
+    # between them, late; a qs case of one or two batches all goes to it
+    monkeypatch.setattr(engine, "search_round", _slow_in_worker(engine.search_round))
+    monkeypatch.setattr(qs, "run_sieve", _slow_in_worker(qs.run_sieve))
+    config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
+    store, stats = collect_relations(n, config, *prepare(n, config))
+    assert forced.forked == [1]
+    if algo != "qs":
+        assert forced.inline > stats.rounds / 2
+    assert stats.counters() == counters
+    dump = store.fulls_csv() + store.partials_csv()
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+    assert multiprocessing.active_children() == []
+
+
 def test_worker_count_does_not_change_the_stream(monkeypatch):
-    # three workers take the rounds in another interleaving; a factor() run
+    # two workers and this process take the rounds in another
+    # interleaving; a factor() run
     # that stops on the relation target gives the same answer and counters
     n = 588090330819903606914786460449
     config = RunConfig(algo="sss", seed=7)
@@ -96,16 +132,16 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     cpus(monkeypatch, 3)
     spy = Spy(monkeypatch)
     forked = engine.factor(n, config)
-    assert spy.inline == 0 and spy.forked and set(spy.forked) == {3}
+    assert spy.forked and set(spy.forked) == {2}
     assert forked.factors == inline.factors
     assert forked.stats.counters() == inline.stats.counters()
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_qs_batches_keep_the_inline_stream(monkeypatch, workers):
-    # 40 intervals are 2.5 batches of 16: the workers sieve whole blocks,
-    # the last batch half of one, and the parent takes them in turn
+@pytest.mark.parametrize("count", [2, 3])
+def test_qs_batches_keep_the_inline_stream(monkeypatch, count):
+    # 40 intervals are 2.5 batches of 16: each is sieved whole, the last
+    # one half a block, by a worker or by this process, and taken in order
     config = RunConfig(algo="qs", seed=7, max_rounds=40)
     fb, sb, pre, ctx = prepare(N40, config)
 
@@ -116,10 +152,10 @@ def test_qs_batches_keep_the_inline_stream(monkeypatch, workers):
     cpus(monkeypatch, 1)
     inline = collect()
     monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
-    cpus(monkeypatch, workers)
+    cpus(monkeypatch, count)
     spy = Spy(monkeypatch)
     assert collect() == inline
-    assert spy.inline == 0 and spy.forked == [workers]
+    assert spy.inline in (0, 8) and spy.forked == [count - 1]
     assert inline[1]["rounds"] == 40 and inline[1]["fulls"] > 0
     assert multiprocessing.active_children() == []
 
@@ -128,16 +164,23 @@ def _item_and_pid(item):
     return item, os.getpid()
 
 
-def test_forked_rounds_send_whole_batches_in_order():
-    # 23 items in batches of 4: each batch runs in one worker, the batches
-    # alternate between the two workers, and the items come back in order
-    out = list(engine._forked_rounds(2, _item_and_pid, iter(range(23)), 4))
+def test_forked_rounds_send_whole_batches_in_order(monkeypatch):
+    # 23 items in batches of 4 on three CPUs: each batch runs whole in one
+    # process, the first two in one worker and the next two in the other,
+    # the last two in a worker or here, and the items come back in order
+    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    cpus(monkeypatch, 3)
+    spy = Spy(monkeypatch)
+    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats()))
     assert [item for item, _ in out] == list(range(23))
     pids = [{pid for _, pid in out[i : i + 4]} for i in range(0, 23, 4)]
     assert all(len(batch) == 1 for batch in pids)
-    first, second = pids[0].pop(), pids[1].pop()
+    pids = [batch.pop() for batch in pids]
+    first, second = pids[0], pids[2]
     assert len({first, second, os.getpid()}) == 3
-    assert [batch.pop() for batch in pids[2:]] == [first, second] * 2
+    assert pids[:4] == [first, first, second, second]
+    assert set(pids[4:]) <= {first, second, os.getpid()}
+    assert spy.forked == [2]
     assert multiprocessing.active_children() == []
 
 
@@ -160,7 +203,7 @@ def test_resume_after_a_target_stop(monkeypatch):
     cpus(monkeypatch, 2)
     spy = Spy(monkeypatch)
     assert twice() == inline
-    assert spy.inline == 0 and spy.forked == [2, 2]
+    assert spy.forked == [1, 1]
 
 
 def test_found_factor_in_ingest_stops_the_workers(forced, monkeypatch):
@@ -177,7 +220,7 @@ def test_found_factor_in_ingest_stops_the_workers(forced, monkeypatch):
     config = RunConfig(algo="sss", seed=7, max_rounds=30)
     with pytest.raises(FoundFactor):
         collect_relations(N40, config, *prepare(N40, config))
-    assert forced.forked == [2]
+    assert forced.forked == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -201,36 +244,54 @@ def _exit_at_once(*args):
     os._exit(3)
 
 
+def _fails_in_worker(fail, real):
+    """fail in a worker; here real, after a 50 ms sleep, so that the
+    worker fails while this process computes a batch."""
+
+    def run(*args):
+        if os.getpid() != _PARENT:
+            return fail(*args)
+        time.sleep(0.05)
+        return real(*args)
+
+    return run
+
+
 @pytest.mark.parametrize(
     "count, finds, error, match",
     [
+        (2, _fails_in_worker(_raise_boom, search.search_round),
+         ZeroDivisionError, "boom in the worker"),
+        (2, _fails_in_worker(_raise_on_second, search.search_round),
+         ZeroDivisionError, "boom in a later round"),
+        (2, _fails_in_worker(_exit_at_once, search.search_round),
+         RuntimeError, "collection worker exited with code 3"),
         (2, _raise_boom, ZeroDivisionError, "boom in the worker"),
-        (2, _raise_on_second, ZeroDivisionError, "boom in a later round"),
-        (2, _exit_at_once, RuntimeError, "collection worker exited with code 3"),
         (1, _raise_boom, ZeroDivisionError, "boom in the worker"),
         (1, _raise_on_second, ZeroDivisionError, "boom in a later round"),
     ],
-    ids=["raises", "raises-later", "dies", "raises-one-cpu", "raises-later-one-cpu"],
+    ids=["raises", "raises-later", "dies", "raises-everywhere", "raises-one-cpu",
+         "raises-later-one-cpu"],
 )
 def test_worker_failure_reaches_the_caller(forced, monkeypatch, count, finds, error, match):
-    # the workers inherit the patched module by fork, and one CPU runs the
-    # same patched search_round here
+    # the worker inherits the patched module by fork, and this process runs
+    # the same patched search_round
     monkeypatch.setattr(engine, "search_round", finds)
     monkeypatch.setattr(sys.modules[__name__], "_calls", [])
     cpus(monkeypatch, count)
     config = RunConfig(algo="sss", seed=7, max_rounds=5)
     with pytest.raises(error, match=match):
         collect_relations(N40, config, *prepare(N40, config))
-    assert forced.forked == ([2] if count == 2 else [])
+    assert forced.forked == ([1] if count == 2 else [])
     assert multiprocessing.active_children() == []
 
 
 def test_qs_worker_failure_reaches_the_caller(forced, monkeypatch):
-    monkeypatch.setattr(qs, "run_sieve", _raise_boom)
+    monkeypatch.setattr(qs, "run_sieve", _fails_in_worker(_raise_boom, qs.run_sieve))
     config = RunConfig(algo="qs", seed=7, max_rounds=40)
     with pytest.raises(ZeroDivisionError, match="boom in the worker"):
         collect_relations(N40, config, *prepare(N40, config))
-    assert forced.forked == [2]
+    assert forced.forked == [1]
     assert multiprocessing.active_children() == []
 
 
@@ -286,11 +347,11 @@ def test_daemonic_process_runs_inline(forced):
 
 def relations_rows(monkeypatch, capsys, rounds, *flags):
     """Full relations that the CLI dumps for N40 on two CPUs, checking that
-    the rounds after the first few went to the workers."""
+    a worker computed some of the rounds after the first few."""
     cpus(monkeypatch, 2)
     spy = Spy(monkeypatch)
     assert main(["relations", str(N40), "--max-rounds", str(rounds), *flags]) == 0
-    assert spy.forked == [2] and 0 < spy.inline < rounds
+    assert spy.forked == [1] and 0 < spy.inline < rounds
     assert multiprocessing.active_children() == []
     return len(capsys.readouterr().out.splitlines()) - 1
 
