@@ -20,18 +20,21 @@ A round is independent of the others once its item is fixed: a search
 round's drawn indices, or a qs interval number.  Every round is computed
 by one function of its item, run(item): search.search_round for sss and
 sssf, qs.run_sieve for qs, in batches: one round for sss and sssf, one
-sieve block per side (2 * qs.BLOCK_INTERVALS intervals) for qs.  After a
-short start in the calling process, one forked worker per other CPU
-computes batches too, and the calling process computes the batches that it
-draws while the oldest one waits for a worker's reply.  This process draws
-every round's search indices in round order from the one rng, and the
-rounds come out in round order, so the relation stream does not depend on
-the number of CPUs or on which process computed a round.
+sieve block per side (2 * qs.BLOCK_INTERVALS intervals) for qs.  When
+collect_relations predicts, from the first batch, that the rest of the
+collection takes well over what a fork costs (_fork_pays), one forked
+worker per other CPU computes batches too, and the calling process
+computes the batches that it draws while the oldest one waits for a
+worker's reply; a shorter collection stays in the calling process.  This
+process draws every round's search indices in round order from the one
+rng, and the rounds come out in round order, so the relation stream does
+not depend on the number of CPUs or on which process computed a round.
 """
 
 import collections
 import contextlib
 import itertools
+import math
 import os
 import random
 import threading
@@ -109,8 +112,9 @@ class RunStats:
     combined: int = 0          # fulls obtained by combining partials
     # wall seconds per phase: precompute, collect and linalg; search is the
     # rounds' own time within collect, summed over the processes that ran
-    # them, so with workers it can exceed collect; wait is the part of
-    # collect that this process spent blocked on a worker's reply
+    # them, so with workers it can exceed collect; inline is the part of
+    # collect before workers were forked (all of it when none were), and
+    # wait the part that this process spent blocked on a worker's reply
     phase_seconds: dict = field(default_factory=dict)
 
     def add_time(self, phase: str, seconds: float) -> None:
@@ -251,12 +255,17 @@ def collect_relations(
     call, so where the relation stream ends never depends on the host's
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
-    the seed.  Once the call has run for _INLINE_SECONDS, worker processes
-    compute rounds beside this one (see _rounds); the stream stays the
-    same.  The time spent is added to the "collect" phase of stats, the
-    rounds' own times, summed over the processes that ran them, to its
-    "search" phase, and the time spent blocked on a worker to its "wait"
-    phase.  May raise FoundFactor when a divisor appears along the way.
+    the seed.  After the first batch (see _rounds), the call predicts the
+    round time left from the relations still needed against store.target,
+    the store's relations per round, the first batch's seconds and the
+    rounds left under the cap; only when that is above _FORK_SECONDS do
+    worker processes compute rounds beside this one (_fork_pays).  The
+    stream stays the same either way.  The time spent is added to the
+    "collect" phase of stats, the part of it before the fork (all of it
+    without one) to its "inline" phase, the rounds' own times, summed over
+    the processes that ran them, to its "search" phase, and the time spent
+    blocked on a worker to its "wait" phase.  May raise FoundFactor when a
+    divisor appears along the way.
 
     Raises RelationShortfall, with the counters of this call, once the
     store has run store.target rounds and none of them emitted a full or a
@@ -279,12 +288,24 @@ def collect_relations(
     # whether a round of this store has emitted a full or partial relation
     emitted = bool(store.fulls or store.partials)
     stats.add_time("wait", 0.0)  # present when no worker was waited for
+    search0 = stats.phase_seconds.get("search", 0.0)
+    forked_at = None
+
+    def fork_pays():
+        nonlocal forked_at
+        left = None if round_cap is None else round_cap - store.rounds
+        seconds = stats.phase_seconds.get("search", 0.0) - search0
+        if _fork_pays(store, left, stats.rounds - before["rounds"], seconds):
+            forked_at = time.perf_counter()
+            return True
+        return False
+
     t0 = time.perf_counter()
     try:
         run, items, batch = _round_plan(
             algo, n, config.seed, fb, sb, pre, ctx, store.partial_bound, store.rounds
         )
-        rounds = _rounds(run, items, batch, config.max_rounds, stats)
+        rounds = _rounds(run, items, batch, config.max_rounds, stats, fork_pays)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
                 if not emitted and store.rounds >= store.target:
@@ -305,7 +326,9 @@ def collect_relations(
     finally:
         stats.fulls += store.native_count - native0
         stats.combined += store.combined_count - combined0
-        stats.add_time("collect", time.perf_counter() - t0)
+        end = time.perf_counter()
+        stats.add_time("collect", end - t0)
+        stats.add_time("inline", (end if forked_at is None else forked_at) - t0)
     return store, stats
 
 
@@ -314,11 +337,13 @@ def _since(before: dict, stats: RunStats) -> RunStats:
     return RunStats(**{key: value - before[key] for key, value in stats.counters().items()})
 
 
-# collection time after which workers compute rounds too: a fork delays the
-# collection by some 10-20 ms (starting the worker, then both processes
-# copying the pages they write), so short collections stay in the calling
-# process; below 0.02 s, 20- and 25-digit factor() runs got slower
-_INLINE_SECONDS = 0.02
+# predicted round seconds left above which workers compute rounds too: a
+# fork costs a collection some 10-25 ms (starting the worker, both processes
+# copying the pages they write, the first reply awaited in round order),
+# which two CPUs win back only on some 40 ms of rounds or more, and the
+# prediction of _fork_pays overshoots about 2-3x: the first round runs
+# slower than the mean, and the combined partials grow faster than linearly
+_FORK_SECONDS = 0.1
 # batches that a worker owes, at most: the most each one computes past a stop
 _QUEUE_DEPTH = 2
 
@@ -358,16 +383,39 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     return run, iter(lambda: pick_indices(k, sb.n, rng), None), 1
 
 
-def _rounds(run, items, batch, limit, stats):
+def _fork_pays(store, left, rounds, seconds):
+    """Whether the rest of a collection into store is predicted to take
+    more than _FORK_SECONDS of round time in one process.
+
+    rounds is the number of rounds that the collection has run so far and
+    seconds their own time; before the first one nothing is timed, and the
+    answer is no.  The prediction is linear: the relations still needed
+    against store.target at the store's relations per round (earlier
+    collections into it included), at most the `left` rounds left under
+    the round cap (None: no cap), each taking the mean time of the rounds
+    so far.  A store that has no relation yet predicts no end but the cap.
+    """
+    if not rounds:
+        return False
+    made = len(store.fulls)
+    predicted = (store.target - made) * store.rounds / made if made else math.inf
+    if left is not None:
+        predicted = min(predicted, left)
+    return predicted * seconds / rounds > _FORK_SECONDS
+
+
+def _rounds(run, items, batch, limit, stats, fork_pays):
     """run(item) for each item, in round order.  limit, when not None, is
     the most rounds the caller takes, and no round past it is run.
 
     The items go out in batches of `batch` consecutive items, and one
-    process computes a whole batch with the same run.  For the first
-    _INLINE_SECONDS every batch is computed here.  Then one worker per
-    other CPU is forked (_fork_workers; none on one CPU).  Each worker is
-    kept _QUEUE_DEPTH batches ahead, and its replies are taken as they
-    arrive, so that it gets its next batch at once.  While the oldest batch
+    process computes a whole batch with the same run.  Before the first
+    batch and again after it, fork_pays() says whether the rest is worth a
+    fork.  On its first yes, one worker per other CPU is forked
+    (_fork_workers); after two noes, or on one CPU, where it is not asked,
+    every batch is computed here.  Each worker is kept _QUEUE_DEPTH
+    batches ahead, and its replies are taken as they arrive, so that it
+    gets its next batch at once.  While the oldest batch
     waits for a worker's reply, this process draws the next batch and
     computes it itself; it blocks on a worker only when no batch is left
     to draw, and adds that time to the "wait" phase of stats.  The rounds
@@ -387,13 +435,17 @@ def _rounds(run, items, batch, limit, stats):
     # worker's list stays empty until its reply is in (a batch is never empty)
     queue = collections.deque()
     procs, conns = [], []
-    owed = None  # owed[j]: the lists that worker j has yet to fill, once forked
-    start = time.perf_counter()
+    owed = []  # owed[j]: the lists that worker j has yet to fill
+    workers = _worker_count() - 1
+    asks = 2 if workers else 0  # before the first batch and after it
     try:
         while True:
-            if owed is None and time.perf_counter() - start >= _INLINE_SECONDS:
-                _fork_workers(_worker_count() - 1, run, procs, conns)
-                owed = [collections.deque() for _ in conns]
+            if asks:
+                asks -= 1
+                if fork_pays():
+                    asks = 0
+                    _fork_workers(workers, run, procs, conns)
+                    owed = [collections.deque() for _ in conns]
             for j, conn in enumerate(conns):
                 while owed[j] and conn.poll():
                     owed[j].popleft().extend(_receive(procs[j], conn))

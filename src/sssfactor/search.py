@@ -23,8 +23,9 @@ The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
 variant it reduces x through its 30-bit limbs, maps both roots and runs one
 collision scan for all of the variant's rescalings q: it forms the 4L
-offsets of every q in one array and counts each q's offsets with
-np.bincount.  Every product of two residues stays below 2**63 because the
+offsets of every q in one array and counts each q's offsets into one
+uint8 count array, both reused by every scan of the round (ScanBuffers).
+Every product of two residues stays below 2**63 because the
 factor base keeps all primes below 2**31 (see factorbase.MAX_PRIME).  Hits
 come out q by q, and for each q in the order in which their offsets first
 appear, prime by prime, so the relation stream is the same as that of the
@@ -79,8 +80,10 @@ __all__ = [
     "pick_indices",
     "RoundTable",
     "Transforms",
+    "ScanBuffers",
     "round_table",
     "root_transforms",
+    "scan_buffers",
     "collision_scan",
     "hit_values",
     "search_round",
@@ -153,8 +156,31 @@ def root_transforms(x: int, table: RoundTable) -> Transforms:
     return Transforms(primes, diff * table.inverses % primes)
 
 
+class ScanBuffers(NamedTuple):
+    """Work arrays that the collision scans of one round reuse, so that
+    a scan allocates no array of the size of the factor base."""
+
+    offsets: np.ndarray  # (Q, L, 4) int64: the offsets of up to Q rescalings
+    counts: np.ndarray   # (2 * p_max,) uint8: zero between scans
+    ones: np.ndarray     # (4L,) uint8: np.add.at with a scalar 1 is ~10x slower
+
+
+def scan_buffers(rescalings: int, primes: np.ndarray) -> ScanBuffers:
+    """Buffers for scans of up to `rescalings` rescalings over primes."""
+    p_max = int(primes.max(initial=0))
+    return ScanBuffers(
+        np.empty((rescalings, len(primes), 4), dtype=np.int64),
+        np.zeros(2 * p_max, dtype=np.uint8),
+        np.ones(4 * len(primes), dtype=np.uint8),
+    )
+
+
 def collision_scan(
-    transforms: Transforms, qs, modulus: int, threshold: int = COLLISION_THRESHOLD
+    transforms: Transforms,
+    qs,
+    modulus: int,
+    threshold: int = COLLISION_THRESHOLD,
+    buffers: ScanBuffers | None = None,
 ) -> list[tuple[int, int]]:
     """Collision offsets of one variant for every rescaling q in qs, as
     (index into qs, alpha) pairs: q by q, and for each q in order of first
@@ -167,22 +193,35 @@ def collision_scan(
     alpha - p for both roots, pairwise distinct), so the count of an offset
     equals the number of distinct large primes dividing f(x + alpha * m').
     Offsets are laid out prime by prime as (a1, a1 - p, a2, a2 - p), and
-    each q is counted with its own np.bincount over the 2 * p_max offsets
-    it can reach; hits are listed by their first position in that sequence,
-    which fixes the candidate and relation order.
+    each q is counted in turn into one count array over the 2 * p_max
+    offsets it can reach, whose touched cells are then reset; hits are
+    listed by their first position in that sequence, which fixes the
+    candidate and relation order.  buffers, from scan_buffers over the same
+    primes, holds both arrays, so that the scans of a round reuse them;
+    without it the scan makes its own.
     """
     for q in qs:
         if modulus % q:
             raise ValueError(f"{q} does not divide the modulus")
     primes, r = transforms
-    p_max = int(primes.max(initial=0))
-    a = np.array(qs, dtype=np.int64)[:, None, None] * r.T % primes[:, None]
-    shifted = np.empty((len(qs), len(primes), 4), dtype=np.int64)
-    shifted[:, :, 0::2] = a + p_max
-    shifted[:, :, 1::2] = shifted[:, :, 0::2] - primes[:, None]
+    if buffers is None:
+        buffers = scan_buffers(len(qs), primes)
+    p_max = len(buffers.counts) // 2
+    shifted = buffers.offsets[: len(qs)]
+    even, odd = shifted[:, :, 0::2], shifted[:, :, 1::2]
+    np.multiply(np.array(qs, dtype=np.int64)[:, None, None], r.T, out=even)
+    np.remainder(even, primes[:, None], out=even)
+    np.add(even, p_max, out=even)
+    np.subtract(even, primes[:, None], out=odd)
+    # a count is at most the number of distinct large primes dividing
+    # f(x + alpha * m'), a value of a few hundred bits: fewer than 100
+    # primes above the small base, so a uint8 count cannot wrap
+    counts, ones = buffers.counts, buffers.ones
     hits: list[tuple[int, int]] = []
     for j, row in enumerate(shifted.reshape(len(qs), -1)):
-        where = np.flatnonzero(np.bincount(row)[row] >= threshold)
+        np.add.at(counts, row, ones)
+        where = np.flatnonzero(counts[row] >= threshold)
+        counts[row] = 0
         # dict keeps each alpha at its first position
         alphas = dict.fromkeys((row[where] - p_max).tolist())
         hits.extend(zip(repeat(j), alphas))
@@ -241,6 +280,7 @@ def search_round(
     table = round_table(modulus, *fb.large_arrays(sb.n))
 
     x, _ = get_x(zip(indices, repeat(1)), pre)
+    buffers = scan_buffers(len(indices), table.primes)
 
     finds: list[tuple[int, int]] = []
     fulls = partials = candidates = filtered = 0
@@ -249,7 +289,7 @@ def search_round(
         transforms = root_transforms(x, table)
         # q = 1 scans the base pair (x, M) itself
         qs = [1] + [q for q in moduli if q != sb.primes[i]]
-        hits = collision_scan(transforms, qs, modulus)
+        hits = collision_scan(transforms, qs, modulus, buffers=buffers)
         if not hits:
             continue
         batch = hit_values(fb, x, modulus, qs, hits)

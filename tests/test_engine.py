@@ -4,6 +4,7 @@ import random
 import re
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,9 +171,9 @@ _FORK = pytest.mark.skipif(
 ], ids=["qs", "qs-workers", "sss-inline", "sss-workers"])
 def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     # collect_relations is the only caller of ingest, once per find and in
-    # round order, whichever process computed the round; with no inline
-    # start, two CPUs share the rounds between one worker and this process,
-    # and one keeps them all here
+    # round order, whichever process computed the round; forked before
+    # round 0, two CPUs share the rounds between one worker and this
+    # process, and one keeps them all here
     config = RunConfig(algo=algo, seed=7, max_rounds=10)
     fb, sb, pre, ctx = prepare(N40, config)
     bound = RelationStore(N40, fb).partial_bound
@@ -187,7 +188,7 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
             for _ in range(10)
         ]
 
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    monkeypatch.setattr(engine, "_fork_pays", lambda *args: True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forked, ingested = [], []
     real_fork, real_ingest = engine._fork_workers, RelationStore.ingest
@@ -204,10 +205,28 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     monkeypatch.setattr(RelationStore, "ingest", ingest)
     _, stats = collect_relations(N40, config, fb, sb, pre, ctx)
     assert stats.rounds == 10
-    assert forked == [cpus - 1]
+    assert forked == ([1] if cpus == 2 else [])  # one CPU is never offered a fork
     assert ingested == [find for found in rounds for find in found.finds]
     assert ingested
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("made, target, done, left, rounds, seconds, pays", [
+    (0, 524, 0, None, 0, 0.0, False),     # nothing is timed before round 0
+    (10, 231, 1, None, 1, 0.002, False),  # 22 rounds of 2 ms
+    (5, 530, 1, None, 1, 0.003, True),    # 105 rounds of 3 ms
+    (5, 530, 1, 30, 1, 0.003, False),     # the cap leaves 30 of them
+    (0, 530, 1, None, 1, 0.003, True),    # no relation yet: no end but the cap
+    (0, 530, 16, 184, 16, 0.008, False),  # qs: 184 intervals of 0.5 ms
+    (0, 530, 16, 384, 16, 0.008, True),   # and 384
+    (524, 535, 77, None, 1, 0.003, False),  # SLACK + 1 more at 6.8 a round
+], ids=["before-round-0", "30d", "40d", "40d-capped", "no-relation", "qs-capped",
+        "qs", "resumed"])
+def test_fork_pays_on_the_round_time_left(made, target, done, left, rounds, seconds, pays):
+    # done is the store's rounds, rounds and seconds those of this collection
+    store = SimpleNamespace(fulls=dict.fromkeys(range(made)), target=target, rounds=done)
+    assert engine._FORK_SECONDS == 0.1
+    assert engine._fork_pays(store, left, rounds, seconds) is pays
 
 
 def test_starvation_yields_residue_with_diagnostics(monkeypatch):
@@ -303,15 +322,16 @@ def test_stats_have_phase_times():
     result = factor(n, RunConfig(seed=1))
     wall = time.perf_counter() - t0
     phases = dict(result.stats.phase_seconds)
-    for phase in ("precompute", "collect", "linalg", "search", "wait"):
+    for phase in ("precompute", "collect", "linalg", "search", "wait", "inline"):
         assert phase in phases
         assert phases[phase] >= 0.0
     # search is the rounds' time inside collect, summed over the processes
-    # that ran them, and wait the part of collect spent blocked on a
-    # worker; the others are each timed once and cannot add up to more
-    # than the run
+    # that ran them, wait the part of collect spent blocked on a worker and
+    # inline the part before a fork; the others are each timed once and
+    # cannot add up to more than the run
     search = phases.pop("search")
     assert phases.pop("wait") <= phases["collect"]
+    assert phases.pop("inline") <= phases["collect"]
     assert sum(phases.values()) <= wall
     assert search > 0.0
 

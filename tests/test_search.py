@@ -18,6 +18,7 @@ from sssfactor.search import (
     pick_indices,
     root_transforms,
     round_table,
+    scan_buffers,
     search_round,
 )
 from sssfactor.smoothness import build_context
@@ -360,6 +361,25 @@ def test_variant_scan_is_the_per_q_oracle_scans_in_order(case, threshold):
         for hit in oracle.collision_scan(rows, q, modulus, x, threshold)
     ]
     assert collision_scan(oracle.as_arrays(rows), qs, modulus, threshold) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=variant_inputs(), threshold=st.sampled_from([2, 3]))
+def test_scans_that_share_buffers_match_the_oracle_in_order(case, threshold):
+    # as in a round: scans of other roots and fewer rescalings over the same
+    # primes reuse one count and one offset array, which end all zero
+    rows, qs, modulus, x = case
+    moved = [(p, (r1 + 1) % p, r2) for p, r1, r2 in rows]
+    buffers = scan_buffers(len(qs), oracle.as_arrays(rows).primes)
+    for scan_rows, scan_qs in ((rows, qs), (moved, qs[::-1][: max(1, len(qs) - 1)]), (rows, qs)):
+        expected = [
+            (j, hit.alpha)
+            for j, q in enumerate(scan_qs)
+            for hit in oracle.collision_scan(scan_rows, q, modulus, x, threshold)
+        ]
+        transforms = oracle.as_arrays(scan_rows)
+        assert collision_scan(transforms, scan_qs, modulus, threshold, buffers) == expected
+        assert not buffers.counts.any()
 
 
 REAL_ROUNDS = {

@@ -30,7 +30,7 @@ PARENT = textwrap.dedent(
     from sssfactor import engine
     from sssfactor.engine import RunConfig, collect_relations, prepare
 
-    engine._INLINE_SECONDS = 0.0
+    engine._fork_pays = lambda *args: True  # fork before round 0
     os.sched_getaffinity = lambda pid: {0, 1, 2}  # the parent and two workers
     serve = engine._serve_rounds
 

@@ -1,12 +1,15 @@
 """Collection rounds on forked workers and in the collecting process.
 
-Setting engine._INLINE_SECONDS to 0 forks the workers before round 0 (a
-search round, or a qs interval), and a patched os.sched_getaffinity fixes
-the CPU count, so these tests run the worker path on any host with fork().
-On W CPUs, W - 1 workers compute rounds, and this process computes the
-batches that it draws while the oldest one waits for a worker.  The stream
-must be the one the inline rounds give, and no worker may outlive
-collect_relations, however it ends.
+A collection forks when engine._fork_pays, asked before the first batch
+and after it, predicts enough work left.  Patching it to say yes forks the
+workers before round 0 (a search round, or a qs interval), and a patched
+os.sched_getaffinity fixes the CPU count, so most tests here run the
+worker path on any host with fork().  On W CPUs, W - 1 workers compute
+rounds, and this process computes the batches that it draws while the
+oldest one waits for a worker.  The stream must be the one the inline
+rounds give, and no worker may outlive collect_relations, however it
+ends.  The tests of the fork decision itself fix each round's measured
+seconds, so that they do not depend on the host's speed.
 """
 
 import hashlib
@@ -44,6 +47,7 @@ class Spy:
     def __init__(self, monkeypatch):
         self.inline = 0
         self.forked = []
+        self.inline_at_fork = []
         real_round, real_sieve = engine.search_round, qs.run_sieve
         real_fork = engine._fork_workers
 
@@ -58,11 +62,17 @@ class Spy:
         def fork_workers(count, *args):
             if count:
                 self.forked.append(count)
+                self.inline_at_fork.append(self.inline)
             return real_fork(count, *args)
 
         monkeypatch.setattr(engine, "search_round", search_round)
         monkeypatch.setattr(qs, "run_sieve", run_sieve)
         monkeypatch.setattr(engine, "_fork_workers", fork_workers)
+
+
+def fork_at_once(monkeypatch):
+    """Collections fork before round 0 wherever they may fork."""
+    monkeypatch.setattr(engine, "_fork_pays", lambda *args: True)
 
 
 def cpus(monkeypatch, count):
@@ -72,7 +82,7 @@ def cpus(monkeypatch, count):
 @pytest.fixture
 def forced(monkeypatch):
     """Workers from round 0 on two CPUs: one worker and this process."""
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    fork_at_once(monkeypatch)
     cpus(monkeypatch, 2)
     return Spy(monkeypatch)
 
@@ -128,7 +138,7 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     n = 588090330819903606914786460449
     config = RunConfig(algo="sss", seed=7)
     inline = engine.factor(n, config)
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    fork_at_once(monkeypatch)
     cpus(monkeypatch, 3)
     spy = Spy(monkeypatch)
     forked = engine.factor(n, config)
@@ -151,7 +161,7 @@ def test_qs_batches_keep_the_inline_stream(monkeypatch, count):
 
     cpus(monkeypatch, 1)
     inline = collect()
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    fork_at_once(monkeypatch)
     cpus(monkeypatch, count)
     spy = Spy(monkeypatch)
     assert collect() == inline
@@ -168,10 +178,9 @@ def test_forked_rounds_send_whole_batches_in_order(monkeypatch):
     # 23 items in batches of 4 on three CPUs: each batch runs whole in one
     # process, the first two in one worker and the next two in the other,
     # the last two in a worker or here, and the items come back in order
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
     cpus(monkeypatch, 3)
     spy = Spy(monkeypatch)
-    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats()))
+    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats(), lambda: True))
     assert [item for item, _ in out] == list(range(23))
     pids = [{pid for _, pid in out[i : i + 4]} for i in range(0, 23, 4)]
     assert all(len(batch) == 1 for batch in pids)
@@ -199,7 +208,7 @@ def test_resume_after_a_target_stop(monkeypatch):
         return store.fulls_csv() + store.partials_csv(), stats.counters()
 
     inline = twice()
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    fork_at_once(monkeypatch)
     cpus(monkeypatch, 2)
     spy = Spy(monkeypatch)
     assert twice() == inline
@@ -296,7 +305,7 @@ def test_qs_worker_failure_reaches_the_caller(forced, monkeypatch):
 
 
 def test_one_cpu_runs_inline(monkeypatch):
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    fork_at_once(monkeypatch)
     cpus(monkeypatch, 1)
     spy = Spy(monkeypatch)
     config = RunConfig(algo="sss", seed=7, max_rounds=5)
@@ -305,9 +314,75 @@ def test_one_cpu_runs_inline(monkeypatch):
     assert spy.forked == []
 
 
+N30 = 588090330819903606914786460449
+
+
+def fork_rule(monkeypatch, seconds):
+    """The fork rule on two CPUs, with `seconds` as the own time of every
+    round (a search round, or a qs interval) in place of the host's: on a
+    2-core Intel Xeon, about 2 ms a search round at 30 digits, 3 ms at 40,
+    and 0.5 ms a qs interval at 40."""
+    cpus(monkeypatch, 2)
+    spy = Spy(monkeypatch)
+    for module, name in ((engine, "search_round"), (qs, "run_sieve")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, _timed(real, seconds))
+    return spy
+
+
+def _timed(real, seconds):
+    def run(*args):
+        return real(*args)._replace(seconds=seconds)
+
+    return run
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_a_30_digit_run_stays_in_one_process(monkeypatch, seed):
+    # the first round predicts some 12-22 rounds of 2 ms, under _FORK_SECONDS
+    spy = fork_rule(monkeypatch, 0.002)
+    result = engine.factor(N30, RunConfig(algo="sss", seed=seed))
+    assert result.success and spy.forked == []
+    phases = result.stats.phase_seconds
+    assert phases["inline"] == phases["collect"]
+
+
+def test_a_40_digit_run_forks_after_its_first_round(monkeypatch):
+    spy = fork_rule(monkeypatch, 0.003)
+    result = engine.factor(N40, RunConfig(algo="sss", seed=7))
+    assert result.success and spy.forked == [1] and spy.inline_at_fork == [1]
+    phases = result.stats.phase_seconds
+    assert 0 < phases["inline"] < phases["collect"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_resumed_collection_of_slack_relations_stays_in_one_process(monkeypatch):
+    # after a solve whose dependencies were all trivial, the store asks for
+    # SLACK + 1 more relations: a round or two at the store's yield
+    config = RunConfig(algo="sss", seed=7)
+    fb, sb, pre, ctx = prepare(N40, config)
+    store, stats = collect_relations(N40, config, fb, sb, pre, ctx)
+    store.raise_target()
+    rounds = stats.rounds
+    spy = fork_rule(monkeypatch, 0.003)
+    collect_relations(N40, config, fb, sb, pre, ctx, store=store, stats=stats)
+    assert store.have_enough() and stats.rounds > rounds
+    assert spy.forked == []
+
+
+@pytest.mark.parametrize("rounds, forked", [(5, []), (50, [1])])
+def test_the_round_cap_bounds_the_prediction(monkeypatch, rounds, forked):
+    # 4 or 49 rounds of 3 ms are left after the first: 12 or 147 ms
+    spy = fork_rule(monkeypatch, 0.003)
+    config = RunConfig(algo="sss", seed=7, max_rounds=rounds)
+    _, stats = collect_relations(N40, config, *prepare(N40, config))
+    assert stats.rounds == rounds and spy.forked == forked
+    assert multiprocessing.active_children() == []
+
+
 def test_other_threads_keep_the_rounds_inline(monkeypatch):
     # a forked child would inherit the locks another thread holds
-    monkeypatch.setattr(engine, "_INLINE_SECONDS", 0.0)
+    fork_at_once(monkeypatch)
     cpus(monkeypatch, 2)
     spy = Spy(monkeypatch)
     stop = threading.Event()
@@ -345,11 +420,11 @@ def test_daemonic_process_runs_inline(forced):
     assert counters == collect_relations(N40, config, *prepare(N40, config))[1].counters()
 
 
-def relations_rows(monkeypatch, capsys, rounds, *flags):
+def relations_rows(monkeypatch, capsys, rounds, seconds, *flags):
     """Full relations that the CLI dumps for N40 on two CPUs, checking that
-    a worker computed some of the rounds after the first few."""
-    cpus(monkeypatch, 2)
-    spy = Spy(monkeypatch)
+    a worker computed some of the rounds after the first batch; each round
+    takes `seconds` for the fork rule (fork_rule)."""
+    spy = fork_rule(monkeypatch, seconds)
     assert main(["relations", str(N40), "--max-rounds", str(rounds), *flags]) == 0
     assert spy.forked == [1] and 0 < spy.inline < rounds
     assert multiprocessing.active_children() == []
@@ -357,15 +432,15 @@ def relations_rows(monkeypatch, capsys, rounds, *flags):
 
 
 def test_ci_relation_count_starts_workers(monkeypatch, capsys):
-    # the pinned CI count: 100 rounds run long enough at the default start
-    # rule that the rounds after the first few go to the workers
-    assert relations_rows(monkeypatch, capsys, 100) == 530
+    # the pinned CI count: after the first of 100 rounds of 3 ms, the fork
+    # rule predicts some 0.2-0.3 s left, and the workers take a share
+    assert relations_rows(monkeypatch, capsys, 100, 0.003) == 530
 
 
 def test_ci_qs_relation_count_starts_workers(monkeypatch, capsys):
-    # the pinned CI count of qs: 400 intervals outlast the inline start (at
-    # about 0.6 ms an interval, some 80 of them ran inline on 2 CPUs)
-    assert relations_rows(monkeypatch, capsys, 400, "--algo", "qs") == 78
+    # the pinned CI count of qs: the first batch of 16 intervals runs here,
+    # and at 0.5 ms an interval the 384 left predict 0.19 s
+    assert relations_rows(monkeypatch, capsys, 400, 0.0005, "--algo", "qs") == 78
 
 
 STRESS = textwrap.dedent(
@@ -376,7 +451,7 @@ STRESS = textwrap.dedent(
     from sssfactor.engine import RunConfig, collect_relations, prepare
     from sssfactor.numtheory import FoundFactor
 
-    engine._INLINE_SECONDS = 0.0
+    engine._fork_pays = lambda *args: True
     os.sched_getaffinity = lambda pid: {0, 1}
     rng = random.Random(12)
     for i in range(100):
