@@ -53,7 +53,7 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import SUBSUM_SIZE, pick_indices, search_round
+from .search import SUBSUM_SIZE, pick_indices, scan_buffers, search_round
 from .smoothness import FILTER_SPLIT_RATIO, build_context
 
 __all__ = [
@@ -361,8 +361,9 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     it uses only in part.  sss/sssf: an item is a round's index list, the
     round's only random draw (pick_indices), drawn here from one rng per
     composite n fast-forwarded past rounds 0 to first - 1; a batch is one
-    round.  run calls search_round or qs.run_sieve as looked up at call time, where
-    tracing wraps them.
+    round, and all the rounds that run computes in one process share one
+    set of search.scan_buffers.  run calls search_round or qs.run_sieve as
+    looked up at call time, where tracing wraps them.
     """
     if algo == "qs":
         sieve = qs_mod.Sieve(fb, partial_bound)
@@ -376,9 +377,11 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(first):
         pick_indices(k, sb.n, rng)
+    # one set per process: a forked worker writes its own copy
+    buffers = scan_buffers(k, fb.large_arrays(sb.n)[0])
 
     def run(indices):
-        return search_round(fb, sb, pre, ctx, indices, partial_bound)
+        return search_round(fb, sb, pre, ctx, indices, partial_bound, buffers)
 
     return run, iter(lambda: pick_indices(k, sb.n, rng), None), 1
 

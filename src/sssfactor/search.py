@@ -23,10 +23,12 @@ The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
 variant it reduces x through its 30-bit limbs, maps both roots and runs one
 collision scan for all of the variant's rescalings q: it forms the 4L
-offsets of every q in one array and counts each q's offsets into one
-uint8 count array, both reused by every scan of the round (ScanBuffers).
-Every product of two residues stays below 2**63 because the
-factor base keeps all primes below 2**31 (see factorbase.MAX_PRIME).  Hits
+offsets of every q in one array and counts them with one np.add.at into
+one uint8 count array, each q in its own span; the engine keeps both
+arrays for all the rounds of a collection (ScanBuffers).  Every product of
+two residues
+stays below 2**63 because the factor base keeps all primes below 2**31
+(see factorbase.MAX_PRIME).  Hits
 come out q by q, and for each q in the order in which their offsets first
 appear, prime by prime, so the relation stream is the same as that of the
 per-prime Python loop the tests keep as an oracle.
@@ -157,12 +159,14 @@ def root_transforms(x: int, table: RoundTable) -> Transforms:
 
 
 class ScanBuffers(NamedTuple):
-    """Work arrays that the collision scans of one round reuse, so that
-    a scan allocates no array of the size of the factor base."""
+    """Work arrays that collision scans reuse, so that a scan allocates no
+    array of the size of the factor base.  Allocated anew for every round,
+    the 50-digit count array (300 KB) came from fresh pages each time: 109
+    minor page faults a round in a fresh process."""
 
     offsets: np.ndarray  # (Q, L, 4) int64: the offsets of up to Q rescalings
-    counts: np.ndarray   # (2 * p_max,) uint8: zero between scans
-    ones: np.ndarray     # (4L,) uint8: np.add.at with a scalar 1 is ~10x slower
+    counts: np.ndarray   # (Q * 2 * p_max,) uint8: zero between scans
+    ones: np.ndarray     # (Q * 4L,) uint8: np.add.at with a scalar 1 is ~10x slower
 
 
 def scan_buffers(rescalings: int, primes: np.ndarray) -> ScanBuffers:
@@ -170,8 +174,8 @@ def scan_buffers(rescalings: int, primes: np.ndarray) -> ScanBuffers:
     p_max = int(primes.max(initial=0))
     return ScanBuffers(
         np.empty((rescalings, len(primes), 4), dtype=np.int64),
-        np.zeros(2 * p_max, dtype=np.uint8),
-        np.ones(4 * len(primes), dtype=np.uint8),
+        np.zeros(rescalings * 2 * p_max, dtype=np.uint8),
+        np.ones(rescalings * 4 * len(primes), dtype=np.uint8),
     )
 
 
@@ -193,12 +197,13 @@ def collision_scan(
     alpha - p for both roots, pairwise distinct), so the count of an offset
     equals the number of distinct large primes dividing f(x + alpha * m').
     Offsets are laid out prime by prime as (a1, a1 - p, a2, a2 - p), and
-    each q is counted in turn into one count array over the 2 * p_max
-    offsets it can reach, whose touched cells are then reset; hits are
-    listed by their first position in that sequence, which fixes the
-    candidate and relation order.  buffers, from scan_buffers over the same
-    primes, holds both arrays, so that the scans of a round reuse them;
-    without it the scan makes its own.
+    the j-th q counts into its own span of 2 * p_max cells of one count
+    array, the offsets it can reach, so one np.add.at counts them all; the
+    touched cells are then reset.  Hits are listed q by q, each by its
+    first position in that sequence, which fixes the candidate and
+    relation order.  buffers, from scan_buffers over the same primes and
+    at least len(qs) rescalings, holds the arrays, so that successive scans
+    reuse them; without it the scan makes its own.
     """
     for q in qs:
         if modulus % q:
@@ -206,26 +211,24 @@ def collision_scan(
     primes, r = transforms
     if buffers is None:
         buffers = scan_buffers(len(qs), primes)
-    p_max = len(buffers.counts) // 2
+    p_max = int(primes.max(initial=0))
+    span = 2 * p_max
     shifted = buffers.offsets[: len(qs)]
     even, odd = shifted[:, :, 0::2], shifted[:, :, 1::2]
     np.multiply(np.array(qs, dtype=np.int64)[:, None, None], r.T, out=even)
     np.remainder(even, primes[:, None], out=even)
-    np.add(even, p_max, out=even)
+    np.add(even, (np.arange(len(qs)) * span + p_max)[:, None, None], out=even)
     np.subtract(even, primes[:, None], out=odd)
+    cells = shifted.reshape(-1)
     # a count is at most the number of distinct large primes dividing
     # f(x + alpha * m'), a value of a few hundred bits: fewer than 100
     # primes above the small base, so a uint8 count cannot wrap
-    counts, ones = buffers.counts, buffers.ones
-    hits: list[tuple[int, int]] = []
-    for j, row in enumerate(shifted.reshape(len(qs), -1)):
-        np.add.at(counts, row, ones)
-        where = np.flatnonzero(counts[row] >= threshold)
-        counts[row] = 0
-        # dict keeps each alpha at its first position
-        alphas = dict.fromkeys((row[where] - p_max).tolist())
-        hits.extend(zip(repeat(j), alphas))
-    return hits
+    counts = buffers.counts
+    np.add.at(counts, cells, buffers.ones[: len(cells)])
+    where = np.flatnonzero(counts[cells] >= threshold)
+    counts[cells] = 0
+    # a cell is one (q, alpha); dict keeps each at its first position
+    return [(c // span, c % span - p_max) for c in dict.fromkeys(cells[where].tolist())]
 
 
 def hit_values(fb: FactorBase, x: int, modulus: int, qs, hits) -> dict[int, int]:
@@ -262,6 +265,7 @@ def search_round(
     ctx: SmoothnessContext,
     indices: list[int],
     partial_bound: int,
+    buffers: ScanBuffers | None = None,
 ) -> Round:
     """The round over the small-base primes at indices: its finds, as
     (x_bar, g) pairs in stream order, and its counts.
@@ -270,17 +274,21 @@ def search_round(
     partition (the sssf variant) switches the smoothness pass to the
     two-stage filter (smooth_filter), over the digits of fb.kn.  Each
     variant is scanned once for all its rescalings, and its candidates are
-    batch-tested together.  Nothing outside the returned value changes, so
-    a round can run in any process that holds the bases.
+    batch-tested together.  The scans use buffers, scan_buffers over the
+    large primes for len(indices) rescalings, which a caller may keep from
+    round to round in one process; without them the round makes its own.
+    Nothing else outside the returned value changes, so a round can run in
+    any process that holds the bases.
     """
     t0 = time.perf_counter()
     digits = len(str(fb.kn))
     moduli = [sb.primes[i] for i in indices]
     modulus = math.prod(moduli)
     table = round_table(modulus, *fb.large_arrays(sb.n))
+    if buffers is None:
+        buffers = scan_buffers(len(indices), table.primes)
 
     x, _ = get_x(zip(indices, repeat(1)), pre)
-    buffers = scan_buffers(len(indices), table.primes)
 
     finds: list[tuple[int, int]] = []
     fulls = partials = candidates = filtered = 0
