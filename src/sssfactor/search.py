@@ -26,12 +26,11 @@ collision scan for all of the variant's rescalings q: it forms the 4L
 offsets of every q in one array and counts them with one np.add.at into
 one uint8 count array, each q in its own span; the engine keeps both
 arrays for all the rounds of a collection (ScanBuffers).  Every product of
-two residues
-stays below 2**63 because the factor base keeps all primes below 2**31
-(see factorbase.MAX_PRIME).  Hits
-come out q by q, and for each q in the order in which their offsets first
-appear, prime by prime, so the relation stream is the same as that of the
-per-prime Python loop the tests keep as an oracle.
+two residues stays below 2**63 because the factor base keeps all primes
+below 2**31 (see factorbase.MAX_PRIME).  Hits come out q by q, and for
+each q in the order in which their offsets first appear, prime by prime,
+so the relation stream is the same as that of the per-prime Python loop
+the tests keep as an oracle.
 
 Only the hits become Python ints again.  Their values need no square and
 no division: with t = x + ceil(sqrt(kN)),
@@ -160,9 +159,10 @@ def root_transforms(x: int, table: RoundTable) -> Transforms:
 
 class ScanBuffers(NamedTuple):
     """Work arrays that collision scans reuse, so that a scan allocates no
-    array of the size of the factor base.  Allocated anew for every round,
-    the 50-digit count array (300 KB) came from fresh pages each time: 109
-    minor page faults a round in a fresh process."""
+    array of the size of the factor base.  Keep them for more than a round:
+    made for every round, the 300 KB count array of 50 digits comes from
+    fresh pages each time, 109 minor page faults a round in a fresh
+    process."""
 
     offsets: np.ndarray  # (Q, L, 4) int64: the offsets of up to Q rescalings
     counts: np.ndarray   # (Q * 2 * p_max,) uint8: zero between scans
