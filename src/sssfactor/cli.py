@@ -1,7 +1,8 @@
 """Command-line interface: factor, relations.
 
-Exit codes: 0 success, 1 starvation/failure or a reader that closed stdout
-early, 2 usage errors.  Flags are the only input besides the arguments: a
+Exit codes: 0 success, 1 starvation/failure, a reader that closed stdout
+early or an output that cannot be written (a full disk: one line on
+stderr), 2 usage errors.  Flags are the only input besides the arguments: a
 set SSSFACTOR_* environment variable is a usage error rather than silently
 ignored.  Options must be spelled out: an abbreviation such as --max for
 --max-rounds is a usage error, so an unknown flag (--m) is never taken for
@@ -10,6 +11,7 @@ benchmarks/run.py, not from this interface.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -57,6 +59,27 @@ def _unwritable(path: str) -> str | None:
     if not os.access(path if os.path.exists(path) else folder, os.W_OK):
         return f"cannot write {path}: permission denied"
     return None
+
+
+class _WriteFailed(Exception):
+    """An output could not be written; the message names it."""
+
+    def __init__(self, path: str, exc: OSError):
+        name = "standard output" if path == "-" else path
+        super().__init__(f"cannot write {name}: {exc.strerror or exc}")
+        self.path = path
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError from writing path ('-' for standard output) into
+    _WriteFailed.  A closed pipe stays a BrokenPipeError."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _WriteFailed(path, exc) from None
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
@@ -134,15 +157,16 @@ def cmd_factor(args) -> int:
         result = factor(args.number, config)
     except ValueError as exc:
         return _usage_error(f"cannot factor {args.number}: {exc}")
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            **result.as_dict(),
-            "config": dataclasses.asdict(config),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_factors(result)
+    with _writing("-"):
+        if args.json:
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                **result.as_dict(),
+                "config": dataclasses.asdict(config),
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            _print_factors(result)
     for message in result.shortfalls:
         print(message, file=sys.stderr)
     return 0 if result.success else 1
@@ -168,17 +192,16 @@ def cmd_relations(args) -> int:
     except RelationShortfall as exc:
         print(exc, file=sys.stderr)
         return 1
-    dump = store.fulls_csv()
-    if args.out == "-":
-        sys.stdout.write(dump)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(dump)
-    if args.partials_out == "-":
-        sys.stdout.write(store.partials_csv())
-    elif args.partials_out:
-        with open(args.partials_out, "w") as fh:
-            fh.write(store.partials_csv())
+    for path, dump in ((args.out, store.fulls_csv), (args.partials_out, store.partials_csv)):
+        if not path:
+            continue
+        text = dump()
+        with _writing(path):
+            if path == "-":
+                sys.stdout.write(text)
+            else:
+                with open(path, "w") as fh:
+                    fh.write(text)
     return 0
 
 
@@ -197,15 +220,26 @@ def main(argv=None) -> int:
         )
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        with _writing("-"):
+            sys.stdout.flush()  # a reader gone early shows here, not at exit
     except BrokenPipeError:
-        # the reader of stdout closed it: nothing more can be shown, and
-        # the flush at exit must not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # the reader of stdout closed it: nothing more can be shown
+        _discard_stdout()
+        return 1
+    except _WriteFailed as exc:
+        print(exc, file=sys.stderr)
+        if exc.path == "-":
+            _discard_stdout()
         return 1
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, so that the flush at exit of what
+    could not be written does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -21,14 +21,15 @@ of 2 is read off the low zero bits.  The CSV dumps still write dense rows,
 one column per prime.
 
 Fulls are factored when they arrive.  Partials are not: most never meet a
-second partial with the same cofactor.  The cofactor of a partial comes
-from its batch residual, stripped of factor-base primes by repeated gcds
-with the product of the base, and must divide f(x_bar).  The store keeps
-(x, x_bar, cofactor).  It root-tests the first partial of a cofactor once,
-when a second one arrives, and keeps that row for every later partner;
-each later partial is root-tested when it arrives, and every stored one
-again when the partials are dumped.  The root test must find the same
-cofactor.
+second partial with the same cofactor.  The cofactor of a partial is its
+batch residual, which smooth_batch has already stripped of every power of
+a factor-base prime; the repeated gcds with the product of the base in
+ingest only guard callers that pass other residuals.  The cofactor must
+divide f(x_bar).  The store keeps (x, x_bar, cofactor).  It root-tests the
+first partial of a cofactor once, when a second one arrives, and keeps
+that row for every later partner; each later partial is root-tested when
+it arrives, and every stored one again when the partials are dumped.  The
+root test must find the same cofactor.
 
 The GF(2) solve eliminates bit-packed rows one at a time and pivots on a
 row's largest prime, so the sparse large-prime columns go first and the

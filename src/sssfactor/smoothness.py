@@ -1,14 +1,16 @@
 """Batch smoothness detection with product and remainder trees.
 
-One big product eta of the factor-base primes is computed once; a batch
-of candidates is then reduced against it with a remainder tree, and a
-single gcd per candidate strips the smooth part.  eta is boosted so that
-every prime power dividing it exceeds 2^15, which makes the repeated
-squaring of the textbook algorithm unnecessary in practice: residual 1
-still guarantees smoothness, and only candidates with extreme prime-power
-multiplicities can be missed.  smooth_batch_exact keeps the squaring step
-and matches trial division bit for bit; nothing in the search uses it, and
-it stays as the reference that the acceptance suite checks.
+One big product eta of the factor-base primes, each prime once, is
+computed once per context.  A batch of candidates is reduced against it
+with a remainder tree, and d = gcd(x, eta mod x) is then the product of
+the base primes that divide x.  Dividing d out and taking d = gcd(x, d)
+again until it is 1 strips every power of them, so the residual equals
+that of trial division (Bernstein, "How to find smooth parts of
+integers", 2004).  The plain product keeps eta, and with it the top
+division of the remainder tree, as small as the base allows.
+smooth_batch_exact reaches the same residuals by repeated squaring of the
+remainder; nothing in the search uses it, and it stays as the reference
+that the acceptance suite checks.
 """
 
 import enum
@@ -30,9 +32,6 @@ __all__ = [
     "smooth_filter",
     "classify",
 ]
-
-# every prime power dividing the boosted product must exceed this
-ETA_MIN_POWER = 1 << 15
 
 # the two-pass filter (sssf): pass 1 uses the smallest |F| / FILTER_SPLIT_RATIO
 # primes, and a candidate goes on to pass 2 only when its residual has
@@ -71,27 +70,21 @@ def remainders(z: int, values) -> list[int]:
     return rems
 
 
-def _boosted_power(p: int) -> int:
-    power = p
-    while power <= ETA_MIN_POWER:
-        power *= p
-    return power
-
-
 @dataclass(frozen=True, eq=False)
 class SmoothnessContext:
     primes: tuple[int, ...]
-    eta: int  # boosted product
+    eta: int  # product of the primes, each once
     part_small: Optional["SmoothnessContext"] = None  # smallest primes (filter pass 1)
     part_large: Optional["SmoothnessContext"] = None  # the rest (filter pass 2)
 
 
 def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
-    """Precompute the boosted product for a prime list.
+    """Precompute the product of a prime list, each prime once.
 
     With split_ratio r, the primes are additionally partitioned into the
-    smallest len/r ones and the rest, each with its own context, for the
-    two-pass filter; eta is then the product of the two parts' etas.
+    smallest len/r ones and the rest, each with its own context and the
+    product of its own primes, for the two-pass filter; eta is then the
+    product of the two parts' etas.
     """
     primes = tuple(primes)
     if split_ratio is not None:
@@ -103,29 +96,39 @@ def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
             part_large = build_context(primes[cut:])
             eta = part_small.eta * part_large.eta
             return SmoothnessContext(primes, eta, part_small, part_large)
-    eta = tree_root(product_tree([_boosted_power(p) for p in primes]))
-    return SmoothnessContext(primes, eta)
+    return SmoothnessContext(primes, tree_root(product_tree(primes)))
 
 
 def smooth_batch(ctx: SmoothnessContext, candidates) -> list[int]:
-    """Non-smooth residual of each candidate against the boosted product.
+    """Non-smooth part of each candidate: what is left once every power of
+    ctx.primes is divided out, as trial division would leave it.
 
-    Residual 1 means the candidate factors completely over ctx.primes.
+    d = gcd(x, eta mod x) is the product of the primes of ctx that divide
+    x; each further gcd(x, d) is the product of those that still divide x,
+    so the loop runs as often as the highest exponent.  Residual 1 means
+    the candidate factors completely over ctx.primes.
     """
     if not candidates:
         return []
     for x in candidates:
         if x <= 0:
             raise ValueError(f"candidates must be positive, got {x}")
-    return [
-        x // math.gcd(x, y) for x, y in zip(candidates, remainders(ctx.eta, candidates))
-    ]
+    out = []
+    for x, y in zip(candidates, remainders(ctx.eta, candidates)):
+        d = math.gcd(x, y)
+        x //= d
+        while d > 1:
+            d = math.gcd(x, d)
+            x //= d
+        out.append(x)
+    return out
 
 
 def smooth_batch_exact(ctx: SmoothnessContext, candidates) -> list[int]:
-    """Exact non-smooth parts: the remainder is squared until the exponent
-    of every shared prime is at least log2 of the candidate, so arbitrary
-    multiplicities are stripped.  Matches trial division exactly."""
+    """smooth_batch by the textbook route: the remainder is squared until
+    the exponent of every shared prime is at least log2 of the candidate,
+    and one gcd strips every multiplicity.  Matches trial division
+    exactly."""
     if not candidates:
         return []
     for x in candidates:

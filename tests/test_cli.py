@@ -294,6 +294,27 @@ def test_closed_stdout_fails_quietly(argv):
     assert done.stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, target", [
+    (["relations", "5550426454971436013", "--max-rounds", "2", "--out", "/dev/full"],
+     "/dev/full"),
+    (["relations", "5550426454971436013", "--max-rounds", "2", "--out", os.devnull,
+      "--partials-out", "/dev/full"], "/dev/full"),
+    (["factor", "5550426454971436013", "--json"], "standard output"),
+], ids=["out", "partials-out", "factor-stdout"])
+def test_full_device_fails_with_one_line(argv, target):
+    # every write to /dev/full fails with ENOSPC; stdout goes there for all
+    # three, so only the stdout case writes anything to it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "sssfactor.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    assert done.returncode == 1
+    assert done.stderr == f"cannot write {target}: No space left on device\n"
+
+
 def test_readme_relations_example_dumps_relations(capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     number = re.search(r"sssfactor relations (\d+)", readme).group(1)

@@ -160,7 +160,8 @@ def coprime_partials(store, fb):
 def test_partial_is_keyed_by_the_cofactor_without_base_prime_powers():
     store, fb = small_store()
     r, xs = coprime_partials(store, fb)[0]
-    # a residual can keep base prime powers the boosted batch did not strip
+    # smooth_batch strips every base prime power, but another caller may
+    # pass a residual that keeps some
     store.ingest(xs[0], r * 2**20 * fb.primes[3] ** 5)
     assert list(store.partials) == [r]
     sign, exps, cofactor = trial_divide(poly_value(xs[0], STORE_N, store.shift), fb.primes)

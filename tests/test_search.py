@@ -382,6 +382,40 @@ def test_scans_that_share_buffers_match_the_oracle_in_order(case, threshold):
         assert not buffers.counts.any()
 
 
+def test_scans_of_a_real_round_leave_the_counts_zero():
+    # the buffers hold one rescaling more than any scan uses, and the last
+    # scan uses only q = 1: each reset must still clear every touched cell
+    from sssfactor.engine import RunConfig, prepare
+
+    fb, sb, pre, _ = prepare(2025187160651667522159602188240446426637, RunConfig())
+    primes, roots = fb.large_arrays(sb.n)
+    rng = random.Random(6)
+    idx = pick_indices(SUBSUM_SIZE["sss"], sb.n, rng)
+    moduli = [sb.primes[i] for i in idx]
+    modulus = math.prod(moduli)
+    table = round_table(modulus, primes, roots)
+    buffers = scan_buffers(len(idx) + 1, primes)
+    x, _ = get_x([(i, 1) for i in idx], pre)
+    scans = []
+    for i in idx:
+        x = swap_root(x, i, 1, modulus, pre)
+        scans.append((x, [1] + [q for q in moduli if q != sb.primes[i]]))
+    scans.append((x, [1]))
+    total = 0
+    for x, qs in scans:
+        transforms = root_transforms(x, table)
+        rows = oracle.as_tuples(transforms)
+        expected = [
+            (j, hit.alpha)
+            for j, q in enumerate(qs)
+            for hit in oracle.collision_scan(rows, q, modulus, x)
+        ]
+        assert collision_scan(transforms, qs, modulus, buffers=buffers) == expected
+        assert not buffers.counts.any()
+        total += len(expected)
+    assert total > 0
+
+
 REAL_ROUNDS = {
     # the sss-40d stream-lock composite and a 50-digit sssf composite, whose
     # multiplier is k = 31

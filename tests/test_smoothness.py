@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sssfactor.numtheory import is_probable_prime, primes_below
 from sssfactor.smoothness import (
-    ETA_MIN_POWER,
     Smoothness,
     build_context,
     classify,
@@ -48,21 +48,14 @@ def test_remainders_match_direct_mod():
     assert remainders(z, values) == [z % v for v in values]
 
 
-def test_eta_boosting():
-    ctx = build_context([2, 3, 5, 7, 65537])
-    for p in [2, 3, 5, 7, 65537]:
-        e = 0
-        eta = ctx.eta
-        while eta % p == 0:
-            eta //= p
-            e += 1
-        assert p**e > ETA_MIN_POWER, p
-    # and no prime outside the context divides it
-    rest = ctx.eta
-    for p in ctx.primes:
-        while rest % p == 0:
-            rest //= p
-    assert ctx.primes == (2, 3, 5, 7, 65537) and rest == 1
+def test_eta_is_the_product_of_the_primes():
+    primes = [2, 3, 5, 7, 65537]
+    ctx = build_context(primes)
+    assert ctx.primes == tuple(primes)
+    assert ctx.eta == math.prod(primes)
+    split = build_context(primes_below(5000), split_ratio=10)
+    for part in (split, split.part_small, split.part_large):
+        assert part.eta == math.prod(part.primes)
 
 
 def test_smooth_batch_examples():
@@ -78,8 +71,8 @@ def test_smooth_batch_exact_strips_high_powers():
     ctx = build_context([2, 3, 5, 7])
     assert smooth_batch_exact(ctx, [2**100 * 11]) == [11]
     assert smooth_batch_exact(ctx, [7 * 7]) == [1]
-    # the default single-gcd variant misses the extreme power
-    assert smooth_batch(ctx, [2**100 * 11]) != [11]
+    # the repeated gcds strip the extreme power as well
+    assert smooth_batch(ctx, [2**100 * 11]) == [11]
 
 
 def test_smooth_batch_exact_equals_trial_division():
@@ -90,6 +83,34 @@ def test_smooth_batch_exact_equals_trial_division():
     got = smooth_batch_exact(ctx, values)
     for x, g in zip(values, got):
         assert g == oracle_nonsmooth_part(x, primes)
+
+
+PROPERTY_PRIMES = primes_below(2000)
+SPLIT_CONTEXT = build_context(PROPERTY_PRIMES, split_ratio=10)
+# primes just above the base, which no context here may strip
+OUTSIDE_PRIMES = [next_prime_from(2000), next_prime_from(10**6), next_prime_from(10**12)]
+
+
+@st.composite
+def base_power_products(draw):
+    """A product of base-prime powers: 2 up to the 100th power, the largest
+    prime up to the 4th, a few others in between, and sometimes primes
+    outside the base on top."""
+    x = 2 ** draw(st.integers(0, 100)) * PROPERTY_PRIMES[-1] ** draw(st.integers(0, 4))
+    for p in draw(st.lists(st.sampled_from(PROPERTY_PRIMES), max_size=6)):
+        x *= p ** draw(st.integers(1, 12))
+    for p in draw(st.lists(st.sampled_from(OUTSIDE_PRIMES), max_size=3)):
+        x *= p ** draw(st.integers(1, 3))
+    return x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(base_power_products(), min_size=1, max_size=20))
+def test_smooth_batch_equals_trial_division_on_base_powers(values):
+    # the whole context and each part of the sssf partition
+    for ctx in (SPLIT_CONTEXT, SPLIT_CONTEXT.part_small, SPLIT_CONTEXT.part_large):
+        want = [oracle_nonsmooth_part(x, ctx.primes) for x in values]
+        assert smooth_batch(ctx, values) == want
 
 
 def test_smooth_batch_soundness_and_miss_rate():

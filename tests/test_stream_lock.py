@@ -23,11 +23,15 @@ CASES = [
          "fulls": 153, "partials": 892, "combined": 79},
         id="sss-30d",
     ),
+    # partials was 1037 while the batch test left high base-prime powers in
+    # some residuals: one find counted as a partial although the store,
+    # stripping its residual down to 1, kept it as a full; the dumps and
+    # the digest did not change when the batch became exact
     pytest.param(
         "sss", 2025187160651667522159602188240446426637, 30,
         "f5a46fff7354d1e35a7e7718dbcbd5b3e8f9985eb643f6503200b7db0508fb39",
         {"rounds": 30, "candidates": 8118, "filtered": 0,
-         "fulls": 121, "partials": 1037, "combined": 34},
+         "fulls": 121, "partials": 1036, "combined": 34},
         id="sss-40d",
     ),
     pytest.param(
