@@ -77,22 +77,10 @@ def isqrt_ceil(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-# Deterministic Miller-Rabin witness sets (thresholds are exclusive).
-_WITNESS_LADDER = (
-    (2047, (2,)),
-    (1373653, (2, 3)),
-    (9080191, (31, 73)),
-    (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
-    (4759123141, (2, 7, 61)),
-    (1122004669633, (2, 13, 23, 1662803)),
-    (2152302898747, (2, 3, 5, 7, 11)),
-    (3474749660383, (2, 3, 5, 7, 11, 13)),
-    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
-    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
+# The first 13 primes as Miller-Rabin witnesses decide every n below psi_13
+# (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -121,9 +109,9 @@ def _miller_rabin(n: int, bases) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality check.
 
-    Deterministic below 3.3e24 via known witness sets; above that, 40
-    pseudo-random bases seeded from n itself, so the verdict is stable
-    across runs.
+    Deterministic below psi_13 = 3.3e24 with the first 13 primes as
+    witnesses; above that, 40 pseudo-random bases seeded from n itself, so
+    the verdict is stable across runs.
     """
     if n < 2:
         return False
@@ -132,9 +120,8 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    for threshold, bases in _WITNESS_LADDER:
-        if n < threshold:
-            return _miller_rabin(n, bases)
+    if n < _PSI_13:
+        return _miller_rabin(n, _WITNESSES)
     rng = random.Random(n)
     return _miller_rabin(n, [rng.randrange(2, n - 1) for _ in range(40)])
 

@@ -22,14 +22,14 @@ one column per prime.
 
 Fulls are factored when they arrive.  Partials are not: most never meet a
 second partial with the same cofactor.  The cofactor of a partial is its
-batch residual, which smooth_batch has already stripped of every power of
-a factor-base prime; the repeated gcds with the product of the base in
-ingest only guard callers that pass other residuals.  The cofactor must
-divide f(x_bar).  The store keeps (x, x_bar, cofactor).  It root-tests the
-first partial of a cofactor once, when a second one arrives, and keeps
-that row for every later partner; each later partial is root-tested when
-it arrives, and every stored one again when the partials are dumped.  The
-root test must find the same cofactor.
+batch residual as it stands: smooth_batch returns exactly what trial
+division over the base leaves, so the store strips nothing; it checks that
+the cofactor divides f(x_bar) and keeps x_bar under it, nothing more.  It
+root-tests the first partial of a cofactor once, when a second one
+arrives, and keeps that row for every later partner; each later partial is
+root-tested when it arrives, and every stored one again when the partials
+are dumped.  The root test must find the same cofactor, so a residual that
+still carries a base prime never becomes a relation.
 
 The GF(2) solve eliminates bit-packed rows one at a time and pivots on a
 row's largest prime, so the sparse large-prime columns go first and the
@@ -38,16 +38,13 @@ dense sign, 2, 3, ... columns last.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .factorbase import FactorBase, limb_count, limb_weights, poly_value, residues
 from .numtheory import FoundFactor
-from .smoothness import product_tree, tree_root
 
 __all__ = [
     "Relation",
     "PartialRelation",
-    "PendingPartial",
     "RelationStore",
     "needed_count",
     "solve_dependencies",
@@ -78,14 +75,6 @@ class PartialRelation:
     cofactor: int
     sign: int
     exponents: Exponents
-
-
-class PendingPartial(NamedTuple):
-    """A partial relation as the store keeps it until it pairs up."""
-
-    x: int
-    x_bar: int     # f(x_bar) = (x_bar + shift)^2 - kN carries the cofactor
-    cofactor: int
 
 
 def needed_count(primes) -> int:
@@ -125,13 +114,12 @@ class RelationStore:
         self._roots = fb.root_array
         self._neg_roots = -fb.root_array % fb.odd_array
         self._weights = limb_weights(fb.odd_array, 1)
-        self._base_product = tree_root(product_tree(fb.primes))
         self.partial_bound = PARTIAL_MULTIPLIER * fb.p_max
         self.use_partials = use_partials
         self.target = needed_count(self.primes)
         self.fulls: dict[int, Relation] = {}
-        # cofactor -> the first partial with it
-        self.partials: dict[int, PendingPartial] = {}
+        # cofactor -> x_bar of the first partial with it
+        self.partials: dict[int, int] = {}
         # cofactor -> that first partial with its exponents, once it pairs
         self._first_rows: dict[int, PartialRelation] = {}
         self.native_count = 0
@@ -174,54 +162,46 @@ class RelationStore:
         return sign, tuple(exps), value
 
     def ingest(self, x_bar: int, residual: int) -> None:
-        """Accept a search find: x_bar with its batch residual, 1 for a
-        full relation.  A residual with no prime outside the base is a full
-        relation too; otherwise x_bar is kept as a partial under its
-        cofactor.  May raise FoundFactor."""
-        cofactor = residual
-        while cofactor > 1:
-            d = math.gcd(cofactor, self._base_product % cofactor)
-            if d == 1:
-                break
-            cofactor //= d
-        rel_x = (x_bar + self.shift) % self.n
-        if cofactor == 1:
+        """Accept a search find: x_bar with its batch residual, the exact
+        part of f(x_bar) outside the base.  Residual 1 is a full relation;
+        any other is the cofactor under which x_bar is kept as a partial.
+        May raise FoundFactor."""
+        if residual == 1:
             sign, exps, rest = self.exponents_of(x_bar)
             if rest != 1:
                 raise AssertionError(
                     f"batch reported f({x_bar}) smooth but cofactor {rest} remains"
                 )
-            self._store_full(Relation(rel_x, sign, exps), combined=False)
+            rel = Relation((x_bar + self.shift) % self.n, sign, exps)
+            self._store_full(rel, combined=False)
             return
-        if poly_value(x_bar, self.kn, self.shift) % cofactor:
-            raise ValueError(f"cofactor {cofactor} does not divide f({x_bar})")
-        if not self.use_partials:
+        if poly_value(x_bar, self.kn, self.shift) % residual:
+            raise ValueError(f"cofactor {residual} does not divide f({x_bar})")
+        if not self.use_partials or residual >= self.partial_bound:
             return
-        if cofactor >= self.partial_bound:
-            return
-        g = math.gcd(cofactor, self.n)
+        g = math.gcd(residual, self.n)
         if 1 < g < self.n:
             raise FoundFactor(g)
-        self._pair(PendingPartial(rel_x, x_bar, cofactor))
+        self._pair(x_bar, residual)
 
-    def _pair(self, prel: PendingPartial) -> None:
+    def _pair(self, x_bar: int, cofactor: int) -> None:
         """Store the first partial of a cofactor; combine each later one
         with it into a full relation.  The first is factored once, when its
         first partner arrives."""
-        other = self.partials.get(prel.cofactor)
-        if other is None:
-            self.partials[prel.cofactor] = prel
+        first_bar = self.partials.get(cofactor)
+        if first_bar is None:
+            self.partials[cofactor] = x_bar
             return
-        if other.x == prel.x:
+        if first_bar == x_bar:
             return  # same find twice; combining would be degenerate
-        first = self._first_rows.get(prel.cofactor)
+        first = self._first_rows.get(cofactor)
         if first is None:
-            first = self._first_rows[prel.cofactor] = self._factored(other)
-        second = self._factored(prel)
+            first = self._first_rows[cofactor] = self._factored(first_bar, cofactor)
+        second = self._factored(x_bar, cofactor)
         try:
-            inv = pow(prel.cofactor, -1, self.n)
+            inv = pow(cofactor, -1, self.n)
         except ValueError:
-            raise FoundFactor(math.gcd(prel.cofactor, self.n)) from None
+            raise FoundFactor(math.gcd(cofactor, self.n)) from None
         x = first.x * second.x % self.n * inv % self.n
         merged = dict(first.exponents)
         for i, e in second.exponents:
@@ -229,16 +209,15 @@ class RelationStore:
         rel = Relation(x, (first.sign + second.sign) % 2, tuple(sorted(merged.items())))
         self._store_full(rel, combined=True)
 
-    def _factored(self, prel: PendingPartial) -> PartialRelation:
+    def _factored(self, x_bar: int, cofactor: int) -> PartialRelation:
         """The partial with its exponents; the root test must find the
         cofactor it was stored under."""
-        sign, exps, cofactor = self.exponents_of(prel.x_bar)
-        if cofactor != prel.cofactor:
+        sign, exps, rest = self.exponents_of(x_bar)
+        if rest != cofactor:
             raise AssertionError(
-                f"partial f({prel.x_bar}) has cofactor {cofactor}, "
-                f"stored under {prel.cofactor}"
+                f"partial f({x_bar}) has cofactor {rest}, stored under {cofactor}"
             )
-        return PartialRelation(prel.x, cofactor, sign, exps)
+        return PartialRelation((x_bar + self.shift) % self.n, cofactor, sign, exps)
 
     def _store_full(self, rel: Relation, combined: bool) -> None:
         self._verify(rel)
@@ -286,7 +265,7 @@ class RelationStore:
 
     def partial_rows(self) -> list[PartialRelation]:
         """The stored partials with their exponents, one per cofactor."""
-        return [self._factored(prel) for prel in self.partials.values()]
+        return [self._factored(x_bar, r) for r, x_bar in self.partials.items()]
 
     def partials_csv(self) -> str:
         header = "x,r,sign," + ",".join(f"e_{p}" for p in self.primes)

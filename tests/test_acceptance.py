@@ -106,22 +106,13 @@ def test_c02_exact_batch_equals_trial_division(smoothness_corpus):
         assert mismatches == 0
 
 
-def test_c03_boosted_batch_soundness(smoothness_corpus):
-    with criterion(3, "boosted batch soundness and miss rate < 1%"):
+def test_c03_batch_equals_trial_division(smoothness_corpus):
+    with criterion(3, "batch == trial division"):
         ctx, values, oracle = smoothness_corpus
         got = []
         for lo in range(0, len(values), 512):
             got.extend(smooth_batch(ctx, values[lo : lo + 512]))
-        smooth_total = missed = 0
-        for g, want in zip(got, oracle):
-            if g == 1:
-                assert want == 1, "boosted batch called a non-smooth value smooth"
-            if want == 1:
-                smooth_total += 1
-                if g != 1:
-                    missed += 1
-        assert smooth_total > 0
-        assert missed < 0.01 * smooth_total, f"{missed}/{smooth_total} missed"
+        assert got == oracle
 
 
 def check_collisions(n, multiplier):

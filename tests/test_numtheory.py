@@ -109,6 +109,20 @@ def test_is_probable_prime_small_against_sieve():
         (2, True),
         (561, False),            # Carmichael
         (3215031751, False),     # strong pseudoprime to bases 2,3,5,7
+        # strong pseudoprimes to smaller witness sets, up to psi_12 and
+        # psi_13, the least ones to the first 12 and 13 primes
+        (2047, False),
+        (1373653, False),
+        (9080191, False),
+        (25326001, False),
+        (4759123141, False),
+        (1122004669633, False),
+        (2152302898747, False),
+        (3474749660383, False),
+        (341550071728321, False),
+        (3825123056546413051, False),
+        (318665857834031151167461, False),
+        (3317044064679887385961981, False),
         (2**61 - 1, True),       # Mersenne prime
         (2**67 - 1, False),      # 193707721 * 761838257287
         (10**30 + 57, True),

@@ -8,8 +8,9 @@ from sieve_oracle import interval_survivors, sieve_interval as oracle_interval
 from sssfactor.engine import RunConfig, factor
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import isqrt_ceil
-from sssfactor.qs import BLOCK_INTERVALS, Sieve, sieve_interval
+from sssfactor.qs import BLOCK_INTERVALS, Sieve, run_sieve, sieve_interval
 from sssfactor.relations import RelationStore
+from sssfactor.smoothness import build_context
 
 TOY_N = 10403  # 101 * 103
 
@@ -75,6 +76,29 @@ def test_sieve_finds_all_smooth_values_at_default_threshold():
                 assert x in candidates, f"smooth x={x} missed"
                 checked += 1
     assert checked > 10  # the oracle actually exercised smooth values
+
+
+def test_run_sieve_residual_is_the_cofactor():
+    # the relation store takes a find's residual as its cofactor: it must be
+    # exactly what trial division over the base leaves, for fulls and
+    # partials alike
+    fb, _ = build_factor_bases(TOY_N, 8, 4)
+    shift = isqrt_ceil(TOY_N)
+    bound = 128 * fb.p_max
+    sieve = Sieve(fb, bound, 256)
+    ctx = build_context(fb.primes)
+    fulls = partials = 0
+    for index in range(8):
+        found = run_sieve(sieve, ctx, index)
+        fulls += found.fulls
+        partials += found.partials
+        for x, residual in found.finds:
+            cofactor = abs(poly_value(x, TOY_N, shift))
+            for p in fb.primes:
+                while cofactor % p == 0:
+                    cofactor //= p
+            assert residual == cofactor < bound
+    assert fulls and partials
 
 
 def test_qs_factor_small():

@@ -157,17 +157,23 @@ def coprime_partials(store, fb):
     return [(r, xs) for r, xs in partials.items() if math.gcd(r, STORE_N) == 1]
 
 
-def test_partial_is_keyed_by_the_cofactor_without_base_prime_powers():
+def test_residual_carrying_a_base_prime_never_becomes_a_relation():
+    # the store takes the residual as the cofactor and strips nothing: a
+    # residual that still carries a base prime, but divides f(x_bar), is kept
+    # under that key, and the root test refuses it when the partial is dumped
     store, fb = small_store()
-    r, xs = coprime_partials(store, fb)[0]
-    # smooth_batch strips every base prime power, but another caller may
-    # pass a residual that keeps some
-    store.ingest(xs[0], r * 2**20 * fb.primes[3] ** 5)
-    assert list(store.partials) == [r]
-    sign, exps, cofactor = trial_divide(poly_value(xs[0], STORE_N, store.shift), fb.primes)
-    assert cofactor == r
-    x = (xs[0] + store.shift) % STORE_N
-    assert store.partial_rows() == [PartialRelation(x, r, sign, sparse(exps))]
+    for x_bar, r in ((x, r) for r, xs in coprime_partials(store, fb) for x in xs):
+        value = poly_value(x_bar, STORE_N, store.shift)
+        p = next((p for p in fb.primes if value % (r * p) == 0), None)
+        if p is not None:
+            break
+    else:
+        pytest.fail("test instance must provide a partial with a base prime")
+    store.ingest(x_bar, r * p)
+    assert list(store.partials) == [r * p]
+    assert not store.fulls
+    with pytest.raises(AssertionError):
+        store.partials_csv()
 
 
 def test_residual_that_does_not_divide_f_is_rejected():
@@ -210,6 +216,8 @@ def test_partial_pair_combines_into_oracle_exponents():
     for i, e in rel.exponents:
         rhs = rhs * pow(fb.primes[i], e, STORE_N) % STORE_N
     assert rel.x * rel.x % STORE_N == (-rhs if rel.sign else rhs) % STORE_N
+    # the first partial stays, and its row derives a from x_bar
+    assert store.partial_rows() == [PartialRelation(a1, r, s1, sparse(e1))]
 
 
 def test_third_partial_of_a_cofactor_combines_with_the_first():

@@ -9,7 +9,7 @@ import search_oracle as oracle
 
 from sssfactor import smoothness
 from sssfactor.crt import get_x, precompute, swap_root
-from sssfactor.factorbase import build_factor_bases, poly_value
+from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.search import (
     SUBSUM_SIZE,
@@ -24,10 +24,13 @@ from sssfactor.search import (
 from sssfactor.smoothness import build_context
 
 TOY_N = 999919  # 991 * 1009, both factors beyond the scanned primes
+# 688127023728779 * 608079655016261: every find of the toy composite is
+# full, and this one at its table sizes gives partials as well
+PARTIALS_N = 418436043196362381424098675319
 
 
-def toy_setup(m=20, small_n=6):
-    fb, sb = build_factor_bases(TOY_N, m, small_n)
+def toy_setup(m=20, small_n=6, n=TOY_N):
+    fb, sb = build_factor_bases(n, m, small_n)
     pre = precompute(sb, fb.roots)
     ctx = build_context(fb.primes)
     return fb, sb, pre, ctx
@@ -151,6 +154,16 @@ def test_collision_scan_matches_exhaustive_oracle():
     assert scans == 30
 
 
+def trial_cofactor(fb, x_bar):
+    """|f(x_bar)| with every factor-base prime divided out: what a find's
+    residual must be, since the relation store takes it as the cofactor."""
+    cofactor = abs(poly_value(x_bar, fb.kn, fb.shift))
+    for p in fb.primes:
+        while cofactor % p == 0:
+            cofactor //= p
+    return cofactor
+
+
 def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
     indices = pick_indices(4, sb.n, random.Random(seed))
@@ -169,7 +182,6 @@ def test_search_round_deterministic_replay():
 
 def test_search_round_emissions_are_sound():
     fb, sb, pre, ctx = toy_setup()
-    shift = isqrt_ceil(TOY_N)
     total = 0
     for seed in range(30):
         indices = pick_indices(4, sb.n, random.Random(seed))
@@ -179,45 +191,42 @@ def test_search_round_emissions_are_sound():
         assert len({x for x, _ in round_finds}) == len(round_finds)  # no dups
         total += len(round_finds)
         for x_bar, residual in round_finds:
-            f_val = poly_value(x_bar, TOY_N, shift)
-            cofactor = abs(f_val)
-            for p in fb.primes:
-                while cofactor % p == 0:
-                    cofactor //= p
-            if residual == 1:
-                assert cofactor == 1  # fully smooth
-            else:
-                assert 1 < residual < 128 * fb.p_max
-                assert residual % cofactor == 0  # residual is cofactor
-                                                 # times missed smooth powers
+            assert residual == trial_cofactor(fb, x_bar) < 128 * fb.p_max
     assert total > 0
+    # the toy's finds are all full; partials need a larger composite
+    fb, sb, pre, ctx = toy_setup(*table_sizes(30), n=PARTIALS_N)
+    partials = 0
+    for seed in range(5):
+        indices = pick_indices(6, sb.n, random.Random(seed))
+        stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
+        partials += stats.partials
+        for x_bar, residual in stats.finds:
+            assert residual == trial_cofactor(fb, x_bar) < 128 * fb.p_max
+    assert partials > 0
 
 
 def test_search_round_filter_path(monkeypatch):
-    fb, sb, pre, _ = toy_setup()
-    ctx = build_context(fb.primes, split_ratio=4)
-    monkeypatch.setattr(smoothness, "FILTER_DELTA", 1)
+    fb, sb, pre, _ = toy_setup(*table_sizes(30), n=PARTIALS_N)
+    ctx = build_context(fb.primes, split_ratio=10)
+    monkeypatch.setattr(smoothness, "FILTER_DELTA", 2)
     finds = []
-    rounds = 0
-    stats_total = [0, 0, 0, 0]
-    for seed in range(20):
-        indices = pick_indices(4, sb.n, random.Random(seed))
+    fulls = partials = candidates = filtered = 0
+    for seed in range(10):
+        indices = pick_indices(7, sb.n, random.Random(seed))
         stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
-        finds += stats.finds
         assert 0 <= stats.filtered <= stats.candidates
-        stats_total = [a + b for a, b in zip(stats_total, stats[1:])]
-        rounds += 1
-    # with a tight cutoff the filter must actually drop candidates
-    assert stats_total[3] > 0
-    # filtered-path fulls still verify: residual 1 finds are genuinely smooth
-    shift = isqrt_ceil(TOY_N)
+        assert len(stats.finds) == stats.fulls + stats.partials
+        finds += stats.finds
+        fulls += stats.fulls
+        partials += stats.partials
+        candidates += stats.candidates
+        filtered += stats.filtered
+    # the cutoff drops most candidates, and fulls and partials get through
+    assert candidates / 2 < filtered < candidates
+    assert fulls and partials
+    # with exact residuals
     for x_bar, residual in finds:
-        if residual == 1:
-            value = abs(poly_value(x_bar, TOY_N, shift))
-            for p in fb.primes:
-                while value % p == 0:
-                    value //= p
-            assert value == 1
+        assert residual == trial_cofactor(fb, x_bar)
 
 
 # -- the int64 array search against the pure-Python oracle ------------------

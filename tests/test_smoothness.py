@@ -123,6 +123,8 @@ def test_smooth_batch_soundness_and_miss_rate():
     missed = 0
     for x, g in zip(values, got):
         truth = oracle_nonsmooth_part(x, primes)
+        # the batch is exact: it returns the non-smooth part itself
+        assert g == truth
         if g == 1:
             assert truth == 1  # soundness: claimed smooth must be smooth
         if truth == 1:
