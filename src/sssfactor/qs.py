@@ -19,12 +19,24 @@ overhead cost more than the element work.  Every interval keeps its own
 threshold, and a position's byte sum does not depend on the block around
 it, so each interval has exactly the survivors it has when sieved alone.
 
+The smallest moduli (2 to 13, sometimes 17, at 35 digits) would stride over
+the whole block for little log mass.  The Sieve takes the progressions in
+ascending modulus while the lcm of their moduli stays within a block and
+sieves them once into a byte pattern one period (that lcm) long.  A block
+starts as that pattern read from start mod period, filled by a few copies
+that double it, and only the other progressions are added to it.  Byte
+addition mod 256 does not depend on order, so every byte, and so every
+survivor, is the one that strided adds of all progressions give.  The
+small-prime variation (Silverman, 1987) drops these primes and lowers the
+threshold instead; the pattern keeps their exact sums.
+
 The same holds across processes: the engine's forked workers inherit the
 Sieve and get 2 * BLOCK_INTERVALS consecutive intervals at a time, one
 block per side, and any worker's blocks give every interval the survivors
 that the calling process would.
 """
 
+import math
 import time
 
 import numpy as np
@@ -64,6 +76,12 @@ class Sieve:
     prime 2 adds 1 on x = kN + shift mod 2 and, when kN = 1 mod 4, 1 more
     on the two classes mod 4 where f = 0 mod 4.  Accumulators are bytes,
     which is ample for inputs up to 100 digits.
+
+    mods, roots and weights list the progressions in ascending modulus.
+    The first `patterned` of them, as many as keep the lcm of their moduli
+    within a block (length * BLOCK_INTERVALS), are sieved once into
+    `pattern`, the byte sums of one `period`, that lcm, from x = 0; block()
+    adds only the others.
     """
 
     def __init__(self, fb: FactorBase, partial_bound: int, length: int = SIEVE_LENGTH):
@@ -95,11 +113,26 @@ class Sieve:
                     roots.append((s - f_s * pow(2 * (s + shift), -1, pp)) % pp)
                     mods.append(pp)
                     weights.append(weight)
+        # in ascending modulus, so that the pattern takes the first ones
+        mods, roots, weights = zip(*sorted(zip(mods, roots, weights)))
         self.mods = np.array(mods, dtype=np.int64)
         self.roots = np.array(roots, dtype=np.int64)
         self.weights = np.array(weights, dtype=np.int64)
-        # the same as Python ints, which the strided adds take
-        self._strides = list(zip(self.mods.tolist(), self.weights.tolist()))
+        # the first progressions, while the lcm of their moduli fits in a
+        # block, are sieved once over one period of that lcm, the pattern
+        period, patterned = 1, 0
+        for mod in mods:
+            lcm = math.lcm(period, mod)
+            if lcm > length * BLOCK_INTERVALS:
+                break
+            period, patterned = lcm, patterned + 1
+        self.period, self.patterned = period, patterned
+        self.pattern = np.zeros(period, dtype=np.uint8)
+        for mod, root, weight in zip(mods[:patterned], roots, weights):
+            self.pattern[root::mod] += weight
+        # the other moduli and weights as Python ints, which the strided
+        # adds take
+        self._strides = list(zip(mods[patterned:], weights[patterned:]))
         # side -> (first step, survivor lists of that step and the next ones)
         self.blocks: dict[int, tuple[int, list[list[int]]]] = {}
 
@@ -117,8 +150,20 @@ class Sieve:
         whose byte sum reaches the interval's threshold."""
         length = self.length
         size = length * len(thresholds)
-        logs = np.zeros(size, dtype=np.uint8)
-        offsets = ((self.roots - start) % self.mods).tolist()
+        logs = np.empty(size, dtype=np.uint8)
+        # logs[i] = pattern[(start + i) mod period]: one period from x =
+        # start, wrapping round the pattern's end, then copies of the filled
+        # prefix, a whole number of periods, each doubling it
+        head = self.pattern[start % self.period :][:size]
+        logs[: len(head)] = head
+        filled = min(self.period, size)
+        logs[len(head) : filled] = self.pattern[: filled - len(head)]
+        while filled < size:
+            count = min(filled, size - filled)
+            logs[filled : filled + count] = logs[:count]
+            filled += count
+        rest = slice(self.patterned, None)
+        offsets = ((self.roots[rest] - start) % self.mods[rest]).tolist()
         for off, (mod, weight) in zip(offsets, self._strides):
             if off < size:
                 logs[off::mod] += weight

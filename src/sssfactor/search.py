@@ -17,7 +17,10 @@ least COLLISION_THRESHOLD = 3 different large primes certifies that
 f(x + alpha * m') gains three large prime divisors on top of the known
 smooth part m'.  Those candidates go to the batch smoothness test (the
 two-pass filter when the context carries a partition, as for sssf), and
-the survivors are the round's finds: full or partial relations.
+the survivors are the round's finds: full or partial relations.  A
+rescaling of a later variant can land on an x_bar that an earlier one
+produced; such a repeat is dropped before the test, so the round tests,
+counts and emits each x_bar once.
 
 The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
@@ -278,7 +281,8 @@ def search_round(
     partition (the sssf variant) switches the smoothness pass to the
     two-stage filter (smooth_filter), over the digits of fb.kn.  Each
     variant is scanned once for all its rescalings, and its candidates are
-    batch-tested together.  The scans use buffers, scan_buffers over the
+    batch-tested together, less those that an earlier variant of the round
+    already produced.  The scans use buffers, scan_buffers over the
     large primes for len(indices) rescalings, which a caller may keep from
     round to round in one process; without them the round makes its own.
     Nothing else outside the returned value changes, so a round can run in
@@ -296,6 +300,9 @@ def search_round(
 
     finds: list[tuple[int, int]] = []
     fulls = partials = candidates = filtered = 0
+    # x_bar already batch-tested in this round: another variant's rescaling
+    # can land on it again
+    seen: set[int] = set()
     for i in indices:
         x = swap_root(x, i, 1, modulus, pre)
         transforms = root_transforms(x, table)
@@ -305,6 +312,11 @@ def search_round(
         if not hits:
             continue
         batch = hit_values(fb, x, modulus, qs, hits)
+        if not seen.isdisjoint(batch):
+            batch = {x_bar: v for x_bar, v in batch.items() if x_bar not in seen}
+            if not batch:
+                continue
+        seen.update(batch)
         candidates += len(batch)
         keys = list(batch)
         values = list(batch.values())

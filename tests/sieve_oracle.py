@@ -13,46 +13,45 @@ from sssfactor.factorbase import FactorBase, poly_value
 from sssfactor.qs import SIEVE_LENGTH, interval_start
 
 
-def sieve_interval(fb: FactorBase, start: int, length: int,
-                   threshold: int) -> list[int]:
-    """All x in [start, start + length) whose accumulated prime-log weight
-    reaches the threshold.
+def progressions(fb: FactorBase, length: int) -> list[tuple[int, int, int]]:
+    """(modulus, root, weight) of every progression that adds to the byte
+    sums of an interval of the given length.
 
     Each root of f mod p adds ceil(log2 p); roots are lifted mod p^2 once
     when p^2 fits in the interval.  A prime dividing the multiplier has a
     single root, and p^2 never divides f there, so it adds once and is not
-    lifted.  Accumulators are bytes.
+    lifted.
     """
     n, shift = fb.kn, fb.shift
-    logs = np.zeros(length, dtype=np.uint8)
-
     # p = 2: f(x) is even exactly when x = n + shift mod 2
-    off = (n + shift - start) % 2
-    logs[off::2] += 1
+    out = [(2, (n + shift) % 2, 1)]
     if n % 4 == 1:
         # then x + shift must be odd and f(x) = 0 mod 4 on two classes
-        for r in ((1 - shift) % 4, (3 - shift) % 4):
-            off = (r - start) % 4
-            if off < length:
-                logs[off::4] += 1
-
+        out += [(4, (1 - shift) % 4, 1), (4, (3 - shift) % 4, 1)]
     for p in fb.odd_primes:
         weight = (p - 1).bit_length()
         roots = set(fb.roots[p])
-        for s in roots:
-            off = (s - start) % p
-            if off < length:
-                logs[off::p] += weight
+        out += [(p, s, weight) for s in roots]
         pp = p * p
         if pp <= length and len(roots) == 2:
             for s in roots:
                 # Hensel lift: f'(s) = 2(s + shift) is invertible mod p
                 f_s = poly_value(s, n, shift)
-                lifted = (s - f_s * pow(2 * (s + shift), -1, pp)) % pp
-                off = (lifted - start) % pp
-                if off < length:
-                    logs[off::pp] += weight
+                out.append((pp, (s - f_s * pow(2 * (s + shift), -1, pp)) % pp, weight))
+    return out
 
+
+def sieve_interval(fb: FactorBase, start: int, length: int,
+                   threshold: int) -> list[int]:
+    """All x in [start, start + length) whose accumulated prime-log weight
+    reaches the threshold, with one strided add per progression.
+    Accumulators are bytes.
+    """
+    logs = np.zeros(length, dtype=np.uint8)
+    for mod, root, weight in progressions(fb, length):
+        off = (root - start) % mod
+        if off < length:
+            logs[off::mod] += weight
     hits = np.nonzero(logs >= threshold)[0]
     return [start + int(i) for i in hits]
 

@@ -1,9 +1,12 @@
+import math
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiprimes import generate_semiprime
-from sieve_oracle import interval_survivors, sieve_interval as oracle_interval
+from sieve_oracle import interval_survivors, progressions, sieve_interval as oracle_interval
 
 from sssfactor.engine import RunConfig, factor
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
@@ -13,6 +16,13 @@ from sssfactor.relations import RelationStore
 from sssfactor.smoothness import build_context
 
 TOY_N = 10403  # 101 * 103
+# a qs-35d panel composite: k = 61 and kN = 1 mod 4, so the progressions
+# mod 4 go into the pattern
+K61 = 29100640830005092842290581694238229
+# a 35-digit composite on which k = 5 is forced: 5 then has one root, and
+# its one progression goes into the pattern
+N35 = generate_semiprime(35, random.Random(35))[0]
+PATTERN_BASES = [pytest.param(K61, 61, id="k61"), pytest.param(N35, 5, id="k5")]
 
 
 def oracle_weight(n, fb, x, length):
@@ -194,6 +204,51 @@ def test_block_sieve_matches_oracle_at_35_digits():
         assert got == interval_survivors(fb, bound, index), index
         survivors += len(got)
     assert survivors > 0
+
+
+def production_sieve(n, multiplier):
+    fb, _ = build_factor_bases(n, *table_sizes(35), multiplier)
+    return Sieve(fb, RelationStore(n, fb).partial_bound)
+
+
+@pytest.mark.parametrize("n, multiplier", PATTERN_BASES)
+def test_pattern_and_strided_adds_take_every_progression_once(n, multiplier):
+    sieve = production_sieve(n, multiplier)
+    fb, length = sieve.fb, sieve.length
+    listed = list(zip(sieve.mods.tolist(), sieve.roots.tolist(), sieve.weights.tolist()))
+    assert sorted(listed) == sorted(progressions(fb, length))
+    patterned, strided = listed[: sieve.patterned], listed[sieve.patterned :]
+    # the smallest moduli, as many as keep their lcm within a block
+    block = length * BLOCK_INTERVALS
+    assert max(m for m, _, _ in patterned) <= min(m for m, _, _ in strided)
+    assert sieve.period == math.lcm(*(m for m, _, _ in patterned)) <= block
+    assert math.lcm(sieve.period, strided[0][0]) > block
+    # the pattern is the byte sum of exactly those progressions from x = 0
+    x = np.arange(sieve.period)
+    expected = sum(np.where(x % m == r, w, 0) for m, r, w in patterned)
+    assert sieve.pattern.tolist() == expected.tolist()
+    if multiplier == 5:
+        assert [m for m, _, _ in patterned].count(5) == 1
+    else:
+        assert [m for m, _, _ in patterned].count(4) == 2
+
+
+@pytest.mark.parametrize("n, multiplier", PATTERN_BASES)
+def test_pattern_block_matches_oracle_at_production_sizes(n, multiplier):
+    # blocks three times as long as the engine's, below 0, across it and
+    # above it, none starting on a period boundary; every third interval at
+    # a low threshold, so that most bytes with any log mass are compared
+    sieve = production_sieve(n, multiplier)
+    length = sieve.length
+    count = 3 * BLOCK_INTERVALS
+    for start in (-count * length - 4321, -(count // 2) * length + 777, 5 * length + 99):
+        assert start % sieve.period
+        starts = [start + j * length for j in range(count)]
+        thresholds = [20 if j % 3 == 0 else sieve.threshold(s) for j, s in enumerate(starts)]
+        got = sieve.block(start, thresholds)
+        assert got == [
+            oracle_interval(sieve.fb, s, length, t) for s, t in zip(starts, thresholds)
+        ], start
 
 
 def next_prime(n):

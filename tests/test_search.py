@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -203,6 +204,25 @@ def test_search_round_emissions_are_sound():
         for x_bar, residual in stats.finds:
             assert residual == trial_cofactor(fb, x_bar) < 128 * fb.p_max
     assert partials > 0
+
+
+def test_search_round_emits_each_x_bar_once():
+    # two variants of a round can rescale onto the same x_bar; the rounds
+    # that a seed-2 collection of this composite runs first had 7 such
+    # repeats among 1247 finds while each variant's candidates were tested
+    from sssfactor.engine import RunConfig, _round_plan, prepare
+    from sssfactor.relations import RelationStore
+
+    fb, sb, pre, ctx = prepare(PARTIALS_N, RunConfig(seed=2))
+    bound = RelationStore(PARTIALS_N, fb).partial_bound
+    run, items, _ = _round_plan("sss", PARTIALS_N, 2, fb, sb, pre, ctx, bound, 0)
+    total = 0
+    for indices in itertools.islice(items, 30):
+        found = run(indices)
+        xs = [x_bar for x_bar, _ in found.finds]
+        assert len(set(xs)) == len(xs) == found.fulls + found.partials
+        total += len(xs)
+    assert total > 1000
 
 
 def test_search_round_filter_path(monkeypatch):

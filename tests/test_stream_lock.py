@@ -15,12 +15,18 @@ import pytest
 
 from sssfactor.engine import RunConfig, collect_relations, prepare
 
+# The sss and sssf counters were re-pinned when a round stopped
+# batch-testing an x_bar that an earlier variant of the same round had
+# already produced: candidates dropped by the repeats (3, 5, 4, 4 and 5,
+# in case order), filtered by the sssf repeats, and partials by the
+# repeats that were partial relations.  The store already dropped every
+# repeat, so no digest changed.
 CASES = [
     pytest.param(
         "sss", 588090330819903606914786460449, 30,
         "2300f57bd0fc7c5ccdc805ea8164b6b7190aa487e2fdb87ba7dd55bcff2c9e76",
-        {"rounds": 14, "candidates": 2515, "filtered": 0,
-         "fulls": 153, "partials": 892, "combined": 79},
+        {"rounds": 14, "candidates": 2512, "filtered": 0,
+         "fulls": 153, "partials": 890, "combined": 79},
         id="sss-30d",
     ),
     # partials was 1037 while the batch test left high base-prime powers in
@@ -30,14 +36,14 @@ CASES = [
     pytest.param(
         "sss", 2025187160651667522159602188240446426637, 30,
         "f5a46fff7354d1e35a7e7718dbcbd5b3e8f9985eb643f6503200b7db0508fb39",
-        {"rounds": 30, "candidates": 8118, "filtered": 0,
-         "fulls": 121, "partials": 1036, "combined": 34},
+        {"rounds": 30, "candidates": 8113, "filtered": 0,
+         "fulls": 121, "partials": 1032, "combined": 34},
         id="sss-40d",
     ),
     pytest.param(
         "sssf", 10631269693415190522128026926094032979418574955981, 25,
         "99ede8b3112f854a108c704c0f2062fa11d7a08dc6b096557776e9e7d58cee5a",
-        {"rounds": 25, "candidates": 17272, "filtered": 16588,
+        {"rounds": 25, "candidates": 17268, "filtered": 16584,
          "fulls": 33, "partials": 279, "combined": 1},
         id="sssf-50d",
     ),
@@ -55,7 +61,7 @@ CASES = [
     pytest.param(
         "sss", 1251681611221125843937253098284462597887, 30,
         "d5848920adc1fd819b5a11424efbad5613bc2e175288c3ceb838f46c9a7f557c",
-        {"rounds": 30, "candidates": 8867, "filtered": 0,
+        {"rounds": 30, "candidates": 8863, "filtered": 0,
          "fulls": 122, "partials": 1023, "combined": 41},
         id="sss-40d-k23",
     ),
@@ -69,7 +75,7 @@ CASES = [
     pytest.param(
         "sssf", 71572202837660953991862295872154805899815805546319, 25,
         "0896e20d87f76781a8a9597694ba91d5767b9bbe3804851d1b4840d9561e6914",
-        {"rounds": 25, "candidates": 16986, "filtered": 16141,
+        {"rounds": 25, "candidates": 16981, "filtered": 16136,
          "fulls": 48, "partials": 226, "combined": 0},
         id="sssf-50d-k31",
     ),
