@@ -7,7 +7,8 @@ the base primes that divide x.  Dividing d out and taking d = gcd(x, d)
 again until it is 1 strips every power of them, so the residual equals
 that of trial division (Bernstein, "How to find smooth parts of
 integers", 2004).  The plain product keeps eta, and with it the top
-division of the remainder tree, as small as the base allows.
+division of the remainder tree, as small as the base allows, and the
+remainder tree stops growing once its nodes are long against eta.
 smooth_batch_exact reaches the same residuals by repeated squaring of the
 remainder; nothing in the search uses it, and it stays as the reference
 that the acceptance suite checks.
@@ -40,6 +41,14 @@ FILTER_SPLIT_RATIO = 10
 FILTER_DELTA = 5
 
 
+def _parents(level: list[int]) -> list[int]:
+    """The next level of a product tree: products of neighbouring pairs."""
+    return [
+        level[i] * level[i + 1] if i + 1 < len(level) else level[i]
+        for i in range(0, len(level), 2)
+    ]
+
+
 def product_tree(values) -> list[list[int]]:
     """Balanced product tree; level 0 is the leaves, the last level the root."""
     level = list(values)
@@ -47,10 +56,7 @@ def product_tree(values) -> list[list[int]]:
         raise ValueError("empty leaf list")
     tree = [level]
     while len(level) > 1:
-        level = [
-            level[i] * level[i + 1] if i + 1 < len(level) else level[i]
-            for i in range(0, len(level), 2)
-        ]
+        level = _parents(level)
         tree.append(level)
     return tree
 
@@ -60,11 +66,23 @@ def tree_root(tree: list[list[int]]) -> int:
 
 
 def remainders(z: int, values) -> list[int]:
-    """z mod v for every v, via a remainder tree over the values."""
+    """z mod v for every v, via a remainder tree over the values.
+
+    The product tree stops at the first level whose first node has more
+    than an eighth of the bits of z, and z is reduced mod each node of
+    that level directly, which is exact at any level.  Above it, the
+    products and the remainders of longer nodes would cost more than
+    those direct reductions save: the sssf filter's first pass reduces an
+    eta shorter than the product of its candidates (README, "Batch
+    smoothness").
+    """
     if not values:
         return []
-    tree = product_tree(values)
-    rems = [z % tree_root(tree)]
+    tree = [list(values)]
+    stop = z.bit_length()
+    while len(tree[-1]) > 1 and 8 * tree[-1][0].bit_length() <= stop:
+        tree.append(_parents(tree[-1]))
+    rems = [z % v for v in tree[-1]]
     for level in reversed(tree[:-1]):
         rems = [rems[i // 2] % v for i, v in enumerate(level)]
     return rems

@@ -48,6 +48,25 @@ def test_remainders_match_direct_mod():
     assert remainders(z, values) == [z % v for v in values]
 
 
+@pytest.mark.parametrize("where", ["leaves", "mid-tree", "never"])
+def test_remainders_wherever_the_tree_stops(where):
+    # the tree stops at the first level whose first node has more than an
+    # eighth of the bits of z; the remainders must be those of the whole
+    # tree wherever that level is, also when a node of it is above z
+    rng = random.Random(15)
+    values = [rng.randrange(2**60, 2**61) for _ in range(40)]
+    tree = product_tree(values)
+    z = {
+        "leaves": rng.randrange(2**400, 2**401),
+        # level 2 (about 244 bits) stops it, level 1 (about 122) not
+        "mid-tree": rng.randrange(2**1900, 2**1901),
+        "never": tree_root(tree) ** 9 + 1,
+    }[where]
+    assert remainders(z, values) == [z % v for v in values]
+    assert remainders(z, [values[0]]) == [z % values[0]]
+    assert remainders(z, values[:3] + [z + 1]) == [z % v for v in values[:3]] + [z]
+
+
 def test_eta_is_the_product_of_the_primes():
     primes = [2, 3, 5, 7, 65537]
     ctx = build_context(primes)
