@@ -2,7 +2,8 @@
 
 Library entry points: factor() for full factorizations, collect_relations()
 for the relation-collection phase on its own.  factor(n, RunConfig(algo="qs"))
-runs the sieve baseline.
+runs the sieve baseline.  close_workers() ends the collection workers that
+the process keeps between collections; atexit calls it.
 """
 
 from .engine import (
@@ -10,6 +11,7 @@ from .engine import (
     RelationShortfall,
     RunConfig,
     RunStats,
+    close_workers,
     collect_relations,
     factor,
 )
@@ -23,6 +25,7 @@ __all__ = [
     "RelationShortfall",
     "RunConfig",
     "RunStats",
+    "close_workers",
     "collect_relations",
     "factor",
     "__version__",

@@ -12,31 +12,42 @@ it, and the relation store, the solve and the square root work mod N.
 
 collect_relations() is the one collection loop and the only code that
 feeds the relation store, and _rounds is its one round source: sss, sssf
-and qs differ only in the plan it runs (_round_plan), what an item of a
-round is and how many go to a worker at once.  Every round is a
+and qs differ only in the plan that it runs (_round_plan), what an item of
+a round is and how many go to a worker at once.  Every round is a
 search.Round value, and the loop ingests its finds in round order.
 
 A round is independent of the others once its item is fixed: a search
 round's drawn indices, or a qs interval number.  Every round is computed
-by one function of its item, run(item): search.search_round for sss and
-sssf, qs.run_sieve for qs, in batches: one round for sss and sssf, one
-sieve block per side (2 * qs.BLOCK_INTERVALS intervals) for qs.  When
-collect_relations predicts, from the first batch, that the rest of the
-collection takes well over what a fork costs (_fork_pays), one forked
-worker per other CPU computes batches too, and the calling process
-computes the batches that it draws while the oldest one waits for a
-worker's reply; a shorter collection stays in the calling process.  This
-process draws every round's search indices in round order from the one
-rng, and the rounds come out in round order, so the relation stream does
-not depend on the number of CPUs or on which process computed a round.
+by one function of its item, run(item) = _runner(plan)(item):
+search.search_round for sss and sssf, qs.run_sieve for qs, in batches: one
+round for sss and sssf, one sieve block per side (2 * qs.BLOCK_INTERVALS
+intervals) for qs.  The plan, (algo, fb, sb, pre, ctx, partial_bound), is
+picklable, and every process builds its run from it.
+
+A process keeps one set of forked workers, one per other CPU, for its
+whole life.  The first collection that predicts, from its first batch,
+that the rest takes well over what a fork costs (_fork_pays) forks it;
+every later collection, of any composite and any algorithm, sends each
+worker its plan and hands it batches from its first batch on.  The calling
+process computes the batches that it draws while the oldest one waits for
+a worker's reply.  When a collection ends, the batches still queued for a
+worker are skipped, and the set waits for the next plan; an error, a
+worker that exits or an interrupt kills it, and close_workers(), which
+atexit calls, ends it.  This process draws every round's search indices in
+round order from the one rng, and the rounds come out in round order, so
+the relation stream does not depend on the number of CPUs or on which
+process computed a round.
 """
 
+import atexit
 import collections
 import contextlib
 import itertools
 import math
 import os
+import pickle
 import random
+import signal
 import threading
 import time
 import traceback
@@ -63,6 +74,7 @@ __all__ = [
     "RelationShortfall",
     "factor",
     "collect_relations",
+    "close_workers",
     "prepare",
 ]
 
@@ -113,7 +125,8 @@ class RunStats:
     # wall seconds per phase: precompute, collect and linalg; search is the
     # rounds' own time within collect, summed over the processes that ran
     # them, so with workers it can exceed collect; inline is the part of
-    # collect before workers were forked (all of it when none were), and
+    # collect before the workers took batches (about 0 when the kept set
+    # took them from the first batch, all of it when no worker did), and
     # wait the part that this process spent blocked on a worker's reply
     phase_seconds: dict = field(default_factory=dict)
 
@@ -255,17 +268,25 @@ def collect_relations(
     call, so where the relation stream ends never depends on the host's
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
-    the seed.  After the first batch (see _rounds), the call predicts the
-    round time left from the relations still needed against store.target,
-    the store's relations per round, the first batch's seconds and the
-    rounds left under the cap; only when that is above _FORK_SECONDS do
-    worker processes compute rounds beside this one (_fork_pays).  The
-    stream stays the same either way.  The time spent is added to the
-    "collect" phase of stats, the part of it before the fork (all of it
-    without one) to its "inline" phase, the rounds' own times, summed over
-    the processes that ran them, to its "search" phase, and the time spent
-    blocked on a worker to its "wait" phase.  May raise FoundFactor when a
-    divisor appears along the way.
+    the seed.  When this process keeps a worker set of one worker per
+    other CPU, the workers compute rounds beside this one from the first
+    batch on.  Without one, after the first batch (see _rounds), the call
+    predicts the round time left from the relations still needed against
+    store.target, the store's relations per round, the first batch's
+    seconds and the rounds left under the cap; only when that is above
+    _FORK_SECONDS does it fork the set (_fork_pays), which later
+    collections keep using.  The stream stays the same either way.  The
+    time spent is added to the "collect" phase of stats, the part of it
+    before the workers took batches (all of it when none did) to its
+    "inline" phase, the rounds' own times, summed over the processes that
+    ran them, to its "search" phase, and the time spent blocked on a worker
+    to its "wait" phase.  May raise FoundFactor when a divisor appears
+    along the way.
+
+    The workers outlive the call when it stops on the target or the cap,
+    or raises FoundFactor or RelationShortfall: the batches still queued
+    for them are skipped.  Any other exception, such as a worker's error
+    or exit or a KeyboardInterrupt, kills them (close_workers).
 
     Raises RelationShortfall, with the counters of this call, once the
     store has run store.target rounds and none of them emitted a full or a
@@ -289,23 +310,33 @@ def collect_relations(
     emitted = bool(store.fulls or store.partials)
     stats.add_time("wait", 0.0)  # present when no worker was waited for
     search0 = stats.phase_seconds.get("search", 0.0)
+    count = _worker_count() - 1
     forked_at = None
 
-    def fork_pays():
+    def workers():
+        # the kept set when it has one worker per other CPU, else a new one
+        # when the fork pays; None leaves the set as it is
         nonlocal forked_at
-        left = None if round_cap is None else round_cap - store.rounds
-        seconds = stats.phase_seconds.get("search", 0.0) - search0
-        if _fork_pays(store, left, stats.rounds - before["rounds"], seconds):
-            forked_at = time.perf_counter()
-            return True
-        return False
+        if not count:
+            return None
+        kept = _workers if _workers is not None and len(_workers.procs) == count else None
+        if kept is None or not kept.begin(plan):
+            left = None if round_cap is None else round_cap - store.rounds
+            seconds = stats.phase_seconds.get("search", 0.0) - search0
+            if not _fork_pays(store, left, stats.rounds - before["rounds"], seconds):
+                return None
+            kept = _start_workers(count)
+            if not kept.begin(plan):
+                return None
+        forked_at = time.perf_counter()
+        return kept
 
     t0 = time.perf_counter()
     try:
-        run, items, batch = _round_plan(
+        plan, items, batch = _round_plan(
             algo, n, config.seed, fb, sb, pre, ctx, store.partial_bound, store.rounds
         )
-        rounds = _rounds(run, items, batch, config.max_rounds, stats, fork_pays)
+        rounds = _rounds(plan, items, batch, config.max_rounds, stats, workers)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
                 if not emitted and store.rounds >= store.target:
@@ -323,6 +354,13 @@ def collect_relations(
                 stats.filtered += found.filtered
                 stats.partials += found.partials
                 stats.add_time("search", found.seconds)
+    except (FoundFactor, RelationShortfall):
+        raise
+    except BaseException:
+        if forked_at is not None:
+            # the set may be mid-message, or a worker gone: fork anew next time
+            close_workers()
+        raise
     finally:
         stats.fulls += store.native_count - native0
         stats.combined += store.combined_count - combined0
@@ -337,21 +375,23 @@ def _since(before: dict, stats: RunStats) -> RunStats:
     return RunStats(**{key: value - before[key] for key, value in stats.counters().items()})
 
 
-# predicted round seconds left above which workers compute rounds too: a
-# fork costs a collection some 10-25 ms (starting the worker, both processes
-# copying the pages they write, the first reply awaited in round order),
-# which two CPUs win back only on some 40 ms of rounds or more, and the
-# prediction of _fork_pays overshoots about 2-3x: the first round runs
+# predicted round seconds left above which a collection forks the worker
+# set: a fork costs a collection some 10-25 ms (starting the worker, both
+# processes copying the pages they write, the first reply awaited in round
+# order), which two CPUs win back only on some 40 ms of rounds or more, and
+# the prediction of _fork_pays overshoots about 2-3x: the first round runs
 # slower than the mean, and the combined partials grow faster than linearly
 _FORK_SECONDS = 0.1
-# batches that a worker owes, at most: the most each one computes past a stop
+# batches that a worker owes, at most: the most each one has queued past a stop
 _QUEUE_DEPTH = 2
 
 
 def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     """What the round source needs for rounds from round number first on:
-    (run, items, batch).
+    (plan, items, batch).
 
+    plan = (algo, fb, sb, pre, ctx, partial_bound) is what _runner builds
+    run from, in this process and in every worker that it is sent to.
     items yields the item of every round in round order, and run(item)
     computes the round's Round in any process.  batch is the number of
     consecutive items a worker gets per message.
@@ -361,34 +401,35 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     it uses only in part.  sss/sssf: an item is a round's index list, the
     round's only random draw (pick_indices), drawn here from one rng per
     composite n fast-forwarded past rounds 0 to first - 1; a batch is one
-    round, and all the rounds that run computes in one process share one
-    set of search.scan_buffers.  run calls search_round or qs.run_sieve as
-    looked up at call time, where tracing wraps them.
+    round.
     """
+    plan = (algo, fb, sb, pre, ctx, partial_bound)
     if algo == "qs":
-        sieve = qs_mod.Sieve(fb, partial_bound)
-
-        def run(index):
-            return qs_mod.run_sieve(sieve, ctx, index)
-
-        return run, itertools.count(first), 2 * qs_mod.BLOCK_INTERVALS
-
+        return plan, itertools.count(first), 2 * qs_mod.BLOCK_INTERVALS
     k = min(SUBSUM_SIZE[algo], sb.n)
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(first):
         pick_indices(k, sb.n, rng)
-    # one set per process: a forked worker writes its own copy
-    buffers = scan_buffers(k, fb.large_arrays(sb.n)[0])
+    return plan, iter(lambda: pick_indices(k, sb.n, rng), None), 1
 
-    def run(indices):
-        return search_round(fb, sb, pre, ctx, indices, partial_bound, buffers)
 
-    return run, iter(lambda: pick_indices(k, sb.n, rng), None), 1
+def _runner(plan):
+    """run(item) for the rounds of plan (see _round_plan): one qs.Sieve,
+    or one set of search.scan_buffers, for all the rounds that it computes
+    in one process.  run calls search_round or qs.run_sieve as looked up at
+    call time, where tracing wraps them."""
+    algo, fb, sb, pre, ctx, partial_bound = plan
+    if algo == "qs":
+        sieve = qs_mod.Sieve(fb, partial_bound)
+        return lambda index: qs_mod.run_sieve(sieve, ctx, index)
+    buffers = scan_buffers(min(SUBSUM_SIZE[algo], sb.n), fb.large_arrays(sb.n)[0])
+    return lambda indices: search_round(fb, sb, pre, ctx, indices, partial_bound, buffers)
 
 
 def _fork_pays(store, left, rounds, seconds):
     """Whether the rest of a collection into store is predicted to take
-    more than _FORK_SECONDS of round time in one process.
+    more than _FORK_SECONDS of round time in one process, and so pays for
+    forking the worker set; a kept set is used without asking.
 
     rounds is the number of rounds that the collection has run so far and
     seconds their own time; before the first one nothing is timed, and the
@@ -407,29 +448,31 @@ def _fork_pays(store, left, rounds, seconds):
     return predicted * seconds / rounds > _FORK_SECONDS
 
 
-def _rounds(run, items, batch, limit, stats, fork_pays):
-    """run(item) for each item, in round order.  limit, when not None, is
-    the most rounds the caller takes, and no round past it is run.
+def _rounds(plan, items, batch, limit, stats, workers):
+    """run(item) for each item, in round order, with run = _runner(plan).
+    limit, when not None, is the most rounds the caller takes, and no round
+    past it is run.
 
     The items go out in batches of `batch` consecutive items, and one
-    process computes a whole batch with the same run.  Before the first
-    batch and again after it, fork_pays() says whether the rest is worth a
-    fork.  On its first yes, one worker per other CPU is forked
-    (_fork_workers); after two noes, or on one CPU, where it is not asked,
-    every batch is computed here.  Each worker is kept _QUEUE_DEPTH
-    batches ahead, and its replies are taken as they arrive, so that it
-    gets its next batch at once.  While the oldest batch
-    waits for a worker's reply, this process draws the next batch and
-    computes it itself; it blocks on a worker only when no batch is left
-    to draw, and adds that time to the "wait" phase of stats.  The rounds
-    come out in round order whichever process computed them, so the
-    relation stream, the counters and the answer are the same on any host.
+    process computes a whole batch with its own run.  Before the first
+    batch and again after it, until it gives one, workers() gives the
+    worker set that takes batches from then on, with plan already sent to
+    it, or None.  Without a set every batch is computed here.
+    Each worker is kept _QUEUE_DEPTH batches ahead, and its replies are
+    taken as they arrive, so that it gets its next batch at once.  While
+    the oldest batch waits for a worker's reply, this process draws the
+    next batch and computes it itself; it blocks on a worker only when no
+    batch is left to draw, and adds that time to the "wait" phase of stats.
+    The rounds come out in round order whichever process computed them, so
+    the relation stream, the counters and the answer are the same on any
+    host.
 
-    Closing the generator kills and joins the workers; the batches that
-    they or this process computed past the consumer's stop are dropped.  A
-    worker's exception is raised here with its type, chained to the
-    worker's traceback, and a worker that exits raises RuntimeError, both
-    as soon as the reply is polled.
+    When the generator closes or raises, the set skips the batches still
+    queued for it (_WorkerSet.end); the batches computed past the
+    consumer's stop are dropped.  A worker's exception is raised here with
+    its type, chained to the worker's traceback, and a worker that exits
+    raises RuntimeError, both as soon as the reply is polled, and either
+    closes the set.
     """
     if limit is not None:
         items = itertools.islice(items, limit)
@@ -437,27 +480,29 @@ def _rounds(run, items, batch, limit, stats, fork_pays):
     # the Rounds of each batch drawn and not yet yielded, in round order; a
     # worker's list stays empty until its reply is in (a batch is never empty)
     queue = collections.deque()
-    procs, conns = [], []
-    owed = []  # owed[j]: the lists that worker j has yet to fill
-    workers = _worker_count() - 1
-    asks = 2 if workers else 0  # before the first batch and after it
+    kept = run = None
+    asks = 2  # before the first batch and after it
     try:
         while True:
             if asks:
                 asks -= 1
-                if fork_pays():
+                kept = workers()
+                if kept is not None:
                     asks = 0
-                    _fork_workers(workers, run, procs, conns)
-                    owed = [collections.deque() for _ in conns]
-            for j, conn in enumerate(conns):
-                while owed[j] and conn.poll():
-                    owed[j].popleft().extend(_receive(procs[j], conn))
-                while len(owed[j]) < _QUEUE_DEPTH and (chunk := next(batches, None)):
-                    # a worker that has stopped shows when it is polled
-                    with contextlib.suppress(OSError):
-                        conn.send(chunk)
-                    owed[j].append([])
-                    queue.append(owed[j][-1])
+            if run is None:
+                # after the plan went out: the workers build theirs meanwhile
+                run = _runner(plan)
+            if kept is not None:
+                for j, conn in enumerate(kept.conns):
+                    owed = kept.owed[j]
+                    while owed and conn.poll():
+                        owed.popleft().extend(kept.receive(j))
+                    while len(owed) < _QUEUE_DEPTH and (chunk := next(batches, None)):
+                        # a worker that has stopped shows when it is polled
+                        with contextlib.suppress(OSError):
+                            conn.send(chunk)
+                        owed.append([])
+                        queue.append(owed[-1])
             if queue and queue[0]:
                 yield from queue.popleft()
             elif (chunk := next(batches, None)) is not None:
@@ -470,17 +515,13 @@ def _rounds(run, items, batch, limit, stats, fork_pays):
                 from multiprocessing.connection import wait
 
                 t0 = time.perf_counter()
-                wait([conn for conn, lists in zip(conns, owed) if lists])
+                wait([conn for conn, owed in zip(kept.conns, kept.owed) if owed])
                 stats.add_time("wait", time.perf_counter() - t0)
             else:
                 return
     finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        if kept is not None:
+            kept.end()
 
 
 def _worker_count() -> int:
@@ -500,42 +541,138 @@ def _worker_count() -> int:
     return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _fork_workers(count, run, procs, conns):
-    """Fork `count` workers that serve run (_serve_rounds), appending each
-    to procs and the parent's end of its Pipe to conns.
+class _WorkerSet:
+    """The forked workers of this process (_start_workers), each with one
+    Pipe, and the state that collections share with them.
 
-    The workers inherit run, and with it the composite and everything
-    prepared for it, by fork; over a worker's pipe only batches of items go
-    out and only the lists of their Rounds come back.  Each worker closes
-    the parent's pipe ends that it inherited, so a worker whose parent dies
-    without closing them reads EOF.  No pool: a pool's helper threads make
-    fork() unsafe.
+    A collection sends each worker its plan (begin) and then batches of
+    items; owed[j] holds a list for each batch that worker j owes, filled
+    when its reply is read.  epoch, in memory shared with the workers,
+    counts the collections that have ended: a worker skips a batch whose
+    collection has ended, so when one ends (end) only the batch in progress
+    is still computed, and the next begin reads the replies left.  No pool:
+    a pool's helper threads make fork() unsafe.
     """
-    import multiprocessing
 
-    context = multiprocessing.get_context("fork")
+    def __init__(self):
+        import multiprocessing
+
+        self.context = multiprocessing.get_context("fork")
+        self.epoch = self.context.RawValue("Q", 0)
+        self.procs, self.conns, self.owed = [], [], []
+
+    def begin(self, plan) -> bool:
+        """Send each worker plan, after reading the replies that the last
+        collection left; False, with the set closed, when a worker failed
+        or exited since.  Once those are read, a worker has nothing to say:
+        a pipe that is still readable is at EOF."""
+        try:
+            failed = any(
+                isinstance(self.conns[j].recv(), _WorkerError)
+                for j, owed in enumerate(self.owed)
+                for _ in owed
+            ) or any(conn.poll() for conn in self.conns)
+        except (EOFError, OSError):
+            failed = True
+        if failed:
+            close_workers()
+            return False
+        message = pickle.dumps((self.epoch.value, plan), pickle.HIGHEST_PROTOCOL)
+        for conn, owed in zip(self.conns, self.owed):
+            owed.clear()
+            # a worker that has stopped shows when it is polled
+            with contextlib.suppress(OSError):
+                conn.send_bytes(message)
+        return True
+
+    def end(self) -> None:
+        """End the collection: the workers skip the batches still queued."""
+        self.epoch.value += 1
+
+    def receive(self, j):
+        """The Rounds of the oldest batch that worker j owes; its exception,
+        or RuntimeError if it has exited, either after closing the set."""
+        try:
+            reply = self.conns[j].recv()
+        except (EOFError, OSError):
+            self.procs[j].join()
+            code = self.procs[j].exitcode
+            close_workers()
+            raise RuntimeError(f"collection worker exited with code {code}") from None
+        if isinstance(reply, _WorkerError):
+            close_workers()
+            raise reply.exc from RuntimeError(f"in the collection worker:\n{reply.trace}")
+        return reply
+
+    def close(self) -> None:
+        for proc in self.procs:
+            proc.kill()
+        for proc in self.procs:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+
+
+# this process's worker set, or None
+_workers = None
+
+
+def _start_workers(count) -> _WorkerSet:
+    """Fork a set of `count` workers (_serve) in place of the kept one.
+
+    The set is kept before the forks, so that each child, this set's
+    workers included, closes its copies of the parent's pipe ends
+    (_forget_workers): a parent killed by a signal then closes them all,
+    and every worker reads EOF.
+    """
+    global _workers
+    close_workers()
+    _workers = workers = _WorkerSet()
     for _ in range(count):
-        conn, child = context.Pipe()
-        proc = context.Process(
-            target=_serve_rounds, args=(child, run, [*conns, conn]), daemon=True
-        )
+        conn, child = workers.context.Pipe()
+        workers.conns.append(conn)
+        proc = workers.context.Process(target=_serve, args=(child, workers.epoch), daemon=True)
         proc.start()
         child.close()
-        procs.append(proc)
-        conns.append(conn)
+        workers.procs.append(proc)
+        workers.owed.append(collections.deque())
+    return workers
 
 
-def _receive(proc, conn):
-    """The Rounds of the oldest batch that the worker proc owes; its
-    exception, or RuntimeError if it has exited."""
-    try:
-        reply = conn.recv()
-    except (EOFError, OSError):
-        proc.join()
-        raise RuntimeError(f"collection worker exited with code {proc.exitcode}") from None
-    if isinstance(reply, _WorkerError):
-        raise reply.exc from RuntimeError(f"in the collection worker:\n{reply.trace}")
-    return reply
+def close_workers() -> None:
+    """Kill and join this process's collection workers, if it has any.
+
+    A later collection that pays for a fork starts a new set.  atexit calls
+    this, and a program that is done factoring may call it to free the
+    workers' memory earlier.
+    """
+    global _workers
+    workers, _workers = _workers, None
+    if workers is not None:
+        workers.close()
+
+
+def _forget_workers():
+    """In a forked child: drop the parent's set, closing the child's copies
+    of its pipe ends, so that the child may fork a set of its own and the
+    parent's workers read EOF once the parent dies.
+
+    multiprocessing's registry of children forgets the parent's workers
+    too: at a normal exit of the child it would terminate them, as if they
+    were the child's own, and then fail to join them."""
+    global _workers
+    if _workers is not None:
+        import multiprocessing.process
+
+        multiprocessing.process._children.difference_update(_workers.procs)
+        for conn in _workers.conns:
+            conn.close()
+        _workers = None
+
+
+atexit.register(close_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 class _WorkerError(NamedTuple):
@@ -543,28 +680,35 @@ class _WorkerError(NamedTuple):
     trace: str
 
 
-def _serve_rounds(conn, run, inherited):
-    """A worker: the list of run(item) for each batch of items that
-    arrives, until the parent closes the pipe.  An exception goes back as a
-    _WorkerError, and the worker then waits to be killed: a pipe closed
-    with batches still unread in it can reset the parent's end before the
-    error is read.
+def _serve(conn, epoch):
+    """A worker: for each plan that arrives, run = _runner(plan), and for
+    each batch of items after it the list of run(item), or None once the
+    collection that sent the batch has ended (epoch moved past the plan's).
 
-    inherited holds the parent's ends of this worker's pipe and of the
-    earlier workers' pipes, which the fork copied.  They are closed first,
-    so that only the parent holds them: a parent killed by a signal then
-    closes them all, and every worker reads EOF and exits."""
-    for end in inherited:
-        end.close()
+    An exception goes back as a _WorkerError, and the worker then waits to
+    be killed: a pipe closed with batches still unread in it can reset the
+    parent's end before the error is read.  EOF or a reset or broken pipe
+    means that the parent has closed its end or died, and the worker exits.
+    SIGINT is ignored: the parent handles an interrupt and kills the set.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    run = current = None
     try:
         while True:
-            chunk = conn.recv()
-            conn.send([run(item) for item in chunk])
-    except EOFError:
+            message = conn.recv()
+            if isinstance(message, tuple):
+                current, plan = message
+                run = _runner(plan)
+            elif epoch.value == current:
+                conn.send([run(item) for item in message])
+            else:
+                conn.send(None)
+    except (EOFError, ConnectionResetError, BrokenPipeError):
         return
-    except BaseException as exc:
-        conn.send(_WorkerError(exc, traceback.format_exc()))
-    with contextlib.suppress(EOFError):
+    except Exception as exc:
+        with contextlib.suppress(OSError):
+            conn.send(_WorkerError(exc, traceback.format_exc()))
+    with contextlib.suppress(EOFError, OSError):
         while True:
             conn.recv()
 

@@ -30,10 +30,11 @@ survivor, is the one that strided adds of all progressions give.  The
 small-prime variation (Silverman, 1987) drops these primes and lowers the
 threshold instead; the pattern keeps their exact sums.
 
-The same holds across processes: the engine's forked workers inherit the
-Sieve and get 2 * BLOCK_INTERVALS consecutive intervals at a time, one
-block per side, and any worker's blocks give every interval the survivors
-that the calling process would.
+The same holds across processes: each of the engine's forked workers
+builds its own Sieve from the collection's plan and gets 2 *
+BLOCK_INTERVALS consecutive intervals at a time, one block per side, and
+any worker's blocks give every interval the survivors that the calling
+process would.
 """
 
 import math

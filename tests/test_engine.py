@@ -191,24 +191,25 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     monkeypatch.setattr(engine, "_fork_pays", lambda *args: True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forked, ingested = [], []
-    real_fork, real_ingest = engine._fork_workers, RelationStore.ingest
+    real_start, real_ingest = engine._start_workers, RelationStore.ingest
 
-    def fork_workers(count, *args):
+    def start_workers(count):
         forked.append(count)
-        return real_fork(count, *args)
+        return real_start(count)
 
     def ingest(self, x_bar, g):
         ingested.append((x_bar, g))
         return real_ingest(self, x_bar, g)
 
-    monkeypatch.setattr(engine, "_fork_workers", fork_workers)
+    monkeypatch.setattr(engine, "_start_workers", start_workers)
     monkeypatch.setattr(RelationStore, "ingest", ingest)
     _, stats = collect_relations(N40, config, fb, sb, pre, ctx)
     assert stats.rounds == 10
     assert forked == ([1] if cpus == 2 else [])  # one CPU is never offered a fork
     assert ingested == [find for found in rounds for find in found.finds]
     assert ingested
-    assert multiprocessing.active_children() == []
+    # the worker is kept for the next collection
+    assert len(multiprocessing.active_children()) == cpus - 1
 
 
 @pytest.mark.parametrize("made, target, done, left, rounds, seconds, pays", [

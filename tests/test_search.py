@@ -210,12 +210,13 @@ def test_search_round_emits_each_x_bar_once():
     # two variants of a round can rescale onto the same x_bar; the rounds
     # that a seed-2 collection of this composite runs first had 7 such
     # repeats among 1247 finds while each variant's candidates were tested
-    from sssfactor.engine import RunConfig, _round_plan, prepare
+    from sssfactor.engine import RunConfig, _round_plan, _runner, prepare
     from sssfactor.relations import RelationStore
 
     fb, sb, pre, ctx = prepare(PARTIALS_N, RunConfig(seed=2))
     bound = RelationStore(PARTIALS_N, fb).partial_bound
-    run, items, _ = _round_plan("sss", PARTIALS_N, 2, fb, sb, pre, ctx, bound, 0)
+    plan, items, _ = _round_plan("sss", PARTIALS_N, 2, fb, sb, pre, ctx, bound, 0)
+    run = _runner(plan)
     total = 0
     for indices in itertools.islice(items, 30):
         found = run(indices)

@@ -32,13 +32,13 @@ PARENT = textwrap.dedent(
 
     engine._fork_pays = lambda *args: True  # fork before round 0
     os.sched_getaffinity = lambda pid: {0, 1, 2}  # the parent and two workers
-    serve = engine._serve_rounds
+    serve = engine._serve
 
     def announced(*args):
         os.write(1, b"%d\\n" % os.getpid())  # one write: the lines never mix
         return serve(*args)
 
-    engine._serve_rounds = announced
+    engine._serve = announced
     # 60 digits: collection runs for tens of seconds
     n = 369503144638782693794961917939723396921312984817285838723301
     config = RunConfig(algo="sssf", seed=1)

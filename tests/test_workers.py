@@ -1,20 +1,26 @@
 """Collection rounds on forked workers and in the collecting process.
 
-A collection forks when engine._fork_pays, asked before the first batch
-and after it, predicts enough work left.  Patching it to say yes forks the
-workers before round 0 (a search round, or a qs interval), and a patched
-os.sched_getaffinity fixes the CPU count, so most tests here run the
-worker path on any host with fork().  On W CPUs, W - 1 workers compute
-rounds, and this process computes the batches that it draws while the
-oldest one waits for a worker.  The stream must be the one the inline
-rounds give, and no worker may outlive collect_relations, however it
-ends.  The tests of the fork decision itself fix each round's measured
+A process keeps one worker set.  A collection without one forks it when
+engine._fork_pays, asked before the first batch and after it, predicts
+enough work left, and every later collection hands batches to it from its
+first batch on.  Patching _fork_pays to say yes forks the set before round
+0 (a search round, or a qs interval), and a patched os.sched_getaffinity
+fixes the CPU count, so most tests here run the worker path on any host
+with fork().  On W CPUs, W - 1 workers compute rounds, and this process
+computes the batches that it draws while the oldest one waits for a
+worker.  The stream must be the one the inline rounds give.  The set
+outlives a collection that stops on the target or the cap or raises
+FoundFactor, but no worker outlives a failed collection, close_workers()
+(which the autouse fixture of conftest.py calls around every test) or the
+process.  The tests of the fork decision itself fix each round's measured
 seconds, so that they do not depend on the host's speed.
 """
 
 import hashlib
 import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
 import textwrap
@@ -40,16 +46,16 @@ _PARENT = os.getpid()  # a forked worker sees its own pid
 
 
 class Spy:
-    """Counts the rounds run in this process and the worker counts of the
-    collections that forked.  Workers inherit the counting wrappers by
-    fork, but their counts stay in the worker."""
+    """Counts the rounds run in this process and the sizes of the worker
+    sets forked.  Workers inherit the counting wrappers by fork, but their
+    counts stay in the worker."""
 
     def __init__(self, monkeypatch):
         self.inline = 0
         self.forked = []
         self.inline_at_fork = []
         real_round, real_sieve = engine.search_round, qs.run_sieve
-        real_fork = engine._fork_workers
+        real_start = engine._start_workers
 
         def search_round(*args, **kwargs):
             self.inline += 1
@@ -59,15 +65,21 @@ class Spy:
             self.inline += 1
             return real_sieve(*args, **kwargs)
 
-        def fork_workers(count, *args):
-            if count:
-                self.forked.append(count)
-                self.inline_at_fork.append(self.inline)
-            return real_fork(count, *args)
+        def start_workers(count):
+            self.forked.append(count)
+            self.inline_at_fork.append(self.inline)
+            return real_start(count)
 
         monkeypatch.setattr(engine, "search_round", search_round)
         monkeypatch.setattr(qs, "run_sieve", run_sieve)
-        monkeypatch.setattr(engine, "_fork_workers", fork_workers)
+        monkeypatch.setattr(engine, "_start_workers", start_workers)
+
+
+def kept_workers():
+    """The PIDs of the kept set, checked to be every child alive."""
+    pids = sorted(proc.pid for proc in engine._workers.procs)
+    assert sorted(proc.pid for proc in multiprocessing.active_children()) == pids
+    return pids
 
 
 def fork_at_once(monkeypatch):
@@ -98,7 +110,24 @@ def test_workers_keep_the_pinned_stream(forced, algo, n, rounds, digest, counter
     dump = store.fulls_csv() + store.partials_csv()
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
     assert stats.phase_seconds["search"] > 0
-    assert multiprocessing.active_children() == []
+    assert len(kept_workers()) == 1  # kept for the next collection
+
+
+def test_one_set_serves_every_pinned_stream(forced):
+    # all the stream-lock cases, sss, sssf and qs in turn and then again,
+    # through the one worker that the first of them forks
+    for _ in range(2):
+        for case in CASES:
+            algo, n, rounds, digest, counters = case.values
+            config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
+            store, stats = collect_relations(n, config, *prepare(n, config))
+            assert stats.counters() == counters, case.id
+            dump = store.fulls_csv() + store.partials_csv()
+            assert hashlib.sha256(dump.encode()).hexdigest() == digest, case.id
+            # the worker took batches: inline stops short of collect
+            assert stats.phase_seconds["inline"] < stats.phase_seconds["collect"]
+    assert forced.forked == [1]
+    assert len(kept_workers()) == 1
 
 
 def _slow_in_worker(real):
@@ -128,7 +157,7 @@ def test_slow_workers_keep_the_pinned_stream(
     assert stats.counters() == counters
     dump = store.fulls_csv() + store.partials_csv()
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
-    assert multiprocessing.active_children() == []
+    assert len(kept_workers()) == 1
 
 
 def test_worker_count_does_not_change_the_stream(monkeypatch):
@@ -142,10 +171,10 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
     cpus(monkeypatch, 3)
     spy = Spy(monkeypatch)
     forked = engine.factor(n, config)
-    assert spy.forked and set(spy.forked) == {2}
+    assert spy.forked == [2]
     assert forked.factors == inline.factors
     assert forked.stats.counters() == inline.stats.counters()
-    assert multiprocessing.active_children() == []
+    assert len(kept_workers()) == 2
 
 
 @pytest.mark.parametrize("count", [2, 3])
@@ -167,7 +196,7 @@ def test_qs_batches_keep_the_inline_stream(monkeypatch, count):
     assert collect() == inline
     assert spy.inline in (0, 8) and spy.forked == [count - 1]
     assert inline[1]["rounds"] == 40 and inline[1]["fulls"] > 0
-    assert multiprocessing.active_children() == []
+    assert len(kept_workers()) == count - 1
 
 
 def _item_and_pid(item):
@@ -175,12 +204,19 @@ def _item_and_pid(item):
 
 
 def test_forked_rounds_send_whole_batches_in_order(monkeypatch):
-    # 23 items in batches of 4 on three CPUs: each batch runs whole in one
+    # 23 items in batches of 4 on two workers: each batch runs whole in one
     # process, the first two in one worker and the next two in the other,
-    # the last two in a worker or here, and the items come back in order
-    cpus(monkeypatch, 3)
+    # the last two in a worker or here, and the items come back in order;
+    # the plan is run itself, in this process and in the workers
+    monkeypatch.setattr(engine, "_runner", lambda plan: plan)
     spy = Spy(monkeypatch)
-    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats(), lambda: True))
+
+    def workers():
+        kept = engine._start_workers(2)
+        assert kept.begin(_item_and_pid)
+        return kept
+
+    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats(), workers))
     assert [item for item, _ in out] == list(range(23))
     pids = [{pid for _, pid in out[i : i + 4]} for i in range(0, 23, 4)]
     assert all(len(batch) == 1 for batch in pids)
@@ -190,13 +226,13 @@ def test_forked_rounds_send_whole_batches_in_order(monkeypatch):
     assert pids[:4] == [first, first, second, second]
     assert set(pids[4:]) <= {first, second, os.getpid()}
     assert spy.forked == [2]
-    assert multiprocessing.active_children() == []
+    assert kept_workers() == sorted([first, second])
 
 
 def test_resume_after_a_target_stop(monkeypatch):
     # the first call stops on the target with rounds past it already sent to
-    # the workers; they are dropped, and the second call, which continues
-    # at store.rounds, computes them again
+    # the worker; they are skipped or dropped, and the second call, which
+    # continues at store.rounds on the same worker, computes them again
     n = 588090330819903606914786460449
     config = RunConfig(algo="sss", seed=7)
     fb, sb, pre, ctx = prepare(n, config)
@@ -212,7 +248,7 @@ def test_resume_after_a_target_stop(monkeypatch):
     cpus(monkeypatch, 2)
     spy = Spy(monkeypatch)
     assert twice() == inline
-    assert spy.forked == [1, 1]
+    assert spy.forked == [1]
 
 
 def test_found_factor_in_ingest_stops_the_workers(forced, monkeypatch):
@@ -230,7 +266,56 @@ def test_found_factor_in_ingest_stops_the_workers(forced, monkeypatch):
     with pytest.raises(FoundFactor):
         collect_relations(N40, config, *prepare(N40, config))
     assert forced.forked == [1]
-    assert multiprocessing.active_children() == []
+    pids = kept_workers()
+    # the worker skips what was queued past the stop, and the kept set
+    # gives the next collection its pinned stream
+    monkeypatch.setattr(RelationStore, "ingest", real)
+    assert pinned_stream(CASES[1]) and forced.forked == [1]
+    assert kept_workers() == pids
+
+
+def _recorded(real, path):
+    """real; in a worker, after writing fb.kn to path and a 0.2 s sleep."""
+
+    def run(fb, *args):
+        if os.getpid() != _PARENT:
+            with open(path, "a") as out:
+                out.write(f"{fb.kn}\n")
+            time.sleep(0.2)
+        return real(fb, *args)
+
+    return run
+
+
+def test_a_stop_skips_the_batches_queued_for_a_worker(forced, monkeypatch, tmp_path):
+    # the collection stops at its first find, the first round's, while the
+    # worker computes its second round and a later one waits in its pipe:
+    # only the second is finished, and the next collection reads both
+    # replies before it sends its plan
+    rounds = tmp_path / "rounds"
+    monkeypatch.setattr(engine, "search_round", _recorded(engine.search_round, rounds))
+    config = RunConfig(algo="sss", seed=7)
+    prepared = prepare(N40, config)
+    with monkeypatch.context() as patch:
+        patch.setattr(RelationStore, "ingest", lambda *args: _raise(FoundFactor(3)))
+        with pytest.raises(FoundFactor):
+            collect_relations(N40, config, *prepared)
+    assert pinned_stream(CASES[0])  # another composite
+    assert rounds.read_text().split().count(str(prepared[0].kn)) == 2
+    assert forced.forked == [1]
+
+
+def _raise(exc):
+    raise exc
+
+
+def pinned_stream(case) -> bool:
+    """Whether a collection of the stream-lock case gives its counters and digest."""
+    algo, n, rounds, digest, counters = case.values
+    config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
+    store, stats = collect_relations(n, config, *prepare(n, config))
+    dump = store.fulls_csv() + store.partials_csv()
+    return (stats.counters(), hashlib.sha256(dump.encode()).hexdigest()) == (counters, digest)
 
 
 def _raise_boom(*args):
@@ -292,6 +377,8 @@ def test_worker_failure_reaches_the_caller(forced, monkeypatch, count, finds, er
     with pytest.raises(error, match=match):
         collect_relations(N40, config, *prepare(N40, config))
     assert forced.forked == ([1] if count == 2 else [])
+    # no worker outlives a failed collection
+    assert engine._workers is None
     assert multiprocessing.active_children() == []
 
 
@@ -301,7 +388,95 @@ def test_qs_worker_failure_reaches_the_caller(forced, monkeypatch):
     with pytest.raises(ZeroDivisionError, match="boom in the worker"):
         collect_relations(N40, config, *prepare(N40, config))
     assert forced.forked == [1]
+    assert engine._workers is None
     assert multiprocessing.active_children() == []
+
+
+_armed = False  # whether a worker forked now fails (_fails_when_armed)
+
+
+def _kill_self(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _fails_when_armed(fail, real):
+    """fail in a worker forked while _armed is set, else real; this
+    process always runs real."""
+
+    def run(*args):
+        if _armed and os.getpid() != _PARENT:
+            return fail(*args)
+        return real(*args)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "fail, error, match",
+    [
+        (_raise_boom, ZeroDivisionError, "boom in the worker"),
+        (_kill_self, RuntimeError, "collection worker exited with code -9"),
+    ],
+    ids=["raises", "killed"],
+)
+def test_a_failed_set_is_replaced(forced, monkeypatch, fail, error, match):
+    # the first set fails mid-collection and is torn down; the next
+    # collection forks a new one, which inherits _armed unset
+    monkeypatch.setattr(engine, "search_round", _fails_when_armed(fail, engine.search_round))
+    monkeypatch.setattr(sys.modules[__name__], "_armed", True)
+    config = RunConfig(algo="sss", seed=7, max_rounds=5)
+    with pytest.raises(error, match=match):
+        collect_relations(N40, config, *prepare(N40, config))
+    assert engine._workers is None and multiprocessing.active_children() == []
+    monkeypatch.setattr(sys.modules[__name__], "_armed", False)
+    assert pinned_stream(CASES[1])
+    assert forced.forked == [1, 1] and len(kept_workers()) == 1
+
+
+def test_a_worker_gone_between_collections_is_replaced(forced):
+    # the next collection finds the dead worker before it sends its plan,
+    # and forks a new set instead of failing
+    assert pinned_stream(CASES[0])
+    (pid,) = kept_workers()
+    os.kill(pid, signal.SIGKILL)
+    (worker,) = engine._workers.procs
+    worker.join(60)  # dead, not only signalled
+    assert worker.exitcode == -signal.SIGKILL
+    assert pinned_stream(CASES[1])
+    assert forced.forked == [1, 1] and kept_workers() != [pid]
+
+
+def test_a_forked_child_collects_on_its_own_set(forced):
+    # a child forked by the caller forgets the parent's set: it forks its
+    # own, and the parent's worker serves the parent on
+    assert pinned_stream(CASES[0])
+    pids = kept_workers()
+    read, write = os.pipe()
+    child = os.fork()
+    if child == 0:  # pragma: no cover - the child reports through the pipe
+        code = 1
+        try:
+            os.close(read)
+            ok = engine._workers is None and pinned_stream(CASES[1])
+            own = [proc.pid for proc in engine._workers.procs] if ok else []
+            # the parent's worker is not the child's to stop at its exit
+            ok = ok and [proc.pid for proc in multiprocessing.active_children()] == own
+            os.write(write, b"%d %s" % (ok, " ".join(map(str, own)).encode()))
+            engine.close_workers()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        assert select.select([read], [], [], 120)[0], "the child did not report"
+        report = os.read(read, 4096).split()  # one write, or EOF at its exit
+    finally:
+        os.close(read)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert report[0] == b"1" and len(report) == 2 and int(report[1]) not in pids
+    assert pinned_stream(CASES[3]) and forced.forked == [1]
+    assert kept_workers() == pids
 
 
 def test_one_cpu_runs_inline(monkeypatch):
@@ -347,13 +522,41 @@ def test_a_30_digit_run_stays_in_one_process(monkeypatch, seed):
     assert phases["inline"] == phases["collect"]
 
 
+def test_a_kept_set_takes_a_30_digit_run_from_its_first_round(monkeypatch):
+    # the fork rule keeps this run in one process, but it only decides
+    # whether to fork: a set that an earlier collection forked is used
+    spy = fork_rule(monkeypatch, 0.002)
+    real = engine._fork_pays
+    monkeypatch.setattr(engine, "_fork_pays", lambda *args: True)
+    assert pinned_stream(CASES[1])
+    monkeypatch.setattr(engine, "_fork_pays", real)
+    inline = spy.inline
+    result = engine.factor(N30, RunConfig(algo="sss", seed=2))
+    assert result.success and spy.forked == [1]
+    assert spy.inline - inline < result.stats.rounds
+    phases = result.stats.phase_seconds
+    assert phases["inline"] < phases["collect"]
+    assert len(kept_workers()) == 1
+
+
+def test_a_set_of_another_size_is_replaced(forced, monkeypatch):
+    # one worker for two CPUs, then two for three
+    assert pinned_stream(CASES[0])
+    (old,) = kept_workers()
+    cpus(monkeypatch, 3)
+    assert pinned_stream(CASES[1])
+    assert forced.forked == [1, 2]
+    pids = kept_workers()
+    assert len(pids) == 2 and old not in pids
+
+
 def test_a_40_digit_run_forks_after_its_first_round(monkeypatch):
     spy = fork_rule(monkeypatch, 0.003)
     result = engine.factor(N40, RunConfig(algo="sss", seed=7))
     assert result.success and spy.forked == [1] and spy.inline_at_fork == [1]
     phases = result.stats.phase_seconds
     assert 0 < phases["inline"] < phases["collect"]
-    assert multiprocessing.active_children() == []
+    assert len(kept_workers()) == 1
 
 
 def test_a_resumed_collection_of_slack_relations_stays_in_one_process(monkeypatch):
@@ -364,10 +567,11 @@ def test_a_resumed_collection_of_slack_relations_stays_in_one_process(monkeypatc
     store, stats = collect_relations(N40, config, fb, sb, pre, ctx)
     store.raise_target()
     rounds = stats.rounds
+    engine.close_workers()  # a set kept by the first call would take them
     spy = fork_rule(monkeypatch, 0.003)
     collect_relations(N40, config, fb, sb, pre, ctx, store=store, stats=stats)
     assert store.have_enough() and stats.rounds > rounds
-    assert spy.forked == []
+    assert spy.forked == [] and spy.inline == stats.rounds - rounds
 
 
 @pytest.mark.parametrize("rounds, forked", [(5, []), (50, [1])])
@@ -377,14 +581,11 @@ def test_the_round_cap_bounds_the_prediction(monkeypatch, rounds, forked):
     config = RunConfig(algo="sss", seed=7, max_rounds=rounds)
     _, stats = collect_relations(N40, config, *prepare(N40, config))
     assert stats.rounds == rounds and spy.forked == forked
-    assert multiprocessing.active_children() == []
+    assert len(multiprocessing.active_children()) == sum(forked)
 
 
-def test_other_threads_keep_the_rounds_inline(monkeypatch):
-    # a forked child would inherit the locks another thread holds
-    fork_at_once(monkeypatch)
-    cpus(monkeypatch, 2)
-    spy = Spy(monkeypatch)
+def collect_beside_a_thread():
+    """Five sss rounds of N40 while another thread of this process runs."""
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
@@ -394,7 +595,25 @@ def test_other_threads_keep_the_rounds_inline(monkeypatch):
     finally:
         stop.set()
         waiter.join()
+
+
+def test_other_threads_keep_the_rounds_inline(monkeypatch):
+    # a forked child would inherit the locks another thread holds
+    fork_at_once(monkeypatch)
+    cpus(monkeypatch, 2)
+    spy = Spy(monkeypatch)
+    collect_beside_a_thread()
     assert spy.inline == 5 and spy.forked == []
+
+
+def test_other_threads_leave_a_kept_set_alone(forced):
+    # the rounds stay inline, and the set is neither used nor replaced
+    assert pinned_stream(CASES[0])
+    pids = kept_workers()
+    inline = forced.inline
+    collect_beside_a_thread()
+    assert forced.inline - inline == 5 and forced.forked == [1]
+    assert kept_workers() == pids
 
 
 def _collect_in_daemon(conn):
@@ -427,7 +646,7 @@ def relations_rows(monkeypatch, capsys, rounds, seconds, *flags):
     spy = fork_rule(monkeypatch, seconds)
     assert main(["relations", str(N40), "--max-rounds", str(rounds), *flags]) == 0
     assert spy.forked == [1] and 0 < spy.inline < rounds
-    assert multiprocessing.active_children() == []
+    assert len(kept_workers()) == 1
     return len(capsys.readouterr().out.splitlines()) - 1
 
 
@@ -454,6 +673,7 @@ STRESS = textwrap.dedent(
     engine._fork_pays = lambda *args: True
     os.sched_getaffinity = lambda pid: {0, 1}
     rng = random.Random(12)
+    pids = set()
     for i in range(100):
         n, _, _ = generate_semiprime(18, rng)
         config = RunConfig(algo="sss", seed=i, max_rounds=3)
@@ -461,17 +681,59 @@ STRESS = textwrap.dedent(
             collect_relations(n, config, *prepare(n, config))
         except FoundFactor:
             pass
-        assert multiprocessing.active_children() == []
+        pids.update(child.pid for child in multiprocessing.active_children())
+    assert len(pids) == 1, pids  # one worker served all 100 collections
+    engine.close_workers()
+    assert multiprocessing.active_children() == []
     print("ok")
     """
 )
 
 
 def test_many_forked_collections_in_one_process():
-    # a hang or a leaked child shows as a timeout or a failed assertion
+    # a hang, a leaked child or a second fork shows as a timeout or a
+    # failed assertion
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", STRESS], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+CLI = textwrap.dedent(
+    """
+    import os, sys
+    from sssfactor import engine
+    from sssfactor.cli import main
+
+    engine._fork_pays = lambda *args: True
+    os.sched_getaffinity = lambda pid: {0, 1, 2}  # the parent and two workers
+    serve = engine._serve
+
+    def announced(*args):
+        with open(sys.argv[1], "a") as out:
+            out.write(f"{os.getpid()}\\n")
+        return serve(*args)
+
+    engine._serve = announced
+    sys.exit(main(["factor", "2025187160651667522159602188240446426637"]))
+    """
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_the_cli_leaves_no_worker_behind(tmp_path):
+    # the kept set ends at exit: its workers are gone, and they print nothing
+    from test_worker_signals import alive
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    pids = tmp_path / "pids"
+    done = subprocess.run(
+        [sys.executable, "-c", CLI, str(pids)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "41006948406240846859\n49386439112437206343\n"
+    workers = [int(line) for line in pids.read_text().split()]
+    assert len(workers) == 2
+    assert not [pid for pid in workers if alive(pid)]
