@@ -12,13 +12,15 @@ root of p_i to the other with a single addition mod M.  The paper's global
 lambda_i, built over the product of the whole small base, agree with these
 mod M, but storing them takes O(n^2) bits to save k inversions per round,
 which cost microseconds.
+
+The small base is the tuple of primes that factorbase.build_factor_bases
+returns beside the factor base; precompute keeps it with its root pairs,
+and CrtPrecomp.primes is where a round reads it.
 """
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from .factorbase import SmallFactorBase
 
 __all__ = ["CandidatePair", "CrtPrecomp", "center", "precompute", "get_x", "swap_root"]
 
@@ -42,11 +44,11 @@ def center(x: int, modulus: int) -> int:
     return x
 
 
-def precompute(small: SmallFactorBase, roots: dict) -> CrtPrecomp:
+def precompute(small: tuple[int, ...], roots: dict) -> CrtPrecomp:
     """The small base's primes with their root pairs, in index order."""
-    if not small.primes:
+    if not small:
         raise ValueError("empty small factor base")
-    return CrtPrecomp(small.primes, tuple(roots[p] for p in small.primes))
+    return CrtPrecomp(small, tuple(roots[p] for p in small))
 
 
 def _basis_times(value: int, p: int, modulus: int) -> int:

@@ -8,7 +8,9 @@ divisors, recursing until everything left is a probable prime.
 prepare() picks one Knuth-Schroeppel multiplier k per composite N, and all
 three algorithms collect on f(x) = (x + ceil(sqrt(kN)))**2 - kN: the
 factor base carries k, kN and ceil(sqrt(kN)), the rounds evaluate f from
-it, and the relation store, the solve and the square root work mod N.
+it, and the relation store, the solve and the square root work mod N.  The
+factor base also owns the partial bound, and the CRT tables the small
+base: every layer reads each from its one owner.
 
 collect_relations() is the one collection loop and the only code that
 feeds the relation store, and _rounds is its one round source: sss, sssf
@@ -21,8 +23,8 @@ round's drawn indices, or a qs interval number.  Every round is computed
 by one function of its item, run(item) = _runner(plan)(item):
 search.search_round for sss and sssf, qs.run_sieve for qs, in batches: one
 round for sss and sssf, one sieve block per side (2 * qs.BLOCK_INTERVALS
-intervals) for qs.  The plan, (algo, fb, sb, pre, ctx, partial_bound), is
-picklable, and every process builds its run from it.
+intervals) for qs.  The plan, (algo, fb, pre, ctx), is picklable, and
+every process builds its run from it.
 
 A process keeps one set of forked workers, one per other CPU, for its
 whole life.  The first collection that predicts, from its first batch,
@@ -94,7 +96,8 @@ class RunConfig:
     from the variant (search.SUBSUM_SIZE), the filter's split ratio and
     cutoff offset from smoothness.FILTER_SPLIT_RATIO and FILTER_DELTA, and
     the relation policy from search.COLLISION_THRESHOLD,
-    relations.PARTIAL_MULTIPLIER and relations.SLACK.
+    factorbase.PARTIAL_MULTIPLIER (which sets FactorBase.partial_bound) and
+    relations.SLACK.
     """
 
     algo: str | None = None          # sss | sssf | qs; None picks by size
@@ -234,10 +237,11 @@ class RelationShortfall(RuntimeError):
 
 
 def prepare(n: int, config: RunConfig):
-    """Precomputation for one composite: the Knuth-Schroeppel multiplier,
-    factor bases of kN (which carry it), CRT tables and the smoothness
-    context (with a partition when the filtered variant runs).  The sizes
-    come from the digit-count table, for the digits of n.
+    """Precomputation for one composite: (fb, sb, pre, ctx), the factor
+    base of kN with its Knuth-Schroeppel multiplier k, the small base (the
+    tuple of primes that pre also holds), the CRT tables and the
+    smoothness context (with a partition when the filtered variant runs).
+    The sizes come from the digit-count table, for the digits of n.
 
     Raises FoundFactor if the base scan already hits a divisor.
     """
@@ -262,7 +266,8 @@ def collect_relations(
     """Run rounds (search rounds, or sieved intervals for qs) until the
     store holds enough relations.  n is the number being factored, and the
     rounds evaluate the factor base's f, on fb.kn; a base built for another
-    number raises ValueError.
+    number raises ValueError.  fb, sb, pre and ctx are what prepare()
+    returns; the rounds read the small base from pre, so sb is not read.
 
     Stops on the relation target or after config.max_rounds rounds of this
     call, so where the relation stream ends never depends on the host's
@@ -298,7 +303,7 @@ def collect_relations(
     if stats is None:
         stats = RunStats()
     algo = config.algo_for(n)
-    if algo != "qs" and not fb.large_primes(sb.n):
+    if algo != "qs" and not fb.large_primes(len(pre.primes)):
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
         )
@@ -333,9 +338,7 @@ def collect_relations(
 
     t0 = time.perf_counter()
     try:
-        plan, items, batch = _round_plan(
-            algo, n, config.seed, fb, sb, pre, ctx, store.partial_bound, store.rounds
-        )
+        plan, items, batch = _round_plan(algo, n, config.seed, fb, pre, ctx, store.rounds)
         rounds = _rounds(plan, items, batch, config.max_rounds, stats, workers)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
@@ -386,15 +389,15 @@ _FORK_SECONDS = 0.1
 _QUEUE_DEPTH = 2
 
 
-def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
+def _round_plan(algo, n, seed, fb, pre, ctx, first):
     """What the round source needs for rounds from round number first on:
     (plan, items, batch).
 
-    plan = (algo, fb, sb, pre, ctx, partial_bound) is what _runner builds
-    run from, in this process and in every worker that it is sent to.
-    items yields the item of every round in round order, and run(item)
-    computes the round's Round in any process.  batch is the number of
-    consecutive items a worker gets per message.
+    plan = (algo, fb, pre, ctx) is what _runner builds run from, in this
+    process and in every worker that it is sent to.  items yields the item
+    of every round in round order, and run(item) computes the round's Round
+    in any process.  batch is the number of consecutive items a worker gets
+    per message.
 
     qs: an item is an interval number, and a batch is 2 * BLOCK_INTERVALS
     intervals, one sieve block per side, so a worker sieves no block that
@@ -403,14 +406,15 @@ def _round_plan(algo, n, seed, fb, sb, pre, ctx, partial_bound, first):
     composite n fast-forwarded past rounds 0 to first - 1; a batch is one
     round.
     """
-    plan = (algo, fb, sb, pre, ctx, partial_bound)
+    plan = (algo, fb, pre, ctx)
     if algo == "qs":
         return plan, itertools.count(first), 2 * qs_mod.BLOCK_INTERVALS
-    k = min(SUBSUM_SIZE[algo], sb.n)
+    small = len(pre.primes)
+    k = min(SUBSUM_SIZE[algo], small)
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(first):
-        pick_indices(k, sb.n, rng)
-    return plan, iter(lambda: pick_indices(k, sb.n, rng), None), 1
+        pick_indices(k, small, rng)
+    return plan, iter(lambda: pick_indices(k, small, rng), None), 1
 
 
 def _runner(plan):
@@ -418,12 +422,13 @@ def _runner(plan):
     or one set of search.scan_buffers, for all the rounds that it computes
     in one process.  run calls search_round or qs.run_sieve as looked up at
     call time, where tracing wraps them."""
-    algo, fb, sb, pre, ctx, partial_bound = plan
+    algo, fb, pre, ctx = plan
     if algo == "qs":
-        sieve = qs_mod.Sieve(fb, partial_bound)
+        sieve = qs_mod.Sieve(fb)
         return lambda index: qs_mod.run_sieve(sieve, ctx, index)
-    buffers = scan_buffers(min(SUBSUM_SIZE[algo], sb.n), fb.large_arrays(sb.n)[0])
-    return lambda indices: search_round(fb, sb, pre, ctx, indices, partial_bound, buffers)
+    small = len(pre.primes)
+    buffers = scan_buffers(min(SUBSUM_SIZE[algo], small), fb.large_arrays(small)[0])
+    return lambda indices: search_round(fb, pre, ctx, indices, buffers)
 
 
 def _fork_pays(store, left, rounds, seconds):
@@ -755,7 +760,7 @@ def _find_divisor(n: int, config: RunConfig, stats: RunStats) -> int:
             # one's, and so do their dependencies: skip those, all trivial
             deps = solve_dependencies(rels)
             for subset in deps[tried:]:
-                big_x, big_y = assemble_square(subset, rels, store.primes, n)
+                big_x, big_y = assemble_square(subset, rels, fb.primes, n)
                 divisor = extract_factor(big_x, big_y, n)
                 if divisor is not None:
                     return divisor

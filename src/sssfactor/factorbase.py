@@ -14,12 +14,15 @@ candidate value), and the primes that divide k.  Each kept odd prime
 carries the two roots of f mod p; a prime dividing k divides f at one root
 only, and exactly once, so it carries that root twice.  The search uses
 only the primes with two distinct roots (the paired primes): the small
-factor base is the first n of them, and its products form the moduli of
-the subsum search; the rest are the collision primes.  The odd primes and
-their roots are also kept as int64 arrays for the vectorized collision
-search and root test, which need every prime below 2**31 to keep their
-products inside int64.  limb_weights() and residues() reduce one big
-integer modulo every prime of such an array, and pow_mod() raises
+factor base is the first n of them, a plain tuple of primes, and its
+products form the moduli of the subsum search; the rest are the collision
+primes.  The base also owns the partial bound, p_max times
+PARTIAL_MULTIPLIER: a partial relation's cofactor lies below it, and the
+search, the sieve and the relation store all read it from here.  The odd
+primes and their roots are also kept as int64 arrays for the vectorized
+collision search and root test, which need every prime below 2**31 to
+keep their products inside int64.  limb_weights() and residues() reduce
+one big integer modulo every prime of such an array, and pow_mod() raises
 residues to a power; the search and the relation store share them.
 """
 
@@ -41,8 +44,8 @@ from .numtheory import (
 __all__ = [
     "MAX_PRIME",
     "MULTIPLIERS",
+    "PARTIAL_MULTIPLIER",
     "FactorBase",
-    "SmallFactorBase",
     "poly_value",
     "limb_count",
     "limb_weights",
@@ -119,6 +122,9 @@ def legendre_symbols(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return np.where(r == primes - 1, -1, r)
 
 
+# a partial's cofactor must stay below this multiple of p_max
+PARTIAL_MULTIPLIER = 128
+
 # Knuth-Schroeppel multipliers tried: the odd squarefree k < 100, k = 1 first
 MULTIPLIERS = tuple(k for k in range(1, 100, 2) if all(k % (p * p) for p in (3, 5, 7)))
 
@@ -170,7 +176,8 @@ class FactorBase:
     """Ordered factor base of f = (x + shift)**2 - kN, with k = multiplier
     and shift = ceil(sqrt(kN)): primes[0] == 2, then odd primes with roots.
     The base is the one owner of f: everything that evaluates f reads kn
-    and shift from here.
+    and shift from here.  It owns the partial bound too, the exclusive bound
+    on a partial relation's cofactor, p_max times PARTIAL_MULTIPLIER.
 
     odd_array and root_array hold the odd primes and their roots (shape
     (2, len(odd_primes))) as int64, in the order of `primes`.  paired,
@@ -183,6 +190,7 @@ class FactorBase:
     multiplier: int
     kn: int      # the polynomial's modulus, multiplier times the number factored
     shift: int   # ceil(sqrt(kn))
+    partial_bound: int = field(init=False)
     odd_array: np.ndarray = field(init=False, repr=False)
     root_array: np.ndarray = field(init=False, repr=False)
     paired: tuple[int, ...] = field(init=False, repr=False)
@@ -201,6 +209,7 @@ class FactorBase:
         two_roots = root_array[0] != root_array[1]
         pair_array = odd_array[two_roots]
         for name, value in (
+            ("partial_bound", PARTIAL_MULTIPLIER * self.p_max),
             ("odd_array", odd_array),
             ("root_array", root_array),
             ("paired", tuple(pair_array.tolist())),
@@ -224,17 +233,6 @@ class FactorBase:
     @property
     def p_max(self) -> int:
         return self.primes[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class SmallFactorBase:
-    """The first n paired primes of the parent factor base."""
-
-    primes: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.primes)
 
 
 # (max_digits, m, n) tiers; the 75-77 digit gap is folded into the next
@@ -272,8 +270,9 @@ def table_sizes(digit_count: int) -> tuple[int, int]:
 
 
 def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
-    """Scan the first 2m primes and build (FactorBase, SmallFactorBase) for
-    f = (x + ceil(sqrt(kN)))**2 - kN, k = multiplier and N = n.
+    """Scan the first 2m primes and build the factor base of f = (x +
+    ceil(sqrt(kN)))**2 - kN, k = multiplier and N = n, and the small base,
+    the first small_n of its paired primes: (fb, fb.paired[:small_n]).
 
     Odd primes with (kN|p) = -1 are dropped; on average about half survive,
     so the base ends up near the target size m.  The symbols come from one
@@ -315,5 +314,4 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
             continue
         kept.append(p)
     fb = FactorBase(tuple(kept), roots, multiplier, kn, shift)
-    sb = SmallFactorBase(fb.paired[:small_n])
-    return fb, sb
+    return fb, fb.paired[:small_n]

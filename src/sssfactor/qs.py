@@ -2,14 +2,15 @@
 
 Deliberately basic: one polynomial f(x) = (x + ceil(sqrt(kN)))**2 - kN,
 the one the subsum search uses (k is the factor base's Knuth-Schroeppel
-multiplier, and the Sieve reads kN and ceil(sqrt(kN)) from the factor
-base), sieved over intervals of SIEVE_LENGTH values on both sides of 0
-(0, -L, L, -2L, ...), rounded base-2 prime logs in byte accumulators,
-prime squares up to the interval length sieved once.  One interval is one
-round of the engine's collection loop: survivors go through the shared
-batch smoothness check, and run_sieve returns them as a search.Round that
-the engine ingests like a search round's, so the comparison against the
-subsum search differs only in how candidates are generated.
+multiplier, and the Sieve reads kN, ceil(sqrt(kN)) and the partial bound
+from the factor base), sieved over intervals of SIEVE_LENGTH values on
+both sides of 0 (0, -L, L, -2L, ...), rounded base-2 prime logs in byte
+accumulators, prime squares up to the interval length sieved once.  One
+interval is one round of the engine's collection loop: survivors go
+through the shared batch smoothness check, and run_sieve returns them as a
+search.Round that the engine ingests like a search round's, so the
+comparison against the subsum search differs only in how candidates are
+generated.
 
 The progressions (modulus, root, weight) depend only on kN, Hensel lifts
 mod p**2 included, so a Sieve builds them once per composite.  It sieves
@@ -68,7 +69,8 @@ def interval_start(index: int, length: int) -> int:
 class Sieve:
     """The sieve of one composite: its progressions, built once, and the
     survivors of the last block sieved on each side.  f is the factor
-    base's polynomial (fb.kn, fb.shift).
+    base's polynomial (fb.kn, fb.shift), and the thresholds leave room for
+    a partial relation's cofactor below fb.partial_bound.
 
     Each root s of f mod p is a progression x = s mod p of weight
     ceil(log2 p); so is each root lifted mod p**2 when p**2 <= length, the
@@ -85,11 +87,10 @@ class Sieve:
     adds only the others.
     """
 
-    def __init__(self, fb: FactorBase, partial_bound: int, length: int = SIEVE_LENGTH):
+    def __init__(self, fb: FactorBase, length: int = SIEVE_LENGTH):
         self.fb = fb
         kn, shift = fb.kn, fb.shift
         self.length = length
-        self.partial_bound = partial_bound
         mods, roots, weights = [2], [(kn + shift) % 2], [1]
         if kn % 4 == 1:
             mods += [4, 4]
@@ -140,10 +141,10 @@ class Sieve:
     def threshold(self, start: int) -> int:
         """The threshold of the interval [start, start + length):
         ceil(log2 |f(mid)|) minus the partial-cofactor allowance
-        log2(partial_bound), so that candidates leading to partial
+        log2(fb.partial_bound), so that candidates leading to partial
         relations still clear the bar."""
         f_mid = abs(poly_value(start + self.length // 2, self.fb.kn, self.fb.shift))
-        return max(_ceil_log2(f_mid) - _ceil_log2(self.partial_bound), 1)
+        return max(_ceil_log2(f_mid) - _ceil_log2(self.fb.partial_bound), 1)
 
     def block(self, start: int, thresholds) -> list[list[int]]:
         """Survivors of the intervals [start + j L, start + (j + 1) L), one
@@ -200,19 +201,19 @@ def sieve_interval(sieve: Sieve, index: int) -> list[int]:
 
 def run_sieve(sieve: Sieve, ctx: SmoothnessContext, index: int) -> Round:
     """Sieve interval number index (0, -L, L, -2L, ... with L = SIEVE_LENGTH)
-    and return its full and partial relations, classified against
-    sieve.partial_bound.
+    and return its full and partial relations, classified against the
+    factor base's partial bound.
 
     Candidates are the sieve survivors, and nothing is filtered.
     """
     t0 = time.perf_counter()
     xs = sieve_interval(sieve, index)
-    kn, shift = sieve.fb.kn, sieve.fb.shift
-    values = [abs(poly_value(x, kn, shift)) for x in xs]
+    fb = sieve.fb
+    values = [abs(poly_value(x, fb.kn, fb.shift)) for x in xs]
     finds = []
     fulls = partials = 0
     for x, g in zip(xs, smooth_batch(ctx, values)):
-        kind = classify(g, sieve.partial_bound)
+        kind = classify(g, fb.partial_bound)
         if kind is Smoothness.REJECT:
             continue
         if kind is Smoothness.FULL:

@@ -7,9 +7,12 @@ base's Knuth-Schroeppel multiplier, so a = x_bar + shift mod N: the
 polynomial side (the root test, the cofactor check) works with kN and
 shift, which the store reads from the factor base, and everything mod N
 (a, the congruence check, the gcds and the square root) with N.  A store
-refuses a factor base built for another number.  A partial relation
-carries one extra cofactor r below the partial bound; two partials sharing
-r merge into the full relation (a1 * a2 * r^-1)^2 = y1 * y2 mod N.
+refuses a factor base built for another number.  The store keeps the
+factor base itself and reads every fact of it there: its primes, the odd
+primes and their roots for the root test, and the partial bound.  A
+partial relation carries one extra cofactor r below that bound; two
+partials sharing r merge into the full relation
+(a1 * a2 * r^-1)^2 = y1 * y2 mod N.
 
 Exponents are stored sparse: a row is a tuple of (prime index, exponent)
 pairs, sorted by index, one pair per prime that divides the value.  They
@@ -55,8 +58,6 @@ __all__ = [
 # (prime index, exponent) pairs, sorted by index, every exponent positive
 Exponents = tuple[tuple[int, int], ...]
 
-# a partial's cofactor must stay below PARTIAL_MULTIPLIER * p_max
-PARTIAL_MULTIPLIER = 128
 # spare relations collected beyond |F| + 1, and added again whenever every
 # dependency gave a trivial gcd
 SLACK = 10
@@ -90,10 +91,9 @@ class RelationStore:
 
     Fulls are deduplicated by their x; partials are keyed by cofactor and
     combined with every later partial of that cofactor, which is when that
-    partial is factored (the first one only once).  Every stored full
-    relation is re-verified against its defining congruence.
-    `partial_bound` is the exclusive bound on a partial's cofactor, which
-    the search and the sieve classify against.
+    partial is factored (the first one only once); a cofactor at or above
+    fb.partial_bound is dropped.  Every stored full relation is re-verified
+    against its defining congruence.
     `rounds` counts the collection rounds that fed the store;
     collect_relations numbers its next round from it.
     """
@@ -104,19 +104,13 @@ class RelationStore:
                 f"factor base built for kN = {fb.kn}, not for {fb.multiplier} * {n}"
             )
         self.n = n
-        self.kn = fb.kn
-        self.shift = fb.shift
-        self.primes = fb.primes
-        # root test tables over the odd primes; x_bar < 0 compares |x_bar|
-        # mod p against the negated roots
-        self._odd_array = fb.odd_array
-        self._odd_primes = fb.odd_primes
-        self._roots = fb.root_array
+        self.fb = fb
+        # the root test compares |x_bar| mod p against the negated roots
+        # when x_bar < 0
         self._neg_roots = -fb.root_array % fb.odd_array
         self._weights = limb_weights(fb.odd_array, 1)
-        self.partial_bound = PARTIAL_MULTIPLIER * fb.p_max
         self.use_partials = use_partials
-        self.target = needed_count(self.primes)
+        self.target = needed_count(fb.primes)
         self.fulls: dict[int, Relation] = {}
         # cofactor -> x_bar of the first partial with it
         self.partials: dict[int, int] = {}
@@ -134,7 +128,8 @@ class RelationStore:
         The odd primes come from the root test on x_bar mod p, with as many
         30-bit limbs as |x_bar| needs; only they are divided out.
         """
-        value = poly_value(x_bar, self.kn, self.shift)
+        fb = self.fb
+        value = poly_value(x_bar, fb.kn, fb.shift)
         if value == 0:
             raise ValueError("cannot factor zero")
         sign = int(value < 0)
@@ -147,10 +142,10 @@ class RelationStore:
         size = abs(x_bar)
         limbs = limb_count(size)
         if limbs > len(self._weights):
-            self._weights = limb_weights(self._odd_array, limbs)
-        xr = residues(size, self._weights, self._odd_array)
-        r1, r2 = self._neg_roots if x_bar < 0 else self._roots
-        odd = self._odd_primes
+            self._weights = limb_weights(fb.odd_array, limbs)
+        xr = residues(size, self._weights, fb.odd_array)
+        r1, r2 = self._neg_roots if x_bar < 0 else fb.root_array
+        odd = fb.odd_primes
         for i in ((xr == r1) | (xr == r2)).nonzero()[0].tolist():
             p = odd[i]
             e = 0
@@ -172,12 +167,12 @@ class RelationStore:
                 raise AssertionError(
                     f"batch reported f({x_bar}) smooth but cofactor {rest} remains"
                 )
-            rel = Relation((x_bar + self.shift) % self.n, sign, exps)
+            rel = Relation((x_bar + self.fb.shift) % self.n, sign, exps)
             self._store_full(rel, combined=False)
             return
-        if poly_value(x_bar, self.kn, self.shift) % residual:
+        if poly_value(x_bar, self.fb.kn, self.fb.shift) % residual:
             raise ValueError(f"cofactor {residual} does not divide f({x_bar})")
-        if not self.use_partials or residual >= self.partial_bound:
+        if not self.use_partials or residual >= self.fb.partial_bound:
             return
         g = math.gcd(residual, self.n)
         if 1 < g < self.n:
@@ -217,7 +212,7 @@ class RelationStore:
             raise AssertionError(
                 f"partial f({x_bar}) has cofactor {rest}, stored under {cofactor}"
             )
-        return PartialRelation((x_bar + self.shift) % self.n, cofactor, sign, exps)
+        return PartialRelation((x_bar + self.fb.shift) % self.n, cofactor, sign, exps)
 
     def _store_full(self, rel: Relation, combined: bool) -> None:
         self._verify(rel)
@@ -232,7 +227,7 @@ class RelationStore:
     def _verify(self, rel: Relation) -> None:
         rhs = 1
         for i, e in rel.exponents:
-            rhs = rhs * pow(self.primes[i], e, self.n) % self.n
+            rhs = rhs * pow(self.fb.primes[i], e, self.n) % self.n
         if rel.sign:
             rhs = self.n - rhs
         if (rel.x * rel.x - rhs) % self.n:
@@ -251,13 +246,13 @@ class RelationStore:
     # -- dumps ---------------------------------------------------------------
 
     def _dense(self, exponents: Exponents) -> str:
-        cells = ["0"] * len(self.primes)
+        cells = ["0"] * len(self.fb.primes)
         for i, e in exponents:
             cells[i] = str(e)
         return ",".join(cells)
 
     def fulls_csv(self) -> str:
-        header = "x,sign," + ",".join(f"e_{p}" for p in self.primes)
+        header = "x,sign," + ",".join(f"e_{p}" for p in self.fb.primes)
         lines = [header]
         for rel in self.fulls.values():
             lines.append(f"{rel.x},{rel.sign}," + self._dense(rel.exponents))
@@ -268,7 +263,7 @@ class RelationStore:
         return [self._factored(x_bar, r) for r, x_bar in self.partials.items()]
 
     def partials_csv(self) -> str:
-        header = "x,r,sign," + ",".join(f"e_{p}" for p in self.primes)
+        header = "x,r,sign," + ",".join(f"e_{p}" for p in self.fb.primes)
         lines = [header]
         for prel in self.partial_rows():
             lines.append(

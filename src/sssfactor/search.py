@@ -2,10 +2,12 @@
 
 kN is the number being factored times the factor base's Knuth-Schroeppel
 multiplier.  The factor base carries f, and the functions below read kN
-and ceil(sqrt(kN)) from it (fb.kn, fb.shift).  The search uses only the
-paired primes of the base (factorbase.FactorBase.paired): a prime
-dividing the multiplier has a single root, so its four collision offsets
-would not be distinct.
+and ceil(sqrt(kN)) from it (fb.kn, fb.shift), and the bound on a partial
+relation's cofactor (fb.partial_bound).  The small base, whose primes form
+the moduli, comes from the CRT tables (crt.CrtPrecomp.primes).  The search
+uses only the paired primes of the base (factorbase.FactorBase.paired): a
+prime dividing the multiplier has a single root, so its four collision
+offsets would not be distinct.
 
 One round picks k random small-base primes (SUBSUM_SIZE: 6 for sss, 7
 for sssf), builds the initial candidate pair (x, M) by a CRT over those k
@@ -60,7 +62,6 @@ import numpy as np
 from .crt import CrtPrecomp, get_x, swap_root
 from .factorbase import (
     FactorBase,
-    SmallFactorBase,
     limb_count,
     limb_weights,
     poly_value,
@@ -267,22 +268,21 @@ def hit_values(fb: FactorBase, x: int, modulus: int, qs, hits) -> dict[int, int]
 
 def search_round(
     fb: FactorBase,
-    sb: SmallFactorBase,
     pre: CrtPrecomp,
     ctx: SmoothnessContext,
     indices: list[int],
-    partial_bound: int,
     buffers: ScanBuffers | None = None,
 ) -> Round:
     """The round over the small-base primes at indices: its finds, as
     (x_bar, g) pairs in stream order, and its counts.
 
-    Finds are classified against partial_bound.  A context with a
-    partition (the sssf variant) switches the smoothness pass to the
-    two-stage filter (smooth_filter), over the digits of fb.kn.  Each
-    variant is scanned once for all its rescalings, and its candidates are
-    batch-tested together, less those that an earlier variant of the round
-    already produced.  The scans use buffers, scan_buffers over the
+    The small base is pre.primes, and the collision primes are the paired
+    primes of fb beyond it.  Finds are classified against fb.partial_bound.
+    A context with a partition (the sssf variant) switches the smoothness
+    pass to the two-stage filter (smooth_filter), over the digits of fb.kn.
+    Each variant is scanned once for all its rescalings, and its candidates
+    are batch-tested together, less those that an earlier variant of the
+    round already produced.  The scans use buffers, scan_buffers over the
     large primes for len(indices) rescalings, which a caller may keep from
     round to round in one process; without them the round makes its own.
     Nothing else outside the returned value changes, so a round can run in
@@ -290,9 +290,10 @@ def search_round(
     """
     t0 = time.perf_counter()
     digits = len(str(fb.kn))
-    moduli = [sb.primes[i] for i in indices]
+    small = pre.primes
+    moduli = [small[i] for i in indices]
     modulus = math.prod(moduli)
-    table = round_table(modulus, *fb.large_arrays(sb.n))
+    table = round_table(modulus, *fb.large_arrays(len(small)))
     if buffers is None:
         buffers = scan_buffers(len(indices), table.primes)
 
@@ -307,7 +308,7 @@ def search_round(
         x = swap_root(x, i, 1, modulus, pre)
         transforms = root_transforms(x, table)
         # q = 1 scans the base pair (x, M) itself
-        qs = [1] + [q for q in moduli if q != sb.primes[i]]
+        qs = [1] + [q for q in moduli if q != small[i]]
         hits = collision_scan(transforms, qs, modulus, buffers=buffers)
         if not hits:
             continue
@@ -327,7 +328,7 @@ def search_round(
         else:
             found = zip(keys, smooth_batch(ctx, values))
         for x_bar, g in found:
-            kind = classify(g, partial_bound)
+            kind = classify(g, fb.partial_bound)
             if kind is Smoothness.REJECT:
                 continue
             if kind is Smoothness.FULL:

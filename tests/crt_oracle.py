@@ -23,16 +23,16 @@ class GlobalCrt(NamedTuple):
 
 def precompute(small, roots: dict) -> GlobalCrt:
     """The per-prime coefficients lambda_i and root deltas delta_i."""
-    mu = math.prod(small.primes)
+    mu = math.prod(small)
     lam = []
     delta = []
-    for p in small.primes:
+    for p in small:
         cofactor = mu // p
         lam_i = cofactor * pow(cofactor, -1, p)
         s1, s2 = roots[p]
         lam.append(lam_i)
         delta.append(lam_i * (s2 - s1))
-    return GlobalCrt(small.primes, mu, tuple(lam), tuple(delta))
+    return GlobalCrt(small, mu, tuple(lam), tuple(delta))
 
 
 def get_x(choices, pre: GlobalCrt, roots: dict) -> CandidatePair:

@@ -56,18 +56,16 @@ def sieve_interval(fb: FactorBase, start: int, length: int,
     return [start + int(i) for i in hits]
 
 
-def interval_threshold(fb: FactorBase, start: int, length: int,
-                       partial_bound: int) -> int:
-    """ceil(log2 |f(mid)|) - ceil(log2 partial_bound), at least 1."""
+def interval_threshold(fb: FactorBase, start: int, length: int) -> int:
+    """ceil(log2 |f(mid)|) - ceil(log2 fb.partial_bound), at least 1."""
     f_mid = abs(poly_value(start + length // 2, fb.kn, fb.shift))
     ceil_log2 = (f_mid - 1).bit_length() if f_mid > 1 else 0
-    return max(ceil_log2 - (partial_bound - 1).bit_length(), 1)
+    return max(ceil_log2 - (fb.partial_bound - 1).bit_length(), 1)
 
 
-def interval_survivors(fb: FactorBase, partial_bound: int, index: int,
+def interval_survivors(fb: FactorBase, index: int,
                        length: int = SIEVE_LENGTH) -> list[int]:
     """The survivors of interval number index (0, -L, L, -2L, ...), sieved
     on its own against its own threshold."""
     start = interval_start(index, length)
-    threshold = interval_threshold(fb, start, length, partial_bound)
-    return sieve_interval(fb, start, length, threshold)
+    return sieve_interval(fb, start, length, interval_threshold(fb, start, length))

@@ -121,17 +121,17 @@ def check_collisions(n, multiplier):
     divide f there; an exhaustive scan finds no missed offset."""
     kn = multiplier * n
     fb, sb = build_factor_bases(n, 20, 8, multiplier)
-    assert len(fb.primes) <= 40 and sb.n <= 8
+    assert len(fb.primes) <= 40 and len(sb) <= 8
     pre = precompute(sb, fb.roots)
-    large = fb.large_primes(sb.n)
-    primes, roots = fb.large_arrays(sb.n)
+    large = fb.large_primes(len(sb))
+    primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(kn)
     p_max = max(large)
     rng = random.Random(44)
     scans = 0
     for _ in range(8):
-        idx = pick_indices(4, sb.n, rng)
-        moduli = [sb.primes[i] for i in idx]
+        idx = pick_indices(4, len(sb), rng)
+        moduli = [sb[i] for i in idx]
         modulus = math.prod(moduli)
         x, _ = get_x([(i, 1) for i in idx], pre)
         assert all(x % p == fb.roots[p][0] for p in moduli)
@@ -171,8 +171,8 @@ def test_c04_collisions_on_kn():
     with criterion(4, "collision hits sound and complete with a multiplier"):
         assert choose_multiplier(1445377) == 73
         fb, sb = check_collisions(1445377, 73)
-        assert 73 in fb.primes and 73 > sb.primes[-1]
-        assert 73 not in fb.large_primes(sb.n)
+        assert 73 in fb.primes and 73 > sb[-1]
+        assert 73 not in fb.large_primes(len(sb))
 
 
 def test_c05_initial_pair_bound():
@@ -183,10 +183,10 @@ def test_c05_initial_pair_bound():
         shift = isqrt_ceil(n)
         rng = random.Random(56)
         for _ in range(1000):
-            choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(sb.n), 6)]
+            choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(len(sb)), 6)]
             x, modulus = get_x(choices, pre)
             for i, choice in choices:
-                p = sb.primes[i]
+                p = sb[i]
                 assert x % p == fb.roots[p][choice - 1]
             f_val = poly_value(x, n, shift)
             assert f_val % modulus == 0
@@ -217,7 +217,7 @@ def test_c06_large_prime_variant():
             # re-verify every stored relation (combined ones included)
             for rel in store.fulls.values():
                 rhs = 1
-                for p, e in zip(store.primes, dense(rel.exponents, len(store.primes))):
+                for p, e in zip(store.fb.primes, dense(rel.exponents, len(store.fb.primes))):
                     rhs = rhs * pow(p, e, n) % n
                 if rel.sign:
                     rhs = (n - rhs) % n

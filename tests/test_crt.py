@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 import crt_oracle as oracle
 
 from sssfactor.crt import center, get_x, precompute, swap_root
-from sssfactor.factorbase import (
-    SmallFactorBase,
-    build_factor_bases,
-    poly_value,
-    table_sizes,
-)
+from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import isqrt_ceil
 
 
@@ -26,7 +21,7 @@ def brute_crt_basis(primes, i):
 
 
 def toy_base(primes, roots):
-    return SmallFactorBase(tuple(primes)), dict(roots)
+    return tuple(primes), dict(roots)
 
 
 def test_precompute_basis_example():
@@ -58,12 +53,12 @@ def test_precompute_invariants_random_base():
     pre = precompute(sb, fb.roots)
     rng = random.Random(3)
     for _ in range(50):
-        picks = rng.sample(range(sb.n), rng.randrange(1, sb.n + 1))
+        picks = rng.sample(range(len(sb)), rng.randrange(1, len(sb) + 1))
         choices = [(i, rng.choice((1, 2))) for i in picks]
         x, modulus = get_x(choices, pre)
         assert -((modulus + 1) // 2) < x <= modulus // 2
         for i, choice in choices:
-            p = sb.primes[i]
+            p = sb[i]
             s1, s2 = fb.roots[p]
             assert x % p == (s1, s2)[choice - 1]
             delta = swap_root(0, i, 1, modulus, pre)
@@ -94,14 +89,14 @@ def test_get_x_matches_classical_crt():
     pre = precompute(sb, fb.roots)
     rng = random.Random(4)
     for _ in range(1000):
-        k = rng.randrange(1, sb.n + 1)
-        picks = rng.sample(range(sb.n), k)
+        k = rng.randrange(1, len(sb) + 1)
+        picks = rng.sample(range(len(sb)), k)
         choices = [(i, rng.choice((1, 2))) for i in picks]
         x, modulus = get_x(choices, pre)
-        assert modulus == math.prod(sb.primes[i] for i in picks)
+        assert modulus == math.prod(sb[i] for i in picks)
         classical = 0
         for i, choice in choices:
-            p = sb.primes[i]
+            p = sb[i]
             c = pow(modulus // p, -1, p)
             classical += (modulus // p) * c * fb.roots[p][choice - 1]
         assert x % modulus == classical % modulus
@@ -115,7 +110,7 @@ def test_candidate_pairs_divisible_and_bounded():
     shift = isqrt_ceil(n)
     rng = random.Random(5)
     for _ in range(300):
-        choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(sb.n), 6)]
+        choices = [(i, rng.choice((1, 2))) for i in rng.sample(range(len(sb)), 6)]
         x, modulus = get_x(choices, pre)
         f_val = poly_value(x, n, shift)
         assert f_val % modulus == 0
@@ -140,10 +135,10 @@ def test_swap_root_preserves_other_residues():
     pre = precompute(sb, fb.roots)
     rng = random.Random(6)
     for _ in range(200):
-        picks = sorted(rng.sample(range(sb.n), 4))
+        picks = sorted(rng.sample(range(len(sb)), 4))
         x, modulus = get_x([(i, 1) for i in picks], pre)
         i = rng.choice(picks)
-        p = sb.primes[i]
+        p = sb[i]
         x2 = swap_root(x, i, 1, modulus, pre)
         assert x2 % (modulus // p) == x % (modulus // p)
         assert x2 % p == fb.roots[p][1]
@@ -183,7 +178,7 @@ def test_round_crt_matches_global_tables(data, base):
     fb, sb = REAL_BASES[base]
     pre = precompute(sb, fb.roots)
     table = oracle.precompute(sb, fb.roots)
-    picks = data.draw(st.lists(st.integers(0, sb.n - 1), min_size=1, max_size=7, unique=True))
+    picks = data.draw(st.lists(st.integers(0, len(sb) - 1), min_size=1, max_size=7, unique=True))
     choices = [(i, data.draw(st.sampled_from((1, 2)))) for i in picks]
     x, modulus = get_x(choices, pre)
     assert (x, modulus) == oracle.get_x(choices, table, fb.roots)

@@ -95,7 +95,7 @@ def test_degenerate_small_base_is_rejected():
     # a small base that swallows the whole factor base leaves no collision primes
     n = 1299709 * 1299721
     fb, sb = build_factor_bases(n, 20, 10**6)
-    assert not fb.large_primes(sb.n)
+    assert not fb.large_primes(len(sb))
     pre = precompute(sb, fb.roots)
     ctx = build_context(fb.primes)
     with pytest.raises(ValueError, match="small base covers"):
@@ -176,15 +176,14 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     # process, and one keeps them all here
     config = RunConfig(algo=algo, seed=7, max_rounds=10)
     fb, sb, pre, ctx = prepare(N40, config)
-    bound = RelationStore(N40, fb).partial_bound
     if algo == "qs":
-        sieve = qs.Sieve(fb, bound)
+        sieve = qs.Sieve(fb)
         rounds = [qs.run_sieve(sieve, ctx, index) for index in range(10)]
     else:
         rng = random.Random(f"7:{N40}:0")
         k = SUBSUM_SIZE[algo]
         rounds = [
-            search.search_round(fb, sb, pre, ctx, search.pick_indices(k, sb.n, rng), bound)
+            search.search_round(fb, pre, ctx, search.pick_indices(k, len(sb), rng))
             for _ in range(10)
         ]
 

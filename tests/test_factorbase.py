@@ -56,13 +56,13 @@ def test_build_8051_matches_legendre_oracle():
     scanned = small_primes(16)
     expected = [2] + [p for p in scanned[1:] if legendre(n % p, p) == 1]
     assert list(fb.primes) == expected
-    assert list(sb.primes) == expected[1:5]
-    assert sb.n == 4
-    assert fb.large_primes(sb.n) == fb.primes[5:]
-    primes, roots = fb.large_arrays(sb.n)
+    assert list(sb) == expected[1:5]
+    assert len(sb) == 4
+    assert fb.large_primes(len(sb)) == fb.primes[5:]
+    primes, roots = fb.large_arrays(len(sb))
     assert primes.dtype == roots.dtype == "int64"
-    assert tuple(primes.tolist()) == fb.large_primes(sb.n)
-    assert list(zip(*roots.tolist())) == [fb.roots[p] for p in fb.large_primes(sb.n)]
+    assert tuple(primes.tolist()) == fb.large_primes(len(sb))
+    assert list(zip(*roots.tolist())) == [fb.roots[p] for p in fb.large_primes(len(sb))]
 
 
 def test_roots_satisfy_polynomial_congruence():
@@ -84,7 +84,16 @@ def test_build_deterministic():
     b = build_factor_bases(n, 30, 6)
     assert a[0].primes == b[0].primes
     assert a[0].roots == b[0].roots
-    assert a[1].primes == b[1].primes
+    assert a[1] == b[1]
+
+
+@pytest.mark.parametrize("multiplier", [1, 3])
+def test_partial_bound_is_128_p_max(multiplier):
+    # the one place that fixes a partial's cofactor bound, with k = 1 and
+    # with k = 3, where 3 enters the base with its one root
+    fb, _ = build_factor_bases(8051, 8, 4, multiplier)
+    assert fb.multiplier == multiplier
+    assert fb.partial_bound == 128 * fb.p_max
 
 
 def test_survivor_count_near_half():
@@ -105,8 +114,8 @@ def test_survivor_count_near_half():
 def test_small_base_shrinks_when_few_primes_survive():
     n = 999919  # 991 * 1009
     fb, sb = build_factor_bases(n, 5, 100)
-    assert sb.n == len(fb.primes) - 1
-    assert sb.primes == fb.odd_primes
+    assert len(sb) == len(fb.primes) - 1
+    assert sb == fb.odd_primes
 
 
 def test_int64_guard_rejects_primes_from_2_pow_31():

@@ -14,7 +14,6 @@ from sssfactor.engine import RunConfig, collect_relations, factor, prepare
 from sssfactor.factorbase import MULTIPLIERS, choose_multiplier, poly_value
 from sssfactor.numtheory import is_probable_prime, primes_below
 from sssfactor.qs import BLOCK_INTERVALS, Sieve, sieve_interval
-from sssfactor.relations import RelationStore
 
 # (n, its multiplier): p | k past the 12-prime small base of 18 digits, two
 # primes in k, 25 and 30 digits, and the sss-40d and qs-35d bench-panel
@@ -89,13 +88,13 @@ def test_multiplier_primes_have_one_root_and_no_search_role(n):
         assert poly_value(r1, kn, shift) % p == 0
         assert poly_value(r1, kn, shift) % (p * p) != 0
     assert fb.paired == tuple(p for p in fb.odd_primes if k % p)
-    assert sb.primes == pre.primes == fb.paired[: sb.n]
-    assert fb.large_primes(sb.n) == fb.paired[sb.n :]
-    primes, roots = fb.large_arrays(sb.n)
-    assert tuple(primes.tolist()) == fb.large_primes(sb.n)
+    assert sb == pre.primes == fb.paired[: len(sb)]
+    assert fb.large_primes(len(sb)) == fb.paired[len(sb) :]
+    primes, roots = fb.large_arrays(len(sb))
+    assert tuple(primes.tolist()) == fb.large_primes(len(sb))
     assert (roots[0] != roots[1]).all()
     if n == K89:
-        assert 89 > sb.primes[-1]
+        assert 89 > sb[-1]
 
 
 # sssf starts at 30 digits: below that its pass-1 cutoff drops every
@@ -120,13 +119,12 @@ def test_block_sieve_matches_oracle_on_kn():
     n = K61
     fb, _, _, _ = prepare(n, RunConfig(algo="qs"))
     assert fb.kn == 61 * n
-    bound = RelationStore(n, fb).partial_bound
-    sieve = Sieve(fb, bound)
+    sieve = Sieve(fb)
     assert 61 in sieve.mods.tolist() and 61 * 61 not in sieve.mods.tolist()
     survivors = 0
     for index in range(2 * BLOCK_INTERVALS + 3):
         got = sieve_interval(sieve, index)
-        assert got == interval_survivors(fb, bound, index), index
+        assert got == interval_survivors(fb, index), index
         survivors += len(got)
     assert survivors > 0
 

@@ -12,7 +12,6 @@ from sssfactor.engine import RunConfig, factor
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import isqrt_ceil
 from sssfactor.qs import BLOCK_INTERVALS, Sieve, run_sieve, sieve_interval
-from sssfactor.relations import RelationStore
 from sssfactor.smoothness import build_context
 
 TOY_N = 10403  # 101 * 103
@@ -48,7 +47,7 @@ def test_sieve_accumulates_exact_prime_log_mass():
     length = 256
     for start in (0, -256, 300):
         for threshold in (1, 5, 9):
-            got = Sieve(fb, 1, length).block(start, [threshold])[0]
+            got = Sieve(fb, length).block(start, [threshold])[0]
             expected = [
                 x
                 for x in range(start, start + length)
@@ -59,7 +58,7 @@ def test_sieve_accumulates_exact_prime_log_mass():
 
 def test_sieve_threshold_zero_returns_everything():
     fb, _ = build_factor_bases(TOY_N, 8, 4)
-    assert Sieve(fb, 1, 64).block(0, [0])[0] == list(range(64))
+    assert Sieve(fb, 64).block(0, [0])[0] == list(range(64))
 
 
 def test_sieve_finds_all_smooth_values_at_default_threshold():
@@ -70,8 +69,8 @@ def test_sieve_finds_all_smooth_values_at_default_threshold():
     fb, _ = build_factor_bases(TOY_N, 8, 4)
     shift = isqrt_ceil(TOY_N)
     length = 512
-    floor = 128 * fb.p_max
-    sieve = Sieve(fb, floor, length)
+    floor = fb.partial_bound
+    sieve = Sieve(fb, length)
     checked = 0
     for start in (0, -512):
         candidates = set(sieve.block(start, [sieve.threshold(start)])[0])
@@ -94,8 +93,7 @@ def test_run_sieve_residual_is_the_cofactor():
     # partials alike
     fb, _ = build_factor_bases(TOY_N, 8, 4)
     shift = isqrt_ceil(TOY_N)
-    bound = 128 * fb.p_max
-    sieve = Sieve(fb, bound, 256)
+    sieve = Sieve(fb, 256)
     ctx = build_context(fb.primes)
     fulls = partials = 0
     for index in range(8):
@@ -107,7 +105,7 @@ def test_run_sieve_residual_is_the_cofactor():
             for p in fb.primes:
                 while cofactor % p == 0:
                     cofactor //= p
-            assert residual == cofactor < bound
+            assert residual == cofactor < fb.partial_bound
     assert fulls and partials
 
 
@@ -148,30 +146,22 @@ def test_qs_and_subsum_agree_on_shared_semiprimes():
     seed=st.integers(0, 2**32),
     m=st.integers(8, 60),
     length=st.sampled_from([16, 60, 256, 1000]),
-    bound_bits=st.integers(1, 24),
     first=st.integers(0, 3 * BLOCK_INTERVALS),
     resume=st.integers(1, 2 * BLOCK_INTERVALS + 2),
 )
-def test_block_sieve_matches_per_interval_oracle(
-    digits, seed, m, length, bound_bits, first, resume
-):
+def test_block_sieve_matches_per_interval_oracle(digits, seed, m, length, first, resume):
     # both sides, from a block's first interval across the next boundary, and
     # a fresh sieve resuming inside the old block; lengths so short that some
     # primes exceed the interval while others still get a square progression
     n, _, _ = generate_semiprime(digits, random.Random(seed))
     fb, _ = build_factor_bases(n, m, 4)
-    bound = 1 << bound_bits
-    sieve = Sieve(fb, bound, length)
+    sieve = Sieve(fb, length)
     indices = range(first, first + 2 * BLOCK_INTERVALS + 3)
     for index in indices:
-        assert sieve_interval(sieve, index) == interval_survivors(
-            fb, bound, index, length
-        ), index
-    resumed = Sieve(fb, bound, length)
+        assert sieve_interval(sieve, index) == interval_survivors(fb, index, length), index
+    resumed = Sieve(fb, length)
     for index in indices[resume:]:
-        assert sieve_interval(resumed, index) == interval_survivors(
-            fb, bound, index, length
-        ), index
+        assert sieve_interval(resumed, index) == interval_survivors(fb, index, length), index
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -185,7 +175,7 @@ def test_block_is_each_interval_sieved_alone(seed, length, start, thresholds):
     # any start, not only multiples of the length, and any thresholds
     n, _, _ = generate_semiprime(12, random.Random(seed))
     fb, _ = build_factor_bases(n, 30, 4)
-    got = Sieve(fb, 1, length).block(start, thresholds)
+    got = Sieve(fb, length).block(start, thresholds)
     assert got == [
         oracle_interval(fb, start + j * length, length, t)
         for j, t in enumerate(thresholds)
@@ -196,19 +186,18 @@ def test_block_sieve_matches_oracle_at_35_digits():
     # production sizes: 65536-value intervals, past the first block per side
     n, _, _ = generate_semiprime(35, random.Random(35))
     fb, _ = build_factor_bases(n, *table_sizes(35))
-    bound = RelationStore(n, fb).partial_bound
-    sieve = Sieve(fb, bound)
+    sieve = Sieve(fb)
     survivors = 0
     for index in range(2 * BLOCK_INTERVALS + 3):
         got = sieve_interval(sieve, index)
-        assert got == interval_survivors(fb, bound, index), index
+        assert got == interval_survivors(fb, index), index
         survivors += len(got)
     assert survivors > 0
 
 
 def production_sieve(n, multiplier):
     fb, _ = build_factor_bases(n, *table_sizes(35), multiplier)
-    return Sieve(fb, RelationStore(n, fb).partial_bound)
+    return Sieve(fb)
 
 
 @pytest.mark.parametrize("n, multiplier", PATTERN_BASES)

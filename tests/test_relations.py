@@ -17,7 +17,7 @@ from relations_oracle import (
 )
 
 from sssfactor.engine import RunConfig, collect_relations, prepare
-from sssfactor.factorbase import FactorBase, build_factor_bases, poly_value
+from sssfactor.factorbase import build_factor_bases, poly_value
 from sssfactor.numtheory import FoundFactor, is_probable_prime, isqrt_ceil
 from sssfactor.relations import (
     PartialRelation,
@@ -85,12 +85,12 @@ def find_relation_material(n, primes, bound):
 
 def test_store_ingests_and_verifies_fulls():
     store, fb = small_store()
-    fulls, _ = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    fulls, _ = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     assert fulls
     for x_bar in fulls:
         store.ingest(x_bar, 1)
     assert store.native_count == len(store.fulls) == len(set(
-        (x + store.shift) % STORE_N for x in fulls
+        (x + fb.shift) % STORE_N for x in fulls
     ))
     for rel in store.fulls.values():
         rhs = 1
@@ -103,7 +103,7 @@ def test_store_ingests_and_verifies_fulls():
 
 def test_store_deduplicates_by_x():
     store, fb = small_store()
-    fulls, _ = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    fulls, _ = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     store.ingest(fulls[0], 1)
     store.ingest(fulls[0], 1)
     assert store.native_count == 1
@@ -111,7 +111,7 @@ def test_store_deduplicates_by_x():
 
 def test_partials_combine_into_verified_full():
     store, fb = small_store()
-    _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    _, partials = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     r, pair = next(
         ((r, xs) for r, xs in partials.items() if len(xs) >= 2 and STORE_N % r),
         (None, None),
@@ -125,7 +125,7 @@ def test_partials_combine_into_verified_full():
 
 def test_partial_duplicate_find_does_not_self_combine():
     store, fb = small_store()
-    _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    _, partials = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     r, xs = next(iter(partials.items()))
     store.ingest(xs[0], r)
     store.ingest(xs[0], r)
@@ -136,7 +136,7 @@ def test_partial_duplicate_find_does_not_self_combine():
 def test_partial_cofactor_sharing_factor_with_n_is_lucky():
     store, fb = small_store()
     # f(-1) = 101**2 - 10403 = -202 = -2 * 101: cofactor 101 divides n
-    assert poly_value(-1, STORE_N, store.shift) == -202
+    assert poly_value(-1, STORE_N, fb.shift) == -202
     with pytest.raises(FoundFactor) as err:
         store.ingest(-1, 101)
     assert err.value.divisor == 101
@@ -144,7 +144,7 @@ def test_partial_cofactor_sharing_factor_with_n_is_lucky():
 
 def test_store_use_partials_off_ignores_them():
     store, fb = small_store(use_partials=False)
-    _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    _, partials = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     r, xs = next(iter(partials.items()))
     store.ingest(xs[0], r)
     assert not store.partials and not store.fulls
@@ -153,7 +153,7 @@ def test_store_use_partials_off_ignores_them():
 def coprime_partials(store, fb):
     """(cofactor, x_bars) pairs of the crafted partials whose cofactor is
     prime to STORE_N, so that none of them is a lucky factor."""
-    _, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    _, partials = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     return [(r, xs) for r, xs in partials.items() if math.gcd(r, STORE_N) == 1]
 
 
@@ -163,7 +163,7 @@ def test_residual_carrying_a_base_prime_never_becomes_a_relation():
     # under that key, and the root test refuses it when the partial is dumped
     store, fb = small_store()
     for x_bar, r in ((x, r) for r, xs in coprime_partials(store, fb) for x in xs):
-        value = poly_value(x_bar, STORE_N, store.shift)
+        value = poly_value(x_bar, STORE_N, fb.shift)
         p = next((p for p in fb.primes if value % (r * p) == 0), None)
         if p is not None:
             break
@@ -179,7 +179,7 @@ def test_residual_carrying_a_base_prime_never_becomes_a_relation():
 def test_residual_that_does_not_divide_f_is_rejected():
     store, fb = small_store()
     r, xs = coprime_partials(store, fb)[0]
-    value = poly_value(xs[0], STORE_N, store.shift)
+    value = poly_value(xs[0], STORE_N, fb.shift)
     stranger = next(p for p in range(fb.p_max + 1, 10**4) if is_probable_prime(p) and value % p)
     with pytest.raises(ValueError):
         store.ingest(xs[0], r * stranger)
@@ -205,12 +205,12 @@ def test_partial_pair_combines_into_oracle_exponents():
     assert store.combined_count == 1
     [rel] = store.fulls.values()
     (s1, e1, c1), (s2, e2, c2) = (
-        trial_divide(poly_value(x, STORE_N, store.shift), fb.primes) for x in (x1, x2)
+        trial_divide(poly_value(x, STORE_N, fb.shift), fb.primes) for x in (x1, x2)
     )
     assert c1 == c2 == r
     assert rel.sign == (s1 + s2) % 2
     assert rel.exponents == sparse([a + b for a, b in zip(e1, e2)])
-    a1, a2 = ((x + store.shift) % STORE_N for x in (x1, x2))
+    a1, a2 = ((x + fb.shift) % STORE_N for x in (x1, x2))
     assert rel.x == a1 * a2 * pow(r, -1, STORE_N) % STORE_N
     rhs = 1
     for i, e in rel.exponents:
@@ -228,9 +228,9 @@ def test_third_partial_of_a_cofactor_combines_with_the_first():
     assert store.combined_count == 2
     assert list(store.partials) == [r]
     (s1, e1, c1), *later = (
-        trial_divide(poly_value(x, STORE_N, store.shift), fb.primes) for x in xs[:3]
+        trial_divide(poly_value(x, STORE_N, fb.shift), fb.primes) for x in xs[:3]
     )
-    a1, *later_a = ((x + store.shift) % STORE_N for x in xs[:3])
+    a1, *later_a = ((x + fb.shift) % STORE_N for x in xs[:3])
     for rel, (s2, e2, c2), a2 in zip(store.fulls.values(), later, later_a):
         assert c1 == c2 == r
         assert rel.sign == (s1 + s2) % 2
@@ -256,7 +256,7 @@ def test_first_partial_of_a_cofactor_is_factored_once(monkeypatch):
     assert calls == [xs[0], xs[1], xs[2]]
     assert store.combined_count == 2
     (s1, e1, _), *later = (
-        trial_divide(poly_value(x, STORE_N, store.shift), fb.primes) for x in xs[:3]
+        trial_divide(poly_value(x, STORE_N, fb.shift), fb.primes) for x in xs[:3]
     )
     for rel, (s2, e2, _) in zip(store.fulls.values(), later):
         assert rel.sign == (s1 + s2) % 2
@@ -268,7 +268,7 @@ def test_partial_stored_under_a_wrong_cofactor_fails_when_factored():
     # a partial whose cofactor is a product of two primes outside the base,
     # stored under one of them
     for x_bar in range(-600, 600):
-        rest = trial_divide(poly_value(x_bar, STORE_N, store.shift), fb.primes)[2]
+        rest = trial_divide(poly_value(x_bar, STORE_N, fb.shift), fb.primes)[2]
         q = next((d for d in range(2, math.isqrt(rest) + 1) if rest % d == 0), rest)
         if q < rest and math.gcd(rest, STORE_N) == 1:
             break
@@ -282,8 +282,8 @@ def test_partial_stored_under_a_wrong_cofactor_fails_when_factored():
 
 def test_store_rejects_corrupt_relation(monkeypatch):
     store, fb = small_store()
-    fulls, _ = find_relation_material(STORE_N, fb.primes, store.partial_bound)
-    corrupt = (0, sparse((1,) * len(store.primes)), 1)
+    fulls, _ = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
+    corrupt = (0, sparse((1,) * len(fb.primes)), 1)
     monkeypatch.setattr(store, "exponents_of", lambda x_bar: corrupt)
     with pytest.raises(ValueError):
         store.ingest(fulls[0], 1)
@@ -291,7 +291,7 @@ def test_store_rejects_corrupt_relation(monkeypatch):
 
 def test_csv_dumps():
     store, fb = small_store()
-    fulls, partials = find_relation_material(STORE_N, fb.primes, store.partial_bound)
+    fulls, partials = find_relation_material(STORE_N, fb.primes, fb.partial_bound)
     header = "x,sign," + ",".join(f"e_{p}" for p in fb.primes)
     assert store.fulls_csv() == header + "\n"  # empty dump keeps its header
     store.ingest(fulls[0], 1)
@@ -324,7 +324,7 @@ def oracle_store():
 
 def assert_matches_oracle(store, x_bar):
     sign, exps, cofactor = trial_divide(
-        poly_value(x_bar, store.kn, store.shift), store.primes
+        poly_value(x_bar, store.fb.kn, store.fb.shift), store.fb.primes
     )
     assert store.exponents_of(x_bar) == (sign, sparse(exps), cofactor)
 
@@ -357,12 +357,12 @@ def test_exponents_match_oracle_on_any_x(oracle_store, x_bar):
 )
 def test_exponents_match_oracle_on_high_prime_powers(oracle_store, powers, j):
     store = oracle_store
-    moduli = [store.primes[i] ** k for i, k in powers.items()]
-    targets = [sqrt_mod_prime_power(ORACLE_N, store.primes[i], k) for i, k in powers.items()]
+    moduli = [store.fb.primes[i] ** k for i, k in powers.items()]
+    targets = [sqrt_mod_prime_power(ORACLE_N, store.fb.primes[i], k) for i, k in powers.items()]
     modulus = math.prod(moduli)
     # CRT: t = target mod every p**k, so p**k divides f(t - shift)
     t = sum(r * (modulus // m) * pow(modulus // m, -1, m) for r, m in zip(targets, moduli))
-    x_bar = t % modulus - store.shift + j * modulus
+    x_bar = t % modulus - store.fb.shift + j * modulus
     planted = dict(store.exponents_of(x_bar)[1])
     assert all(planted[i] >= k for i, k in powers.items())
     assert_matches_oracle(store, x_bar)
@@ -370,12 +370,12 @@ def test_exponents_match_oracle_on_high_prime_powers(oracle_store, powers, j):
 
 def test_exponents_match_oracle_on_3_pow_7_and_2_pow_k(oracle_store):
     store = oracle_store
-    assert store.primes[:2] == (2, 3)
+    assert store.fb.primes[:2] == (2, 3)
     for p, k in ((3, 7), (2, 3), (2, 20), (2, 64)):
         t = sqrt_mod_prime_power(ORACLE_N, p, k)
-        for x_bar in (t - store.shift, t - store.shift - p**k * 977):
+        for x_bar in (t - store.fb.shift, t - store.fb.shift - p**k * 977):
             assert_matches_oracle(store, x_bar)
-            assert dict(store.exponents_of(x_bar)[1])[store.primes.index(p)] >= k
+            assert dict(store.exponents_of(x_bar)[1])[store.fb.primes.index(p)] >= k
 
 
 class RecordingStore(RelationStore):
@@ -543,7 +543,7 @@ def test_solve_dependencies_on_a_real_matrix():
     deps = solve_dependencies(rels)
     assert len(deps) == len(lowest_bit_dependencies(rels)) >= 1
     for subset in deps:
-        assemble_square(subset, rels, store.primes, n)  # raises unless a square
+        assemble_square(subset, rels, fb.primes, n)  # raises unless a square
 
 
 def test_assemble_square_example():

@@ -84,11 +84,11 @@ def test_root_transforms_zero_when_x_is_root():
 def test_root_transforms_land_on_roots():
     fb, sb, pre, _ = toy_setup()
     rng = random.Random(21)
-    primes, roots = fb.large_arrays(sb.n)
+    primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(TOY_N)
     for _ in range(20):
-        idx = pick_indices(3, sb.n, rng)
-        modulus = math.prod(sb.primes[i] for i in idx)
+        idx = pick_indices(3, len(sb), rng)
+        modulus = math.prod(sb[i] for i in idx)
         x, _ = get_x([(i, 1) for i in idx], pre)
         table = round_table(modulus, primes, roots)
         for p, r1, r2 in oracle.as_tuples(root_transforms(x, table)):
@@ -131,14 +131,14 @@ def oracle_hits(n, shift, x, m_prime, large_primes, threshold):
 
 def test_collision_scan_matches_exhaustive_oracle():
     fb, sb, pre, _ = toy_setup()
-    large = fb.large_primes(sb.n)
-    primes, roots = fb.large_arrays(sb.n)
+    large = fb.large_primes(len(sb))
+    primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(TOY_N)
     rng = random.Random(22)
     scans = 0
     for _ in range(6):
-        idx = pick_indices(4, sb.n, rng)
-        moduli = [sb.primes[i] for i in idx]
+        idx = pick_indices(4, len(sb), rng)
+        moduli = [sb[i] for i in idx]
         modulus = math.prod(moduli)
         x, _ = get_x([(i, 1) for i in idx], pre)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
@@ -167,8 +167,8 @@ def trial_cofactor(fb, x_bar):
 
 def run_one_round(seed):
     fb, sb, pre, ctx = toy_setup()
-    indices = pick_indices(4, sb.n, random.Random(seed))
-    stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
+    indices = pick_indices(4, len(sb), random.Random(seed))
+    stats = search_round(fb, pre, ctx, indices)
     return stats, stats.finds
 
 
@@ -185,24 +185,24 @@ def test_search_round_emissions_are_sound():
     fb, sb, pre, ctx = toy_setup()
     total = 0
     for seed in range(30):
-        indices = pick_indices(4, sb.n, random.Random(seed))
-        stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
+        indices = pick_indices(4, len(sb), random.Random(seed))
+        stats = search_round(fb, pre, ctx, indices)
         round_finds = stats.finds
         assert len(round_finds) == stats.fulls + stats.partials
         assert len({x for x, _ in round_finds}) == len(round_finds)  # no dups
         total += len(round_finds)
         for x_bar, residual in round_finds:
-            assert residual == trial_cofactor(fb, x_bar) < 128 * fb.p_max
+            assert residual == trial_cofactor(fb, x_bar) < fb.partial_bound
     assert total > 0
     # the toy's finds are all full; partials need a larger composite
     fb, sb, pre, ctx = toy_setup(*table_sizes(30), n=PARTIALS_N)
     partials = 0
     for seed in range(5):
-        indices = pick_indices(6, sb.n, random.Random(seed))
-        stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
+        indices = pick_indices(6, len(sb), random.Random(seed))
+        stats = search_round(fb, pre, ctx, indices)
         partials += stats.partials
         for x_bar, residual in stats.finds:
-            assert residual == trial_cofactor(fb, x_bar) < 128 * fb.p_max
+            assert residual == trial_cofactor(fb, x_bar) < fb.partial_bound
     assert partials > 0
 
 
@@ -211,11 +211,9 @@ def test_search_round_emits_each_x_bar_once():
     # that a seed-2 collection of this composite runs first had 7 such
     # repeats among 1247 finds while each variant's candidates were tested
     from sssfactor.engine import RunConfig, _round_plan, _runner, prepare
-    from sssfactor.relations import RelationStore
 
-    fb, sb, pre, ctx = prepare(PARTIALS_N, RunConfig(seed=2))
-    bound = RelationStore(PARTIALS_N, fb).partial_bound
-    plan, items, _ = _round_plan("sss", PARTIALS_N, 2, fb, sb, pre, ctx, bound, 0)
+    fb, _, pre, ctx = prepare(PARTIALS_N, RunConfig(seed=2))
+    plan, items, _ = _round_plan("sss", PARTIALS_N, 2, fb, pre, ctx, 0)
     run = _runner(plan)
     total = 0
     for indices in itertools.islice(items, 30):
@@ -233,8 +231,8 @@ def test_search_round_filter_path(monkeypatch):
     finds = []
     fulls = partials = candidates = filtered = 0
     for seed in range(10):
-        indices = pick_indices(7, sb.n, random.Random(seed))
-        stats = search_round(fb, sb, pre, ctx, indices, 128 * fb.p_max)
+        indices = pick_indices(7, len(sb), random.Random(seed))
+        stats = search_round(fb, pre, ctx, indices)
         assert 0 <= stats.filtered <= stats.candidates
         assert len(stats.finds) == stats.fulls + stats.partials
         finds += stats.finds
@@ -336,12 +334,12 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
     from sssfactor.engine import RunConfig, prepare
 
     fb, sb, pre, _ = toy_setup() if n == TOY_N else prepare(n, RunConfig())
-    primes, roots = fb.large_arrays(sb.n)
-    large = fb.large_primes(sb.n)
+    primes, roots = fb.large_arrays(len(sb))
+    large = fb.large_primes(len(sb))
     rng = random.Random(5)
     for _ in range(3):
-        idx = pick_indices(k, sb.n, rng)
-        moduli = [sb.primes[i] for i in idx]
+        idx = pick_indices(k, len(sb), rng)
+        moduli = [sb[i] for i in idx]
         modulus = math.prod(moduli)
         x, _ = get_x([(i, 1) for i in idx], pre)
         inv = oracle.invert_M(modulus, large)
@@ -418,10 +416,10 @@ def test_scans_of_a_real_round_leave_the_counts_zero():
     from sssfactor.engine import RunConfig, prepare
 
     fb, sb, pre, _ = prepare(2025187160651667522159602188240446426637, RunConfig())
-    primes, roots = fb.large_arrays(sb.n)
+    primes, roots = fb.large_arrays(len(sb))
     rng = random.Random(6)
-    idx = pick_indices(SUBSUM_SIZE["sss"], sb.n, rng)
-    moduli = [sb.primes[i] for i in idx]
+    idx = pick_indices(SUBSUM_SIZE["sss"], len(sb), rng)
+    moduli = [sb[i] for i in idx]
     modulus = math.prod(moduli)
     table = round_table(modulus, primes, roots)
     buffers = scan_buffers(len(idx) + 1, primes)
@@ -429,7 +427,7 @@ def test_scans_of_a_real_round_leave_the_counts_zero():
     scans = []
     for i in idx:
         x = swap_root(x, i, 1, modulus, pre)
-        scans.append((x, [1] + [q for q in moduli if q != sb.primes[i]]))
+        scans.append((x, [1] + [q for q in moduli if q != sb[i]]))
     scans.append((x, [1]))
     total = 0
     for x, qs in scans:
@@ -462,19 +460,19 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
     fb, sb, pre, _ = prepare(n, RunConfig(algo=algo))
     kn = fb.multiplier * n
     k = SUBSUM_SIZE[algo]
-    primes, roots = fb.large_arrays(sb.n)
+    primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(kn)
     rng = random.Random(3)
     checked = 0
     for _ in range(4):
-        idx = pick_indices(k, sb.n, rng)
-        moduli = [sb.primes[i] for i in idx]
+        idx = pick_indices(k, len(sb), rng)
+        moduli = [sb[i] for i in idx]
         modulus = math.prod(moduli)
         table = round_table(modulus, primes, roots)
         x, _ = get_x([(i, 1) for i in idx], pre)
         for i in idx:
             x = swap_root(x, i, 1, modulus, pre)
-            qs = [1] + [q for q in moduli if q != sb.primes[i]]
+            qs = [1] + [q for q in moduli if q != sb[i]]
             hits = collision_scan(root_transforms(x, table), qs, modulus)
             values = hit_values(fb, x, modulus, qs, hits)
             first_m_prime = {}
@@ -494,7 +492,7 @@ def test_hit_values_reject_a_modulus_that_does_not_divide_f():
     fb, sb, pre, _ = toy_setup()
     shift = isqrt_ceil(TOY_N)
     idx = [0, 1, 2]
-    modulus = math.prod(sb.primes[i] for i in idx)
+    modulus = math.prod(sb[i] for i in idx)
     x, _ = get_x([(0, 1), (1, 1), (2, 1)], pre)
     assert hit_values(fb, x, modulus, [1], [(0, 5)])
     with pytest.raises(AssertionError):
