@@ -18,6 +18,7 @@ import os
 import sys
 
 from .engine import (
+    _AUTO_FILTER_DIGITS,
     ALGORITHMS,
     FactorResult,
     RelationShortfall,
@@ -85,7 +86,7 @@ def _writing(path: str):
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--algo", choices=ALGORITHMS,
-        help="relation search variant (default: sss, sssf from 75 digits)",
+        help=f"relation search variant (default: sss, sssf from {_AUTO_FILTER_DIGITS} digits)",
     )
     parser.add_argument("--seed", type=int, help=f"search seed (default {RunConfig.seed})")
     parser.add_argument("--max-rounds", type=int,

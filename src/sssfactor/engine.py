@@ -82,8 +82,11 @@ __all__ = [
 
 ALGORITHMS = ("sss", "sssf", "qs")
 
-# digit count from which the filtered variant is picked automatically
-_AUTO_FILTER_DIGITS = 75
+# digit count from which the filtered variant is picked automatically: the
+# lowest row of a factor() ladder over 45-60 digits (3 composites a row,
+# both variants interleaved and repeated) on which sssf won every composite
+# (README, "Batch smoothness")
+_AUTO_FILTER_DIGITS = 45
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,10 @@ class RunConfig:
     Every search parameter comes from the input, as in the paper: the
     factor-base sizes m and n from the digit-count table
     (factorbase.table_sizes, per composite and cofactor), the subsum size k
-    from the variant (search.SUBSUM_SIZE), the filter's split ratio and
-    cutoff offset from smoothness.FILTER_SPLIT_RATIO and FILTER_DELTA, and
-    the relation policy from search.COLLISION_THRESHOLD,
+    from the variant (search.SUBSUM_SIZE), the filter's split ratio from
+    smoothness.FILTER_SPLIT_RATIO and its cutoff from the factor base
+    (fb.p_max**2, see search.search_round), and the relation policy from
+    search.COLLISION_THRESHOLD,
     factorbase.PARTIAL_MULTIPLIER (which sets FactorBase.partial_bound) and
     relations.SLACK.
     """
@@ -295,8 +299,8 @@ def collect_relations(
 
     Raises RelationShortfall, with the counters of this call, once the
     store has run store.target rounds and none of them emitted a full or a
-    partial relation: below about 25 digits the sssf filter drops every
-    candidate, and such a run would otherwise never end.
+    partial relation: a search that finds nothing, or a filter that drops
+    every candidate, would otherwise never end.
     """
     if store is None:
         store = RelationStore(n, fb, use_partials=config.use_partials)
@@ -464,10 +468,13 @@ def _rounds(plan, items, batch, limit, stats, workers):
     worker set that takes batches from then on, with plan already sent to
     it, or None.  Without a set every batch is computed here.
     Each worker is kept _QUEUE_DEPTH batches ahead, and its replies are
-    taken as they arrive, so that it gets its next batch at once.  While
-    the oldest batch waits for a worker's reply, this process draws the
-    next batch and computes it itself; it blocks on a worker only when no
-    batch is left to draw, and adds that time to the "wait" phase of stats.
+    taken as they arrive, so that it gets its next batch at once; near the
+    limit a worker owes at most its share of the batches left (split
+    evenly over the workers and this process), so that a capped collection
+    does not end waiting on a worker's queued tail.  While the oldest batch
+    waits for a worker's reply, this process draws the next batch and
+    computes it itself; it blocks on a worker only when no batch is left to
+    draw, and adds that time to the "wait" phase of stats.
     The rounds come out in round order whichever process computed them, so
     the relation stream, the counters and the answer are the same on any
     host.
@@ -481,7 +488,24 @@ def _rounds(plan, items, batch, limit, stats, workers):
     """
     if limit is not None:
         items = itertools.islice(items, limit)
-    batches = iter(lambda: list(itertools.islice(items, batch)), [])
+    left = limit  # items not drawn yet under the cap; None: no cap
+
+    def draw():
+        # the next batch, or None when no item is left
+        nonlocal left
+        chunk = list(itertools.islice(items, batch))
+        if left is not None:
+            left -= len(chunk)
+        return chunk or None
+
+    def depth():
+        # batches a worker may owe: near the cap, no more than its share of
+        # the batches left, rounded up, so that the last ones are not queued
+        # behind a worker's tail while this process has nothing to compute
+        if left is None:
+            return _QUEUE_DEPTH
+        return min(_QUEUE_DEPTH, -(-left // (batch * (len(kept.conns) + 1))))
+
     # the Rounds of each batch drawn and not yet yielded, in round order; a
     # worker's list stays empty until its reply is in (a batch is never empty)
     queue = collections.deque()
@@ -502,7 +526,7 @@ def _rounds(plan, items, batch, limit, stats, workers):
                     owed = kept.owed[j]
                     while owed and conn.poll():
                         owed.popleft().extend(kept.receive(j))
-                    while len(owed) < _QUEUE_DEPTH and (chunk := next(batches, None)):
+                    while len(owed) < depth() and (chunk := draw()):
                         # a worker that has stopped shows when it is polled
                         with contextlib.suppress(OSError):
                             conn.send(chunk)
@@ -510,7 +534,7 @@ def _rounds(plan, items, batch, limit, stats, workers):
                         queue.append(owed[-1])
             if queue and queue[0]:
                 yield from queue.popleft()
-            elif (chunk := next(batches, None)) is not None:
+            elif (chunk := draw()) is not None:
                 if queue:
                     queue.append(list(map(run, chunk)))
                 else:

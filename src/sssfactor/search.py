@@ -17,12 +17,15 @@ For each variant the roots of f modulo all large factor-base primes are
 mapped into the j-line of x + j*M; an offset alpha that shows up for at
 least COLLISION_THRESHOLD = 3 different large primes certifies that
 f(x + alpha * m') gains three large prime divisors on top of the known
-smooth part m'.  Those candidates go to the batch smoothness test (the
-two-pass filter when the context carries a partition, as for sssf), and
-the survivors are the round's finds: full or partial relations.  A
-rescaling of a later variant can land on an x_bar that an earlier one
-produced; such a repeat is dropped before the test, so the round tests,
-counts and emits each x_bar once.
+smooth part m'.  The scan returns the product of those primes with each
+hit, and both m' and that product are divided out of the value before the
+batch smoothness test (the two-pass filter when the context carries a
+partition, as for sssf), so the filter judges only what the search does
+not already know.  The survivors are the round's finds: full or partial
+relations, each with the residual that trial division of f(x_bar) over
+the base leaves.  A rescaling of a later variant can land on an x_bar
+that an earlier one produced; such a repeat is dropped before the test,
+so the round tests, counts and emits each x_bar once.
 
 The search works on int64 numpy arrays over the large primes.  Once per
 round it builds the limb weights 2**(30 j) mod p and M^-1 mod p.  Once per
@@ -37,11 +40,12 @@ each q in the order in which their offsets first appear, prime by prime,
 so the relation stream is the same as that of the per-prime Python loop
 the tests keep as an oracle.
 
-Only the hits become Python ints again.  Their values need no square and
-no division: with t = x + ceil(sqrt(kN)),
+Only the hits become Python ints again.  Their values need no square: with
+t = x + ceil(sqrt(kN)),
 f(x + alpha * m') / m' = f(x)/m' + alpha * (2t + alpha * m'), and f(x)/m'
 is divided out once per (variant, q).  That division must be exact, which
-checks every hit of that q because x_bar = x mod m'.
+checks every hit of that q because x_bar = x mod m'; so must the division
+by the hit's collision primes, which checks the scan.
 
 A round's only random draw is its index list (pick_indices), which the
 engine draws from one rng per composite, so a fixed seed replays the exact
@@ -189,10 +193,11 @@ def collision_scan(
     modulus: int,
     threshold: int = COLLISION_THRESHOLD,
     buffers: ScanBuffers | None = None,
-) -> list[tuple[int, int]]:
+) -> list[tuple[int, int, int]]:
     """Collision offsets of one variant for every rescaling q in qs, as
-    (index into qs, alpha) pairs: q by q, and for each q in order of first
-    occurrence.
+    (index into qs, alpha, product) triples: q by q, and for each q in
+    order of first occurrence; product is that of the large primes whose
+    offsets met on (q, alpha), each of which divides f(x + alpha * m').
 
     q * r_k mod p rescales the stored transforms to the modulus m' = M/q
     with two multiplications per prime instead of an inversion; q = 1 scans
@@ -206,9 +211,10 @@ def collision_scan(
     The spans of qs are then reset with one contiguous fill, which leaves
     the count array all zero again.  Hits are listed q by q, each by its
     first position in that sequence, which fixes the candidate and
-    relation order.  buffers, from scan_buffers over the same primes and
-    at least len(qs) rescalings, holds the arrays, so that successive scans
-    reuse them; without it the scan makes its own.
+    relation order.  Each position of an offset names its prime, so the
+    positions of a hit's cell give its primes.  buffers, from scan_buffers
+    over the same primes and at least len(qs) rescalings, holds the arrays,
+    so that successive scans reuse them; without it the scan makes its own.
     """
     for q in qs:
         if modulus % q:
@@ -235,18 +241,25 @@ def collision_scan(
     # the cells the scan touched, at a fraction of the cost of a scatter
     # over them (README, "Collision search")
     counts[: len(qs) * span] = 0
-    # a cell is one (q, alpha); dict keeps each at its first position
-    return [(c // span, c % span - p_max) for c in dict.fromkeys(cells[where].tolist())]
+    # a cell is one (q, alpha), and each of its positions one prime whose
+    # offset met there; dict keeps each cell at its first position
+    products: dict[int, int] = {}
+    for c, p in zip(cells[where].tolist(), primes[where // 4 % len(primes)].tolist()):
+        products[c] = products.get(c, 1) * p
+    return [(c // span, c % span - p_max, product) for c, product in products.items()]
 
 
 def hit_values(fb: FactorBase, x: int, modulus: int, qs, hits) -> dict[int, int]:
-    """x_bar -> |f(x_bar) / m'| for the hits of one variant, the first hit
-    of each x_bar kept; f is the factor base's polynomial.
+    """x_bar -> |f(x_bar) / m'| / P for the hits of one variant, the first
+    hit of each x_bar kept; f is the factor base's polynomial and P the
+    product of the hit's collision primes (collision_scan).
 
     With t = x + fb.shift and m' = M/q, f(x + alpha * m') / m' equals
-    f(x)/m' + alpha * (2t + alpha * m'), so each hit costs no square and no
-    division.  f(x)/m' is divided out once per q, and a remainder raises:
-    x_bar = x mod m', so this is the divisibility check of every hit.
+    f(x)/m' + alpha * (2t + alpha * m'), so each hit costs no square.
+    f(x)/m' is divided out once per q, and a remainder raises: x_bar = x
+    mod m', so this is the divisibility check of every hit.  A remainder
+    of the division by P raises too.  P holds base primes only, so the
+    value keeps the residual that trial division over the base leaves.
     """
     f_x = poly_value(x, fb.kn, fb.shift)
     two_t = 2 * (x + fb.shift)
@@ -258,11 +271,14 @@ def hit_values(fb: FactorBase, x: int, modulus: int, qs, hits) -> dict[int, int]
             raise AssertionError("collision modulus does not divide f")
         per_q.append((m_prime, base))
     values: dict[int, int] = {}
-    for j, alpha in hits:
+    for j, alpha, product in hits:
         m_prime, base = per_q[j]
         x_bar = x + alpha * m_prime
         if x_bar not in values:
-            values[x_bar] = abs(base + alpha * (two_t + alpha * m_prime))
+            value, rem = divmod(abs(base + alpha * (two_t + alpha * m_prime)), product)
+            if rem:
+                raise AssertionError("collision primes do not divide f")
+            values[x_bar] = value
     return values
 
 
@@ -279,7 +295,10 @@ def search_round(
     The small base is pre.primes, and the collision primes are the paired
     primes of fb beyond it.  Finds are classified against fb.partial_bound.
     A context with a partition (the sssf variant) switches the smoothness
-    pass to the two-stage filter (smooth_filter), over the digits of fb.kn.
+    pass to the two-stage filter (smooth_filter), which keeps a value whose
+    residual after the smallest primes lies below fb.p_max**2: room for two
+    more base primes or one partial cofactor on top of the collision
+    primes already divided out.
     Each variant is scanned once for all its rescalings, and its candidates
     are batch-tested together, less those that an earlier variant of the
     round already produced.  The scans use buffers, scan_buffers over the
@@ -289,7 +308,6 @@ def search_round(
     any process that holds the bases.
     """
     t0 = time.perf_counter()
-    digits = len(str(fb.kn))
     small = pre.primes
     moduli = [small[i] for i in indices]
     modulus = math.prod(moduli)
@@ -322,7 +340,7 @@ def search_round(
         keys = list(batch)
         values = list(batch.values())
         if ctx.part_small is not None:
-            pairs = smooth_filter(ctx, values, digits)
+            pairs = smooth_filter(ctx, values, fb.p_max**2)
             filtered += len(values) - len(pairs)
             found = [(keys[j], g) for j, g in pairs]
         else:

@@ -21,7 +21,6 @@ from typing import Optional
 
 __all__ = [
     "FILTER_SPLIT_RATIO",
-    "FILTER_DELTA",
     "Smoothness",
     "SmoothnessContext",
     "product_tree",
@@ -35,10 +34,8 @@ __all__ = [
 ]
 
 # the two-pass filter (sssf): pass 1 uses the smallest |F| / FILTER_SPLIT_RATIO
-# primes, and a candidate goes on to pass 2 only when its residual has
-# dropped below 10**(digits/2 - FILTER_DELTA)
+# primes, and pass 2 the rest
 FILTER_SPLIT_RATIO = 10
-FILTER_DELTA = 5
 
 
 def _parents(level: list[int]) -> list[int]:
@@ -163,19 +160,17 @@ def smooth_batch_exact(ctx: SmoothnessContext, candidates) -> list[int]:
     return out
 
 
-def smooth_filter(ctx: SmoothnessContext, candidates, digits: int):
+def smooth_filter(ctx: SmoothnessContext, candidates, cutoff: int):
     """Two-pass batch: strip the smallest primes first, keep only candidates
-    whose residual dropped below 10**(digits/2 - FILTER_DELTA), then finish
-    the survivors against the rest of the base.
+    whose residual dropped below cutoff, then finish the survivors against
+    the rest of the base.
 
     Returns (index, residual) pairs, indices into the input list.
     """
     if ctx.part_small is None or ctx.part_large is None:
         raise ValueError("context was built without a partition")
     first = smooth_batch(ctx.part_small, candidates)
-    # g < 10^(digits/2 - FILTER_DELTA), squared to stay in integers for odd digits
-    cutoff_sq = 10 ** max(digits - 2 * FILTER_DELTA, 0)
-    kept = [(i, g) for i, g in enumerate(first) if g * g < cutoff_sq]
+    kept = [(i, g) for i, g in enumerate(first) if g < cutoff]
     second = smooth_batch(ctx.part_large, [g for _, g in kept])
     return [(i, g) for (i, _), g in zip(kept, second)]
 

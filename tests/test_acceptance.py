@@ -118,7 +118,8 @@ def test_c03_batch_equals_trial_division(smoothness_corpus):
 def check_collisions(n, multiplier):
     """Every hit of 8 toy rounds on f over kN is sound, and its count is the
     number of distinct large primes whose offset window holds it and that
-    divide f there; an exhaustive scan finds no missed offset."""
+    divide f there, which are the primes whose product it carries; an
+    exhaustive scan finds no missed offset."""
     kn = multiplier * n
     fb, sb = build_factor_bases(n, 20, 8, multiplier)
     assert len(fb.primes) <= 40 and len(sb) <= 8
@@ -144,6 +145,8 @@ def check_collisions(n, multiplier):
                 assert f_val % hit.m_prime == 0
                 dividing = [p for p in large if -p <= hit.alpha < p and f_val % p == 0]
                 assert hit.count == len(dividing) >= 3
+                # the scan carries the product of exactly those primes
+                assert hit.primes == tuple(dividing)
             # exhaustive alpha scan within each prime's offset window
             reported = {h.alpha for h in hits}
             for alpha in range(-p_max, p_max):

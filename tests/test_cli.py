@@ -11,6 +11,7 @@ import pytest
 
 from semiprimes import generate_semiprime, random_prime
 
+from sssfactor import search
 from sssfactor.cli import FACTOR_SCHEMA, main
 from sssfactor.numtheory import is_probable_prime
 
@@ -169,7 +170,20 @@ def test_factor_starvation_names_the_starved_layer(capsys):
 
 
 @pytest.mark.parametrize("command", ["factor", "relations"])
-def test_sssf_filter_shortfall_exits_1(command, capsys):
+def test_sssf_filter_factors_below_25_digits(command, capsys):
+    n = 658031367992468443
+    assert main([command, str(n), "--algo", "sssf", "--max-rounds", "3"]) == 0
+    out = capsys.readouterr().out
+    if command == "factor":
+        assert out.split() == ["807354781", "815046103"]
+    else:
+        assert len(out.splitlines()) > 1
+
+
+@pytest.mark.parametrize("command", ["factor", "relations"])
+def test_sssf_filter_shortfall_exits_1(command, capsys, monkeypatch):
+    # a filter that drops every candidate, forced here, starves the run
+    monkeypatch.setattr(search, "smooth_filter", lambda ctx, values, cutoff: [])
     n = 658031367992468443
     assert main([command, str(n), "--algo", "sssf"]) == 1
     captured = capsys.readouterr()

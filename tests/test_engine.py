@@ -279,10 +279,28 @@ def test_shortfall_names_the_round_cap(rounds, layer):
     ]
 
 
-@pytest.mark.parametrize("n", [658031367992468443, 6447136083544393581919])
-def test_sssf_stops_where_the_filter_drops_every_candidate(n):
-    # below about 25 digits the filter's pass-1 cutoff drops every sssf
-    # candidate; the run stops after as many barren rounds as the target
+# (n, factors, rounds) of seed-2 sssf runs below 25 digits, where a
+# digit-based pass-1 cutoff once dropped every candidate
+SMALL_SSSF = [
+    (658031367992468443, [(807354781, 1), (815046103, 1)], 3),
+    (6447136083544393581919, [(71787945331, 1), (89808059749, 1)], 16),
+]
+
+
+@pytest.mark.parametrize("n, factors, rounds", SMALL_SSSF, ids=[str(c[0]) for c in SMALL_SSSF])
+def test_sssf_factors_below_25_digits(n, factors, rounds):
+    result = factor(n, RunConfig(algo="sssf", seed=2))
+    assert result.success and result.shortfalls == []
+    assert result.factors == factors
+    assert result.stats.rounds == rounds
+    assert 0 < result.stats.filtered < result.stats.candidates
+
+
+@pytest.mark.parametrize("n", [case[0] for case in SMALL_SSSF])
+def test_sssf_stops_where_the_filter_drops_every_candidate(n, monkeypatch):
+    # a filter that drops every candidate (forced here) leaves no relation,
+    # and the run stops after as many barren rounds as the target
+    monkeypatch.setattr(search, "smooth_filter", lambda ctx, values, cutoff: [])
     config = RunConfig(algo="sssf", seed=2)
     t0 = time.perf_counter()
     result = factor(n, config)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
 
-from sssfactor import smoothness
 from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
@@ -101,9 +100,11 @@ def test_collision_scan_counts_offsets():
     transforms = oracle.as_arrays([(11, 4, 7), (13, 4, 9), (17, 4, 11)])
     hits = oracle.scan_hits(transforms, 1, 15, 100, threshold=3)
     assert len(hits) == 1
-    alpha, count, x_bar, m_prime = hits[0]
+    alpha, count, x_bar, m_prime, primes = hits[0]
     assert (alpha, count) == (4, 3)
     assert m_prime == 15 and x_bar == 100 + 4 * 15
+    assert primes == (11, 13, 17)
+    assert collision_scan(transforms, [1], 15) == [(0, 4, 11 * 13 * 17)]
     # distinct offsets everywhere: nothing reaches the threshold
     distinct = oracle.as_arrays([(11, 1, 2), (13, 3, 4), (17, 5, 6)])
     assert collision_scan(distinct, [1], 15) == []
@@ -150,7 +151,8 @@ def test_collision_scan_matches_exhaustive_oracle():
                 f_val = poly_value(hit.x_bar, TOY_N, shift)
                 assert f_val % hit.m_prime == 0
                 dividing = [p for p in large if f_val % p == 0]
-                assert len(dividing) >= hit.count
+                assert len(dividing) >= hit.count == len(set(hit.primes))
+                assert set(hit.primes) <= set(dividing)
             scans += 1
     assert scans == 30
 
@@ -224,10 +226,9 @@ def test_search_round_emits_each_x_bar_once():
     assert total > 1000
 
 
-def test_search_round_filter_path(monkeypatch):
+def test_search_round_filter_path():
     fb, sb, pre, _ = toy_setup(*table_sizes(30), n=PARTIALS_N)
     ctx = build_context(fb.primes, split_ratio=10)
-    monkeypatch.setattr(smoothness, "FILTER_DELTA", 2)
     finds = []
     fulls = partials = candidates = filtered = 0
     for seed in range(10):
@@ -240,8 +241,10 @@ def test_search_round_filter_path(monkeypatch):
         partials += stats.partials
         candidates += stats.candidates
         filtered += stats.filtered
-    # the cutoff drops most candidates, and fulls and partials get through
-    assert candidates / 2 < filtered < candidates
+    # the cutoff, fb.p_max**2 once the collision primes are divided out,
+    # drops candidates (about half at 30 digits), and fulls and partials
+    # get through
+    assert 0 < filtered < candidates
     assert fulls and partials
     # with exact residuals
     for x_bar, residual in finds:
@@ -384,7 +387,7 @@ def variant_inputs(draw):
 def test_variant_scan_is_the_per_q_oracle_scans_in_order(case, threshold):
     rows, qs, modulus, x = case
     expected = [
-        (j, hit.alpha)
+        (j, hit.alpha, math.prod(hit.primes))
         for j, q in enumerate(qs)
         for hit in oracle.collision_scan(rows, q, modulus, x, threshold)
     ]
@@ -401,7 +404,7 @@ def test_scans_that_share_buffers_match_the_oracle_in_order(case, threshold):
     buffers = scan_buffers(len(qs), oracle.as_arrays(rows).primes)
     for scan_rows, scan_qs in ((rows, qs), (moved, qs[::-1][: max(1, len(qs) - 1)]), (rows, qs)):
         expected = [
-            (j, hit.alpha)
+            (j, hit.alpha, math.prod(hit.primes))
             for j, q in enumerate(scan_qs)
             for hit in oracle.collision_scan(scan_rows, q, modulus, x, threshold)
         ]
@@ -434,7 +437,7 @@ def test_scans_of_a_real_round_leave_the_counts_zero():
         transforms = root_transforms(x, table)
         rows = oracle.as_tuples(transforms)
         expected = [
-            (j, hit.alpha)
+            (j, hit.alpha, math.prod(hit.primes))
             for j, q in enumerate(qs)
             for hit in oracle.collision_scan(rows, q, modulus, x)
         ]
@@ -475,17 +478,34 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
             qs = [1] + [q for q in moduli if q != sb[i]]
             hits = collision_scan(root_transforms(x, table), qs, modulus)
             values = hit_values(fb, x, modulus, qs, hits)
-            first_m_prime = {}
-            for j, alpha in hits:
+            first = {}
+            for j, alpha, product in hits:
                 m_prime = modulus // qs[j]
-                first_m_prime.setdefault(x + alpha * m_prime, m_prime)
-            assert list(values) == list(first_m_prime)
-            for x_bar, m_prime in first_m_prime.items():
+                first.setdefault(x + alpha * m_prime, m_prime * product)
+            assert list(values) == list(first)
+            for x_bar, known in first.items():
                 f_val = poly_value(x_bar, kn, shift)
-                assert f_val % m_prime == 0
-                assert values[x_bar] == abs(f_val) // m_prime
+                assert f_val % known == 0
+                assert values[x_bar] == abs(f_val) // known
             checked += len(values)
     assert checked > 100
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ROUNDS))
+def test_every_find_keeps_the_trial_division_residual(name):
+    # the collision primes leave the values before the batch test, and the
+    # sssf filter judges what they leave: the residual of every find must
+    # still be that of trial division of f(x_bar) over the whole base
+    from sssfactor.engine import RunConfig, _round_plan, _runner, prepare
+
+    algo, n = REAL_ROUNDS[name]
+    fb, _, pre, ctx = prepare(n, RunConfig(algo=algo))
+    plan, items, _ = _round_plan(algo, n, 2, fb, pre, ctx, 0)
+    run = _runner(plan)
+    finds = [find for indices in itertools.islice(items, 5) for find in run(indices).finds]
+    assert len(finds) > 30
+    for x_bar, g in finds:
+        assert g == trial_cofactor(fb, x_bar)
 
 
 def test_hit_values_reject_a_modulus_that_does_not_divide_f():
@@ -494,6 +514,11 @@ def test_hit_values_reject_a_modulus_that_does_not_divide_f():
     idx = [0, 1, 2]
     modulus = math.prod(sb[i] for i in idx)
     x, _ = get_x([(0, 1), (1, 1), (2, 1)], pre)
-    assert hit_values(fb, x, modulus, [1], [(0, 5)])
-    with pytest.raises(AssertionError):
-        hit_values(fb, x + 1, modulus, [1], [(0, 5)])
+    assert hit_values(fb, x, modulus, [1], [(0, 5, 1)])
+    with pytest.raises(AssertionError, match="modulus does not divide"):
+        hit_values(fb, x + 1, modulus, [1], [(0, 5, 1)])
+    # a product that does not divide the value raises as well
+    value = hit_values(fb, x, modulus, [1], [(0, 5, 1)])[x + 5 * modulus]
+    p = next(p for p in fb.large_primes(len(sb)) if value % p)
+    with pytest.raises(AssertionError, match="collision primes do not divide"):
+        hit_values(fb, x, modulus, [1], [(0, 5, p)])

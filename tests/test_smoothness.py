@@ -160,15 +160,18 @@ def test_smooth_filter_threshold():
     assert len(ctx.part_small.primes) == len(primes) // 10
     assert ctx.part_small.primes + ctx.part_large.primes == ctx.primes
 
-    kept_prime = next_prime_from(10**30)       # below 10^(80/2 - 5)
-    dropped_prime = next_prime_from(10**36)    # above it
-    smooth_val = 2**10 * 3**7                  # survives and finishes at 1
-    results = dict(
-        smooth_filter(ctx, [kept_prime, dropped_prime, smooth_val], 80)
-    )
-    assert 1 not in results          # 10^36 residual was discarded
-    assert results[0] == kept_prime  # untouched by either pass
-    assert results[2] == 1
+    # the search's cutoff: p_max**2, room for two more base primes
+    cutoff = primes[-1] ** 2
+    assert primes[-1] == 4999
+    values = [
+        2**40 * 4993 * 4999,  # pass 1 leaves 4993 * 4999: kept, finishes at 1
+        3 * 4999 * 5003,      # pass 1 leaves 4999 * 5003, above the cutoff
+        4999**2,              # at the cutoff: dropped
+        7 * 5003,             # a partial: kept, finishes at 5003
+        2**10 * 3**7,         # smooth over pass 1 alone
+        next_prime_from(10**30),  # untouched by pass 1: dropped
+    ]
+    assert dict(smooth_filter(ctx, values, cutoff)) == {0: 1, 3: 5003, 4: 1}
 
 
 def test_split_context_eta_is_the_whole_product():
@@ -197,7 +200,7 @@ def test_smooth_filter_agrees_with_plain_batch_on_smooth_values():
     rng = random.Random(14)
     values = [rng.randrange(1, 10**8) for _ in range(500)]
     plain = smooth_batch(ctx, values)
-    filtered = dict(smooth_filter(ctx, values, 16))
+    filtered = dict(smooth_filter(ctx, values, 10**3))
     for i, g in enumerate(plain):
         if g == 1 and i in filtered:
             assert filtered[i] == 1

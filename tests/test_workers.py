@@ -17,6 +17,7 @@ seconds, so that they do not depend on the host's speed.
 """
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 import select
@@ -180,7 +181,9 @@ def test_worker_count_does_not_change_the_stream(monkeypatch):
 @pytest.mark.parametrize("count", [2, 3])
 def test_qs_batches_keep_the_inline_stream(monkeypatch, count):
     # 40 intervals are 2.5 batches of 16: each is sieved whole, the last
-    # one half a block, by a worker or by this process, and taken in order
+    # one half a block, by a worker or by this process, and taken in order;
+    # near the cap a worker is handed no more than its share of the batches
+    # left, so this process may sieve whole batches too
     config = RunConfig(algo="qs", seed=7, max_rounds=40)
     fb, sb, pre, ctx = prepare(N40, config)
 
@@ -194,12 +197,17 @@ def test_qs_batches_keep_the_inline_stream(monkeypatch, count):
     cpus(monkeypatch, count)
     spy = Spy(monkeypatch)
     assert collect() == inline
-    assert spy.inline in (0, 8) and spy.forked == [count - 1]
+    assert spy.inline in (0, 8, 16, 24) and spy.forked == [count - 1]
     assert inline[1]["rounds"] == 40 and inline[1]["fulls"] > 0
     assert len(kept_workers()) == count - 1
 
 
 def _item_and_pid(item):
+    return item, os.getpid()
+
+
+def _paused_item_and_pid(item):
+    time.sleep(0.01)
     return item, os.getpid()
 
 
@@ -227,6 +235,38 @@ def test_forked_rounds_send_whole_batches_in_order(monkeypatch):
     assert set(pids[4:]) <= {first, second, os.getpid()}
     assert spy.forked == [2]
     assert kept_workers() == sorted([first, second])
+
+
+def test_a_capped_collection_ends_without_a_queued_tail(monkeypatch):
+    # near the cap a worker owes at most its share of the items left, split
+    # between it and this process and rounded up: whenever it got an item
+    # it owed fewer batches than that share.  Items take 10 ms in either
+    # process, so replies come back mid-run.
+    import multiprocessing.connection
+
+    monkeypatch.setattr(engine, "_runner", lambda plan: plan)
+    sent = []
+    real_send = multiprocessing.connection.Connection.send
+
+    def send(conn, obj):
+        if os.getpid() == _PARENT and isinstance(obj, list):
+            sent.append((obj, len(engine._workers.owed[0])))
+        return real_send(conn, obj)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
+
+    def workers():
+        kept = engine._start_workers(1)
+        assert kept.begin(_paused_item_and_pid)
+        return kept
+
+    limit = 12
+    rounds = engine._rounds(_paused_item_and_pid, itertools.count(), 1, limit, RunStats(), workers)
+    out = list(rounds)
+    assert [item for item, _ in out] == list(range(limit))
+    assert sent
+    for [item], owed in sent:
+        assert owed < min(engine._QUEUE_DEPTH, -(-(limit - item) // 2))
 
 
 def test_resume_after_a_target_stop(monkeypatch):
