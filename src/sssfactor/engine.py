@@ -27,25 +27,24 @@ intervals) for qs.  The plan, (algo, fb, pre, ctx), is picklable, and
 every process builds its run from it.
 
 A process keeps one set of forked workers, one per other CPU, for its
-whole life.  The first collection that predicts, from its first batch,
-that the rest takes well over what a fork costs (_fork_pays) forks it;
-every later collection, of any composite and any algorithm, sends each
-worker its plan and hands it batches from its first batch on.  The calling
-process computes the batches that it draws while the oldest one waits for
-a worker's reply.  When a collection ends, the batches still queued for a
-worker are skipped, and the set waits for the next plan; an error, a
-worker that exits or an interrupt kills it, and close_workers(), which
-atexit calls, ends it.  This process draws every round's search indices in
-round order from the one rng, and the rounds come out in round order, so
-the relation stream does not depend on the number of CPUs or on which
-process computed a round.
+whole life.  The first collection whose input is large enough, and whose
+round cap leaves enough rounds, forks it before its first round
+(_fork_pays); every later collection, of any composite and any algorithm,
+sends each worker its plan and hands it batches from its first batch on.
+The calling process computes the batches that it draws while the oldest
+one waits for a worker's reply.  When a collection ends, the batches
+still queued for a worker are skipped, and the set waits for the next
+plan; an error, a worker that exits or an interrupt kills it, and
+close_workers(), which atexit calls, ends it.  This process draws every
+round's search indices in round order from the one rng, and the rounds
+come out in round order, so the relation stream does not depend on the
+number of CPUs or on which process computed a round.
 """
 
 import atexit
 import collections
 import contextlib
 import itertools
-import math
 import os
 import pickle
 import random
@@ -112,8 +111,11 @@ class RunConfig:
     def __post_init__(self):
         if self.algo is not None and self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.max_rounds is not None and self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be at least 0, got {self.max_rounds}")
+        if self.max_rounds is not None:
+            if isinstance(self.max_rounds, bool) or not isinstance(self.max_rounds, int):
+                raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
+            if self.max_rounds < 0:
+                raise ValueError(f"max_rounds must be at least 0, got {self.max_rounds}")
 
     def algo_for(self, n: int) -> str:
         if self.algo is not None:
@@ -132,9 +134,9 @@ class RunStats:
     # wall seconds per phase: precompute, collect and linalg; search is the
     # rounds' own time within collect, summed over the processes that ran
     # them, so with workers it can exceed collect; inline is the part of
-    # collect before the workers took batches (about 0 when the kept set
-    # took them from the first batch, all of it when no worker did), and
-    # wait the part that this process spent blocked on a worker's reply
+    # collect before the workers took batches (the fork for a new set, about
+    # 0 for a kept one, all of it when no worker took any), and wait the
+    # part that this process spent blocked on a worker's reply
     phase_seconds: dict = field(default_factory=dict)
 
     def add_time(self, phase: str, seconds: float) -> None:
@@ -269,9 +271,11 @@ def collect_relations(
 ) -> tuple[RelationStore, RunStats]:
     """Run rounds (search rounds, or sieved intervals for qs) until the
     store holds enough relations.  n is the number being factored, and the
-    rounds evaluate the factor base's f, on fb.kn; a base built for another
-    number raises ValueError.  fb, sb, pre and ctx are what prepare()
-    returns; the rounds read the small base from pre, so sb is not read.
+    rounds evaluate the factor base's f, on fb.kn.  fb, sb, pre and ctx are
+    what prepare() returns; the rounds read the small base from pre, so sb
+    is not read.  A base built for another number, a pre or ctx built from
+    another base, a ctx whose partition does not match the algorithm (sss or
+    sssf) or a store of another base raises ValueError before any round.
 
     Stops on the relation target or after config.max_rounds rounds of this
     call, so where the relation stream ends never depends on the host's
@@ -279,18 +283,16 @@ def collect_relations(
     same store continues the relation stream, a deterministic function of
     the seed.  When this process keeps a worker set of one worker per
     other CPU, the workers compute rounds beside this one from the first
-    batch on.  Without one, after the first batch (see _rounds), the call
-    predicts the round time left from the relations still needed against
-    store.target, the store's relations per round, the first batch's
-    seconds and the rounds left under the cap; only when that is above
-    _FORK_SECONDS does it fork the set (_fork_pays), which later
-    collections keep using.  The stream stays the same either way.  The
-    time spent is added to the "collect" phase of stats, the part of it
-    before the workers took batches (all of it when none did) to its
-    "inline" phase, the rounds' own times, summed over the processes that
-    ran them, to its "search" phase, and the time spent blocked on a worker
-    to its "wait" phase.  May raise FoundFactor when a divisor appears
-    along the way.
+    batch on.  Without one, a call asked for a round forks the set before
+    its first round when n has at least _FORK_DIGITS digits and
+    config.max_rounds leaves more than one batch per process (_fork_pays);
+    later collections keep using it.  The stream stays the same either
+    way.  The time spent is added to the "collect" phase of stats, the
+    part of it before the workers took batches (all of it when none did)
+    to its "inline" phase, the rounds' own times, summed over the
+    processes that ran them, to its "search" phase, and the time spent
+    blocked on a worker to its "wait" phase.  May raise FoundFactor when a
+    divisor appears along the way.
 
     The workers outlive the call when it stops on the target or the cap,
     or raises FoundFactor or RelationShortfall: the batches still queued
@@ -307,6 +309,14 @@ def collect_relations(
     if stats is None:
         stats = RunStats()
     algo = config.algo_for(n)
+    if ctx.primes != fb.primes:
+        raise ValueError("the smoothness context was built for another factor base")
+    if pre.primes != fb.paired[: len(pre.primes)]:
+        raise ValueError("the CRT tables were built for another factor base")
+    if store.fb is not fb:
+        raise ValueError("the relation store was built on another factor base")
+    if algo != "qs" and (algo == "sssf") != (ctx.part_small is not None):
+        raise ValueError(f"the smoothness context does not match {algo}: only sssf's is split")
     if algo != "qs" and not fb.large_primes(len(pre.primes)):
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
@@ -318,7 +328,6 @@ def collect_relations(
     # whether a round of this store has emitted a full or partial relation
     emitted = bool(store.fulls or store.partials)
     stats.add_time("wait", 0.0)  # present when no worker was waited for
-    search0 = stats.phase_seconds.get("search", 0.0)
     count = _worker_count() - 1
     forked_at = None
 
@@ -330,9 +339,7 @@ def collect_relations(
             return None
         kept = _workers if _workers is not None and len(_workers.procs) == count else None
         if kept is None or not kept.begin(plan):
-            left = None if round_cap is None else round_cap - store.rounds
-            seconds = stats.phase_seconds.get("search", 0.0) - search0
-            if not _fork_pays(store, left, stats.rounds - before["rounds"], seconds):
+            if not _fork_pays(n, config.max_rounds, batch, count + 1):
                 return None
             kept = _start_workers(count)
             if not kept.begin(plan):
@@ -382,13 +389,11 @@ def _since(before: dict, stats: RunStats) -> RunStats:
     return RunStats(**{key: value - before[key] for key, value in stats.counters().items()})
 
 
-# predicted round seconds left above which a collection forks the worker
-# set: a fork costs a collection some 10-25 ms (starting the worker, both
-# processes copying the pages they write, the first reply awaited in round
-# order), which two CPUs win back only on some 40 ms of rounds or more, and
-# the prediction of _fork_pays overshoots about 2-3x: the first round runs
-# slower than the mean, and the combined partials grow faster than linearly
-_FORK_SECONDS = 0.1
+# digit count from which a collection forks the worker set: the lowest row
+# of a fresh-process factor() ladder over 25-40 digits (3 composites a row,
+# 3 runs each) on which a fork before round 0 won every composite for both
+# sss and qs (README, "Parallel collection")
+_FORK_DIGITS = 33
 # batches that a worker owes, at most: the most each one has queued past a stop
 _QUEUE_DEPTH = 2
 
@@ -435,26 +440,13 @@ def _runner(plan):
     return lambda indices: search_round(fb, pre, ctx, indices, buffers)
 
 
-def _fork_pays(store, left, rounds, seconds):
-    """Whether the rest of a collection into store is predicted to take
-    more than _FORK_SECONDS of round time in one process, and so pays for
-    forking the worker set; a kept set is used without asking.
-
-    rounds is the number of rounds that the collection has run so far and
-    seconds their own time; before the first one nothing is timed, and the
-    answer is no.  The prediction is linear: the relations still needed
-    against store.target at the store's relations per round (earlier
-    collections into it included), at most the `left` rounds left under
-    the round cap (None: no cap), each taking the mean time of the rounds
-    so far.  A store that has no relation yet predicts no end but the cap.
-    """
-    if not rounds:
-        return False
-    made = len(store.fulls)
-    predicted = (store.target - made) * store.rounds / made if made else math.inf
-    if left is not None:
-        predicted = min(predicted, left)
-    return predicted * seconds / rounds > _FORK_SECONDS
+def _fork_pays(n, limit, batch, processes):
+    """Whether a collection of n, capped at `limit` rounds (None: no cap)
+    in batches of `batch`, pays for forking a worker set that computes
+    rounds in `processes` processes, this one included; a kept set is used
+    without asking.  It pays from _FORK_DIGITS digits on, when the cap
+    leaves more than one batch per process."""
+    return len(str(n)) >= _FORK_DIGITS and (limit is None or limit > batch * processes)
 
 
 def _rounds(plan, items, batch, limit, stats, workers):
@@ -464,9 +456,9 @@ def _rounds(plan, items, batch, limit, stats, workers):
 
     The items go out in batches of `batch` consecutive items, and one
     process computes a whole batch with its own run.  Before the first
-    batch and again after it, until it gives one, workers() gives the
-    worker set that takes batches from then on, with plan already sent to
-    it, or None.  Without a set every batch is computed here.
+    batch, workers() gives the worker set that takes batches, with plan
+    already sent to it, or None.  Without a set every batch is computed
+    here.
     Each worker is kept _QUEUE_DEPTH batches ahead, and its replies are
     taken as they arrive, so that it gets its next batch at once; near the
     limit a worker owes at most its share of the batches left (split
@@ -509,18 +501,12 @@ def _rounds(plan, items, batch, limit, stats, workers):
     # the Rounds of each batch drawn and not yet yielded, in round order; a
     # worker's list stays empty until its reply is in (a batch is never empty)
     queue = collections.deque()
-    kept = run = None
-    asks = 2  # before the first batch and after it
+    kept = None
     try:
+        kept = workers()
+        # after the plan went out: the workers build theirs meanwhile
+        run = _runner(plan)
         while True:
-            if asks:
-                asks -= 1
-                kept = workers()
-                if kept is not None:
-                    asks = 0
-            if run is None:
-                # after the plan went out: the workers build theirs meanwhile
-                run = _runner(plan)
             if kept is not None:
                 for j, conn in enumerate(kept.conns):
                     owed = kept.owed[j]
@@ -671,7 +657,7 @@ def _start_workers(count) -> _WorkerSet:
 def close_workers() -> None:
     """Kill and join this process's collection workers, if it has any.
 
-    A later collection that pays for a fork starts a new set.  atexit calls
+    A later collection that forks starts a new set.  atexit calls
     this, and a program that is done factoring may call it to free the
     workers' memory earlier.
     """

@@ -4,7 +4,6 @@ import random
 import re
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 
@@ -85,8 +84,9 @@ def test_algo_auto_selection():
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(algo="nope")
-    with pytest.raises(ValueError, match="max_rounds"):
-        RunConfig(max_rounds=-1)
+    for bad in (-1, 1.5, 2.0, "3", True, False):
+        with pytest.raises(ValueError, match="max_rounds"):
+            RunConfig(max_rounds=bad)
     # the edge stays legal; max_rounds=0 is how a caller asks for no search
     RunConfig(max_rounds=0)
 
@@ -211,22 +211,51 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     assert len(multiprocessing.active_children()) == cpus - 1
 
 
-@pytest.mark.parametrize("made, target, done, left, rounds, seconds, pays", [
-    (0, 524, 0, None, 0, 0.0, False),     # nothing is timed before round 0
-    (10, 231, 1, None, 1, 0.002, False),  # 22 rounds of 2 ms
-    (5, 530, 1, None, 1, 0.003, True),    # 105 rounds of 3 ms
-    (5, 530, 1, 30, 1, 0.003, False),     # the cap leaves 30 of them
-    (0, 530, 1, None, 1, 0.003, True),    # no relation yet: no end but the cap
-    (0, 530, 16, 184, 16, 0.008, False),  # qs: 184 intervals of 0.5 ms
-    (0, 530, 16, 384, 16, 0.008, True),   # and 384
-    (524, 535, 77, None, 1, 0.003, False),  # SLACK + 1 more at 6.8 a round
-], ids=["before-round-0", "30d", "40d", "40d-capped", "no-relation", "qs-capped",
-        "qs", "resumed"])
-def test_fork_pays_on_the_round_time_left(made, target, done, left, rounds, seconds, pays):
-    # done is the store's rounds, rounds and seconds those of this collection
-    store = SimpleNamespace(fulls=dict.fromkeys(range(made)), target=target, rounds=done)
-    assert engine._FORK_SECONDS == 0.1
-    assert engine._fork_pays(store, left, rounds, seconds) is pays
+@pytest.mark.parametrize("digits, limit, batch, processes, pays", [
+    (30, None, 1, 2, False),
+    (32, None, 1, 2, False),
+    (33, None, 1, 2, True),   # _FORK_DIGITS
+    (40, None, 1, 2, True),
+    (50, None, 1, 8, True),
+    (40, 0, 1, 2, False),     # a cap of one batch per process or less
+    (40, 2, 1, 2, False),
+    (40, 3, 1, 2, True),
+    (40, 3, 1, 3, False),
+    (32, 30, 1, 2, False),
+    (35, 32, 16, 2, False),   # qs: one sieve block per side a batch
+    (35, 33, 16, 2, True),
+], ids=["30d", "32d", "33d", "40d", "50d-8-cpus", "40d-no-round", "40d-capped",
+        "40d-capped-3", "40d-capped-3-on-3-cpus", "32d-capped", "qs-capped", "qs"])
+def test_fork_pays_on_the_size_and_the_cap(digits, limit, batch, processes, pays):
+    n = 10 ** (digits - 1) + 3
+    assert engine._FORK_DIGITS == 33
+    assert engine._fork_pays(n, limit, batch, processes) is pays
+
+
+N40B = 1251681611221125843937253098284462597887  # another base: k = 23
+
+
+@pytest.mark.parametrize("algo, prepared_for, swap, match", [
+    ("sss", "sss", "ctx", "smoothness context was built for another"),
+    ("qs", "qs", "ctx", "smoothness context was built for another"),
+    ("sss", "sss", "pre", "CRT tables were built for another"),
+    ("sss", "sss", "store", "store was built on another"),
+    ("sssf", "sss", None, "does not match sssf"),
+    ("sss", "sssf", None, "does not match sss"),
+], ids=["ctx", "qs-ctx", "pre", "store", "sssf-on-sss", "sss-on-sssf"])
+def test_collection_inputs_that_do_not_belong_together(algo, prepared_for, swap, match):
+    # each would otherwise run rounds: on the wrong primes, with the wrong
+    # subsum size or filter, or into a store that fails only afterwards
+    fb, sb, pre, ctx = prepare(N40, RunConfig(algo=prepared_for))
+    other_fb, _, other_pre, other_ctx = prepare(N40B, RunConfig(algo=prepared_for))
+    store = RelationStore(N40B, other_fb) if swap == "store" else None
+    pre = other_pre if swap == "pre" else pre
+    ctx = other_ctx if swap == "ctx" else ctx
+    stats = RunStats()
+    config = RunConfig(algo=algo, seed=7, max_rounds=2)
+    with pytest.raises(ValueError, match=match):
+        collect_relations(N40, config, fb, sb, pre, ctx, store=store, stats=stats)
+    assert stats.rounds == 0 and stats.phase_seconds == {}
 
 
 def test_starvation_yields_residue_with_diagnostics(monkeypatch):

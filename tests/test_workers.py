@@ -1,19 +1,19 @@
 """Collection rounds on forked workers and in the collecting process.
 
-A process keeps one worker set.  A collection without one forks it when
-engine._fork_pays, asked before the first batch and after it, predicts
-enough work left, and every later collection hands batches to it from its
-first batch on.  Patching _fork_pays to say yes forks the set before round
-0 (a search round, or a qs interval), and a patched os.sched_getaffinity
-fixes the CPU count, so most tests here run the worker path on any host
-with fork().  On W CPUs, W - 1 workers compute rounds, and this process
-computes the batches that it draws while the oldest one waits for a
-worker.  The stream must be the one the inline rounds give.  The set
+A process keeps one worker set.  A collection without one forks it before
+round 0 (a search round, or a qs interval) when engine._fork_pays, asked
+once, says yes for the composite's digits and the round cap, and every
+later collection hands batches to it from its first batch on.  Patching
+_fork_pays to say yes forks the set for any input, and a patched
+os.sched_getaffinity fixes the CPU count, so most tests here run the worker
+path on any host with fork().  On W CPUs, W - 1 workers compute rounds, and
+this process computes the batches that it draws while the oldest one waits
+for a worker.  The stream must be the one the inline rounds give.  The set
 outlives a collection that stops on the target or the cap or raises
 FoundFactor, but no worker outlives a failed collection, close_workers()
 (which the autouse fixture of conftest.py calls around every test) or the
-process.  The tests of the fork decision itself fix each round's measured
-seconds, so that they do not depend on the host's speed.
+process.  The rule reads only the inputs, so its tests do not depend on
+the host's speed.
 """
 
 import hashlib
@@ -532,30 +532,16 @@ def test_one_cpu_runs_inline(monkeypatch):
 N30 = 588090330819903606914786460449
 
 
-def fork_rule(monkeypatch, seconds):
-    """The fork rule on two CPUs, with `seconds` as the own time of every
-    round (a search round, or a qs interval) in place of the host's: on a
-    2-core Intel Xeon, about 2 ms a search round at 30 digits, 3 ms at 40,
-    and 0.5 ms a qs interval at 40."""
+def two_cpus(monkeypatch):
+    """The fork rule as it is, on two CPUs: one worker and this process."""
     cpus(monkeypatch, 2)
-    spy = Spy(monkeypatch)
-    for module, name in ((engine, "search_round"), (qs, "run_sieve")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, _timed(real, seconds))
-    return spy
-
-
-def _timed(real, seconds):
-    def run(*args):
-        return real(*args)._replace(seconds=seconds)
-
-    return run
+    return Spy(monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [2, 7])
 def test_a_30_digit_run_stays_in_one_process(monkeypatch, seed):
-    # the first round predicts some 12-22 rounds of 2 ms, under _FORK_SECONDS
-    spy = fork_rule(monkeypatch, 0.002)
+    # below _FORK_DIGITS
+    spy = two_cpus(monkeypatch)
     result = engine.factor(N30, RunConfig(algo="sss", seed=seed))
     assert result.success and spy.forked == []
     phases = result.stats.phase_seconds
@@ -565,7 +551,7 @@ def test_a_30_digit_run_stays_in_one_process(monkeypatch, seed):
 def test_a_kept_set_takes_a_30_digit_run_from_its_first_round(monkeypatch):
     # the fork rule keeps this run in one process, but it only decides
     # whether to fork: a set that an earlier collection forked is used
-    spy = fork_rule(monkeypatch, 0.002)
+    spy = two_cpus(monkeypatch)
     real = engine._fork_pays
     monkeypatch.setattr(engine, "_fork_pays", lambda *args: True)
     assert pinned_stream(CASES[1])
@@ -590,37 +576,29 @@ def test_a_set_of_another_size_is_replaced(forced, monkeypatch):
     assert len(pids) == 2 and old not in pids
 
 
-def test_a_40_digit_run_forks_after_its_first_round(monkeypatch):
-    spy = fork_rule(monkeypatch, 0.003)
+def test_a_40_digit_run_forks_before_round_0(monkeypatch):
+    spy = two_cpus(monkeypatch)
     result = engine.factor(N40, RunConfig(algo="sss", seed=7))
-    assert result.success and spy.forked == [1] and spy.inline_at_fork == [1]
+    assert result.success and spy.forked == [1] and spy.inline_at_fork == [0]
     phases = result.stats.phase_seconds
     assert 0 < phases["inline"] < phases["collect"]
     assert len(kept_workers()) == 1
 
 
-def test_a_resumed_collection_of_slack_relations_stays_in_one_process(monkeypatch):
-    # after a solve whose dependencies were all trivial, the store asks for
-    # SLACK + 1 more relations: a round or two at the store's yield
-    config = RunConfig(algo="sss", seed=7)
-    fb, sb, pre, ctx = prepare(N40, config)
-    store, stats = collect_relations(N40, config, fb, sb, pre, ctx)
-    store.raise_target()
-    rounds = stats.rounds
-    engine.close_workers()  # a set kept by the first call would take them
-    spy = fork_rule(monkeypatch, 0.003)
-    collect_relations(N40, config, fb, sb, pre, ctx, store=store, stats=stats)
-    assert store.have_enough() and stats.rounds > rounds
-    assert spy.forked == [] and spy.inline == stats.rounds - rounds
-
-
-@pytest.mark.parametrize("rounds, forked", [(5, []), (50, [1])])
-def test_the_round_cap_bounds_the_prediction(monkeypatch, rounds, forked):
-    # 4 or 49 rounds of 3 ms are left after the first: 12 or 147 ms
-    spy = fork_rule(monkeypatch, 0.003)
-    config = RunConfig(algo="sss", seed=7, max_rounds=rounds)
+@pytest.mark.parametrize("algo, rounds, forked", [
+    ("sss", 0, []),    # no round runs: nothing to fork for
+    ("sss", 1, []),
+    ("sss", 2, []),    # one round per process
+    ("sss", 3, [1]),
+    ("qs", 32, []),    # one batch of 16 intervals per process
+    ("qs", 33, [1]),
+], ids=["sss-0", "sss-1", "sss-2", "sss-3", "qs-32", "qs-33"])
+def test_a_cap_of_one_batch_per_process_stays_in_one_process(monkeypatch, algo, rounds, forked):
+    spy = two_cpus(monkeypatch)
+    config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
     _, stats = collect_relations(N40, config, *prepare(N40, config))
     assert stats.rounds == rounds and spy.forked == forked
+    assert spy.inline_at_fork == [0] * len(forked)
     assert len(multiprocessing.active_children()) == sum(forked)
 
 
@@ -679,11 +657,10 @@ def test_daemonic_process_runs_inline(forced):
     assert counters == collect_relations(N40, config, *prepare(N40, config))[1].counters()
 
 
-def relations_rows(monkeypatch, capsys, rounds, seconds, *flags):
+def relations_rows(monkeypatch, capsys, rounds, *flags):
     """Full relations that the CLI dumps for N40 on two CPUs, checking that
-    a worker computed some of the rounds after the first batch; each round
-    takes `seconds` for the fork rule (fork_rule)."""
-    spy = fork_rule(monkeypatch, seconds)
+    the worker and this process both computed some of the rounds."""
+    spy = two_cpus(monkeypatch)
     assert main(["relations", str(N40), "--max-rounds", str(rounds), *flags]) == 0
     assert spy.forked == [1] and 0 < spy.inline < rounds
     assert len(kept_workers()) == 1
@@ -691,15 +668,14 @@ def relations_rows(monkeypatch, capsys, rounds, seconds, *flags):
 
 
 def test_ci_relation_count_starts_workers(monkeypatch, capsys):
-    # the pinned CI count: after the first of 100 rounds of 3 ms, the fork
-    # rule predicts some 0.2-0.3 s left, and the workers take a share
-    assert relations_rows(monkeypatch, capsys, 100, 0.003) == 530
+    # the pinned CI count: 40 digits and a cap of 100 rounds fork the set
+    # before round 0, and the worker takes a share
+    assert relations_rows(monkeypatch, capsys, 100) == 530
 
 
 def test_ci_qs_relation_count_starts_workers(monkeypatch, capsys):
-    # the pinned CI count of qs: the first batch of 16 intervals runs here,
-    # and at 0.5 ms an interval the 384 left predict 0.19 s
-    assert relations_rows(monkeypatch, capsys, 400, 0.0005, "--algo", "qs") == 78
+    # the pinned CI count of qs: 400 intervals are 25 batches of 16
+    assert relations_rows(monkeypatch, capsys, 400, "--algo", "qs") == 78
 
 
 STRESS = textwrap.dedent(
