@@ -27,12 +27,14 @@ intervals) for qs.  The plan, (algo, fb, pre, ctx), is picklable, and
 every process builds its run from it.
 
 A process keeps one set of forked workers, one per other CPU, for its
-whole life.  The first collection whose input is large enough, and whose
-round cap leaves enough rounds, forks it before its first round
+whole life.  One call decides where a collection's rounds run, before its
+round source starts (_worker_set): the first collection whose input is
+large enough, and whose round cap leaves enough rounds, forks the set
 (_fork_pays); every later collection, of any composite and any algorithm,
 sends each worker its plan and hands it batches from its first batch on.
-The calling process computes the batches that it draws while the oldest
-one waits for a worker's reply.  When a collection ends, the batches
+A fork that fails leaves the collection in this process.  The calling
+process computes the batches that it draws while the oldest one waits
+for a worker's reply.  When a collection ends, the batches
 still queued for a worker are skipped, and the set waits for the next
 plan; an error, a worker that exits or an interrupt kills it, and
 close_workers(), which atexit calls, ends it.  This process draws every
@@ -281,18 +283,19 @@ def collect_relations(
     call, so where the relation stream ends never depends on the host's
     speed.  Rounds are numbered from store.rounds, so a later call on the
     same store continues the relation stream, a deterministic function of
-    the seed.  When this process keeps a worker set of one worker per
-    other CPU, the workers compute rounds beside this one from the first
-    batch on.  Without one, a call asked for a round forks the set before
-    its first round when n has at least _FORK_DIGITS digits and
-    config.max_rounds leaves more than one batch per process (_fork_pays);
-    later collections keep using it.  The stream stays the same either
-    way.  The time spent is added to the "collect" phase of stats, the
-    part of it before the workers took batches (all of it when none did)
-    to its "inline" phase, the rounds' own times, summed over the
-    processes that ran them, to its "search" phase, and the time spent
-    blocked on a worker to its "wait" phase.  May raise FoundFactor when a
-    divisor appears along the way.
+    the seed.  A call that runs a round asks once, before its first
+    round, where its rounds run (_worker_set).  When this process keeps a
+    worker set of one worker per other CPU, the workers compute rounds
+    beside this one from the first batch on.  Without one, the call forks
+    the set when n has at least _FORK_DIGITS digits and config.max_rounds
+    leaves more than one batch per process (_fork_pays); later collections
+    keep using it.  A fork that fails with an OSError leaves the call in
+    this process.  The stream stays the same either way.  The time spent
+    is added to the "collect" phase of stats, the part of it until the
+    set was ready (all of it without a set) to its "inline" phase, the
+    rounds' own times, summed over the processes that ran them, to its
+    "search" phase, and the time spent blocked on a worker to its "wait"
+    phase.  May raise FoundFactor when a divisor appears along the way.
 
     The workers outlive the call when it stops on the target or the cap,
     or raises FoundFactor or RelationShortfall: the batches still queued
@@ -328,29 +331,18 @@ def collect_relations(
     # whether a round of this store has emitted a full or partial relation
     emitted = bool(store.fulls or store.partials)
     stats.add_time("wait", 0.0)  # present when no worker was waited for
-    count = _worker_count() - 1
-    forked_at = None
-
-    def workers():
-        # the kept set when it has one worker per other CPU, else a new one
-        # when the fork pays; None leaves the set as it is
-        nonlocal forked_at
-        if not count:
-            return None
-        kept = _workers if _workers is not None and len(_workers.procs) == count else None
-        if kept is None or not kept.begin(plan):
-            if not _fork_pays(n, config.max_rounds, batch, count + 1):
-                return None
-            kept = _start_workers(count)
-            if not kept.begin(plan):
-                return None
-        forked_at = time.perf_counter()
-        return kept
+    kept = None
 
     t0 = time.perf_counter()
     try:
         plan, items, batch = _round_plan(algo, n, config.seed, fb, pre, ctx, store.rounds)
-        rounds = _rounds(plan, items, batch, config.max_rounds, stats, workers)
+        # only a collection whose loop below runs a round asks for a set
+        if config.max_rounds != 0 and not store.have_enough() and (
+            emitted or store.rounds < store.target
+        ):
+            kept = _worker_set(plan, n, config.max_rounds, batch)
+            ready = time.perf_counter()
+        rounds = _rounds(plan, items, batch, config.max_rounds, stats, kept)
         with contextlib.closing(rounds):
             while not store.have_enough() and (round_cap is None or store.rounds < round_cap):
                 if not emitted and store.rounds >= store.target:
@@ -371,7 +363,7 @@ def collect_relations(
     except (FoundFactor, RelationShortfall):
         raise
     except BaseException:
-        if forked_at is not None:
+        if kept is not None:
             # the set may be mid-message, or a worker gone: fork anew next time
             close_workers()
         raise
@@ -380,7 +372,7 @@ def collect_relations(
         stats.combined += store.combined_count - combined0
         end = time.perf_counter()
         stats.add_time("collect", end - t0)
-        stats.add_time("inline", (end if forked_at is None else forked_at) - t0)
+        stats.add_time("inline", (end if kept is None else ready) - t0)
     return store, stats
 
 
@@ -449,16 +441,43 @@ def _fork_pays(n, limit, batch, processes):
     return len(str(n)) >= _FORK_DIGITS and (limit is None or limit > batch * processes)
 
 
-def _rounds(plan, items, batch, limit, stats, workers):
+def _worker_set(plan, n, limit, batch):
+    """The worker set that takes the batches of a collection of n, capped
+    at `limit` rounds in batches of `batch`, with plan already sent to it;
+    or None, and every batch is computed in this process.
+
+    The kept set is used when it has one worker per other CPU, else a new
+    one is forked when _fork_pays says so.  None on one CPU, beside another
+    thread or in a daemonic process (_worker_count), which leaves a kept
+    set alone, and when the fork fails with an OSError (EAGAIN under a
+    limit on processes, ENOMEM), which closes the set.
+    """
+    count = _worker_count() - 1
+    if not count:
+        return None
+    kept = _workers if _workers is not None and len(_workers.procs) == count else None
+    if kept is None or not kept.begin(plan):
+        if not _fork_pays(n, limit, batch, count + 1):
+            return None
+        try:
+            kept = _start_workers(count)
+        except OSError:
+            close_workers()
+            return None
+        if not kept.begin(plan):
+            return None
+    return kept
+
+
+def _rounds(plan, items, batch, limit, stats, kept):
     """run(item) for each item, in round order, with run = _runner(plan).
     limit, when not None, is the most rounds the caller takes, and no round
     past it is run.
 
     The items go out in batches of `batch` consecutive items, and one
-    process computes a whole batch with its own run.  Before the first
-    batch, workers() gives the worker set that takes batches, with plan
-    already sent to it, or None.  Without a set every batch is computed
-    here.
+    process computes a whole batch with its own run.  kept is the worker
+    set that takes batches, with plan already sent to it (_worker_set), or
+    None, and then every batch is computed here.
     Each worker is kept _QUEUE_DEPTH batches ahead, and its replies are
     taken as they arrive, so that it gets its next batch at once; near the
     limit a worker owes at most its share of the batches left (split
@@ -478,14 +497,12 @@ def _rounds(plan, items, batch, limit, stats, workers):
     raises RuntimeError, both as soon as the reply is polled, and either
     closes the set.
     """
-    if limit is not None:
-        items = itertools.islice(items, limit)
     left = limit  # items not drawn yet under the cap; None: no cap
 
     def draw():
         # the next batch, or None when no item is left
         nonlocal left
-        chunk = list(itertools.islice(items, batch))
+        chunk = list(itertools.islice(items, batch if left is None else min(batch, left)))
         if left is not None:
             left -= len(chunk)
         return chunk or None
@@ -501,9 +518,7 @@ def _rounds(plan, items, batch, limit, stats, workers):
     # the Rounds of each batch drawn and not yet yielded, in round order; a
     # worker's list stays empty until its reply is in (a batch is never empty)
     queue = collections.deque()
-    kept = None
     try:
-        kept = workers()
         # after the plan went out: the workers build theirs meanwhile
         run = _runner(plan)
         while True:
@@ -638,7 +653,9 @@ def _start_workers(count) -> _WorkerSet:
     The set is kept before the forks, so that each child, this set's
     workers included, closes its copies of the parent's pipe ends
     (_forget_workers): a parent killed by a signal then closes them all,
-    and every worker reads EOF.
+    and every worker reads EOF.  A fork that fails raises its OSError with
+    the set kept as far as it got, to be closed (close_workers); the
+    child's end of its pipe is closed either way.
     """
     global _workers
     close_workers()
@@ -646,9 +663,11 @@ def _start_workers(count) -> _WorkerSet:
     for _ in range(count):
         conn, child = workers.context.Pipe()
         workers.conns.append(conn)
-        proc = workers.context.Process(target=_serve, args=(child, workers.epoch), daemon=True)
-        proc.start()
-        child.close()
+        try:
+            proc = workers.context.Process(target=_serve, args=(child, workers.epoch), daemon=True)
+            proc.start()
+        finally:
+            child.close()
         workers.procs.append(proc)
         workers.owed.append(collections.deque())
     return workers

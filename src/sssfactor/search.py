@@ -56,7 +56,6 @@ process computes the round.  It stores nothing: the engine's collection
 loop ingests every round's finds.
 """
 
-import math
 import time
 from itertools import repeat
 from typing import NamedTuple
@@ -310,12 +309,10 @@ def search_round(
     t0 = time.perf_counter()
     small = pre.primes
     moduli = [small[i] for i in indices]
-    modulus = math.prod(moduli)
+    x, modulus = get_x(zip(indices, repeat(1)), pre)
     table = round_table(modulus, *fb.large_arrays(len(small)))
     if buffers is None:
         buffers = scan_buffers(len(indices), table.primes)
-
-    x, _ = get_x(zip(indices, repeat(1)), pre)
 
     finds: list[tuple[int, int]] = []
     fulls = partials = candidates = filtered = 0

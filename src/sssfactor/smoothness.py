@@ -1,7 +1,8 @@
 """Batch smoothness detection with product and remainder trees.
 
 One big product eta of the factor-base primes, each prime once, is
-computed once per context.  A batch of candidates is reduced against it
+computed once per context, by the same product-tree levels (_parents)
+that the remainder tree builds.  A batch of candidates is reduced against it
 with a remainder tree, and d = gcd(x, eta mod x) is then the product of
 the base primes that divide x.  Dividing d out and taking d = gcd(x, d)
 again until it is 1 strips every power of them, so the residual equals
@@ -23,8 +24,6 @@ __all__ = [
     "FILTER_SPLIT_RATIO",
     "Smoothness",
     "SmoothnessContext",
-    "product_tree",
-    "tree_root",
     "remainders",
     "build_context",
     "smooth_batch",
@@ -44,22 +43,6 @@ def _parents(level: list[int]) -> list[int]:
         level[i] * level[i + 1] if i + 1 < len(level) else level[i]
         for i in range(0, len(level), 2)
     ]
-
-
-def product_tree(values) -> list[list[int]]:
-    """Balanced product tree; level 0 is the leaves, the last level the root."""
-    level = list(values)
-    if not level:
-        raise ValueError("empty leaf list")
-    tree = [level]
-    while len(level) > 1:
-        level = _parents(level)
-        tree.append(level)
-    return tree
-
-
-def tree_root(tree: list[list[int]]) -> int:
-    return tree[-1][0]
 
 
 def remainders(z: int, values) -> list[int]:
@@ -94,7 +77,8 @@ class SmoothnessContext:
 
 
 def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
-    """Precompute the product of a prime list, each prime once.
+    """Precompute the product of a prime list, each prime once, by the
+    levels of a product tree (_parents), as remainders builds them.
 
     With split_ratio r, the primes are additionally partitioned into the
     smallest len/r ones and the rest, each with its own context and the
@@ -111,7 +95,10 @@ def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
             part_large = build_context(primes[cut:])
             eta = part_small.eta * part_large.eta
             return SmoothnessContext(primes, eta, part_small, part_large)
-    return SmoothnessContext(primes, tree_root(product_tree(primes)))
+    level = list(primes) or [1]  # the empty product is 1
+    while len(level) > 1:
+        level = _parents(level)
+    return SmoothnessContext(primes, level[0])
 
 
 def smooth_batch(ctx: SmoothnessContext, candidates) -> list[int]:

@@ -1,4 +1,6 @@
+import errno
 import json
+import multiprocessing
 import os
 import pathlib
 import random
@@ -290,6 +292,57 @@ def test_relations_partials_to_stdout(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "\nx,r,sign,e_2," in out  # after the fulls dump
     assert not (tmp_path / "-").exists()
+
+
+N40 = "2025187160651667522159602188240446426637"
+K61 = "29100640830005092842290581694238229"  # qs-35d panel composite, k = 61
+N50 = "10631269693415190522128026926094032979418574955981"
+
+
+# the relation counts that .github/workflows/tests.yml pins for the
+# installed script: one CSV row per full (per partial with --partials-out -)
+@pytest.mark.parametrize("argv, rows", [
+    (["relations", "5550426454971436013", "--max-rounds", "50"], 179),
+    (["relations", N40, "--algo", "qs", "--max-rounds", "20"], 6),
+    (["relations", K61, "--algo", "qs", "--max-rounds", "20"], 32),
+    (["relations", N50, "--algo", "sssf", "--max-rounds", "5"], 16),
+    (["relations", N50, "--algo", "sssf", "--max-rounds", "20"], 49),
+    (["relations", N40, "--seed", "7", "--max-rounds", "30", "--out", os.devnull,
+      "--partials-out", "-"], 998),
+], ids=["sss-19d", "qs-40d", "qs-35d", "sssf-50d-5", "sssf-50d-20", "partials-40d"])
+def test_ci_relation_counts(argv, rows, capsys):
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) - 1 == rows
+
+
+# the factors that the CI pins and no other test checks through the CLI
+@pytest.mark.parametrize("argv, out", [
+    (["factor", "1251681611221125843937253098284462597887"],
+     "33198953908154589259\n37702441308359355293\n"),
+    (["factor", K61, "--algo", "qs"], "39461693962026563\n737440234015504583\n"),
+], ids=["sss-k23", "qs-k61"])
+def test_ci_factors(argv, out, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork()"
+)
+def test_factor_without_a_fork_stays_in_one_process(monkeypatch, capsys):
+    # Process.start() fails as it does under a limit on processes (EAGAIN):
+    # the collection that would fork the workers runs in this process
+    tried = []
+
+    def no_fork(proc):
+        tried.append(proc)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["factor", N40]) == 0
+    assert capsys.readouterr().out == "41006948406240846859\n49386439112437206343\n"
+    assert tried
 
 
 @pytest.mark.parametrize("argv", [

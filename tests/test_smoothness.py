@@ -9,12 +9,10 @@ from sssfactor.smoothness import (
     Smoothness,
     build_context,
     classify,
-    product_tree,
     remainders,
     smooth_batch,
     smooth_batch_exact,
     smooth_filter,
-    tree_root,
 )
 
 
@@ -38,7 +36,7 @@ def test_product_tree_root_is_plain_product():
     rng = random.Random(10)
     for size in (1, 2, 3, 7, 64, 100):
         values = [rng.randrange(1, 10**12) for _ in range(size)]
-        assert tree_root(product_tree(values)) == math.prod(values)
+        assert build_context(values).eta == math.prod(values)
 
 
 def test_remainders_match_direct_mod():
@@ -55,12 +53,11 @@ def test_remainders_wherever_the_tree_stops(where):
     # tree wherever that level is, also when a node of it is above z
     rng = random.Random(15)
     values = [rng.randrange(2**60, 2**61) for _ in range(40)]
-    tree = product_tree(values)
     z = {
         "leaves": rng.randrange(2**400, 2**401),
         # level 2 (about 244 bits) stops it, level 1 (about 122) not
         "mid-tree": rng.randrange(2**1900, 2**1901),
-        "never": tree_root(tree) ** 9 + 1,
+        "never": math.prod(values) ** 9 + 1,
     }[where]
     assert remainders(z, values) == [z % v for v in values]
     assert remainders(z, [values[0]]) == [z % values[0]]

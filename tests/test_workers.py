@@ -12,10 +12,12 @@ for a worker.  The stream must be the one the inline rounds give.  The set
 outlives a collection that stops on the target or the cap or raises
 FoundFactor, but no worker outlives a failed collection, close_workers()
 (which the autouse fixture of conftest.py calls around every test) or the
-process.  The rule reads only the inputs, so its tests do not depend on
-the host's speed.
+process.  A fork that fails leaves the collection in this process.  The
+rule reads only the inputs, so its tests do not depend on the host's
+speed.
 """
 
+import errno
 import hashlib
 import itertools
 import multiprocessing
@@ -219,12 +221,9 @@ def test_forked_rounds_send_whole_batches_in_order(monkeypatch):
     monkeypatch.setattr(engine, "_runner", lambda plan: plan)
     spy = Spy(monkeypatch)
 
-    def workers():
-        kept = engine._start_workers(2)
-        assert kept.begin(_item_and_pid)
-        return kept
-
-    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats(), workers))
+    kept = engine._start_workers(2)
+    assert kept.begin(_item_and_pid)
+    out = list(engine._rounds(_item_and_pid, iter(range(23)), 4, None, RunStats(), kept))
     assert [item for item, _ in out] == list(range(23))
     pids = [{pid for _, pid in out[i : i + 4]} for i in range(0, 23, 4)]
     assert all(len(batch) == 1 for batch in pids)
@@ -255,13 +254,10 @@ def test_a_capped_collection_ends_without_a_queued_tail(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.connection.Connection, "send", send)
 
-    def workers():
-        kept = engine._start_workers(1)
-        assert kept.begin(_paused_item_and_pid)
-        return kept
-
+    kept = engine._start_workers(1)
+    assert kept.begin(_paused_item_and_pid)
     limit = 12
-    rounds = engine._rounds(_paused_item_and_pid, itertools.count(), 1, limit, RunStats(), workers)
+    rounds = engine._rounds(_paused_item_and_pid, itertools.count(), 1, limit, RunStats(), kept)
     out = list(rounds)
     assert [item for item, _ in out] == list(range(limit))
     assert sent
@@ -473,6 +469,54 @@ def test_a_failed_set_is_replaced(forced, monkeypatch, fail, error, match):
     assert forced.forked == [1, 1] and len(kept_workers()) == 1
 
 
+def _no_fork(proc):
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("algo, n, rounds, digest, counters", CASES)
+def test_a_fork_that_fails_leaves_the_collection_here(
+    forced, monkeypatch, algo, n, rounds, digest, counters
+):
+    # Process.start() fails as it does under a limit on processes: the set
+    # is closed with both ends of its pipe, and every round runs here
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_fork)
+    engine._WorkerSet()  # its shared epoch opens multiprocessing's heap for good
+    fds = open_fds()
+    config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
+    store, stats = collect_relations(n, config, *prepare(n, config))
+    assert stats.counters() == counters
+    dump = store.fulls_csv() + store.partials_csv()
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+    assert forced.forked == [1] and forced.inline == stats.rounds
+    assert stats.phase_seconds["inline"] == stats.phase_seconds["collect"]
+    assert engine._workers is None and multiprocessing.active_children() == []
+    assert open_fds() == fds
+
+
+def test_a_second_fork_that_fails_kills_the_first_worker(forced, monkeypatch):
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start_once(proc):
+        if started:
+            _no_fork(proc)
+        real_start(proc)
+        started.append(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_once)
+    cpus(monkeypatch, 3)
+    assert pinned_stream(CASES[1])
+    assert forced.forked == [2] and engine._workers is None
+    (first,) = started
+    assert first.exitcode == -signal.SIGKILL  # killed and joined
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_gone_between_collections_is_replaced(forced):
     # the next collection finds the dead worker before it sends its plan,
     # and forks a new set instead of failing
@@ -536,6 +580,25 @@ def two_cpus(monkeypatch):
     """The fork rule as it is, on two CPUs: one worker and this process."""
     cpus(monkeypatch, 2)
     return Spy(monkeypatch)
+
+
+def test_a_collection_that_runs_no_round_sends_no_plan(forced, monkeypatch):
+    # a cap of 0, or a store that already holds its target, leaves the
+    # kept set alone, and forks none where there is none
+    config = RunConfig(algo="sss", seed=7, max_rounds=0)
+    fb, sb, pre, ctx = prepare(N30, config)
+    collect_relations(N30, config, fb, sb, pre, ctx)
+    assert forced.forked == [] and engine._workers is None
+    store, _ = collect_relations(N30, RunConfig(algo="sss", seed=7), fb, sb, pre, ctx)
+    pids = kept_workers()
+    plans = []
+    monkeypatch.setattr(engine._WorkerSet, "begin", lambda self, plan: plans.append(plan))
+    for cap in (0, None):
+        _, stats = collect_relations(
+            N30, RunConfig(algo="sss", seed=7, max_rounds=cap), fb, sb, pre, ctx, store=store
+        )
+        assert stats.rounds == 0 and stats.phase_seconds["inline"] == stats.phase_seconds["collect"]
+    assert plans == [] and forced.forked == [1] and kept_workers() == pids
 
 
 @pytest.mark.parametrize("seed", [2, 7])
