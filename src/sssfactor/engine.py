@@ -288,14 +288,15 @@ def collect_relations(
     worker set of one worker per other CPU, the workers compute rounds
     beside this one from the first batch on.  Without one, the call forks
     the set when n has at least _FORK_DIGITS digits and config.max_rounds
-    leaves more than one batch per process (_fork_pays); later collections
-    keep using it.  A fork that fails with an OSError leaves the call in
-    this process.  The stream stays the same either way.  The time spent
-    is added to the "collect" phase of stats, the part of it until the
-    set was ready (all of it without a set) to its "inline" phase, the
-    rounds' own times, summed over the processes that ran them, to its
-    "search" phase, and the time spent blocked on a worker to its "wait"
-    phase.  May raise FoundFactor when a divisor appears along the way.
+    leaves at least _FORK_BATCHES batches per process (_fork_pays); later
+    collections keep using it.  A fork that fails with an OSError leaves
+    the call in this process.  The stream stays the same either way.  The
+    time spent is added to the "collect" phase of stats, the part of it
+    until the set was ready (all of it without a set) to its "inline"
+    phase, the rounds' own times, summed over the processes that ran them,
+    to its "search" phase, and the time spent blocked on a worker to its
+    "wait" phase.  May raise FoundFactor when a divisor appears along the
+    way.
 
     The workers outlive the call when it stops on the target or the cap,
     or raises FoundFactor or RelationShortfall: the batches still queued
@@ -386,6 +387,12 @@ def _since(before: dict, stats: RunStats) -> RunStats:
 # 3 runs each) on which a fork before round 0 won every composite for both
 # sss and qs (README, "Parallel collection")
 _FORK_DIGITS = 33
+# batches per process that a round cap must leave for a fork to pay: the
+# lowest cap of a fresh-process ladder of capped collections (sss at 35 and
+# 40 digits, sssf at 50, caps of 3, 5, 10 and 20 rounds on two CPUs) at
+# which a fork no longer lost on any row: it won every composite at 40 and
+# 50 digits and broke even at 35 (README, "Parallel collection")
+_FORK_BATCHES = 10
 # batches that a worker owes, at most: the most each one has queued past a stop
 _QUEUE_DEPTH = 2
 
@@ -437,8 +444,10 @@ def _fork_pays(n, limit, batch, processes):
     in batches of `batch`, pays for forking a worker set that computes
     rounds in `processes` processes, this one included; a kept set is used
     without asking.  It pays from _FORK_DIGITS digits on, when the cap
-    leaves more than one batch per process."""
-    return len(str(n)) >= _FORK_DIGITS and (limit is None or limit > batch * processes)
+    leaves at least _FORK_BATCHES batches per process."""
+    return len(str(n)) >= _FORK_DIGITS and (
+        limit is None or limit >= _FORK_BATCHES * batch * processes
+    )
 
 
 def _worker_set(plan, n, limit, batch):

@@ -23,7 +23,9 @@ primes and their roots are also kept as int64 arrays for the vectorized
 collision search and root test, which need every prime below 2**31 to
 keep their products inside int64.  limb_weights() and residues() reduce
 one big integer modulo every prime of such an array, and pow_mod() raises
-residues to a power; the search and the relation store share them.
+residues to a power; the search and the relation store share them, and
+the base takes its Legendre symbols (legendre_symbols) and square roots
+(square_roots) of kN over such arrays too.
 """
 
 import math
@@ -52,6 +54,7 @@ __all__ = [
     "residues",
     "pow_mod",
     "legendre_symbols",
+    "square_roots",
     "choose_multiplier",
     "table_sizes",
     "build_factor_bases",
@@ -120,6 +123,36 @@ def legendre_symbols(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     criterion; every p an odd prime."""
     r = pow_mod(a, (primes - 1) // 2, primes)
     return np.where(r == primes - 1, -1, r)
+
+
+def square_roots(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """The smaller square root min(s, p - s) of a mod p elementwise, 0 <= a
+    < p, every p an odd prime below 2**31; ValueError when some a is a
+    non-residue, or a root fails its check s**2 = a mod p.
+
+    One formula per residue class of p (Crandall and Pomerance, Prime
+    Numbers, Algorithm 2.3.8): s = a**((p + 1)/4) when p = 3 mod 4, and
+    Atkin's s = a b (i - 1), with b = (2a)**((p - 5)/8) and i = 2a b**2,
+    when p = 5 mod 8; one pow_mod serves both classes.  p = 1 mod 8 takes
+    the scalar tonelli_shanks, one prime at a time: a vectorized
+    Tonelli-Shanks would make every prime pay for the largest power of 2
+    in p - 1.
+    """
+    s = np.empty_like(a)
+    one_mod_8 = primes % 8 == 1
+    fast, slow = np.flatnonzero(~one_mod_8), np.flatnonzero(one_mod_8)
+    p, x = primes[fast], a[fast]
+    atkin = p % 8 == 5
+    two_x = 2 * x % p
+    b = pow_mod(np.where(atkin, two_x, x), np.where(atkin, p >> 3, (p + 1) >> 2), p)
+    i = two_x * (b * b % p) % p
+    s[fast] = np.where(atkin, x * b % p * ((i - 1) % p) % p, b)
+    s[slow] = [tonelli_shanks(v, q) for v, q in zip(a[slow].tolist(), primes[slow].tolist())]
+    bad = np.flatnonzero((s * s - a) % primes)
+    if len(bad):
+        j = bad[0]
+        raise ValueError(f"no square root of {a[j]} modulo {primes[j]}")
+    return np.minimum(s, primes - s)
 
 
 # a partial's cofactor must stay below this multiple of p_max
@@ -276,10 +309,12 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
 
     Odd primes with (kN|p) = -1 are dropped; on average about half survive,
     so the base ends up near the target size m.  The symbols come from one
-    vectorized Euler test, and only the kept primes take a square root.  A
-    prime dividing k stays with its one root.  If any scanned prime
-    divides n outright, FoundFactor is raised immediately -- that prime is
-    a much cheaper answer than anything the search could produce.
+    vectorized Euler test, only the primes with (kN|p) = 1 take a square
+    root (square_roots), and both roots of every kept prime come from one
+    array expression.  A prime dividing k stays with its one root.  If any
+    scanned prime divides n outright, FoundFactor is raised for the first
+    -- that prime is a much cheaper answer than anything the search could
+    produce.
     """
     if n % 2 == 0:
         raise ValueError("input must be odd")
@@ -292,26 +327,20 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
     kn = multiplier * n
     shift = isqrt_ceil(kn)
     scanned = small_primes(2 * m)[1:]
-    residue = [kn % p for p in scanned]
-    symbols = legendre_symbols(
-        np.array(residue, dtype=np.int64), np.array(scanned, dtype=np.int64)
-    ).tolist()
-    kept = [2]
-    roots = {}
-    for p, a, symbol in zip(scanned, residue, symbols):
-        if symbol == 0:
-            if n % p == 0:
-                raise FoundFactor(p)
-            # p | k, and p**2 does not divide kN: f = 0 mod p only where
-            # x + shift = 0 mod p, and f is never 0 mod p**2
-            roots[p] = ((-shift) % p,) * 2
-        elif symbol == 1:
-            s = tonelli_shanks(a, p)
-            if (s * s - a) % p:
-                raise AssertionError(f"bad root pair for p={p}")  # unreachable
-            roots[p] = ((s - shift) % p, (-s - shift) % p)
-        else:
-            continue
-        kept.append(p)
-    fb = FactorBase(tuple(kept), roots, multiplier, kn, shift)
+    odd = np.array(scanned, dtype=np.int64)
+    residue = np.array([kn % p for p in scanned], dtype=np.int64)
+    symbols = legendre_symbols(residue, odd)
+    for p in odd[symbols == 0].tolist():
+        if n % p == 0:
+            raise FoundFactor(p)
+    kept = symbols >= 0
+    odd, residue, split = odd[kept], residue[kept], symbols[kept] == 1
+    primes = odd.tolist()
+    shifted = np.array([shift % p for p in primes], dtype=np.int64)
+    # p | k, and p**2 does not divide kN: f = 0 mod p only where x + shift
+    # = 0 mod p, and f is never 0 mod p**2; s = 0 gives that root twice
+    s = np.zeros_like(odd)
+    s[split] = square_roots(residue[split], odd[split])
+    roots = dict(zip(primes, zip(((s - shifted) % odd).tolist(), ((-s - shifted) % odd).tolist())))
+    fb = FactorBase((2, *primes), roots, multiplier, kn, shift)
     return fb, fb.paired[:small_n]

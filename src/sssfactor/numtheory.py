@@ -4,6 +4,7 @@ Plain Python ints throughout.  All functions are pure and safe to call
 concurrently from any number of threads.
 """
 
+import itertools
 import math
 import random
 
@@ -41,31 +42,36 @@ def tonelli_shanks(n: int, p: int) -> int:
     n %= p
     if n == 0:
         return 0
-    half = (p - 1) // 2  # Euler's criterion: a**half is 1 for a residue, -1 else
-    if pow(n, half, p) != 1:
-        raise ValueError(f"{n} has no square root modulo {p}")
     if p % 4 == 3:
-        s = pow(n, (p + 1) // 4, p)
-        return min(s, p - s)
-    # p = 1 mod 4: full Tonelli-Shanks with p - 1 = q * 2^e, q odd
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    m, c = e, pow(z, q, p)
-    t, r = pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
+        r = pow(n, (p + 1) // 4, p)
+    else:
+        # p = 1 mod 4: full Tonelli-Shanks with p - 1 = q * 2^e, q odd, and
+        # a non-residue z.  2 is one exactly when p = 3, 5 mod 8; when p =
+        # 1 mod 8 it is a residue, so an even z is a non-residue only if
+        # z/2 is one, and the odd z suffice.
+        e = ((p - 1) & (1 - p)).bit_length() - 1
+        q, half = (p - 1) >> e, (p - 1) // 2
+        z = 2 if p % 8 == 5 else 3
+        while pow(z, half, p) != p - 1:
+            z += 2
+            if z >= p:
+                raise ValueError(f"modulus must be an odd prime, got {p}")
+        m, c = e, pow(z, q, p)
+        r = pow(n, q // 2, p)
+        t, r = r * r % p * n % p, r * n % p  # n**q and n**((q + 1)/2)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1 and i < m:
+                t2 = t2 * t2 % p
+                i += 1
+            if i == m:  # n**((p - 1)/2) = -1, or p is no prime
+                break
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t = t * c % p
+            r = r * b % p
+    if r * r % p != n:
+        raise ValueError(f"{n} has no square root modulo {p}")
     return min(r, p - r)
 
 
@@ -164,7 +170,7 @@ def primes_below(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit - 1) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return [i for i, keep in enumerate(sieve) if keep]
+    return list(itertools.compress(range(limit), sieve))
 
 
 def small_primes(count: int) -> list[int]:

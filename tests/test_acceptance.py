@@ -42,17 +42,20 @@ def criterion(num, label):
     print(f"\nACCEPTANCE {num:02d} {label}: PASS")
 
 
-def factor_and_verify(n, seed):
-    t0 = time.perf_counter()
-    result = factor(n, RunConfig(algo="sss", seed=seed))
-    wall = time.perf_counter() - t0
-    assert result.success, f"failed to factor {n}"
-    product = 1
-    for p, e in result.factors:
-        assert is_probable_prime(p), f"non-prime factor {p} reported for {n}"
-        product *= p**e
-    assert product == n
-    return wall
+def factor_and_verify(n, seed, calls=3):
+    """The wall times of `calls` factor() runs of n, each one verified."""
+    walls = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        result = factor(n, RunConfig(algo="sss", seed=seed))
+        walls.append(time.perf_counter() - t0)
+        assert result.success, f"failed to factor {n}"
+        product = 1
+        for p, e in result.factors:
+            assert is_probable_prime(p), f"non-prime factor {p} reported for {n}"
+            product *= p**e
+        assert product == n
+    return walls
 
 
 @pytest.mark.slow
@@ -64,10 +67,12 @@ def test_c01_end_to_end_correctness():
             walls[digits] = []
             for i in range(count):
                 n, _, _ = generate_semiprime(digits, rng)
-                wall = factor_and_verify(n, seed=i)
+                # every call within the limit; the fastest of three is the
+                # composite's time, which host load disturbs the least
+                calls = factor_and_verify(n, seed=i)
                 if limit is not None:
-                    assert wall < limit, f"{digits}-digit input took {wall:.1f}s"
-                walls[digits].append(wall)
+                    assert max(calls) < limit, f"{digits}-digit input took {max(calls):.1f}s"
+                walls[digits].append(min(calls))
         med = {d: statistics.median(w) for d, w in walls.items()}
         print(f"median walls: {med}")
         assert med[30] < med[35] < med[40], "growth must be monotone in digits"

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from numtheory_oracle import factor_base
 from semiprimes import generate_semiprime
 
 from sssfactor.crt import precompute
@@ -20,7 +21,7 @@ from sssfactor.engine import (
     factor,
     prepare,
 )
-from sssfactor.factorbase import build_factor_bases
+from sssfactor.factorbase import build_factor_bases, table_sizes
 from sssfactor.numtheory import is_probable_prime
 from sssfactor.relations import RelationStore
 from sssfactor.search import SUBSUM_SIZE
@@ -217,18 +218,27 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
     (33, None, 1, 2, True),   # _FORK_DIGITS
     (40, None, 1, 2, True),
     (50, None, 1, 8, True),
-    (40, 0, 1, 2, False),     # a cap of one batch per process or less
+    (40, 0, 1, 2, False),     # a cap of fewer than 10 batches per process
     (40, 2, 1, 2, False),
-    (40, 3, 1, 2, True),
+    (40, 3, 1, 2, False),
     (40, 3, 1, 3, False),
+    (40, 19, 1, 2, False),
+    (40, 20, 1, 2, True),
+    (40, 29, 1, 3, False),
+    (40, 30, 1, 3, True),
+    (50, 50, 1, 2, True),     # the sssf-50d-rounds workload
     (32, 30, 1, 2, False),
     (35, 32, 16, 2, False),   # qs: one sieve block per side a batch
-    (35, 33, 16, 2, True),
+    (35, 33, 16, 2, False),
+    (35, 319, 16, 2, False),
+    (35, 320, 16, 2, True),
 ], ids=["30d", "32d", "33d", "40d", "50d-8-cpus", "40d-no-round", "40d-capped",
-        "40d-capped-3", "40d-capped-3-on-3-cpus", "32d-capped", "qs-capped", "qs"])
+        "40d-capped-3", "40d-capped-3-on-3-cpus", "40d-capped-19", "40d-capped-20",
+        "40d-capped-29-on-3-cpus", "40d-capped-30-on-3-cpus", "50d-capped-50",
+        "32d-capped", "qs-capped", "qs", "qs-capped-319", "qs-capped-320"])
 def test_fork_pays_on_the_size_and_the_cap(digits, limit, batch, processes, pays):
     n = 10 ** (digits - 1) + 3
-    assert engine._FORK_DIGITS == 33
+    assert (engine._FORK_DIGITS, engine._FORK_BATCHES) == (33, 10)
     assert engine._fork_pays(n, limit, batch, processes) is pays
 
 
@@ -507,3 +517,33 @@ def test_prepare_memory_stays_linear_at_80_digits():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"prepare() peaked at {peak / 2**20:.1f} MB"
+
+
+# one balanced semiprime for each row above 80 digits
+TOP_ROWS = (
+    49830199393658191344625799388039283554830641
+    * 77597055210865915226670116312291117735745223,
+    38808644904735053833094346469019030866001164981
+    * 50546424438597276291166479345787926135523108397,
+    16278788132258179548786978481905871861516924275029
+    * 64168161095670389559733179855238041455600865671033,
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, bound_mb", zip(TOP_ROWS, (32, 40, 64)), ids=["88d", "94d", "100d"])
+def test_prepare_at_the_top_rows_matches_the_oracle(n, bound_mb):
+    # the base of the 88-, 94- and 100-digit rows (m = 50 000, 60 000 and
+    # 100 000) equals the scalar oracle's, and prepare() peaked at 22.3,
+    # 26.1 and 44.2 MB under tracemalloc on a 2-core Intel Xeon host
+    # (Python 3.11.7, numpy 2.4.6): each bound leaves 40-55 % headroom
+    tracemalloc.start()
+    try:
+        fb, sb, _, _ = prepare(n, RunConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, small_n = table_sizes(len(str(n)))
+    assert (fb.primes, fb.roots) == factor_base(n, m, fb.multiplier)
+    assert sb == fb.paired[:small_n]
+    assert peak < bound_mb * 2**20, f"prepare() peaked at {peak / 2**20:.1f} MB"

@@ -1,17 +1,32 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from numtheory_oracle import legendre
+from numtheory_oracle import factor_base, legendre, square_root
 
+from sssfactor import factorbase
 from sssfactor.factorbase import (
     MAX_PRIME,
+    MULTIPLIERS,
     FactorBase,
     build_factor_bases,
     poly_value,
+    square_roots,
     table_sizes,
 )
-from sssfactor.numtheory import FoundFactor, isqrt_ceil, small_primes
+from sssfactor.numtheory import FoundFactor, isqrt_ceil, primes_below, small_primes
+
+# primes of every class mod 8 that stress square_roots: p - 1 with a high
+# power of 2 (2**16 + 1, 3 * 2**18 + 1, 7 * 2**26 + 1, 119 * 2**23 + 1,
+# 15 * 2**27 + 1), and the largest prime below 2**31, pow_mod's bound, of
+# each class 1, 3, 5 and 7 mod 8
+AWKWARD_PRIMES = (
+    65537, 786433, 469762049, 998244353, 2013265921,
+    2147483497, 2147483587, 2147483629, 2147483647,
+)
+SMALL_PRIMES = tuple(primes_below(3000)[1:])
 
 
 def test_table_sizes_rows():
@@ -42,6 +57,9 @@ def test_build_rejects_bad_inputs():
         build_factor_bases(101, 10, 4)  # prime
     with pytest.raises(ValueError):
         build_factor_bases(3**5, 10, 4)  # perfect power
+    for k in (2, 9, 101):
+        with pytest.raises(ValueError, match="multiplier"):
+            build_factor_bases(8051, 10, 4, k)
 
 
 def test_early_factor_when_small_prime_divides():
@@ -127,3 +145,71 @@ def test_int64_guard_rejects_primes_from_2_pow_31():
     p = 2**31 + 11  # prime
     with pytest.raises(ValueError, match="2\\*\\*31"):
         FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)}, 1, 35, 6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(AWKWARD_PRIMES), st.sampled_from(SMALL_PRIMES)),
+        st.integers(0, MAX_PRIME),
+    ),
+    min_size=1,
+    max_size=40,
+))
+def test_square_roots_match_the_oracle_in_every_class(pairs):
+    # one array mixes the classes; the smaller root of x**2 is min(x, p - x)
+    primes = [p for p, _ in pairs]
+    squares = [x * x % p for p, x in pairs]
+    got = square_roots(np.array(squares, dtype=np.int64), np.array(primes, dtype=np.int64))
+    assert got.tolist() == [square_root(a, p) for a, p in zip(squares, primes)]
+    assert got.tolist() == [min(x % p, p - x % p) for p, x in pairs]
+
+
+@pytest.mark.parametrize("p", AWKWARD_PRIMES + (3, 5, 7, 17))
+def test_square_roots_reject_a_non_residue(p):
+    z = next(z for z in range(2, p) if legendre(z, p) == -1)
+    primes = np.array([p, p], dtype=np.int64)
+    with pytest.raises(ValueError, match=f"modulo {p}"):
+        square_roots(np.array([1, z], dtype=np.int64), primes)
+
+
+# 8051 = 83 * 97 with a base small enough that many k share a prime with
+# it, two 20- and 30-digit semiprimes, and 91 = 7 * 13, whose scan finds 7
+ORACLE_CASES = (
+    (8051, 8),
+    (10000004400000259, 30),
+    (588090330819903606914786460449, 200),
+    (91, 4),
+)
+
+
+@pytest.mark.parametrize("n, m", ORACLE_CASES, ids=[str(n) for n, _ in ORACLE_CASES])
+def test_build_matches_the_oracle_for_every_multiplier(n, m):
+    ramified = found = 0
+    for k in MULTIPLIERS:
+        try:
+            want = factor_base(n, m, k)
+        except FoundFactor as err:
+            with pytest.raises(FoundFactor) as got:
+                build_factor_bases(n, m, m // 5, k)
+            assert got.value.divisor == err.divisor
+            found += 1
+            continue
+        fb, sb = build_factor_bases(n, m, m // 5, k)
+        assert (fb.primes, fb.roots) == want
+        assert sb == fb.paired[: m // 5]
+        ramified += any(s1 == s2 for s1, s2 in fb.roots.values())
+    if n == 91:
+        assert found == len(MULTIPLIERS)
+    else:
+        assert ramified and not found  # some k put a prime dividing it in the base
+
+
+def test_a_bad_root_raises(monkeypatch):
+    # square_roots checks every root, the scalar ones of p = 1 mod 8 too
+    real = factorbase.tonelli_shanks
+    monkeypatch.setattr(factorbase, "tonelli_shanks", lambda a, p: (real(a, p) + 1) % p)
+    n = 10000004400000259
+    assert any(p % 8 == 1 for p in factor_base(n, 30, 1)[1])
+    with pytest.raises(ValueError, match="no square root"):
+        build_factor_bases(n, 30, 6)

@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from numtheory_oracle import legendre, square_root
 
 from sssfactor.factorbase import legendre_symbols
 from sssfactor.numtheory import (
@@ -46,6 +49,12 @@ def test_tonelli_rejects_bad_modulus():
     for p in (2, 1, 0, -7, 10):
         with pytest.raises(ValueError):
             tonelli_shanks(3, p)
+    # an odd composite raises too, rather than search forever for a z
+    # with z**((p - 1)/2) = -1
+    for p in (9, 21, 45, 65):
+        for n in (1, 3):
+            with pytest.raises(ValueError):
+                tonelli_shanks(n, p)
 
 
 def test_tonelli_examples():
@@ -80,6 +89,23 @@ def test_tonelli_root_property_random():
         s = tonelli_shanks(n, p)
         assert (s * s - n) % p == 0
         assert 0 <= s <= p - s  # smaller root
+
+
+# p - 1 = q * 2**e with e from 1 to 27, and primes above 2**31 and 2**64:
+# tonelli_shanks works on Python ints of any size
+HIGH_TWO_POWERS = (
+    3, 5, 13, 17, 97, 193, 257, 7681, 65537, 786433, 469762049, 998244353,
+    2013265921, 2147483629, 2**31 + 11, 2**89 - 1, 18446744073709551557,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from(HIGH_TWO_POWERS), x=st.integers(0, 2**100))
+def test_tonelli_matches_the_oracle_on_high_powers_of_two(p, x):
+    assert tonelli_shanks(x * x, p) == square_root(x * x, p) == min(x % p, p - x % p)
+    z = next(z for z in range(2, p) if legendre(z, p) == -1)
+    with pytest.raises(ValueError, match="no square root"):
+        tonelli_shanks(z * x * x, p) if x % p else tonelli_shanks(z, p)
 
 
 def test_isqrt_ceil():

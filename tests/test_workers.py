@@ -652,10 +652,13 @@ def test_a_40_digit_run_forks_before_round_0(monkeypatch):
     ("sss", 0, []),    # no round runs: nothing to fork for
     ("sss", 1, []),
     ("sss", 2, []),    # one round per process
-    ("sss", 3, [1]),
+    ("sss", 3, []),
+    ("sss", 19, []),
+    ("sss", 20, [1]),  # 10 rounds per process
     ("qs", 32, []),    # one batch of 16 intervals per process
-    ("qs", 33, [1]),
-], ids=["sss-0", "sss-1", "sss-2", "sss-3", "qs-32", "qs-33"])
+    ("qs", 33, []),
+    ("qs", 320, [1]),  # 10 batches per process
+], ids=["sss-0", "sss-1", "sss-2", "sss-3", "sss-19", "sss-20", "qs-32", "qs-33", "qs-320"])
 def test_a_cap_of_one_batch_per_process_stays_in_one_process(monkeypatch, algo, rounds, forked):
     spy = two_cpus(monkeypatch)
     config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
