@@ -14,13 +14,18 @@ mod M, but storing them takes O(n^2) bits to save k inversions per round,
 which cost microseconds.
 
 The small base is the tuple of primes that factorbase.build_factor_bases
-returns beside the factor base; precompute keeps it with its root pairs,
-and CrtPrecomp.primes is where a round reads it.
+returns beside the factor base, the first of the base's paired primes.
+precompute reads their root pairs from the base (FactorBase.pair_roots)
+as Python ints, so the big-int arithmetic here never meets an np.int64,
+and keeps them with the small base; CrtPrecomp.primes is where a round
+reads it.
 """
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .factorbase import FactorBase
 
 __all__ = ["CandidatePair", "CrtPrecomp", "center", "precompute", "get_x", "swap_root"]
 
@@ -44,11 +49,14 @@ def center(x: int, modulus: int) -> int:
     return x
 
 
-def precompute(small: tuple[int, ...], roots: dict) -> CrtPrecomp:
-    """The small base's primes with their root pairs, in index order."""
+def precompute(small: tuple[int, ...], fb: FactorBase) -> CrtPrecomp:
+    """The small base's primes with their root pairs, in index order;
+    ValueError unless small is a nonempty prefix of fb.paired."""
     if not small:
         raise ValueError("empty small factor base")
-    return CrtPrecomp(small, tuple(roots[p] for p in small))
+    if fb.paired[: len(small)] != tuple(small):
+        raise ValueError("the small base is not a prefix of the paired primes")
+    return CrtPrecomp(tuple(small), tuple(zip(*fb.pair_roots[:, : len(small)].tolist())))
 
 
 def _basis_times(value: int, p: int, modulus: int) -> int:

@@ -254,7 +254,7 @@ def prepare(n: int, config: RunConfig):
     Raises FoundFactor if the base scan already hits a divisor.
     """
     fb, sb = build_factor_bases(n, *table_sizes(len(str(n))), choose_multiplier(n))
-    pre = precompute(sb, fb.roots)
+    pre = precompute(sb, fb)
     filtered = config.algo_for(n) == "sssf"
     ctx = build_context(fb.primes, split_ratio=FILTER_SPLIT_RATIO if filtered else None)
     return fb, sb, pre, ctx

@@ -12,20 +12,21 @@ The factor base keeps 2 plus every odd prime p among the first 2m primes
 with (kN|p) = 1 (for the others f has no root, so they can never divide a
 candidate value), and the primes that divide k.  Each kept odd prime
 carries the two roots of f mod p; a prime dividing k divides f at one root
-only, and exactly once, so it carries that root twice.  The search uses
-only the primes with two distinct roots (the paired primes): the small
-factor base is the first n of them, a plain tuple of primes, and its
-products form the moduli of the subsum search; the rest are the collision
-primes.  The base also owns the partial bound, p_max times
-PARTIAL_MULTIPLIER: a partial relation's cofactor lies below it, and the
-search, the sieve and the relation store all read it from here.  The odd
-primes and their roots are also kept as int64 arrays for the vectorized
-collision search and root test, which need every prime below 2**31 to
-keep their products inside int64.  limb_weights() and residues() reduce
-one big integer modulo every prime of such an array, and pow_mod() raises
-residues to a power; the search and the relation store share them, and
-the base takes its Legendre symbols (legendre_symbols) and square roots
-(square_roots) of kN over such arrays too.
+only, and exactly once, so it carries that root twice.  The roots are kept
+once, as one (2, L) int64 array in the order of the odd primes, and every
+reader -- the CRT, the collision search, the sieve and the root test --
+takes them from it; the vectorized layers need every prime below 2**31 to
+keep their products inside int64.  The search uses only the primes with
+two distinct roots (the paired primes): the small factor base is the first
+n of them, a plain tuple of primes, and its products form the moduli of
+the subsum search; the rest are the collision primes.  The base also owns
+the partial bound, p_max times PARTIAL_MULTIPLIER: a partial relation's
+cofactor lies below it, and the search, the sieve and the relation store
+all read it from here.  limb_weights() and residues() reduce one big
+integer modulo every prime of an int64 array of primes, and pow_mod()
+raises residues to a power; the search and the relation store share them,
+and the base takes its Legendre symbols (legendre_symbols) and square
+roots (square_roots) of kN over such arrays too.
 """
 
 import math
@@ -212,20 +213,20 @@ class FactorBase:
     and shift from here.  It owns the partial bound too, the exclusive bound
     on a partial relation's cofactor, p_max times PARTIAL_MULTIPLIER.
 
-    odd_array and root_array hold the odd primes and their roots (shape
-    (2, len(odd_primes))) as int64, in the order of `primes`.  paired,
-    pair_array and pair_roots hold the same for the paired primes, those
-    with two distinct roots: every odd prime that does not divide k.
+    roots is the one form of the roots: a (2, len(odd_primes)) int64
+    array, column i the roots (s1, s2) of f mod odd_primes[i], s1 == s2
+    when that prime divides k.  odd_array holds the odd primes as int64.
+    paired, pair_array and pair_roots hold the same for the paired primes,
+    those with two distinct roots: every odd prime that does not divide k.
     """
 
     primes: tuple[int, ...]
-    roots: dict  # odd prime -> (s1, s2) with f(s) = 0 mod p; s1 == s2 when p | k
+    roots: np.ndarray = field(repr=False)
     multiplier: int
     kn: int      # the polynomial's modulus, multiplier times the number factored
     shift: int   # ceil(sqrt(kn))
     partial_bound: int = field(init=False)
     odd_array: np.ndarray = field(init=False, repr=False)
-    root_array: np.ndarray = field(init=False, repr=False)
     paired: tuple[int, ...] = field(init=False, repr=False)
     pair_array: np.ndarray = field(init=False, repr=False)
     pair_roots: np.ndarray = field(init=False, repr=False)
@@ -235,19 +236,18 @@ class FactorBase:
             raise ValueError(
                 f"factor-base prime {self.primes[-1]} is not below 2**31"
             )
-        odd = self.primes[1:]
-        roots = [self.roots[p] for p in odd]
-        odd_array = np.array(odd, dtype=np.int64)
-        root_array = np.array(roots, dtype=np.int64).reshape(-1, 2).T.copy()
-        two_roots = root_array[0] != root_array[1]
+        roots, shape = self.roots, (2, len(self.primes) - 1)
+        if not isinstance(roots, np.ndarray) or roots.dtype != np.int64 or roots.shape != shape:
+            raise ValueError(f"roots must be an int64 array of shape {shape}")
+        odd_array = np.array(self.odd_primes, dtype=np.int64)
+        two_roots = roots[0] != roots[1]
         pair_array = odd_array[two_roots]
         for name, value in (
             ("partial_bound", PARTIAL_MULTIPLIER * self.p_max),
             ("odd_array", odd_array),
-            ("root_array", root_array),
             ("paired", tuple(pair_array.tolist())),
             ("pair_array", pair_array),
-            ("pair_roots", root_array[:, two_roots]),
+            ("pair_roots", roots[:, two_roots]),
         ):
             object.__setattr__(self, name, value)
 
@@ -341,6 +341,6 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
     # = 0 mod p, and f is never 0 mod p**2; s = 0 gives that root twice
     s = np.zeros_like(odd)
     s[split] = square_roots(residue[split], odd[split])
-    roots = dict(zip(primes, zip(((s - shifted) % odd).tolist(), ((-s - shifted) % odd).tolist())))
+    roots = np.stack(((s - shifted) % odd, (-s - shifted) % odd))
     fb = FactorBase((2, *primes), roots, multiplier, kn, shift)
     return fb, fb.paired[:small_n]

@@ -1,12 +1,14 @@
 """Arbitrary-precision number-theoretic primitives.
 
-Plain Python ints throughout.  All functions are pure and safe to call
+Plain Python ints throughout (primes_below reads its sieve with numpy, but
+returns Python ints).  All functions are pure and safe to call
 concurrently from any number of threads.
 """
 
-import itertools
 import math
 import random
+
+import numpy as np
 
 __all__ = [
     "FoundFactor",
@@ -170,7 +172,7 @@ def primes_below(limit: int) -> list[int]:
     for i in range(2, math.isqrt(limit - 1) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return list(itertools.compress(range(limit), sieve))
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
 
 
 def small_primes(count: int) -> list[int]:

@@ -96,9 +96,8 @@ class Sieve:
             mods += [4, 4]
             roots += [(1 - shift) % 4, (3 - shift) % 4]
             weights += [1, 1]
-        for p in fb.odd_primes:
+        for p, *pair in zip(fb.odd_primes, *fb.roots.tolist()):
             weight = (p - 1).bit_length()
-            pair = fb.roots[p]
             if pair[0] == pair[1]:
                 mods.append(p)
                 roots.append(pair[0])

@@ -107,7 +107,7 @@ class RelationStore:
         self.fb = fb
         # the root test compares |x_bar| mod p against the negated roots
         # when x_bar < 0
-        self._neg_roots = -fb.root_array % fb.odd_array
+        self._neg_roots = -fb.roots % fb.odd_array
         self._weights = limb_weights(fb.odd_array, 1)
         self.use_partials = use_partials
         self.target = needed_count(fb.primes)
@@ -144,7 +144,7 @@ class RelationStore:
         if limbs > len(self._weights):
             self._weights = limb_weights(fb.odd_array, limbs)
         xr = residues(size, self._weights, fb.odd_array)
-        r1, r2 = self._neg_roots if x_bar < 0 else fb.root_array
+        r1, r2 = self._neg_roots if x_bar < 0 else fb.roots
         odd = fb.odd_primes
         for i in ((xr == r1) | (xr == r2)).nonzero()[0].tolist():
             p = odd[i]

@@ -6,6 +6,7 @@ formula per residue class of p; legendre() is the same Euler criterion on
 one Python int, and square_root() the textbook Tonelli-Shanks on one.
 factor_base() is build_factor_bases as one scalar loop over the scanned
 primes: the symbol, then the root, then the two roots of f, prime by prime.
+root_pairs() reads a FactorBase's root array back into that oracle's dict.
 """
 
 from sssfactor.numtheory import FoundFactor, isqrt_ceil, small_primes
@@ -75,3 +76,9 @@ def factor_base(n: int, m: int, multiplier: int) -> tuple[tuple[int, ...], dict]
             continue
         primes.append(p)
     return tuple(primes), roots
+
+
+def root_pairs(fb) -> dict:
+    """{p: (s1, s2)} for every odd prime of the base, as Python ints: the
+    roots that factor_base() returns, read from the base's one array."""
+    return dict(zip(fb.odd_primes, zip(*fb.roots.tolist())))

@@ -8,6 +8,7 @@ base's polynomial, on kN = fb.kn with shift = fb.shift.
 """
 
 import numpy as np
+from numtheory_oracle import root_pairs
 
 from sssfactor.factorbase import FactorBase, poly_value
 from sssfactor.qs import SIEVE_LENGTH, interval_start
@@ -28,9 +29,10 @@ def progressions(fb: FactorBase, length: int) -> list[tuple[int, int, int]]:
     if n % 4 == 1:
         # then x + shift must be odd and f(x) = 0 mod 4 on two classes
         out += [(4, (1 - shift) % 4, 1), (4, (3 - shift) % 4, 1)]
+    pairs = root_pairs(fb)
     for p in fb.odd_primes:
         weight = (p - 1).bit_length()
-        roots = set(fb.roots[p])
+        roots = set(pairs[p])
         out += [(p, s, weight) for s in roots]
         pp = p * p
         if pp <= length and len(roots) == 2:

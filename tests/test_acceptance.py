@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from numtheory_oracle import root_pairs
 from relations_oracle import dense, sparse
 from search_oracle import scan_hits
 from semiprimes import generate_semiprime
@@ -128,7 +129,8 @@ def check_collisions(n, multiplier):
     kn = multiplier * n
     fb, sb = build_factor_bases(n, 20, 8, multiplier)
     assert len(fb.primes) <= 40 and len(sb) <= 8
-    pre = precompute(sb, fb.roots)
+    pre = precompute(sb, fb)
+    pairs = root_pairs(fb)
     large = fb.large_primes(len(sb))
     primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(kn)
@@ -140,7 +142,7 @@ def check_collisions(n, multiplier):
         moduli = [sb[i] for i in idx]
         modulus = math.prod(moduli)
         x, _ = get_x([(i, 1) for i in idx], pre)
-        assert all(x % p == fb.roots[p][0] for p in moduli)
+        assert all(x % p == pairs[p][0] for p in moduli)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
         for q in [1] + moduli:
             m_prime = modulus // q
@@ -187,7 +189,8 @@ def test_c05_initial_pair_bound():
     with criterion(5, "worst-case bound on 10^3 initial pairs, 40 digits"):
         n, _, _ = generate_semiprime(40, random.Random(55))
         fb, sb = build_factor_bases(n, *table_sizes(len(str(n))))
-        pre = precompute(sb, fb.roots)
+        pre = precompute(sb, fb)
+        pairs = root_pairs(fb)
         shift = isqrt_ceil(n)
         rng = random.Random(56)
         for _ in range(1000):
@@ -195,7 +198,7 @@ def test_c05_initial_pair_bound():
             x, modulus = get_x(choices, pre)
             for i, choice in choices:
                 p = sb[i]
-                assert x % p == fb.roots[p][choice - 1]
+                assert x % p == pairs[p][choice - 1]
             f_val = poly_value(x, n, shift)
             assert f_val % modulus == 0
             # |f(x)|/M <= M/4 + shift + (2*sqrt(n) + 1)/M, in exact integers:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from numtheory_oracle import factor_base
+from numtheory_oracle import factor_base, root_pairs
 from semiprimes import generate_semiprime
 
 from sssfactor.crt import precompute
@@ -97,7 +97,7 @@ def test_degenerate_small_base_is_rejected():
     n = 1299709 * 1299721
     fb, sb = build_factor_bases(n, 20, 10**6)
     assert not fb.large_primes(len(sb))
-    pre = precompute(sb, fb.roots)
+    pre = precompute(sb, fb)
     ctx = build_context(fb.primes)
     with pytest.raises(ValueError, match="small base covers"):
         collect_relations(n, RunConfig(seed=1), fb, sb, pre, ctx)
@@ -531,11 +531,11 @@ TOP_ROWS = (
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n, bound_mb", zip(TOP_ROWS, (32, 40, 64)), ids=["88d", "94d", "100d"])
+@pytest.mark.parametrize("n, bound_mb", zip(TOP_ROWS, (20, 24, 40)), ids=["88d", "94d", "100d"])
 def test_prepare_at_the_top_rows_matches_the_oracle(n, bound_mb):
     # the base of the 88-, 94- and 100-digit rows (m = 50 000, 60 000 and
-    # 100 000) equals the scalar oracle's, and prepare() peaked at 22.3,
-    # 26.1 and 44.2 MB under tracemalloc on a 2-core Intel Xeon host
+    # 100 000) equals the scalar oracle's, and prepare() peaked at 13.2,
+    # 15.8 and 26.3 MB under tracemalloc on a 2-core Intel Xeon host
     # (Python 3.11.7, numpy 2.4.6): each bound leaves 40-55 % headroom
     tracemalloc.start()
     try:
@@ -544,6 +544,6 @@ def test_prepare_at_the_top_rows_matches_the_oracle(n, bound_mb):
     finally:
         tracemalloc.stop()
     m, small_n = table_sizes(len(str(n)))
-    assert (fb.primes, fb.roots) == factor_base(n, m, fb.multiplier)
+    assert (fb.primes, root_pairs(fb)) == factor_base(n, m, fb.multiplier)
     assert sb == fb.paired[:small_n]
     assert peak < bound_mb * 2**20, f"prepare() peaked at {peak / 2**20:.1f} MB"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numtheory_oracle import factor_base, legendre, square_root
+from numtheory_oracle import factor_base, legendre, root_pairs, square_root
 
 from sssfactor import factorbase
 from sssfactor.factorbase import (
@@ -80,7 +80,8 @@ def test_build_8051_matches_legendre_oracle():
     primes, roots = fb.large_arrays(len(sb))
     assert primes.dtype == roots.dtype == "int64"
     assert tuple(primes.tolist()) == fb.large_primes(len(sb))
-    assert list(zip(*roots.tolist())) == [fb.roots[p] for p in fb.large_primes(len(sb))]
+    pairs = root_pairs(fb)
+    assert list(zip(*roots.tolist())) == [pairs[p] for p in fb.large_primes(len(sb))]
 
 
 def test_roots_satisfy_polynomial_congruence():
@@ -88,8 +89,7 @@ def test_roots_satisfy_polynomial_congruence():
     fb, _ = build_factor_bases(n, 8, 4)
     shift = isqrt_ceil(n)
     assert (fb.multiplier, fb.kn, fb.shift) == (1, n, shift)
-    for p in fb.odd_primes:
-        s1, s2 = fb.roots[p]
+    for p, (s1, s2) in root_pairs(fb).items():
         assert s1 != s2
         assert 0 <= s1 < p and 0 <= s2 < p
         assert poly_value(s1, n, shift) % p == 0
@@ -101,7 +101,7 @@ def test_build_deterministic():
     a = build_factor_bases(n, 30, 6)
     b = build_factor_bases(n, 30, 6)
     assert a[0].primes == b[0].primes
-    assert a[0].roots == b[0].roots
+    assert root_pairs(a[0]) == root_pairs(b[0])
     assert a[1] == b[1]
 
 
@@ -140,11 +140,36 @@ def test_int64_guard_rejects_primes_from_2_pow_31():
     # the collision search multiplies residues mod p in int64; from 2**31 on
     # such products could overflow and silently lose hits
     below = MAX_PRIME - 1  # 2**31 - 1 is prime
-    fb = FactorBase((2, below), {below: (1, 5)}, 1, 35, 6)
+    fb = FactorBase((2, below), np.array([[1], [5]], dtype=np.int64), 1, 35, 6)
     assert fb.odd_array.tolist() == [below]
     p = 2**31 + 11  # prime
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        FactorBase((2, 3, p), {3: (1, 2), p: (1, 5)}, 1, 35, 6)
+        FactorBase((2, 3, p), np.array([[1, 1], [2, 5]], dtype=np.int64), 1, 35, 6)
+
+
+@pytest.mark.parametrize("roots", [
+    np.array([[1, 2], [2, 1]], dtype=np.int64),        # one column short
+    np.array([[1, 2, 3]], dtype=np.int64),             # one row
+    np.array([[1, 2, 3], [2, 1, 4]], dtype=np.int64).T,
+    np.array([[1, 2, 3], [2, 1, 4]], dtype=np.int32),  # wrong dtype
+    np.array([[1, 2, 3], [2, 1, 4]], dtype=np.float64),
+    [[1, 2, 3], [2, 1, 4]],                            # not an array
+    {3: (1, 2), 5: (2, 1), 7: (3, 4)},                 # the old dict
+], ids=["short", "one-row", "transposed", "int32", "float64", "list", "dict"])
+def test_roots_must_be_one_int64_array(roots):
+    with pytest.raises(ValueError, match="int64 array of shape \\(2, 3\\)"):
+        FactorBase((2, 3, 5, 7), roots, 1, 35, 6)
+
+
+def test_roots_are_one_array_in_the_order_of_the_odd_primes():
+    # the pair arrays are the columns with two distinct roots; a prime
+    # dividing k (3 here) keeps its one root twice and is left out
+    fb, _ = build_factor_bases(8051, 8, 4, 3)
+    assert fb.roots.dtype == np.int64 and fb.roots.shape == (2, len(fb.odd_primes))
+    pairs = root_pairs(fb)
+    assert pairs[3][0] == pairs[3][1] and 3 not in fb.paired
+    assert fb.pair_array.tolist() == list(fb.paired)
+    assert list(zip(*fb.pair_roots.tolist())) == [pairs[p] for p in fb.paired]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -196,9 +221,9 @@ def test_build_matches_the_oracle_for_every_multiplier(n, m):
             found += 1
             continue
         fb, sb = build_factor_bases(n, m, m // 5, k)
-        assert (fb.primes, fb.roots) == want
+        assert (fb.primes, root_pairs(fb)) == want
         assert sb == fb.paired[: m // 5]
-        ramified += any(s1 == s2 for s1, s2 in fb.roots.values())
+        ramified += any(s1 == s2 for s1, s2 in root_pairs(fb).values())
     if n == 91:
         assert found == len(MULTIPLIERS)
     else:

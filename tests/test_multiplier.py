@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numtheory_oracle import legendre
+from numtheory_oracle import legendre, root_pairs
 from sieve_oracle import interval_survivors
 
 from sssfactor.engine import RunConfig, collect_relations, factor, prepare
@@ -82,8 +82,9 @@ def test_multiplier_primes_have_one_root_and_no_search_role(n):
     assert (fb.kn, fb.shift) == (kn, shift)
     single = [p for p in fb.odd_primes if k % p == 0]
     assert single and math.prod(single) == k
+    pairs = root_pairs(fb)
     for p in single:
-        r1, r2 = fb.roots[p]
+        r1, r2 = pairs[p]
         assert r1 == r2
         assert poly_value(r1, kn, shift) % p == 0
         assert poly_value(r1, kn, shift) % (p * p) != 0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -186,3 +187,12 @@ def test_small_primes():
     assert ps[-1] == 1299709  # the 100000th prime
     with pytest.raises(ValueError):
         small_primes(0)
+
+
+def test_primes_below_matches_trial_division():
+    # every limit below 600, the edges 0-3 included; the sieve is read out
+    # with numpy, and the list must still hold Python ints
+    for limit in range(600):
+        got = primes_below(limit)
+        assert got == [q for q in range(2, limit) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+        assert all(type(q) is int for q in got)

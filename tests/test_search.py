@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
+from numtheory_oracle import root_pairs
 
 from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
@@ -31,7 +32,7 @@ PARTIALS_N = 418436043196362381424098675319
 
 def toy_setup(m=20, small_n=6, n=TOY_N):
     fb, sb = build_factor_bases(n, m, small_n)
-    pre = precompute(sb, fb.roots)
+    pre = precompute(sb, fb)
     ctx = build_context(fb.primes)
     return fb, sb, pre, ctx
 
@@ -309,8 +310,11 @@ def test_transforms_match_oracle(primes, modulus, data):
     x = data.draw(st.integers(-(modulus // 2), modulus // 2))
     roots = {p: (data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1)))
              for p in primes}
-    root_array = np.array([roots[p] for p in primes], dtype=np.int64).T
-    table = round_table(modulus, np.array(primes, dtype=np.int64), root_array)
+    table = round_table(
+        modulus,
+        np.array(primes, dtype=np.int64),
+        np.array([roots[p] for p in primes], dtype=np.int64).T,
+    )
     expected_inv = oracle.invert_M(modulus, primes)
     assert table.inverses.tolist() == list(expected_inv.values())
     got = root_transforms(x, table)
@@ -324,8 +328,11 @@ def test_transforms_match_oracle_at_the_int64_margin(sign):
     modulus = next(m for m in range(2**241 - 1, 0, -2) if all(m % p for p in TOP_PRIMES))
     x = sign * (modulus // 2)
     roots = {p: (p - 1, p - 2) for p in TOP_PRIMES}
-    root_array = np.array([roots[p] for p in TOP_PRIMES], dtype=np.int64).T
-    table = round_table(modulus, np.array(TOP_PRIMES, dtype=np.int64), root_array)
+    table = round_table(
+        modulus,
+        np.array(TOP_PRIMES, dtype=np.int64),
+        np.array([roots[p] for p in TOP_PRIMES], dtype=np.int64).T,
+    )
     inverses = oracle.invert_M(modulus, TOP_PRIMES)
     assert table.inverses.tolist() == list(inverses.values())
     got = root_transforms(x, table)
@@ -339,6 +346,7 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
     fb, sb, pre, _ = toy_setup() if n == TOY_N else prepare(n, RunConfig())
     primes, roots = fb.large_arrays(len(sb))
     large = fb.large_primes(len(sb))
+    pairs = root_pairs(fb)
     rng = random.Random(5)
     for _ in range(3):
         idx = pick_indices(k, len(sb), rng)
@@ -346,7 +354,7 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
         modulus = math.prod(moduli)
         x, _ = get_x([(i, 1) for i in idx], pre)
         inv = oracle.invert_M(modulus, large)
-        expected = oracle.root_transforms(x, inv, fb.roots)
+        expected = oracle.root_transforms(x, inv, pairs)
         transforms = root_transforms(x, round_table(modulus, primes, roots))
         assert oracle.as_tuples(transforms) == expected
         for q in [1] + moduli:
