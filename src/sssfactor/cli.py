@@ -18,7 +18,6 @@ import os
 import sys
 
 from .engine import (
-    _AUTO_FILTER_DIGITS,
     ALGORITHMS,
     FactorResult,
     RelationShortfall,
@@ -86,7 +85,8 @@ def _writing(path: str):
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--algo", choices=ALGORITHMS,
-        help=f"relation search variant (default: sss, sssf from {_AUTO_FILTER_DIGITS} digits)",
+        help="relation search: sss or sssf, two names for the subsum search "
+        "(the default), or the qs baseline",
     )
     parser.add_argument("--seed", type=int, help=f"search seed (default {RunConfig.seed})")
     parser.add_argument("--max-rounds", type=int,

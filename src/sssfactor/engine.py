@@ -13,17 +13,18 @@ factor base also owns the partial bound, and the CRT tables the small
 base: every layer reads each from its one owner.
 
 collect_relations() is the one collection loop and the only code that
-feeds the relation store, and _rounds is its one round source: sss, sssf
-and qs differ only in the plan that it runs (_round_plan), what an item of
-a round is and how many go to a worker at once.  Every round is a
-search.Round value, and the loop ingests its finds in round order.
+feeds the relation store, and _rounds is its one round source: the subsum
+search (sss and sssf are two names for it) and qs differ only in the plan
+that it runs (_round_plan), what an item of a round is and how many go to
+a worker at once.  Every round is a search.Round value, and the loop
+ingests its finds in round order.
 
 A round is independent of the others once its item is fixed: a search
 round's drawn indices, or a qs interval number.  Every round is computed
 by one function of its item, run(item) = _runner(plan)(item):
-search.search_round for sss and sssf, qs.run_sieve for qs, in batches: one
-round for sss and sssf, one sieve block per side (2 * qs.BLOCK_INTERVALS
-intervals) for qs.  The plan, (algo, fb, pre, ctx), is picklable, and
+search.search_round for the search, qs.run_sieve for qs, in batches: one
+round for the search, one sieve block per side (2 * qs.BLOCK_INTERVALS
+intervals) for qs.  The plan, (algo, fb, pre, ctx, k), is picklable, and
 every process builds its run from it.
 
 A process keeps one set of forked workers, one per other CPU, for its
@@ -67,8 +68,8 @@ from .relations import (
     extract_factor,
     solve_dependencies,
 )
-from .search import SUBSUM_SIZE, pick_indices, scan_buffers, search_round
-from .smoothness import FILTER_SPLIT_RATIO, build_context
+from .search import pick_indices, scan_buffers, search_round, subsum_size
+from .smoothness import build_context
 
 __all__ = [
     "RunConfig",
@@ -81,13 +82,8 @@ __all__ = [
     "prepare",
 ]
 
+# sss and sssf name the one subsum search; qs is the sieve baseline
 ALGORITHMS = ("sss", "sssf", "qs")
-
-# digit count from which the filtered variant is picked automatically: the
-# lowest row of a factor() ladder over 45-60 digits (3 composites a row,
-# both variants interleaved and repeated) on which sssf won every composite
-# (README, "Batch smoothness")
-_AUTO_FILTER_DIGITS = 45
 
 
 @dataclass(frozen=True)
@@ -97,15 +93,16 @@ class RunConfig:
     Every search parameter comes from the input, as in the paper: the
     factor-base sizes m and n from the digit-count table
     (factorbase.table_sizes, per composite and cofactor), the subsum size k
-    from the variant (search.SUBSUM_SIZE), the filter's split ratio from
-    smoothness.FILTER_SPLIT_RATIO and its cutoff from the factor base
+    from the digit count too (search.subsum_size), the filter's split ratio
+    from smoothness.FILTER_SPLIT_RATIO and its cutoff from the factor base
     (fb.p_max**2, see search.search_round), and the relation policy from
     search.COLLISION_THRESHOLD,
     factorbase.PARTIAL_MULTIPLIER (which sets FactorBase.partial_bound) and
-    relations.SLACK.
+    relations.SLACK.  sss and sssf are two names for the one subsum
+    search, the default; qs runs the sieve baseline.
     """
 
-    algo: str | None = None          # sss | sssf | qs; None picks by size
+    algo: str | None = None          # sss | sssf | qs; None: the subsum search
     use_partials: bool = True
     seed: int = 0
     max_rounds: int | None = None    # None: no cap; 0 asks for no collection
@@ -118,11 +115,6 @@ class RunConfig:
                 raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
             if self.max_rounds < 0:
                 raise ValueError(f"max_rounds must be at least 0, got {self.max_rounds}")
-
-    def algo_for(self, n: int) -> str:
-        if self.algo is not None:
-            return self.algo
-        return "sssf" if len(str(n)) >= _AUTO_FILTER_DIGITS else "sss"
 
 
 @dataclass
@@ -195,7 +187,7 @@ class RelationShortfall(RuntimeError):
 
     stats holds the counters of this composite's collection, and the
     message names the layer that failed: no round ran, the search or sieve
-    made no candidates, the sssf filter dropped all of them, no candidate
+    made no candidates, the filter dropped all of them, no candidate
     was smooth (no full or partial relation), the fulls plus combined
     partials fell short of the target, or, when `trivial` = (dependencies,
     rows, cycles) is given, every dependency tried gave a trivial gcd.  It
@@ -248,15 +240,15 @@ def prepare(n: int, config: RunConfig):
     """Precomputation for one composite: (fb, sb, pre, ctx), the factor
     base of kN with its Knuth-Schroeppel multiplier k, the small base (the
     tuple of primes that pre also holds), the CRT tables and the
-    smoothness context (with a partition when the filtered variant runs).
-    The sizes come from the digit-count table, for the digits of n.
+    smoothness context, with its partition for the search's filter.
+    The sizes come from the digit-count table, for the digits of n.  All
+    of it is the same for every algorithm, so config is not read.
 
     Raises FoundFactor if the base scan already hits a divisor.
     """
     fb, sb = build_factor_bases(n, *table_sizes(len(str(n))), choose_multiplier(n))
     pre = precompute(sb, fb)
-    filtered = config.algo_for(n) == "sssf"
-    ctx = build_context(fb.primes, split_ratio=FILTER_SPLIT_RATIO if filtered else None)
+    ctx = build_context(fb.primes)
     return fb, sb, pre, ctx
 
 
@@ -276,8 +268,8 @@ def collect_relations(
     rounds evaluate the factor base's f, on fb.kn.  fb, sb, pre and ctx are
     what prepare() returns; the rounds read the small base from pre, so sb
     is not read.  A base built for another number, a pre or ctx built from
-    another base, a ctx whose partition does not match the algorithm (sss or
-    sssf) or a store of another base raises ValueError before any round.
+    another base or a store of another base raises ValueError before any
+    round.  sss and sssf run the same search and give the same stream.
 
     Stops on the relation target or after config.max_rounds rounds of this
     call, so where the relation stream ends never depends on the host's
@@ -312,15 +304,13 @@ def collect_relations(
         store = RelationStore(n, fb, use_partials=config.use_partials)
     if stats is None:
         stats = RunStats()
-    algo = config.algo_for(n)
+    algo = config.algo
     if ctx.primes != fb.primes:
         raise ValueError("the smoothness context was built for another factor base")
     if pre.primes != fb.paired[: len(pre.primes)]:
         raise ValueError("the CRT tables were built for another factor base")
     if store.fb is not fb:
         raise ValueError("the relation store was built on another factor base")
-    if algo != "qs" and (algo == "sssf") != (ctx.part_small is not None):
-        raise ValueError(f"the smoothness context does not match {algo}: only sssf's is split")
     if algo != "qs" and not fb.large_primes(len(pre.primes)):
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
@@ -401,28 +391,28 @@ def _round_plan(algo, n, seed, fb, pre, ctx, first):
     """What the round source needs for rounds from round number first on:
     (plan, items, batch).
 
-    plan = (algo, fb, pre, ctx) is what _runner builds run from, in this
-    process and in every worker that it is sent to.  items yields the item
-    of every round in round order, and run(item) computes the round's Round
-    in any process.  batch is the number of consecutive items a worker gets
+    plan = (algo, fb, pre, ctx, k) is what _runner builds run from, in this
+    process and in every worker that it is sent to; k is the subsum size,
+    from the digits of n (search.subsum_size) and at most the small base,
+    and None for qs.  items yields the item of every round in round order,
+    and run(item) computes the round's Round in any process.  batch is the number of consecutive items a worker gets
     per message.
 
     qs: an item is an interval number, and a batch is 2 * BLOCK_INTERVALS
     intervals, one sieve block per side, so a worker sieves no block that
-    it uses only in part.  sss/sssf: an item is a round's index list, the
-    round's only random draw (pick_indices), drawn here from one rng per
-    composite n fast-forwarded past rounds 0 to first - 1; a batch is one
-    round.
+    it uses only in part.  The subsum search: an item is a round's k
+    indices, the round's only random draw (pick_indices), drawn here from
+    one rng per composite n fast-forwarded past rounds 0 to first - 1; a
+    batch is one round.
     """
-    plan = (algo, fb, pre, ctx)
     if algo == "qs":
-        return plan, itertools.count(first), 2 * qs_mod.BLOCK_INTERVALS
+        return (algo, fb, pre, ctx, None), itertools.count(first), 2 * qs_mod.BLOCK_INTERVALS
     small = len(pre.primes)
-    k = min(SUBSUM_SIZE[algo], small)
+    k = min(subsum_size(len(str(n))), small)
     rng = random.Random(f"{seed}:{n}:0")  # one stream per composite
     for _ in range(first):
         pick_indices(k, small, rng)
-    return plan, iter(lambda: pick_indices(k, small, rng), None), 1
+    return (algo, fb, pre, ctx, k), iter(lambda: pick_indices(k, small, rng), None), 1
 
 
 def _runner(plan):
@@ -430,12 +420,11 @@ def _runner(plan):
     or one set of search.scan_buffers, for all the rounds that it computes
     in one process.  run calls search_round or qs.run_sieve as looked up at
     call time, where tracing wraps them."""
-    algo, fb, pre, ctx = plan
+    algo, fb, pre, ctx, k = plan
     if algo == "qs":
         sieve = qs_mod.Sieve(fb)
         return lambda index: qs_mod.run_sieve(sieve, ctx, index)
-    small = len(pre.primes)
-    buffers = scan_buffers(min(SUBSUM_SIZE[algo], small), fb.large_arrays(small)[0])
+    buffers = scan_buffers(k, fb.large_arrays(len(pre.primes))[0])
     return lambda indices: search_round(fb, pre, ctx, indices, buffers)
 
 

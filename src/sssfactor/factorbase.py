@@ -218,6 +218,8 @@ class FactorBase:
     when that prime divides k.  odd_array holds the odd primes as int64.
     paired, pair_array and pair_roots hold the same for the paired primes,
     those with two distinct roots: every odd prime that does not divide k.
+    A pickle holds the five defining fields, primes, roots, multiplier, kn
+    and shift; unpickling derives and checks the rest again.
     """
 
     primes: tuple[int, ...]
@@ -250,6 +252,9 @@ class FactorBase:
             ("pair_roots", roots[:, two_roots]),
         ):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return FactorBase, (self.primes, self.roots, self.multiplier, self.kn, self.shift)
 
     @property
     def odd_primes(self) -> tuple[int, ...]:

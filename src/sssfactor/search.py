@@ -9,18 +9,18 @@ uses only the paired primes of the base (factorbase.FactorBase.paired): a
 prime dividing the multiplier has a single root, so its four collision
 offsets would not be distinct.
 
-One round picks k random small-base primes (SUBSUM_SIZE: 6 for sss, 7
-for sssf), builds the initial candidate pair (x, M) by a CRT over those k
-primes alone (crt.get_x), and then walks through k local variants of x
-(one root swap per chosen prime, crt.swap_root).
+One round picks k random small-base primes (subsum_size: 6 below
+SUBSUM_DIGITS digits, 7 from there on), builds the initial candidate pair
+(x, M) by a CRT over those k primes alone (crt.get_x), and then walks
+through k local variants of x (one root swap per chosen prime,
+crt.swap_root).
 For each variant the roots of f modulo all large factor-base primes are
 mapped into the j-line of x + j*M; an offset alpha that shows up for at
 least COLLISION_THRESHOLD = 3 different large primes certifies that
 f(x + alpha * m') gains three large prime divisors on top of the known
 smooth part m'.  The scan returns the product of those primes with each
 hit, and both m' and that product are divided out of the value before the
-batch smoothness test (the two-pass filter when the context carries a
-partition, as for sssf), so the filter judges only what the search does
+two-pass smoothness test, so its filter judges only what the search does
 not already know.  The survivors are the round's finds: full or partial
 relations, each with the residual that trial division of f(x_bar) over
 the base leaves.  A rescaling of a later variant can land on an x_bar
@@ -83,7 +83,8 @@ from .smoothness import smooth_batch_exact  # noqa: F401
 
 __all__ = [
     "COLLISION_THRESHOLD",
-    "SUBSUM_SIZE",
+    "SUBSUM_DIGITS",
+    "subsum_size",
     "Round",
     "pick_indices",
     "RoundTable",
@@ -101,8 +102,15 @@ __all__ = [
 # distinct large primes an offset needs before its value is batch-tested
 COLLISION_THRESHOLD = 3
 
-# small-base primes k per subsum modulus M, by variant
-SUBSUM_SIZE = {"sss": 6, "sssf": 7}
+# digit count from which a subsum modulus M takes k = 7 small-base primes
+# instead of 6 (README, "Batch smoothness")
+SUBSUM_DIGITS = 35
+
+
+def subsum_size(digit_count: int) -> int:
+    """k, the small-base primes per subsum modulus, for an input with that
+    many digits."""
+    return 6 if digit_count < SUBSUM_DIGITS else 7
 
 
 class Round(NamedTuple):
@@ -293,11 +301,11 @@ def search_round(
 
     The small base is pre.primes, and the collision primes are the paired
     primes of fb beyond it.  Finds are classified against fb.partial_bound.
-    A context with a partition (the sssf variant) switches the smoothness
-    pass to the two-stage filter (smooth_filter), which keeps a value whose
-    residual after the smallest primes lies below fb.p_max**2: room for two
-    more base primes or one partial cofactor on top of the collision
-    primes already divided out.
+    The smoothness test takes two passes over ctx's partition: pass 1
+    (smooth_filter) keeps a value whose residual after the smallest primes
+    lies below fb.p_max**2, room for two more base primes or one partial
+    cofactor on top of the collision primes already divided out, and pass
+    2 (smooth_batch over ctx.part_large) finishes the values kept.
     Each variant is scanned once for all its rescalings, and its candidates
     are batch-tested together, less those that an earlier variant of the
     round already produced.  The scans use buffers, scan_buffers over the
@@ -335,14 +343,11 @@ def search_round(
         seen.update(batch)
         candidates += len(batch)
         keys = list(batch)
-        values = list(batch.values())
-        if ctx.part_small is not None:
-            pairs = smooth_filter(ctx, values, fb.p_max**2)
-            filtered += len(values) - len(pairs)
-            found = [(keys[j], g) for j, g in pairs]
-        else:
-            found = zip(keys, smooth_batch(ctx, values))
-        for x_bar, g in found:
+        kept = smooth_filter(ctx, list(batch.values()), fb.p_max**2)
+        filtered += len(batch) - len(kept)
+        residuals = smooth_batch(ctx.part_large, [g for _, g in kept])
+        for (j, _), g in zip(kept, residuals):
+            x_bar = keys[j]
             kind = classify(g, fb.partial_bound)
             if kind is Smoothness.REJECT:
                 continue

@@ -13,6 +13,13 @@ remainder tree stops growing once its nodes are long against eta.
 smooth_batch_exact reaches the same residuals by repeated squaring of the
 remainder; nothing in the search uses it, and it stays as the reference
 that the acceptance suite checks.
+
+Every context of two or more primes is also split into its smallest
+primes and the rest, each part with its own product, for the search's
+two-pass filter: smooth_filter is pass 1, which strips the smallest primes
+and keeps the candidates whose residual falls below a cutoff, and the
+search finishes those with smooth_batch over the rest.  The whole product
+is that of the two parts' products; the qs sieve reads it.
 """
 
 import enum
@@ -32,7 +39,7 @@ __all__ = [
     "classify",
 ]
 
-# the two-pass filter (sssf): pass 1 uses the smallest |F| / FILTER_SPLIT_RATIO
+# the two-pass filter: pass 1 uses the smallest |F| / FILTER_SPLIT_RATIO
 # primes, and pass 2 the rest
 FILTER_SPLIT_RATIO = 10
 
@@ -52,7 +59,7 @@ def remainders(z: int, values) -> list[int]:
     than an eighth of the bits of z, and z is reduced mod each node of
     that level directly, which is exact at any level.  Above it, the
     products and the remainders of longer nodes would cost more than
-    those direct reductions save: the sssf filter's first pass reduces an
+    those direct reductions save: the filter's first pass reduces an
     eta shorter than the product of its candidates (README, "Batch
     smoothness").
     """
@@ -76,29 +83,29 @@ class SmoothnessContext:
     part_large: Optional["SmoothnessContext"] = None  # the rest (filter pass 2)
 
 
-def build_context(primes, split_ratio: int | None = None) -> SmoothnessContext:
-    """Precompute the product of a prime list, each prime once, by the
-    levels of a product tree (_parents), as remainders builds them.
-
-    With split_ratio r, the primes are additionally partitioned into the
-    smallest len/r ones and the rest, each with its own context and the
-    product of its own primes, for the two-pass filter; eta is then the
-    product of the two parts' etas.
-    """
-    primes = tuple(primes)
-    if split_ratio is not None:
-        if split_ratio < 2:
-            raise ValueError("split ratio must be at least 2")
-        cut = max(1, len(primes) // split_ratio)
-        if cut < len(primes):
-            part_small = build_context(primes[:cut])
-            part_large = build_context(primes[cut:])
-            eta = part_small.eta * part_large.eta
-            return SmoothnessContext(primes, eta, part_small, part_large)
+def _context(primes: tuple[int, ...]) -> SmoothnessContext:
+    """The unsplit context of primes: their product, each prime once, by
+    the levels of a product tree (_parents), as remainders builds them."""
     level = list(primes) or [1]  # the empty product is 1
     while len(level) > 1:
         level = _parents(level)
     return SmoothnessContext(primes, level[0])
+
+
+def build_context(primes) -> SmoothnessContext:
+    """Precompute the product of a prime list, each prime once.
+
+    A list of two or more primes is partitioned into the smallest
+    len / FILTER_SPLIT_RATIO ones (at least one) and the rest, each with
+    the product of its own primes, for the two-pass filter; eta is then
+    the product of the two parts' etas.
+    """
+    primes = tuple(primes)
+    if len(primes) < 2:
+        return _context(primes)
+    cut = max(1, len(primes) // FILTER_SPLIT_RATIO)
+    part_small, part_large = _context(primes[:cut]), _context(primes[cut:])
+    return SmoothnessContext(primes, part_small.eta * part_large.eta, part_small, part_large)
 
 
 def smooth_batch(ctx: SmoothnessContext, candidates) -> list[int]:
@@ -148,18 +155,15 @@ def smooth_batch_exact(ctx: SmoothnessContext, candidates) -> list[int]:
 
 
 def smooth_filter(ctx: SmoothnessContext, candidates, cutoff: int):
-    """Two-pass batch: strip the smallest primes first, keep only candidates
-    whose residual dropped below cutoff, then finish the survivors against
-    the rest of the base.
-
-    Returns (index, residual) pairs, indices into the input list.
+    """Pass 1 of the two-pass filter: strip the smallest primes of ctx
+    (ctx.part_small) and keep the candidates whose residual dropped below
+    cutoff, as (index, residual) pairs, indices into the input list.
+    Pass 2 is smooth_batch over ctx.part_large, on the residuals kept.
     """
-    if ctx.part_small is None or ctx.part_large is None:
-        raise ValueError("context was built without a partition")
+    if ctx.part_small is None:
+        raise ValueError("a context of fewer than two primes has no partition")
     first = smooth_batch(ctx.part_small, candidates)
-    kept = [(i, g) for i, g in enumerate(first) if g < cutoff]
-    second = smooth_batch(ctx.part_large, [g for _, g in kept])
-    return [(i, g) for (i, _), g in zip(kept, second)]
+    return [(i, g) for i, g in enumerate(first) if g < cutoff]
 
 
 class Smoothness(enum.Enum):

@@ -24,7 +24,7 @@ from sssfactor.engine import (
 from sssfactor.factorbase import build_factor_bases, table_sizes
 from sssfactor.numtheory import is_probable_prime
 from sssfactor.relations import RelationStore
-from sssfactor.search import SUBSUM_SIZE
+from sssfactor.search import subsum_size
 from sssfactor.smoothness import Smoothness, build_context
 
 
@@ -72,14 +72,6 @@ def test_factor_verifies_output_primality():
     for prime, _ in result.factors:
         assert is_probable_prime(prime)
     assert result.factors == sorted([(p, 1), (q, 1)])
-
-
-def test_algo_auto_selection():
-    cfg = RunConfig()
-    assert cfg.algo_for(10**30) == "sss"
-    assert cfg.algo_for(10**80) == "sssf"
-    assert RunConfig(algo="sss").algo_for(10**80) == "sss"  # explicit wins
-    assert SUBSUM_SIZE == {"sss": 6, "sssf": 7}
 
 
 def test_config_validation():
@@ -182,7 +174,7 @@ def test_ingest_sees_each_rounds_finds_once_in_order(monkeypatch, algo, cpus):
         rounds = [qs.run_sieve(sieve, ctx, index) for index in range(10)]
     else:
         rng = random.Random(f"7:{N40}:0")
-        k = SUBSUM_SIZE[algo]
+        k = subsum_size(len(str(N40)))
         rounds = [
             search.search_round(fb, pre, ctx, search.pick_indices(k, len(sb), rng))
             for _ in range(10)
@@ -250,12 +242,10 @@ N40B = 1251681611221125843937253098284462597887  # another base: k = 23
     ("qs", "qs", "ctx", "smoothness context was built for another"),
     ("sss", "sss", "pre", "CRT tables were built for another"),
     ("sss", "sss", "store", "store was built on another"),
-    ("sssf", "sss", None, "does not match sssf"),
-    ("sss", "sssf", None, "does not match sss"),
-], ids=["ctx", "qs-ctx", "pre", "store", "sssf-on-sss", "sss-on-sssf"])
+], ids=["ctx", "qs-ctx", "pre", "store"])
 def test_collection_inputs_that_do_not_belong_together(algo, prepared_for, swap, match):
-    # each would otherwise run rounds: on the wrong primes, with the wrong
-    # subsum size or filter, or into a store that fails only afterwards
+    # each would otherwise run rounds: on the wrong primes, or into a store
+    # that fails only afterwards
     fb, sb, pre, ctx = prepare(N40, RunConfig(algo=prepared_for))
     other_fb, _, other_pre, other_ctx = prepare(N40B, RunConfig(algo=prepared_for))
     store = RelationStore(N40B, other_fb) if swap == "store" else None
@@ -266,6 +256,57 @@ def test_collection_inputs_that_do_not_belong_together(algo, prepared_for, swap,
     with pytest.raises(ValueError, match=match):
         collect_relations(N40, config, fb, sb, pre, ctx, store=store, stats=stats)
     assert stats.rounds == 0 and stats.phase_seconds == {}
+
+
+N50 = 10631269693415190522128026926094032979418574955981
+
+
+@pytest.mark.parametrize("n", [N40, N50], ids=["40d", "50d"])
+def test_sss_and_sssf_are_one_search(n):
+    # the two names run one search: the same precomputation for every
+    # algorithm, and the same counters and relation dumps for one seed
+    prepared = {algo: prepare(n, RunConfig(algo=algo)) for algo in (None, *engine.ALGORITHMS)}
+    fb, sb, pre, ctx = prepared[None]
+    for other_fb, other_sb, other_pre, other_ctx in prepared.values():
+        assert other_fb.primes == fb.primes and (other_fb.roots == fb.roots).all()
+        assert other_sb == sb and other_pre.primes == pre.primes
+        assert other_ctx.eta == ctx.eta
+        assert other_ctx.part_small.primes == ctx.part_small.primes
+    runs = []
+    for algo in ("sss", "sssf"):
+        config = RunConfig(algo=algo, seed=7, max_rounds=8)
+        store, stats = collect_relations(n, config, *prepare(n, config))
+        runs.append((stats.counters(), store.fulls_csv(), store.partials_csv()))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["filtered"] > 0 and runs[0][0]["fulls"] > 0
+
+
+def test_a_30_digit_collection_filters():
+    # the default search runs the two-pass filter at every size
+    n = 588090330819903606914786460449
+    config = RunConfig(seed=7, max_rounds=5)
+    _, stats = collect_relations(n, config, *prepare(n, config))
+    assert 0 < stats.filtered < stats.candidates
+    assert stats.fulls + stats.partials > 0
+
+
+# semiprimes of 12 to 24 digits that the default config must factor
+SMALL_SEMIPRIMES = [
+    (999962000357, 999979, 999983),
+    (1689259081189, 1299709, 1299721),
+    (658031367992468443, 807354781, 815046103),
+    (5550426454971436013, 578230859, 9598980007),
+    (52775007923492760239, 5390405957, 9790544227),
+    (1424350379740242122117, 31962966073, 44562522029),
+    (255534409410688864523323, 365988942479, 698202540437),
+]
+
+
+@pytest.mark.parametrize("n, p, q", SMALL_SEMIPRIMES, ids=[str(c[0]) for c in SMALL_SEMIPRIMES])
+def test_the_default_config_factors_small_semiprimes(n, p, q):
+    result = factor(n, RunConfig(seed=2))
+    assert result.success and result.shortfalls == []
+    assert result.factors == [(p, 1), (q, 1)]
 
 
 def test_starvation_yields_residue_with_diagnostics(monkeypatch):
@@ -306,7 +347,8 @@ def test_starvation_yields_residue_with_diagnostics(monkeypatch):
 
 @pytest.mark.parametrize("rounds, layer", [
     (0, "no round ran"),
-    (3, "13 fulls + 0 combined relations of 524 (115 partials)"),
+    # 13 fulls and 115 partials before sss and sssf became one search
+    (3, "12 fulls + 0 combined relations of 524 (108 partials)"),
 ], ids=["no-rounds", "three-rounds"])
 def test_shortfall_names_the_round_cap(rounds, layer):
     # the cap, not the search, ended collection; a run of no rounds made no
@@ -318,21 +360,26 @@ def test_shortfall_names_the_round_cap(rounds, layer):
     ]
 
 
-# (n, factors, rounds) of seed-2 sssf runs below 25 digits, where a
-# digit-based pass-1 cutoff once dropped every candidate
+# (n, factors, rounds, filtered) of seed-2 sssf runs below 25 digits, where
+# a digit-based pass-1 cutoff once dropped every candidate.  Pinned with
+# k = 6 below 35 digits; with k = 7 they took 3 and 16 rounds, and the
+# filter dropped some candidates of both.  Now it drops none of the first
+# (test_a_30_digit_collection_filters checks that the filter runs).
 SMALL_SSSF = [
-    (658031367992468443, [(807354781, 1), (815046103, 1)], 3),
-    (6447136083544393581919, [(71787945331, 1), (89808059749, 1)], 16),
+    (658031367992468443, [(807354781, 1), (815046103, 1)], 3, 0),
+    (6447136083544393581919, [(71787945331, 1), (89808059749, 1)], 9, 34),
 ]
 
 
-@pytest.mark.parametrize("n, factors, rounds", SMALL_SSSF, ids=[str(c[0]) for c in SMALL_SSSF])
-def test_sssf_factors_below_25_digits(n, factors, rounds):
+@pytest.mark.parametrize(
+    "n, factors, rounds, filtered", SMALL_SSSF, ids=[str(c[0]) for c in SMALL_SSSF]
+)
+def test_sssf_factors_below_25_digits(n, factors, rounds, filtered):
     result = factor(n, RunConfig(algo="sssf", seed=2))
     assert result.success and result.shortfalls == []
     assert result.factors == factors
     assert result.stats.rounds == rounds
-    assert 0 < result.stats.filtered < result.stats.candidates
+    assert result.stats.filtered == filtered < result.stats.candidates
 
 
 @pytest.mark.parametrize("n", [case[0] for case in SMALL_SSSF])

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from sssfactor.factorbase import (
     MULTIPLIERS,
     FactorBase,
     build_factor_bases,
+    choose_multiplier,
     poly_value,
     square_roots,
     table_sizes,
@@ -170,6 +172,37 @@ def test_roots_are_one_array_in_the_order_of_the_odd_primes():
     assert pairs[3][0] == pairs[3][1] and 3 not in fb.paired
     assert fb.pair_array.tolist() == list(fb.paired)
     assert list(zip(*fb.pair_roots.tolist())) == [pairs[p] for p in fb.paired]
+
+
+@pytest.mark.parametrize("n", [
+    2025187160651667522159602188240446426637,              # k = 1
+    10631269693415190522128026926094032979418574955981,    # k = 1
+    71572202837660953991862295872154805899815805546319,    # k = 31
+], ids=["40d", "50d", "50d-k31"])
+def test_a_pickle_holds_the_five_defining_fields(n):
+    # a collection sends its base to every worker: the pickle carries primes,
+    # roots, multiplier, kn and shift, and unpickling derives the rest again
+    fb, _ = build_factor_bases(n, *table_sizes(len(str(n))), choose_multiplier(n))
+    data = pickle.dumps(fb, pickle.HIGHEST_PROTOCOL)
+    fields = (fb.primes, fb.roots, fb.multiplier, fb.kn, fb.shift)
+    assert len(data) <= len(pickle.dumps(fields, pickle.HIGHEST_PROTOCOL)) + 100
+    back = pickle.loads(data)
+    assert (back.primes, back.multiplier, back.kn, back.shift) == (
+        fb.primes, fb.multiplier, fb.kn, fb.shift
+    )
+    assert back.paired == fb.paired and back.partial_bound == fb.partial_bound
+    for name in ("roots", "odd_array", "pair_array", "pair_roots"):
+        assert getattr(back, name).dtype == np.int64
+        np.testing.assert_array_equal(getattr(back, name), getattr(fb, name))
+
+
+def test_unpickling_checks_the_base_again(monkeypatch):
+    # the constructor's checks run on the way back in, in every worker
+    fb, _ = build_factor_bases(8051, 8, 4)
+    data = pickle.dumps(fb)
+    monkeypatch.setattr(factorbase, "MAX_PRIME", fb.p_max)
+    with pytest.raises(ValueError, match="is not below"):
+        pickle.loads(data)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -13,7 +13,7 @@ from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import is_probable_prime, isqrt_ceil, primes_below
 from sssfactor.search import (
-    SUBSUM_SIZE,
+    SUBSUM_DIGITS,
     collision_scan,
     hit_values,
     pick_indices,
@@ -21,6 +21,7 @@ from sssfactor.search import (
     round_table,
     scan_buffers,
     search_round,
+    subsum_size,
 )
 from sssfactor.smoothness import build_context
 
@@ -53,6 +54,18 @@ def test_pick_indices():
         pick_indices(6, 5, rng)
     with pytest.raises(ValueError):
         pick_indices(0, 5, rng)
+
+
+# k by the digit-count table's rows: 6 up to the 34-digit row, 7 from 35
+# digits on, where the small base grows from 40 to 60 primes
+@pytest.mark.parametrize("digits, k", [
+    (1, 6), (18, 6), (19, 6), (25, 6), (26, 6), (30, 6), (34, 6),
+    (35, 7), (36, 7), (40, 7), (44, 7), (50, 7), (52, 7), (60, 7), (100, 7), (120, 7),
+])
+def test_subsum_size_per_digit_row(digits, k):
+    assert SUBSUM_DIGITS == 35
+    assert table_sizes(SUBSUM_DIGITS - 1) != table_sizes(SUBSUM_DIGITS)
+    assert subsum_size(digits) == k
 
 
 def invert_M(modulus, primes):
@@ -228,8 +241,7 @@ def test_search_round_emits_each_x_bar_once():
 
 
 def test_search_round_filter_path():
-    fb, sb, pre, _ = toy_setup(*table_sizes(30), n=PARTIALS_N)
-    ctx = build_context(fb.primes, split_ratio=10)
+    fb, sb, pre, ctx = toy_setup(*table_sizes(30), n=PARTIALS_N)
     finds = []
     fulls = partials = candidates = filtered = 0
     for seed in range(10):
@@ -429,7 +441,7 @@ def test_scans_of_a_real_round_leave_the_counts_zero():
     fb, sb, pre, _ = prepare(2025187160651667522159602188240446426637, RunConfig())
     primes, roots = fb.large_arrays(len(sb))
     rng = random.Random(6)
-    idx = pick_indices(SUBSUM_SIZE["sss"], len(sb), rng)
+    idx = pick_indices(subsum_size(40), len(sb), rng)
     moduli = [sb[i] for i in idx]
     modulus = math.prod(moduli)
     table = round_table(modulus, primes, roots)
@@ -470,7 +482,7 @@ def test_hit_values_equal_f_over_m_prime_on_real_rounds(name):
     algo, n = REAL_ROUNDS[name]
     fb, sb, pre, _ = prepare(n, RunConfig(algo=algo))
     kn = fb.multiplier * n
-    k = SUBSUM_SIZE[algo]
+    k = subsum_size(len(str(n)))
     primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(kn)
     rng = random.Random(3)

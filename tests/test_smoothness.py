@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sssfactor.numtheory import is_probable_prime, primes_below
 from sssfactor.smoothness import (
+    FILTER_SPLIT_RATIO,
     Smoothness,
     build_context,
     classify,
@@ -69,7 +70,7 @@ def test_eta_is_the_product_of_the_primes():
     ctx = build_context(primes)
     assert ctx.primes == tuple(primes)
     assert ctx.eta == math.prod(primes)
-    split = build_context(primes_below(5000), split_ratio=10)
+    split = build_context(primes_below(5000))
     for part in (split, split.part_small, split.part_large):
         assert part.eta == math.prod(part.primes)
 
@@ -102,7 +103,7 @@ def test_smooth_batch_exact_equals_trial_division():
 
 
 PROPERTY_PRIMES = primes_below(2000)
-SPLIT_CONTEXT = build_context(PROPERTY_PRIMES, split_ratio=10)
+SPLIT_CONTEXT = build_context(PROPERTY_PRIMES)
 # primes just above the base, which no context here may strip
 OUTSIDE_PRIMES = [next_prime_from(2000), next_prime_from(10**6), next_prime_from(10**12)]
 
@@ -123,7 +124,7 @@ def base_power_products(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(values=st.lists(base_power_products(), min_size=1, max_size=20))
 def test_smooth_batch_equals_trial_division_on_base_powers(values):
-    # the whole context and each part of the sssf partition
+    # the whole context and each part of the filter's partition
     for ctx in (SPLIT_CONTEXT, SPLIT_CONTEXT.part_small, SPLIT_CONTEXT.part_large):
         want = [oracle_nonsmooth_part(x, ctx.primes) for x in values]
         assert smooth_batch(ctx, values) == want
@@ -153,7 +154,7 @@ def test_smooth_batch_soundness_and_miss_rate():
 
 def test_smooth_filter_threshold():
     primes = primes_below(5000)
-    ctx = build_context(primes, split_ratio=10)
+    ctx = build_context(primes)
     assert len(ctx.part_small.primes) == len(primes) // 10
     assert ctx.part_small.primes + ctx.part_large.primes == ctx.primes
 
@@ -168,39 +169,66 @@ def test_smooth_filter_threshold():
         2**10 * 3**7,         # smooth over pass 1 alone
         next_prime_from(10**30),  # untouched by pass 1: dropped
     ]
-    assert dict(smooth_filter(ctx, values, cutoff)) == {0: 1, 3: 5003, 4: 1}
+    # pass 1 alone: the residuals over the smallest primes
+    kept = smooth_filter(ctx, values, cutoff)
+    assert dict(kept) == {0: 4993 * 4999, 3: 5003, 4: 1}
+    # pass 2, as the search runs it, finishes them over the rest
+    finished = smooth_batch(ctx.part_large, [g for _, g in kept])
+    assert dict(zip((i for i, _ in kept), finished)) == {0: 1, 3: 5003, 4: 1}
 
 
 def test_split_context_eta_is_the_whole_product():
     # a split context multiplies its parts' products instead of building a
     # third tree over the whole base; the product is the same
     primes = primes_below(5000)
-    whole = build_context(primes)
-    for ratio in (2, 10, 10**6):
-        split = build_context(primes, split_ratio=ratio)
-        assert split.part_small is not None
-        assert split.eta == whole.eta
-    unsplit = build_context([3], split_ratio=10)  # nothing left to split
-    assert unsplit.part_small is None and unsplit.eta == build_context([3]).eta
+    split = build_context(primes)
+    assert split.part_small is not None
+    assert split.eta == math.prod(primes)
+    unsplit = build_context([3])  # nothing left to split
+    assert unsplit.part_small is None and unsplit.eta == 3
+
+
+@pytest.mark.parametrize("size", [2, 3, 9, 10, 11, 19, 20, 21, 303])
+def test_build_context_splits_every_list_of_two_or_more_primes(size):
+    # the smallest len / FILTER_SPLIT_RATIO primes, at least one, and the
+    # rest; the parts themselves are not split again
+    primes = primes_below(2000)[:size]
+    ctx = build_context(primes)
+    cut = max(1, size // FILTER_SPLIT_RATIO)
+    assert FILTER_SPLIT_RATIO == 10
+    assert ctx.part_small.primes == tuple(primes[:cut])
+    assert ctx.part_large.primes == tuple(primes[cut:])
+    for part in (ctx.part_small, ctx.part_large):
+        assert part.part_small is None and part.part_large is None
+        assert part.eta == math.prod(part.primes)
+    assert ctx.eta == math.prod(primes)
 
 
 def test_smooth_filter_requires_partition():
-    ctx = build_context([2, 3, 5, 7])
-    with pytest.raises(ValueError):
-        smooth_filter(ctx, [10], 30)
+    # a context of one prime, or none, has nothing to split
+    for primes in ([7], []):
+        ctx = build_context(primes)
+        with pytest.raises(ValueError):
+            smooth_filter(ctx, [10], 30)
 
 
 def test_smooth_filter_agrees_with_plain_batch_on_smooth_values():
-    # anything the plain batch calls smooth and the filter keeps must agree
+    # anything the plain batch calls smooth and pass 1 keeps, pass 2 must
+    # finish at 1 as well; and whatever pass 1 keeps, both passes together
+    # leave the residual of the plain batch
     primes = primes_below(2000)
-    ctx = build_context(primes, split_ratio=10)
+    ctx = build_context(primes)
     rng = random.Random(14)
     values = [rng.randrange(1, 10**8) for _ in range(500)]
     plain = smooth_batch(ctx, values)
-    filtered = dict(smooth_filter(ctx, values, 10**3))
+    kept = smooth_filter(ctx, values, 10**3)
+    assert 0 < len(kept) < len(values)
+    filtered = dict(zip((i for i, _ in kept), smooth_batch(ctx.part_large, [g for _, g in kept])))
     for i, g in enumerate(plain):
         if g == 1 and i in filtered:
             assert filtered[i] == 1
+    for i, g in filtered.items():
+        assert g == plain[i]
 
 
 def test_classify():

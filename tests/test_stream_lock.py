@@ -15,6 +15,11 @@ import pytest
 
 from sssfactor.engine import RunConfig, collect_relations, prepare
 
+# The three sss cases were re-pinned, digests and counters, when sss and
+# sssf became one search: every round runs the two-pass filter, and from 35
+# digits a subsum modulus takes k = 7 primes instead of 6; each case's
+# comment gives its counters before.  The sssf and qs cases did not move.
+#
 # The sss and sssf counters were re-pinned when a round stopped
 # batch-testing an x_bar that an earlier variant of the same round had
 # already produced: candidates dropped by the repeats (3, 5, 4, 4 and 5,
@@ -22,22 +27,27 @@ from sssfactor.engine import RunConfig, collect_relations, prepare
 # repeats that were partial relations.  The store already dropped every
 # repeat, so no digest changed.
 CASES = [
+    # before the one search (k = 6, no filter): 14 rounds, 2512
+    # candidates, 0 filtered, 153 fulls, 890 partials, 79 combined; digest
+    # 2300f57b...
     pytest.param(
         "sss", 588090330819903606914786460449, 30,
-        "2300f57bd0fc7c5ccdc805ea8164b6b7190aa487e2fdb87ba7dd55bcff2c9e76",
-        {"rounds": 14, "candidates": 2512, "filtered": 0,
-         "fulls": 153, "partials": 890, "combined": 79},
+        "3dbf56204e4131b38db017e888195a680a320c5a4796b857e04cf1fc74603e00",
+        {"rounds": 15, "candidates": 2685, "filtered": 1112,
+         "fulls": 160, "partials": 814, "combined": 77},
         id="sss-30d",
     ),
     # partials was 1037 while the batch test left high base-prime powers in
     # some residuals: one find counted as a partial although the store,
     # stripping its residual down to 1, kept it as a full; the dumps and
-    # the digest did not change when the batch became exact
+    # the digest did not change when the batch became exact; before the one
+    # search (k = 6, no filter): 8113 candidates, 0 filtered, 121 fulls,
+    # 1032 partials, 34 combined; digest f5a46fff...
     pytest.param(
         "sss", 2025187160651667522159602188240446426637, 30,
-        "f5a46fff7354d1e35a7e7718dbcbd5b3e8f9985eb643f6503200b7db0508fb39",
-        {"rounds": 30, "candidates": 8113, "filtered": 0,
-         "fulls": 121, "partials": 1032, "combined": 34},
+        "108fcc7cb358ed316ec4d03a8ccb7f907527de0258695b4a524636e5d8618124",
+        {"rounds": 30, "candidates": 11079, "filtered": 8788,
+         "fulls": 139, "partials": 927, "combined": 50},
         id="sss-40d",
     ),
     # both sssf cases were re-pinned when the collision primes left the
@@ -61,12 +71,14 @@ CASES = [
         id="qs-40d",
     ),
     # composites whose Knuth-Schroeppel multiplier is not 1, pinned when
-    # the rounds still took kN and ceil(sqrt(kN)) as arguments
+    # the rounds still took kN and ceil(sqrt(kN)) as arguments; sss-40d-k23
+    # before the one search (k = 6, no filter): 8863 candidates, 0 filtered,
+    # 122 fulls, 1023 partials, 41 combined; digest d5848920...
     pytest.param(
         "sss", 1251681611221125843937253098284462597887, 30,
-        "d5848920adc1fd819b5a11424efbad5613bc2e175288c3ceb838f46c9a7f557c",
-        {"rounds": 30, "candidates": 8863, "filtered": 0,
-         "fulls": 122, "partials": 1023, "combined": 41},
+        "6fcdbd9635758e4cb7e990f5b23b8266750c67594b10d8b7441bd7087b0c1165",
+        {"rounds": 30, "candidates": 12201, "filtered": 9710,
+         "fulls": 151, "partials": 1015, "combined": 57},
         id="sss-40d-k23",
     ),
     pytest.param(

@@ -735,8 +735,9 @@ def relations_rows(monkeypatch, capsys, rounds, *flags):
 
 def test_ci_relation_count_starts_workers(monkeypatch, capsys):
     # the pinned CI count: 40 digits and a cap of 100 rounds fork the set
-    # before round 0, and the worker takes a share
-    assert relations_rows(monkeypatch, capsys, 100) == 530
+    # before round 0, and the worker takes a share; 530 before sss and sssf
+    # became one search
+    assert relations_rows(monkeypatch, capsys, 100) == 525
 
 
 def test_ci_qs_relation_count_starts_workers(monkeypatch, capsys):
