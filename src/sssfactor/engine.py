@@ -311,7 +311,7 @@ def collect_relations(
         raise ValueError("the CRT tables were built for another factor base")
     if store.fb is not fb:
         raise ValueError("the relation store was built on another factor base")
-    if algo != "qs" and not fb.large_primes(len(pre.primes)):
+    if algo != "qs" and not fb.paired[len(pre.primes) :]:
         raise ValueError(
             "small base covers the whole factor base; no collision primes left"
         )
@@ -824,12 +824,9 @@ def factor(n: int, config: RunConfig | None = None) -> FactorResult:
             found[value] = found.get(value, 0) + mult
             continue
         if value % 2 == 0:
-            twos = 0
-            while value % 2 == 0:
-                twos += 1
-                value //= 2
+            twos = (value & -value).bit_length() - 1
             found[2] = found.get(2, 0) + twos * mult
-            queue.append((value, mult))
+            queue.append((value >> twos, mult))
             continue
         power = is_perfect_power(value)
         if power is not None:

@@ -24,9 +24,9 @@ the partial bound, p_max times PARTIAL_MULTIPLIER: a partial relation's
 cofactor lies below it, and the search, the sieve and the relation store
 all read it from here.  limb_weights() and residues() reduce one big
 integer modulo every prime of an int64 array of primes, and pow_mod()
-raises residues to a power; the search and the relation store share them,
-and the base takes its Legendre symbols (legendre_symbols) and square
-roots (square_roots) of kN over such arrays too.
+raises residues to a power; the search, the relation store and the base
+scan share them.  The base takes its Legendre symbols (legendre_symbols)
+and square roots (square_roots) of kN over such arrays too.
 """
 
 import math
@@ -194,9 +194,8 @@ def choose_multiplier(n: int) -> int:
     (kN|p) is (k|p) (N|p): a table of (k|p) and one vectorized symbol (N|p)
     per prime.
     """
-    chi = _KS_CHI * legendre_symbols(
-        np.array([n % p for p in _KS_PRIMES], dtype=np.int64), _KS_P
-    )
+    n_mod_p = residues(n, limb_weights(_KS_P, limb_count(n)), _KS_P)
+    chi = _KS_CHI * legendre_symbols(n_mod_p, _KS_P)
     scores = (
         np.where(chi == 1, _KS_SPLIT, np.where(chi == 0, _KS_RAMIFIED, 0)).sum(axis=1)
         + _KS_TWO[_KS_K * (n % 8) % 8]
@@ -260,12 +259,9 @@ class FactorBase:
     def odd_primes(self) -> tuple[int, ...]:
         return self.primes[1:]
 
-    def large_primes(self, n: int) -> tuple[int, ...]:
-        """The paired primes beyond the first n (the collision primes)."""
-        return self.paired[n:]
-
     def large_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """large_primes(n) and their roots as int64 arrays (views)."""
+        """The paired primes beyond the first n (the collision primes) and
+        their roots, as int64 arrays (views)."""
         return self.pair_array[n:], self.pair_roots[:, n:]
 
     @property
@@ -313,13 +309,14 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
     the first small_n of its paired primes: (fb, fb.paired[:small_n]).
 
     Odd primes with (kN|p) = -1 are dropped; on average about half survive,
-    so the base ends up near the target size m.  The symbols come from one
-    vectorized Euler test, only the primes with (kN|p) = 1 take a square
-    root (square_roots), and both roots of every kept prime come from one
-    array expression.  A prime dividing k stays with its one root.  If any
-    scanned prime divides n outright, FoundFactor is raised for the first
-    -- that prime is a much cheaper answer than anything the search could
-    produce.
+    so the base ends up near the target size m.  residues() reduces kN over
+    the scanned primes and ceil(sqrt(kN)) over the kept ones, the symbols
+    come from one vectorized Euler test, only the primes with (kN|p) = 1
+    take a square root (square_roots), and both roots of every kept prime
+    come from one array expression.  A prime dividing k stays with its one
+    root.  If any scanned prime divides n outright, FoundFactor is raised
+    for the first -- that prime is a much cheaper answer than anything the
+    search could produce.
     """
     if n % 2 == 0:
         raise ValueError("input must be odd")
@@ -331,21 +328,21 @@ def build_factor_bases(n: int, m: int, small_n: int, multiplier: int = 1):
         raise ValueError(f"multiplier {multiplier} is not an odd squarefree k < 100")
     kn = multiplier * n
     shift = isqrt_ceil(kn)
-    scanned = small_primes(2 * m)[1:]
-    odd = np.array(scanned, dtype=np.int64)
-    residue = np.array([kn % p for p in scanned], dtype=np.int64)
+    odd = np.array(small_primes(2 * m)[1:], dtype=np.int64)
+    # shift <= kN, so kN's weights serve both reductions
+    weights = limb_weights(odd, limb_count(kn))
+    residue = residues(kn, weights, odd)
     symbols = legendre_symbols(residue, odd)
     for p in odd[symbols == 0].tolist():
         if n % p == 0:
             raise FoundFactor(p)
     kept = symbols >= 0
     odd, residue, split = odd[kept], residue[kept], symbols[kept] == 1
-    primes = odd.tolist()
-    shifted = np.array([shift % p for p in primes], dtype=np.int64)
+    shifted = residues(shift, weights[:, kept], odd)
     # p | k, and p**2 does not divide kN: f = 0 mod p only where x + shift
     # = 0 mod p, and f is never 0 mod p**2; s = 0 gives that root twice
     s = np.zeros_like(odd)
     s[split] = square_roots(residue[split], odd[split])
     roots = np.stack(((s - shifted) % odd, (-s - shifted) % odd))
-    fb = FactorBase((2, *primes), roots, multiplier, kn, shift)
+    fb = FactorBase((2, *odd.tolist()), roots, multiplier, kn, shift)
     return fb, fb.paired[:small_n]

@@ -94,10 +94,8 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _miller_rabin(n: int, bases) -> bool:
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
     for a in bases:
         a %= n
         if a in (0, 1, n - 1):

@@ -245,31 +245,30 @@ class RelationStore:
 
     # -- dumps ---------------------------------------------------------------
 
-    def _dense(self, exponents: Exponents) -> str:
-        cells = ["0"] * len(self.fb.primes)
-        for i, e in exponents:
-            cells[i] = str(e)
-        return ",".join(cells)
+    def _csv(self, fields: str, rows) -> str:
+        """A dump: the header, fields then e_<p> for every prime, and one
+        line per (leading cells, exponents) row, the exponents dense."""
+        lines = [fields + "," + ",".join(f"e_{p}" for p in self.fb.primes)]
+        for lead, exponents in rows:
+            cells = ["0"] * len(self.fb.primes)
+            for i, e in exponents:
+                cells[i] = str(e)
+            lines.append(lead + "," + ",".join(cells))
+        return "\n".join(lines) + "\n"
 
     def fulls_csv(self) -> str:
-        header = "x,sign," + ",".join(f"e_{p}" for p in self.fb.primes)
-        lines = [header]
-        for rel in self.fulls.values():
-            lines.append(f"{rel.x},{rel.sign}," + self._dense(rel.exponents))
-        return "\n".join(lines) + "\n"
+        rows = ((f"{rel.x},{rel.sign}", rel.exponents) for rel in self.fulls.values())
+        return self._csv("x,sign", rows)
 
     def partial_rows(self) -> list[PartialRelation]:
         """The stored partials with their exponents, one per cofactor."""
         return [self._factored(x_bar, r) for r, x_bar in self.partials.items()]
 
     def partials_csv(self) -> str:
-        header = "x,r,sign," + ",".join(f"e_{p}" for p in self.fb.primes)
-        lines = [header]
-        for prel in self.partial_rows():
-            lines.append(
-                f"{prel.x},{prel.cofactor},{prel.sign}," + self._dense(prel.exponents)
-            )
-        return "\n".join(lines) + "\n"
+        rows = (
+            (f"{rel.x},{rel.cofactor},{rel.sign}", rel.exponents) for rel in self.partial_rows()
+        )
+        return self._csv("x,r,sign", rows)
 
 
 def solve_dependencies(relations) -> list[list[int]]:

@@ -30,9 +30,9 @@ class CollisionHit(NamedTuple):
     primes: tuple
 
 
-def invert_M(modulus: int, large_primes) -> dict[int, int]:
+def invert_M(modulus: int, primes) -> dict[int, int]:
     """M^-1 mod p for every large prime; these primes never divide M."""
-    return {p: pow(modulus, -1, p) for p in large_primes}
+    return {p: pow(modulus, -1, p) for p in primes}
 
 
 def root_transforms(x: int, inverses: dict[int, int], roots: dict) -> list[tuple[int, int, int]]:

@@ -88,7 +88,7 @@ def test_degenerate_small_base_is_rejected():
     # a small base that swallows the whole factor base leaves no collision primes
     n = 1299709 * 1299721
     fb, sb = build_factor_bases(n, 20, 10**6)
-    assert not fb.large_primes(len(sb))
+    assert not fb.paired[len(sb) :]
     pre = precompute(sb, fb)
     ctx = build_context(fb.primes)
     with pytest.raises(ValueError, match="small base covers"):

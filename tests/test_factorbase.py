@@ -18,7 +18,13 @@ from sssfactor.factorbase import (
     square_roots,
     table_sizes,
 )
-from sssfactor.numtheory import FoundFactor, isqrt_ceil, primes_below, small_primes
+from sssfactor.numtheory import (
+    FoundFactor,
+    is_probable_prime,
+    isqrt_ceil,
+    primes_below,
+    small_primes,
+)
 
 # primes of every class mod 8 that stress square_roots: p - 1 with a high
 # power of 2 (2**16 + 1, 3 * 2**18 + 1, 7 * 2**26 + 1, 119 * 2**23 + 1,
@@ -78,12 +84,12 @@ def test_build_8051_matches_legendre_oracle():
     assert list(fb.primes) == expected
     assert list(sb) == expected[1:5]
     assert len(sb) == 4
-    assert fb.large_primes(len(sb)) == fb.primes[5:]
+    assert fb.paired[len(sb) :] == fb.primes[5:]
     primes, roots = fb.large_arrays(len(sb))
     assert primes.dtype == roots.dtype == "int64"
-    assert tuple(primes.tolist()) == fb.large_primes(len(sb))
+    assert tuple(primes.tolist()) == fb.paired[len(sb) :]
     pairs = root_pairs(fb)
-    assert list(zip(*roots.tolist())) == [pairs[p] for p in fb.large_primes(len(sb))]
+    assert list(zip(*roots.tolist())) == [pairs[p] for p in fb.paired[len(sb) :]]
 
 
 def test_roots_satisfy_polynomial_congruence():
@@ -229,6 +235,56 @@ def test_square_roots_reject_a_non_residue(p):
     primes = np.array([p, p], dtype=np.int64)
     with pytest.raises(ValueError, match=f"modulo {p}"):
         square_roots(np.array([1, z], dtype=np.int64), primes)
+
+
+# residues() sums _LIMBS_PER_SUM limbs between reductions; the edges of
+# those groups (2**b - 1, 2**b, 2**b + 1 at every group boundary b), and
+# values whose limbs are all ones, up to 2**420, 14 limbs (kN takes 12 at
+# 100 digits)
+_GROUP_BITS = factorbase.LIMB_BITS * factorbase._LIMBS_PER_SUM
+LIMB_EDGES = sorted(
+    {v for b in range(0, 420, _GROUP_BITS) for v in (2**b - 1, 2**b, 2**b + 1)}
+    | {2 ** (factorbase.LIMB_BITS * j) - 1 for j in range(1, 15)}
+)
+
+
+def prime_at_most(n):
+    while not is_probable_prime(n):
+        n -= 1
+    return n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    value=st.one_of(st.sampled_from(LIMB_EDGES), st.integers(0, 2**420 - 1)),
+    primes=st.lists(
+        st.one_of(
+            st.sampled_from(AWKWARD_PRIMES + SMALL_PRIMES + (2,)),
+            st.integers(2, MAX_PRIME - 1).map(prime_at_most),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    limbs=st.integers(1, 14),
+)
+def test_residues_reduce_values_up_to_420_bits(value, primes, limbs):
+    # with the limbs that value takes, and with a table of more limbs, as
+    # the base scan reduces ceil(sqrt(kN)) with kN's table
+    array = np.array(primes, dtype=np.int64)
+    for count in {factorbase.limb_count(value), max(limbs, factorbase.limb_count(value))}:
+        weights = factorbase.limb_weights(array, count)
+        assert factorbase.residues(value, weights, array).tolist() == [value % p for p in primes]
+
+
+def test_residues_worst_case_stays_inside_int64():
+    # every limb 2**30 - 1 and every weight p - 1 at the largest prime: the
+    # biggest sums that residues() accumulates between two reductions
+    p = MAX_PRIME - 1
+    for limbs in range(1, 15):
+        value = 2 ** (factorbase.LIMB_BITS * limbs) - 1
+        weights = np.full((limbs, 1), p - 1, dtype=np.int64)
+        got = factorbase.residues(value, weights, np.array([p], dtype=np.int64))
+        assert got.tolist() == [-limbs * (2**factorbase.LIMB_BITS - 1) % p]
 
 
 # 8051 = 83 * 97 with a base small enough that many k share a prime with

@@ -90,9 +90,8 @@ def test_multiplier_primes_have_one_root_and_no_search_role(n):
         assert poly_value(r1, kn, shift) % (p * p) != 0
     assert fb.paired == tuple(p for p in fb.odd_primes if k % p)
     assert sb == pre.primes == fb.paired[: len(sb)]
-    assert fb.large_primes(len(sb)) == fb.paired[len(sb) :]
     primes, roots = fb.large_arrays(len(sb))
-    assert tuple(primes.tolist()) == fb.large_primes(len(sb))
+    assert tuple(primes.tolist()) == fb.paired[len(sb) :]
     assert (roots[0] != roots[1]).all()
     if n == K89:
         assert 89 > sb[-1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import search_oracle as oracle
 from numtheory_oracle import root_pairs
+from relations_oracle import trial_divide
 
 from sssfactor.crt import get_x, precompute, swap_root
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
@@ -129,14 +130,14 @@ def test_collision_scan_rejects_non_divisor():
         collision_scan([], [7], 15)
 
 
-def oracle_hits(n, shift, x, m_prime, large_primes, threshold):
+def oracle_hits(n, shift, x, m_prime, primes, threshold):
     """Exhaustive alpha scan: count large primes p dividing f(x + alpha*m')
     with alpha inside p's emitted window [-p, p)."""
-    p_max = max(large_primes)
+    p_max = max(primes)
     hits = {}
     for alpha in range(-p_max, p_max):
         count = 0
-        for p in large_primes:
+        for p in primes:
             if -p <= alpha < p and poly_value(x + alpha * m_prime, n, shift) % p == 0:
                 count += 1
         if count >= threshold:
@@ -146,7 +147,7 @@ def oracle_hits(n, shift, x, m_prime, large_primes, threshold):
 
 def test_collision_scan_matches_exhaustive_oracle():
     fb, sb, pre, _ = toy_setup()
-    large = fb.large_primes(len(sb))
+    large = fb.paired[len(sb) :]
     primes, roots = fb.large_arrays(len(sb))
     shift = isqrt_ceil(TOY_N)
     rng = random.Random(22)
@@ -169,16 +170,6 @@ def test_collision_scan_matches_exhaustive_oracle():
                 assert set(hit.primes) <= set(dividing)
             scans += 1
     assert scans == 30
-
-
-def trial_cofactor(fb, x_bar):
-    """|f(x_bar)| with every factor-base prime divided out: what a find's
-    residual must be, since the relation store takes it as the cofactor."""
-    cofactor = abs(poly_value(x_bar, fb.kn, fb.shift))
-    for p in fb.primes:
-        while cofactor % p == 0:
-            cofactor //= p
-    return cofactor
 
 
 def run_one_round(seed):
@@ -208,7 +199,8 @@ def test_search_round_emissions_are_sound():
         assert len({x for x, _ in round_finds}) == len(round_finds)  # no dups
         total += len(round_finds)
         for x_bar, residual in round_finds:
-            assert residual == trial_cofactor(fb, x_bar) < fb.partial_bound
+            cofactor = trial_divide(poly_value(x_bar, fb.kn, fb.shift), fb.primes)[2]
+            assert residual == cofactor < fb.partial_bound
     assert total > 0
     # the toy's finds are all full; partials need a larger composite
     fb, sb, pre, ctx = toy_setup(*table_sizes(30), n=PARTIALS_N)
@@ -218,7 +210,8 @@ def test_search_round_emissions_are_sound():
         stats = search_round(fb, pre, ctx, indices)
         partials += stats.partials
         for x_bar, residual in stats.finds:
-            assert residual == trial_cofactor(fb, x_bar) < fb.partial_bound
+            cofactor = trial_divide(poly_value(x_bar, fb.kn, fb.shift), fb.primes)[2]
+            assert residual == cofactor < fb.partial_bound
     assert partials > 0
 
 
@@ -261,7 +254,8 @@ def test_search_round_filter_path():
     assert fulls and partials
     # with exact residuals
     for x_bar, residual in finds:
-        assert residual == trial_cofactor(fb, x_bar)
+        cofactor = trial_divide(poly_value(x_bar, fb.kn, fb.shift), fb.primes)[2]
+        assert residual == cofactor
 
 
 # -- the int64 array search against the pure-Python oracle ------------------
@@ -357,7 +351,7 @@ def test_array_search_matches_oracle_on_real_rounds(n, k):
 
     fb, sb, pre, _ = toy_setup() if n == TOY_N else prepare(n, RunConfig())
     primes, roots = fb.large_arrays(len(sb))
-    large = fb.large_primes(len(sb))
+    large = fb.paired[len(sb) :]
     pairs = root_pairs(fb)
     rng = random.Random(5)
     for _ in range(3):
@@ -525,7 +519,8 @@ def test_every_find_keeps_the_trial_division_residual(name):
     finds = [find for indices in itertools.islice(items, 5) for find in run(indices).finds]
     assert len(finds) > 30
     for x_bar, g in finds:
-        assert g == trial_cofactor(fb, x_bar)
+        cofactor = trial_divide(poly_value(x_bar, fb.kn, fb.shift), fb.primes)[2]
+        assert g == cofactor
 
 
 def test_hit_values_reject_a_modulus_that_does_not_divide_f():
@@ -539,6 +534,6 @@ def test_hit_values_reject_a_modulus_that_does_not_divide_f():
         hit_values(fb, x + 1, modulus, [1], [(0, 5, 1)])
     # a product that does not divide the value raises as well
     value = hit_values(fb, x, modulus, [1], [(0, 5, 1)])[x + 5 * modulus]
-    p = next(p for p in fb.large_primes(len(sb)) if value % p)
+    p = next(p for p in fb.paired[len(sb) :] if value % p)
     with pytest.raises(AssertionError, match="collision primes do not divide"):
         hit_values(fb, x, modulus, [1], [(0, 5, p)])

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relations_oracle import trial_divide
+
 from sssfactor.numtheory import is_probable_prime, primes_below
 from sssfactor.smoothness import (
     FILTER_SPLIT_RATIO,
@@ -15,15 +17,6 @@ from sssfactor.smoothness import (
     smooth_batch_exact,
     smooth_filter,
 )
-
-
-def oracle_nonsmooth_part(x, primes):
-    for p in primes:
-        while x % p == 0:
-            x //= p
-        if x == 1:
-            break
-    return x
 
 
 def next_prime_from(n):
@@ -99,7 +92,7 @@ def test_smooth_batch_exact_equals_trial_division():
     values = [rng.randrange(1, 10**12) for _ in range(1000)]
     got = smooth_batch_exact(ctx, values)
     for x, g in zip(values, got):
-        assert g == oracle_nonsmooth_part(x, primes)
+        assert g == trial_divide(x, primes)[2]
 
 
 PROPERTY_PRIMES = primes_below(2000)
@@ -126,7 +119,7 @@ def base_power_products(draw):
 def test_smooth_batch_equals_trial_division_on_base_powers(values):
     # the whole context and each part of the filter's partition
     for ctx in (SPLIT_CONTEXT, SPLIT_CONTEXT.part_small, SPLIT_CONTEXT.part_large):
-        want = [oracle_nonsmooth_part(x, ctx.primes) for x in values]
+        want = [trial_divide(x, ctx.primes)[2] for x in values]
         assert smooth_batch(ctx, values) == want
 
 
@@ -139,7 +132,7 @@ def test_smooth_batch_soundness_and_miss_rate():
     smooth_total = 0
     missed = 0
     for x, g in zip(values, got):
-        truth = oracle_nonsmooth_part(x, primes)
+        truth = trial_divide(x, primes)[2]
         # the batch is exact: it returns the non-smooth part itself
         assert g == truth
         if g == 1:
