@@ -15,10 +15,12 @@ generated.
 The progressions (modulus, root, weight) depend only on kN, Hensel lifts
 mod p**2 included, so a Sieve builds them once per composite.  It sieves
 BLOCK_INTERVALS consecutive intervals of one side at a time, one strided
-add per progression over the whole block: per interval, numpy's per-call
-overhead cost more than the element work.  Every interval keeps its own
-threshold, and a position's byte sum does not depend on the block around
-it, so each interval has exactly the survivors it has when sieved alone.
+add per progression over the whole block: the strided adds, their offsets
+and the pattern fill cost about the same per block whatever its length,
+so per interval they shrink as the block grows (README, "Parameters").
+Every interval keeps its own threshold, and a position's byte sum does not
+depend on the block around it, so each interval has exactly the survivors
+it has when sieved alone.
 
 The smallest moduli (2 to 13, sometimes 17, at 35 digits) would stride over
 the whole block for little log mass.  The Sieve takes the progressions in
@@ -51,8 +53,8 @@ __all__ = ["Sieve", "sieve_interval", "run_sieve"]
 
 SIEVE_LENGTH = 65536
 # intervals of one side sieved per pass; a block's byte array is
-# BLOCK_INTERVALS * SIEVE_LENGTH bytes
-BLOCK_INTERVALS = 8
+# BLOCK_INTERVALS * SIEVE_LENGTH bytes, 1 MB
+BLOCK_INTERVALS = 16
 
 
 def _ceil_log2(v: int) -> int:

@@ -302,10 +302,12 @@ N50 = "10631269693415190522128026926094032979418574955981"
 
 # the relation counts that .github/workflows/tests.yml pins for the
 # installed script: one CSV row per full (per partial with --partials-out -);
-# the partials of 30 sss rounds were 998 before sss and sssf became one search
+# the partials of 30 sss rounds were 998 before sss and sssf became one search;
+# 36 qs intervals cross the first 16-interval sieve block of each side (20,
+# 6 rows, with 8-interval blocks)
 @pytest.mark.parametrize("argv, rows", [
     (["relations", "5550426454971436013", "--max-rounds", "50"], 179),
-    (["relations", N40, "--algo", "qs", "--max-rounds", "20"], 6),
+    (["relations", N40, "--algo", "qs", "--max-rounds", "36"], 11),
     (["relations", K61, "--algo", "qs", "--max-rounds", "20"], 32),
     (["relations", N50, "--algo", "sssf", "--max-rounds", "5"], 16),
     (["relations", N50, "--algo", "sssf", "--max-rounds", "20"], 49),

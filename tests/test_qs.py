@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from semiprimes import generate_semiprime
 from sieve_oracle import interval_survivors, progressions, sieve_interval as oracle_interval
 
+from sssfactor import qs
 from sssfactor.engine import RunConfig, factor
 from sssfactor.factorbase import build_factor_bases, poly_value, table_sizes
 from sssfactor.numtheory import isqrt_ceil
@@ -22,6 +23,10 @@ K61 = 29100640830005092842290581694238229
 # its one progression goes into the pattern
 N35 = generate_semiprime(35, random.Random(35))[0]
 PATTERN_BASES = [pytest.param(K61, 61, id="k61"), pytest.param(N35, 5, id="k5")]
+# intervals per block: the engine's and the 8 it used before; an interval's
+# survivors must not depend on the block around it, which the oracle tests
+# check at each of these
+BLOCK_SIZES = sorted({8, BLOCK_INTERVALS})
 
 
 def oracle_weight(n, fb, x, length):
@@ -146,22 +151,28 @@ def test_qs_and_subsum_agree_on_shared_semiprimes():
     seed=st.integers(0, 2**32),
     m=st.integers(8, 60),
     length=st.sampled_from([16, 60, 256, 1000]),
-    first=st.integers(0, 3 * BLOCK_INTERVALS),
-    resume=st.integers(1, 2 * BLOCK_INTERVALS + 2),
+    data=st.data(),
 )
-def test_block_sieve_matches_per_interval_oracle(digits, seed, m, length, first, resume):
+def test_block_sieve_matches_per_interval_oracle(digits, seed, m, length, data):
     # both sides, from a block's first interval across the next boundary, and
     # a fresh sieve resuming inside the old block; lengths so short that some
     # primes exceed the interval while others still get a square progression
     n, _, _ = generate_semiprime(digits, random.Random(seed))
     fb, _ = build_factor_bases(n, m, 4)
-    sieve = Sieve(fb, length)
-    indices = range(first, first + 2 * BLOCK_INTERVALS + 3)
-    for index in indices:
-        assert sieve_interval(sieve, index) == interval_survivors(fb, index, length), index
-    resumed = Sieve(fb, length)
-    for index in indices[resume:]:
-        assert sieve_interval(resumed, index) == interval_survivors(fb, index, length), index
+    for blocks in BLOCK_SIZES:
+        first = data.draw(st.integers(0, 3 * blocks), label="first")
+        resume = data.draw(st.integers(1, 2 * blocks + 2), label="resume")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qs, "BLOCK_INTERVALS", blocks)
+            sieve = Sieve(fb, length)
+            indices = range(first, first + 2 * blocks + 3)
+            for index in indices:
+                got = sieve_interval(sieve, index)
+                assert got == interval_survivors(fb, index, length), (blocks, index)
+            resumed = Sieve(fb, length)
+            for index in indices[resume:]:
+                got = sieve_interval(resumed, index)
+                assert got == interval_survivors(fb, index, length), (blocks, index)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -169,17 +180,21 @@ def test_block_sieve_matches_per_interval_oracle(digits, seed, m, length, first,
     seed=st.integers(0, 2**32),
     length=st.sampled_from([16, 60, 256]),
     start=st.integers(-5000, 5000),
-    thresholds=st.lists(st.integers(0, 40), min_size=1, max_size=BLOCK_INTERVALS + 2),
+    thresholds=st.lists(st.integers(0, 40), min_size=1, max_size=max(BLOCK_SIZES) + 2),
 )
 def test_block_is_each_interval_sieved_alone(seed, length, start, thresholds):
-    # any start, not only multiples of the length, and any thresholds
+    # any start, not only multiples of the length, and any thresholds; the
+    # block length bounds the pattern's period
     n, _, _ = generate_semiprime(12, random.Random(seed))
     fb, _ = build_factor_bases(n, 30, 4)
-    got = Sieve(fb, length).block(start, thresholds)
-    assert got == [
+    expected = [
         oracle_interval(fb, start + j * length, length, t)
         for j, t in enumerate(thresholds)
     ]
+    for blocks in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qs, "BLOCK_INTERVALS", blocks)
+            assert Sieve(fb, length).block(start, thresholds) == expected, blocks
 
 
 def test_block_sieve_matches_oracle_at_35_digits():

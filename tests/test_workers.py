@@ -655,10 +655,13 @@ def test_a_40_digit_run_forks_before_round_0(monkeypatch):
     ("sss", 3, []),
     ("sss", 19, []),
     ("sss", 20, [1]),  # 10 rounds per process
-    ("qs", 32, []),    # one batch of 16 intervals per process
+    ("qs", 32, []),    # one batch of 32 intervals
     ("qs", 33, []),
-    ("qs", 320, [1]),  # 10 batches per process
-], ids=["sss-0", "sss-1", "sss-2", "sss-3", "sss-19", "sss-20", "qs-32", "qs-33", "qs-320"])
+    ("qs", 64, []),    # one batch per process
+    ("qs", 320, []),   # 5 batches per process: it forked at 16 intervals a batch
+    ("qs", 640, [1]),  # 10 batches per process
+], ids=["sss-0", "sss-1", "sss-2", "sss-3", "sss-19", "sss-20", "qs-32", "qs-33", "qs-64",
+        "qs-320", "qs-640"])
 def test_a_cap_of_one_batch_per_process_stays_in_one_process(monkeypatch, algo, rounds, forked):
     spy = two_cpus(monkeypatch)
     config = RunConfig(algo=algo, seed=7, max_rounds=rounds)
@@ -741,8 +744,10 @@ def test_ci_relation_count_starts_workers(monkeypatch, capsys):
 
 
 def test_ci_qs_relation_count_starts_workers(monkeypatch, capsys):
-    # the pinned CI count of qs: 400 intervals are 25 batches of 16
-    assert relations_rows(monkeypatch, capsys, 400, "--algo", "qs") == 78
+    # the pinned CI count of qs: 1280 intervals are 40 batches of 32, enough
+    # to fork on up to four CPUs; 78 at a cap of 400 when a batch was 16
+    # intervals
+    assert relations_rows(monkeypatch, capsys, 1280, "--algo", "qs") == 248
 
 
 STRESS = textwrap.dedent(
